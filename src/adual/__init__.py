@@ -16,6 +16,7 @@ from .core import (
     Operation,
     ParseError,
     Relation,
+    VerificationError,
     con_lattice,
     diagonal_relation,
     enumerate_homs,

@@ -40,12 +40,39 @@ class ParseError(ValueError):
         super().__init__(f"{source}:{line}: {message}" + (f" (near {token!r})" if token else ""))
 
 
+class VerificationError(Exception):
+    """A verification claim failed its check; the computation that led here is wrong."""
+
+
 def encode_tuple(values, size):
-    """Mixed-radix code of a tuple over {0..size-1}, first coordinate most significant."""
+    """Mixed-radix code of a tuple over {0..size-1}, first coordinate most significant.
+
+    The coordinates may also be integer arrays of one shape, which gives the
+    codes elementwise.
+    """
     code = 0
     for v in values:
         code = code * size + v
     return code
+
+
+def sorted_member(sorted_codes, codes):
+    """Elementwise membership of nonnegative `codes` in the sorted 1-D array `sorted_codes`.
+
+    A lookup table over 0..max(sorted_codes) answers when it has no more
+    cells than `codes` (or 2**16); a binary search answers otherwise.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if sorted_codes.size == 0:
+        return np.zeros(codes.shape, dtype=bool)
+    top = int(sorted_codes[-1]) + 1
+    if top <= max(1 << 16, codes.size):
+        table = np.zeros(top + 1, dtype=bool)  # cell `top` stands for every larger code
+        table[sorted_codes] = True
+        return table[np.minimum(codes, top)]
+    pos = np.searchsorted(sorted_codes, codes)
+    np.minimum(pos, sorted_codes.size - 1, out=pos)
+    return sorted_codes[pos] == codes
 
 
 def decode_code(code, size, arity):
@@ -470,29 +497,25 @@ def is_compatible_relation(A, R: Relation, budget=DEFAULT_BUDGET):
         )
     T = np.array(R.tuples, dtype=np.int64)
     r, k = T.shape
-    weights = np.array([A.size ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-    codes = np.sort(T @ weights)
+    codes = encode_tuple(T.T, A.size)  # sorted, as R.tuples is
 
     def present(arr):
-        pos = np.searchsorted(codes, arr)
-        pos[pos >= codes.size] = codes.size - 1
-        return bool(np.all(codes[pos] == arr))
+        return bool(sorted_member(codes, arr).all())
 
     for o in A.ops:
         if o.arity == 0:
             if (o.table[0],) * k not in R:
                 return False
         elif o.arity == 1:
-            out = o.np_table[T] @ weights
-            if not present(out):
+            if not present(encode_tuple(o.np_table[T].T, A.size)):
                 return False
         elif o.arity == 2:
             if r * r > budget:
                 raise BudgetExceededError(r * r, budget, hint="compatibility check")
-            out = np.zeros((r, r), dtype=np.int64)
-            for c in range(k):
-                out += o.np_table[T[:, None, c] * A.size + T[None, :, c]] * weights[c]
-            if not present(out.ravel()):
+            out = encode_tuple(
+                (o.np_table[T[:, None, c] * A.size + T[None, :, c]] for c in range(k)), A.size
+            )
+            if not present(out):
                 return False
         else:
             for rows in itertools.product(range(r), repeat=o.arity):

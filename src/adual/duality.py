@@ -12,6 +12,7 @@ nothing else does, i.e. the double dual has exactly |B| members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -20,10 +21,13 @@ from .core import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     FiniteAlgebra,
+    VerificationError,
+    encode_tuple,
     enumerate_homs,
     enumerate_subuniverses,
     is_compatible_relation,
     power_algebra,
+    sorted_member,
     subuniverse_carriers,
 )
 from .homgroups import prime_signature
@@ -57,18 +61,26 @@ class AlterEgo:
 
     def __post_init__(self):
         for r in self.relations:
+            if r.arity != self.arity:
+                raise ValueError(f"alter-ego relation has arity {r.arity}, expected {self.arity}")
             if not is_compatible_relation(self.base, r):
                 raise ValueError("alter-ego relation is not compatible with the base algebra")
+
+    @cached_property
+    def tagged_codes(self):
+        """Sorted codes of every relation tuple, plus size**arity times the relation's index."""
+        size, r = self.base.size, self.arity
+        parts = [
+            encode_tuple(np.array(rel.tuples, dtype=np.int64).T, size) + i * size**r
+            for i, rel in enumerate(self.relations)
+        ]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def build_alter_ego(A, N, budget=DEFAULT_BUDGET, relations=None) -> AlterEgo:
     """All N-ary compatible relations of A, or a supplied subset (partial mode)."""
     if relations is not None:
-        rels = tuple(relations)
-        for r in rels:
-            if r.arity != N:
-                raise ValueError(f"supplied relation has arity {r.arity}, expected {N}")
-        return AlterEgo(A, rels, N, complete=False)
+        return AlterEgo(A, tuple(relations), N, complete=False)
     try:
         P = power_algebra(A, N, budget)
     except BudgetExceededError as e:
@@ -82,8 +94,9 @@ def build_alter_ego(A, N, budget=DEFAULT_BUDGET, relations=None) -> AlterEgo:
 class DualStructure:
     """Hom(B, A) with each alter-ego relation lifted pointwise.
 
-    lifted[i] is an integer array of shape (count, arity) holding index
-    tuples into `homs` that satisfy relation i at every point of B.
+    lifted[i] is an integer array of shape (count, arity) holding, in
+    lexicographic order, the index tuples into `homs` that satisfy relation
+    i at every point of B.
     """
 
     witness: SubalgebraWitness
@@ -93,83 +106,94 @@ class DualStructure:
     lifted: tuple
 
 
+# Cells per temporary array in the joins below; bounds their memory.
+CHUNK_CELLS = 1 << 16
+
+
 def dual_of(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualStructure:
-    """The dual of B: homs into the base plus the pointwise-lifted relations."""
+    """The dual of B: homs into the base plus the pointwise-lifted relations.
+
+    The lifted relations are built by a prefix join.  Index tuples grow one
+    position at a time, and a prefix (i_1..i_j) survives only if at every
+    point b of B the tuple (h_i1(b)..h_ij(b)) is the prefix of a tuple of
+    the relation.  All relations extend together, each prefix code tagged
+    with its relation's position, and rows stay in lexicographic order.
+    """
     B_alg, _, carrier = B.as_algebra()
     homs = tuple(enumerate_homs(B_alg, ego.base, budget))
     h = len(homs)
-    size = ego.base.size
-    values = np.array([hom.mapping for hom in homs], dtype=np.int64)  # (h, |B|)
-    lifted = []
-    for rel in ego.relations:
-        r = rel.arity
-        if h**r > budget:
-            raise BudgetExceededError(h**r, budget, hint="lifted relation tuples")
-        rel_codes = np.sort(
-            np.array(
-                [sum(v * size ** (r - 1 - i) for i, v in enumerate(t)) for t in rel.tuples],
-                dtype=np.int64,
-            )
-        )
-        grids = np.meshgrid(*([np.arange(h)] * r), indexing="ij")
-        tuples_idx = np.stack([g.ravel() for g in grids], axis=1)  # (h**r, r)
-        ok = np.ones(len(tuples_idx), dtype=bool)
-        for b in range(values.shape[1]):
-            codes = np.zeros(len(tuples_idx), dtype=np.int64)
-            for i in range(r):
-                codes = codes * size + values[tuples_idx[:, i], b]
-            pos = np.searchsorted(rel_codes, codes)
-            pos[pos >= rel_codes.size] = rel_codes.size - 1
-            ok &= rel_codes[pos] == codes
-            if not ok.any():
-                break
-        lifted.append(tuples_idx[ok])
-    return DualStructure(B, B_alg, homs, ego, tuple(lifted))
+    size, r = ego.base.size, ego.arity
+    count = len(ego.relations)
+    values = np.array([hom.mapping for hom in homs], dtype=np.int64).reshape(h, len(carrier))
+    full = ego.tagged_codes
+    # One row per surviving prefix: its relation and its indices.
+    rel = np.arange(count, dtype=np.int64)
+    idx = np.zeros((count, 0), dtype=np.int64)
+    step = max(1, CHUNK_CELLS // max(1, h * len(carrier)))
+    for j in range(1, r + 1):
+        reach = np.bincount(rel, minlength=count).max(initial=0) * h
+        if reach > budget:
+            raise BudgetExceededError(reach, budget, hint="lifted relation tuples")
+        prefixes = np.unique(full // size ** (r - j))  # tagged as rel * size**j + prefix
+        rels, idxs = [rel[:0]], [np.zeros((0, j), dtype=np.int64)]
+        for s in range(0, len(rel), step):
+            block_rel, block_idx = rel[s : s + step], idx[s : s + step]
+            # tagged prefix code of each row at each point of B, then one more index
+            prefix = encode_tuple((values[block_idx[:, c]] for c in range(j - 1)), size)
+            tagged = prefix + (block_rel * size ** (j - 1))[:, None]
+            ext = np.repeat(tagged, h, axis=0) * size + np.tile(values, (len(block_rel), 1))
+            row, new = np.divmod(np.flatnonzero(sorted_member(prefixes, ext).all(axis=1)), h)
+            rels.append(block_rel[row])
+            idxs.append(np.column_stack((block_idx[row], new)))
+        rel, idx = np.concatenate(rels), np.concatenate(idxs)
+    bounds = np.searchsorted(rel, np.arange(count + 1))
+    lifted = tuple(idx[bounds[i] : bounds[i + 1]] for i in range(count))
+    return DualStructure(B, B_alg, homs, ego, lifted)
 
 
 def double_dual(D: DualStructure, budget=DEFAULT_BUDGET):
     """All maps Hom(B,A) -> A preserving every lifted relation, sorted.
 
-    Continuity is vacuous on a finite discrete space.  Candidates are pruned
-    relation by relation, most restrictive first.
+    Continuity is vacuous on a finite discrete space.  The values phi(0),
+    phi(1), ... are assigned in turn; a lifted tuple is checked as soon as
+    its largest index is assigned, so only partial maps that preserve every
+    fully assigned tuple are extended.  A relation holding every tuple
+    constrains nothing and is skipped.
     """
     h = len(D.homs)
-    size = D.ego.base.size
-    count = size**h
-    if count > budget:
-        raise BudgetExceededError(count, budget, hint="double dual candidate maps")
-    grids = np.meshgrid(*([np.arange(size)] * h), indexing="ij")
-    candidates = np.stack([g.ravel() for g in grids], axis=1)  # (count, h) lexicographic
-    alive = np.ones(count, dtype=bool)
-    order = sorted(range(len(D.lifted)), key=lambda i: len(D.lifted[i]))
-    for i in order:
-        tuples_idx = D.lifted[i]
-        if len(tuples_idx) == 0 or not alive.any():
-            continue
-        rel = D.ego.relations[i]
-        r = rel.arity
-        rel_codes = np.sort(
-            np.array(
-                [sum(v * size ** (r - 1 - j) for j, v in enumerate(t)) for t in rel.tuples],
-                dtype=np.int64,
-            )
-        )
-        live = np.flatnonzero(alive)
-        phi = candidates[live]
-        keep = np.ones(live.size, dtype=bool)
-        chunk = max(1, 2_000_000 // max(1, live.size))
-        for start in range(0, len(tuples_idx), chunk):
-            block = tuples_idx[start : start + chunk]
-            codes = np.zeros((live.size, len(block)), dtype=np.int64)
-            for j in range(r):
-                codes = codes * size + phi[:, block[:, j]]
-            pos = np.searchsorted(rel_codes, codes)
-            pos[pos >= rel_codes.size] = rel_codes.size - 1
-            keep &= (rel_codes[pos] == codes).all(axis=1)
-            if not keep.any():
-                break
-        alive[live[~keep]] = False
-    return [tuple(int(v) for v in candidates[i]) for i in np.flatnonzero(alive)]
+    size, r = D.ego.base.size, D.ego.arity
+    full = D.ego.tagged_codes
+    binding = [i for i, rel in enumerate(D.ego.relations) if len(rel) < size**r]
+    tuples = np.concatenate([D.lifted[i] for i in binding] + [np.zeros((0, r), dtype=np.int64)])
+    tags = np.repeat(
+        np.array(binding, dtype=np.int64) * size**r, [len(D.lifted[i]) for i in binding]
+    )
+    last = tuples.max(axis=1, initial=0)  # the index assigned last
+    order = np.argsort(last, kind="stable")
+    bounds = np.searchsorted(last, np.arange(h + 1), sorter=order)
+    group = max(1, CHUNK_CELLS // r)  # tuples per gather
+    maps = np.zeros((1, 0), dtype=np.int64)
+    for j in range(h):
+        reach = len(maps) * size
+        if reach > budget:
+            raise BudgetExceededError(reach, budget, hint="double dual partial maps")
+        rows = order[bounds[j] : bounds[j + 1]]
+        T, offsets = tuples[rows], tags[rows]
+        step = max(1, CHUNK_CELLS // (size * max(j + 1, r * min(len(T), group))))
+        parts = [np.zeros((0, j + 1), dtype=np.int64)]
+        for s in range(0, len(maps), step):
+            block = maps[s : s + step]
+            ext = np.empty((len(block) * size, j + 1), dtype=np.int64)
+            ext[:, :-1] = np.repeat(block, size, axis=0)
+            ext[:, -1] = np.tile(np.arange(size), len(block))
+            ok = np.ones(len(ext), dtype=bool)
+            for t in range(0, len(T), group):
+                cols = T[t : t + group]
+                codes = encode_tuple((ext[:, cols[:, c]] for c in range(r)), size)
+                ok &= sorted_member(full, codes + offsets[t : t + group]).all(axis=1)
+            parts.append(ext[ok])
+        maps = np.concatenate(parts)
+    return [tuple(row) for row in maps.tolist()]
 
 
 @dataclass
@@ -199,16 +223,15 @@ class EvaluationReport:
 def evaluate_subalgebra(B: SubalgebraWitness, ego: AlterEgo, power, budget=DEFAULT_BUDGET):
     """Check the evaluation map on one B: embed, then compare cardinalities."""
     D = dual_of(B, ego, budget)
-    images = []
-    for x in range(D.algebra.size):
-        images.append(tuple(hom(x) for hom in D.homs))
-    if len(set(images)) != len(images):
-        raise AssertionError("evaluation map is not injective; this is a bug")
+    images = [tuple(hom(x) for hom in D.homs) for x in range(D.algebra.size)]
+    image_set = set(images)
+    if len(image_set) != len(images):
+        raise VerificationError("evaluation map is not injective")
     dd = double_dual(D, budget)
-    dd_set = set(dd)
-    for img in images:
-        assert img in dd_set, "evaluation image escaped the double dual"
-    missing = tuple(phi for phi in dd if phi not in set(images))
+    escaped = image_set.difference(dd)
+    if escaped:
+        raise VerificationError(f"evaluation image {min(escaped)} escaped the double dual")
+    missing = tuple(phi for phi in dd if phi not in image_set)
     return EvaluationReport(
         power=power,
         carrier=B.carrier,

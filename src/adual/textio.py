@@ -4,11 +4,13 @@ All formats are UTF-8 with '#' starting a comment line.  Operation tables
 list whitespace-separated values in lexicographic argument order, first
 argument most significant; values may wrap onto continuation lines, the
 parser reads tokens until the expected count is reached.  Every serializer
-output re-parses to an equal value.
+output re-parses to an equal value.  The summary lines `adual entail` prints
+after its certificate are skipped, so its whole standard output replays.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .core import (
@@ -112,9 +114,16 @@ def parse_document(text, source="<input>", known=None) -> Document:
             _parse_cong(lines, doc, line_no, toks)
         elif head == "cert":
             _parse_cert(lines, doc, line_no, toks)
+        elif _is_entail_summary(toks):
+            continue
         else:
             lines.error("unknown block", line_no, head)
     return doc
+
+
+def _is_entail_summary(toks):
+    """True for the summary lines `adual entail` prints after its certificate."""
+    return re.fullmatch(r"premises \d+ of arity <= \d+|ENTAIL PASS", " ".join(toks)) is not None
 
 
 def _algebra_for(doc, lines, name, line_no):

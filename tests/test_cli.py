@@ -119,6 +119,22 @@ def test_factorize_entail_replay_refute(files, capsys, tmp_path):
     assert code == 0 and "REFUTED" in out
 
 
+def test_entail_stdout_replays_as_is(files, capsys, tmp_path):
+    paths, _ = files
+    rel_file = tmp_path / "diag3.rel"
+    rel_file.write_text(
+        textio.serialize_relation(core.diagonal_relation(2, 3), "diag3", "z2")
+    )
+    code, entail_out, _ = run(capsys, ["entail", paths["z2"], str(rel_file), "--arity", "3"])
+    assert code == 0
+    assert re.search(r"\npremises \d+ of arity <= 4\nENTAIL PASS\n$", entail_out)
+    cert_file = tmp_path / "diag3.cert"
+    cert_file.write_text(entail_out)
+    code, out, err = run(capsys, ["replay", str(cert_file)])
+    assert code == 0, err
+    assert "cert diag3-cert: PASS" in out
+
+
 def test_duality_verb_and_determinism(files, capsys):
     paths, _ = files
     code, out1, _ = run(capsys, ["duality", paths["z2"], "--max-power", "2"])

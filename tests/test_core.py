@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,29 @@ def test_power_budget():
 def test_encode_decode_roundtrip():
     for code in range(81):
         assert core.encode_tuple(core.decode_code(code, 3, 4), 3) == code
+
+
+def test_encode_tuple_on_arrays_matches_scalars():
+    rows = np.array(list(itertools.product(range(3), repeat=4)))
+    assert core.encode_tuple(rows.T, 3).tolist() == [core.encode_tuple(t, 3) for t in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    members=st.sets(st.integers(0, 10**7), max_size=40),
+    queries=st.lists(st.integers(0, 2 * 10**7), max_size=40),
+    small=st.booleans(),
+)
+def test_sorted_member_matches_a_set(members, queries, small):
+    # `small` keeps every code below 2**16 so the lookup table answers;
+    # otherwise the largest member is usually beyond it and the search answers
+    if small:
+        members = {m % 1000 for m in members}
+        queries = [q % 1200 for q in queries]
+    sorted_codes = np.array(sorted(members), dtype=np.int64)
+    got = core.sorted_member(sorted_codes, np.array(queries, dtype=np.int64).reshape(-1, 1))
+    assert got.shape == (len(queries), 1)
+    assert got.ravel().tolist() == [q in members for q in queries]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,240 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adual import core, duality as du, zoo
 from adual.subcong import SubalgebraWitness
+
+
+# ---------------------------------------------------------------------------
+# The brute-force method: every index tuple and every candidate map, listed
+# as a grid.  It is the oracle for the prefix joins in `duality`.
+# ---------------------------------------------------------------------------
+
+
+def brute_dual_of(B, ego, budget=core.DEFAULT_BUDGET):
+    B_alg, _, _ = B.as_algebra()
+    homs = tuple(core.enumerate_homs(B_alg, ego.base, budget))
+    h = len(homs)
+    size = ego.base.size
+    values = np.array([hom.mapping for hom in homs], dtype=np.int64)  # (h, |B|)
+    lifted = []
+    for rel in ego.relations:
+        r = rel.arity
+        if h**r > budget:
+            raise core.BudgetExceededError(h**r, budget, hint="lifted relation tuples")
+        rel_codes = np.sort(
+            np.array(
+                [sum(v * size ** (r - 1 - i) for i, v in enumerate(t)) for t in rel.tuples],
+                dtype=np.int64,
+            )
+        )
+        grids = np.meshgrid(*([np.arange(h)] * r), indexing="ij")
+        tuples_idx = np.stack([g.ravel() for g in grids], axis=1)  # (h**r, r)
+        ok = np.ones(len(tuples_idx), dtype=bool)
+        for b in range(values.shape[1]):
+            codes = np.zeros(len(tuples_idx), dtype=np.int64)
+            for i in range(r):
+                codes = codes * size + values[tuples_idx[:, i], b]
+            pos = np.searchsorted(rel_codes, codes)
+            pos[pos >= rel_codes.size] = rel_codes.size - 1
+            ok &= rel_codes[pos] == codes
+        lifted.append(tuples_idx[ok])
+    return du.DualStructure(B, B_alg, homs, ego, tuple(lifted))
+
+
+def brute_double_dual(D, budget=core.DEFAULT_BUDGET):
+    h = len(D.homs)
+    size = D.ego.base.size
+    count = size**h
+    if count > budget:
+        raise core.BudgetExceededError(count, budget, hint="double dual candidate maps")
+    grids = np.meshgrid(*([np.arange(size)] * h), indexing="ij")
+    candidates = np.stack([g.ravel() for g in grids], axis=1)  # (count, h) lexicographic
+    alive = np.ones(count, dtype=bool)
+    order = sorted(range(len(D.lifted)), key=lambda i: len(D.lifted[i]))
+    for i in order:
+        tuples_idx = D.lifted[i]
+        if len(tuples_idx) == 0 or not alive.any():
+            continue
+        rel = D.ego.relations[i]
+        r = rel.arity
+        rel_codes = np.sort(
+            np.array(
+                [sum(v * size ** (r - 1 - j) for j, v in enumerate(t)) for t in rel.tuples],
+                dtype=np.int64,
+            )
+        )
+        live = np.flatnonzero(alive)
+        phi = candidates[live]
+        keep = np.ones(live.size, dtype=bool)
+        chunk = max(1, 2_000_000 // max(1, live.size))
+        for start in range(0, len(tuples_idx), chunk):
+            block = tuples_idx[start : start + chunk]
+            codes = np.zeros((live.size, len(block)), dtype=np.int64)
+            for j in range(r):
+                codes = codes * size + phi[:, block[:, j]]
+            pos = np.searchsorted(rel_codes, codes)
+            pos[pos >= rel_codes.size] = rel_codes.size - 1
+            keep &= (rel_codes[pos] == codes).all(axis=1)
+            if not keep.any():
+                break
+        alive[live[~keep]] = False
+    return [tuple(int(v) for v in candidates[i]) for i in np.flatnonzero(alive)]
+
+
+def assert_matches_brute_force(B, ego):
+    fast = du.dual_of(B, ego)
+    slow = brute_dual_of(B, ego)
+    assert fast.homs == slow.homs
+    assert len(fast.lifted) == len(slow.lifted) == len(ego.relations)
+    for a, b in zip(fast.lifted, slow.lifted):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert du.double_dual(fast) == brute_double_dual(slow)
+    return fast
+
+
+def every_subalgebra(A, k_max):
+    for k in range(1, k_max + 1):
+        P = A if k == 1 else core.power_algebra(A, k)
+        for carrier in core.subuniverse_carriers(P):
+            yield SubalgebraWitness(P, carrier)
+
+
+@pytest.mark.parametrize("n, k_max", [(2, 3), (3, 2)])
+def test_prefix_join_matches_brute_force_on_every_subalgebra(n, k_max):
+    A = zoo.cyclic_group(n)
+    ego = du.build_alter_ego(A, 4)
+    for B in every_subalgebra(A, k_max):
+        assert_matches_brute_force(B, ego)
+
+
+def test_prefix_join_matches_brute_force_on_diagonal_only_ego(z2):
+    ego = du.build_alter_ego(z2, 4, relations=[core.diagonal_relation(2, 4)])
+    for B in every_subalgebra(z2, 2):
+        assert_matches_brute_force(B, ego)
+    report = du.evaluate_subalgebra(SubalgebraWitness(z2, (0, 1)), ego, 1)
+    assert report.missing == ((1, 0), (1, 1))
+
+
+def test_prefix_join_with_an_empty_lifted_relation():
+    # f = (0 1)(2 3 4): no hom from the 2-cycle {0,1} lands in the 3-cycle,
+    # so the unary relation {2,3,4} lifts to nothing on B = {0,1}
+    U = core.FiniteAlgebra("u5", 5, [core.Operation("f", 1, 5, [1, 0, 3, 4, 2])])
+    rels = [core.Relation(1, 5, [(x,) for x in c]) for c in ((0, 1), (2, 3, 4), range(5))]
+    ego = du.build_alter_ego(U, 1, relations=rels)
+    D = assert_matches_brute_force(SubalgebraWitness(U, (0, 1)), ego)
+    assert [len(t) for t in D.lifted] == [2, 0, 2]
+    assert du.double_dual(D) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_prefix_join_on_one_element_subalgebra(z3):
+    ego = du.build_alter_ego(z3, 4)
+    D = assert_matches_brute_force(SubalgebraWitness(core.power_algebra(z3, 2), (0,)), ego)
+    assert [t.tolist() for t in D.lifted[:1]] == [[[0, 0, 0, 0]]]
+
+
+def test_prefix_join_with_no_relations(z2):
+    ego = du.AlterEgo(z2, (), 4)
+    D = assert_matches_brute_force(SubalgebraWitness(core.power_algebra(z2, 2), (0, 1, 2, 3)), ego)
+    assert len(du.double_dual(D)) == 2**4
+
+
+_Z2_EGO = du.build_alter_ego(zoo.cyclic_group(2), 4)
+_Z2_SUBALGEBRAS = list(every_subalgebra(zoo.cyclic_group(2), 3))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    picks=st.sets(st.integers(0, len(_Z2_EGO.relations) - 1), max_size=6),
+    which=st.integers(0, len(_Z2_SUBALGEBRAS) - 1),
+)
+def test_prefix_join_matches_brute_force_on_random_relation_subsets(picks, which):
+    relations = [_Z2_EGO.relations[i] for i in sorted(picks)]
+    ego = du.build_alter_ego(_Z2_EGO.base, 4, relations=relations)
+    assert_matches_brute_force(_Z2_SUBALGEBRAS[which], ego)
+
+
+def _needs(B, ego):
+    """The largest grid the brute-force method lists on B."""
+    h = len(core.enumerate_homs(B.as_algebra()[0], ego.base))
+    return max(h**ego.arity, ego.base.size**h, len(B.carrier) * ego.base.size)
+
+
+def test_budget_never_refuses_what_brute_force_finishes(z2, z3):
+    for A, k_max in ((z2, 3), (z3, 2)):
+        ego = du.build_alter_ego(A, 4)
+        for B in every_subalgebra(A, k_max):
+            budget = _needs(B, ego)
+            slow = brute_double_dual(brute_dual_of(B, ego, budget), budget)
+            assert du.double_dual(du.dual_of(B, ego, budget), budget) == slow
+
+
+def test_budget_refuses_before_allocating(z3):
+    B = SubalgebraWitness(core.power_algebra(z3, 3), tuple(range(27)))
+    full = du.AlterEgo(z3, (core.full_relation(3, 4),), 4)  # lifts to all 27**4 tuples
+    free = du.AlterEgo(z3, (), 4)  # every map Hom(B, A) -> A survives
+    D = du.dual_of(B, free)
+    for call, count, width in (
+        (lambda budget: du.dual_of(B, full, budget), 27**4, 4),
+        (lambda budget: du.double_dual(D, budget), 3**11, 11),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(core.BudgetExceededError) as info:
+                call(count - 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.count == count
+        assert peak < count * width * 8  # the refused rows were never built
+    assert len(du.dual_of(B, full, 27**4).lifted[0]) == 27**4
+
+
+_UNDER_OPTIMIZE = """
+import sys
+from adual import core, duality as du, zoo
+from adual.subcong import SubalgebraWitness
+
+if __debug__ or not sys.flags.optimize:
+    sys.exit("not running under -O")
+honest_dual_of, honest_double_dual = du.dual_of, du.double_dual
+if sys.argv[1] == "escaped":  # drop the image of 0 from the double dual
+    du.double_dual = lambda D, budget: honest_double_dual(D, budget)[1:]
+else:  # keep only the zero hom, so both points of B evaluate alike
+    def dual_of(B, ego, budget):
+        D = honest_dual_of(B, ego, budget)
+        D.homs = D.homs[:1]
+        return D
+    du.dual_of = dual_of
+z2 = zoo.cyclic_group(2)
+try:
+    du.evaluate_subalgebra(SubalgebraWitness(z2, (0, 1)), du.build_alter_ego(z2, 4), 1)
+except core.VerificationError as e:
+    print("VerificationError:", e)
+"""
+
+
+@pytest.mark.parametrize("corruption", ["escaped", "not injective"])
+def test_evaluation_checks_run_under_optimize(corruption):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE, corruption],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("VerificationError:") and corruption in done.stdout, done.stdout
 
 
 def test_arity_bound_values(z2, z4):
