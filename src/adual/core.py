@@ -57,19 +57,10 @@ def encode_tuple(values, size):
 
 
 def sorted_member(sorted_codes, codes):
-    """Elementwise membership of nonnegative `codes` in the sorted 1-D array `sorted_codes`.
-
-    A lookup table over 0..max(sorted_codes) answers when it has no more
-    cells than `codes` (or 2**16); a binary search answers otherwise.
-    """
+    """Elementwise membership of `codes` in the sorted 1-D array `sorted_codes`."""
     codes = np.asarray(codes, dtype=np.int64)
     if sorted_codes.size == 0:
         return np.zeros(codes.shape, dtype=bool)
-    top = int(sorted_codes[-1]) + 1
-    if top <= max(1 << 16, codes.size):
-        table = np.zeros(top + 1, dtype=bool)  # cell `top` stands for every larger code
-        table[sorted_codes] = True
-        return table[np.minimum(codes, top)]
     pos = np.searchsorted(sorted_codes, codes)
     np.minimum(pos, sorted_codes.size - 1, out=pos)
     return sorted_codes[pos] == codes

@@ -5,7 +5,8 @@ list whitespace-separated values in lexicographic argument order, first
 argument most significant; values may wrap onto continuation lines, the
 parser reads tokens until the expected count is reached.  Every serializer
 output re-parses to an equal value.  The summary lines `adual entail` prints
-after its certificate are skipped, so its whole standard output replays.
+after its certificate are skipped once a certificate has been read, so its
+whole standard output replays; anywhere else they are unknown blocks.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def parse_document(text, source="<input>", known=None) -> Document:
             _parse_cong(lines, doc, line_no, toks)
         elif head == "cert":
             _parse_cert(lines, doc, line_no, toks)
-        elif _is_entail_summary(toks):
+        elif doc.certificates and _is_entail_summary(toks):
             continue
         else:
             lines.error("unknown block", line_no, head)

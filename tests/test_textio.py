@@ -93,6 +93,21 @@ def test_tree_term_certificate_round_trip(z4, terms):
     assert ent.verify_certificate(back) and back.conclusion == value
 
 
+def test_entail_summary_lines_only_after_a_certificate(z2, terms):
+    res = ent.reduce_to_bounded_arity(z2, terms["z2"], core.diagonal_relation(2, 3), 3)
+    cert = textio.serialize_certificate(res.certificate, "diag3", "z2")
+    summary = "premises 4 of arity <= 4\nENTAIL PASS\n"
+    doc = textio.parse_document(cert + summary)
+    assert [name for name, _, _ in doc.certificates] == ["diag3"]
+
+    alg = textio.serialize_algebra(z2)
+    rel = textio.serialize_relation(core.diagonal_relation(2, 3), "diag3", "z2")
+    for text in (alg + summary, alg + rel + summary, summary + cert, "ENTAIL PASS\n" + cert):
+        with pytest.raises(core.ParseError) as e:
+            textio.parse_document(text)
+        assert e.value.token in ("premises", "ENTAIL")
+
+
 def test_parse_errors_cite_line_and_token():
     with pytest.raises(core.ParseError) as e:
         textio.parse_document("algebra x\nsize 2\nop f 1\n0 5\n", source="bad.alg")
