@@ -22,9 +22,12 @@ from .core import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Operation,
+    VerificationError,
+    apply_coordinatewise,
     closed_product_subset,
     decode_code,
     encode_tuple,
+    grid_blocks,
 )
 
 
@@ -148,45 +151,15 @@ def commutes_with_algebra(t: TernaryTermOperation, A: FiniteAlgebra):
         raise ValueError("term and algebra sizes differ")
     n = A.size
     tnp = t.np_table
+    triples = decode_code(np.arange(n**3, dtype=np.int64), [n] * 3)
     for o in A.ops:
-        if o.arity == 0:
-            c = o.table[0]
-            if t(c, c, c) != c:
-                return False
-        elif o.arity == 1:
-            f = o.np_table
-            triples = np.arange(n**3)
-            x = triples // (n * n)
-            y = (triples // n) % n
-            z = triples % n
-            lhs = tnp[(f[x] * n + f[y]) * n + f[z]]
-            if not np.array_equal(lhs, f[tnp]):
-                return False
-        elif o.arity == 2:
-            f = o.np_table.reshape(n, n)
-            triples = np.arange(n**3)
-            x = triples // (n * n)
-            y = (triples // n) % n
-            z = triples % n
-            a = f[x[:, None], x[None, :]]
-            b = f[y[:, None], y[None, :]]
-            c = f[z[:, None], z[None, :]]
-            lhs = tnp[(a * n + b) * n + c]
-            tv = tnp[triples]
-            rhs = f[tv[:, None], tv[None, :]]
+        blocks = zip(grid_blocks(triples, o.arity), grid_blocks((tnp,), o.arity))
+        for lhs_args, rhs_args in blocks:
+            # o on A^3 and then t, against t on each argument triple and then o
+            lhs = tnp[apply_coordinatewise([o.np_table] * 3, [n] * 3, lhs_args)]
+            rhs = apply_coordinatewise([o.np_table], [n], rhs_args)
             if not np.array_equal(lhs, rhs):
                 return False
-        else:
-            for args in itertools.product(range(n**3), repeat=o.arity):
-                xs = [decode_code(a, n, 3) for a in args]
-                lhs = t(
-                    o(*(v[0] for v in xs)),
-                    o(*(v[1] for v in xs)),
-                    o(*(v[2] for v in xs)),
-                )
-                rhs = o(*(t(*v) for v in xs))
-                if lhs != rhs:
-                    return False
     return True
 
 
@@ -218,12 +191,16 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
     table = np.zeros(n**3, dtype=np.int64)
     table[graph // n] = graph % n
     candidate = TernaryTermOperation(n, tuple(int(v) for v in table))
-    assert is_malcev(candidate) and commutes_with_algebra(candidate, A)
+    if not (is_malcev(candidate) and commutes_with_algebra(candidate, A)):
+        raise VerificationError(
+            f"the Mal'cev graph closure of {A.name} is not a compatible Mal'cev operation"
+        )
     provenance = _clone_search(A, candidate.table, budget)
     if provenance is None:
         return None
     term = TernaryTermOperation(n, candidate.table, provenance=provenance)
-    assert evaluate_provenance(provenance, A) == term.table
+    if evaluate_provenance(provenance, A) != term.table:
+        raise VerificationError(f"the derivation of the affine term of {A.name} misses its table")
     return term
 
 
@@ -247,14 +224,16 @@ def _clone_search(A, target, budget):
             order.append(p)
     if target is not None and target in seen:
         return seen[target]
+    arrays = {p: np.array(p, dtype=np.int64) for p in order}
     frontier = list(order)
     while frontier:
         current = list(order)
         fresh = []
 
-        def emit(tab, expr):
+        def emit(tab, name, args):
             if tab not in seen:
-                seen[tab] = expr
+                seen[tab] = (name, tuple(seen[x] for x in args))
+                arrays[tab] = np.array(tab, dtype=np.int64)
                 order.append(tab)
                 fresh.append(tab)
                 if len(seen) > max_elements:
@@ -266,32 +245,16 @@ def _clone_search(A, target, budget):
 
         for o in A.ops:
             if o.arity == 0:
-                tab = (o.table[0],) * cells
-                if emit(tab, (o.name, ())):
+                if emit((o.table[0],) * cells, o.name, ()):
                     return seen[target]
-            elif o.arity == 1:
-                for a in frontier:
-                    tab = tuple(o.table[v] for v in a)
-                    if emit(tab, (o.name, (seen[a],))):
-                        return seen[target]
-            elif o.arity == 2:
-                for a in frontier:
-                    expr_a = seen[a]
-                    for b in current:
-                        tab = tuple(o(x, y) for x, y in zip(a, b))
-                        if emit(tab, (o.name, (expr_a, seen[b]))):
+                continue
+            for a in frontier:
+                for rest in itertools.product(current, repeat=o.arity - 1):
+                    for pos in range(o.arity):
+                        args = rest[:pos] + (a,) + rest[pos:]
+                        tab = o.np_table[encode_tuple([arrays[x] for x in args], n)]
+                        if emit(tuple(tab.tolist()), o.name, args):
                             return seen[target]
-                        tab = tuple(o(y, x) for x, y in zip(a, b))
-                        if emit(tab, (o.name, (seen[b], expr_a))):
-                            return seen[target]
-            else:
-                for a in frontier:
-                    for rest in itertools.product(current, repeat=o.arity - 1):
-                        for pos in range(o.arity):
-                            args = rest[:pos] + (a,) + rest[pos:]
-                            tab = tuple(o(*vals) for vals in zip(*args))
-                            if emit(tab, (o.name, tuple(seen[x] for x in args))):
-                                return seen[target]
         frontier = fresh
     if target is None:
         return dict(seen)
@@ -310,11 +273,9 @@ def evaluate_provenance(expr, A):
         triples = itertools.product(range(n), repeat=3)
         return tuple(tr[expr[1]] for tr in triples)
     name, children = expr
-    tables = [evaluate_provenance(c, A) for c in children]
-    o = A.op(name)
-    if o.arity == 0:
-        return (o.table[0],) * n**3
-    return tuple(o(*vals) for vals in zip(*tables))
+    tables = [np.array(evaluate_provenance(c, A), dtype=np.int64) for c in children]
+    values = A.op(name).np_table[encode_tuple(tables, n)]
+    return tuple(np.broadcast_to(values, n**3).tolist())
 
 
 def group_from_affine(t: TernaryTermOperation, c: int) -> GroupStructure:
@@ -385,19 +346,23 @@ def induced_term(t: TernaryTermOperation, theta: Congruence) -> TernaryTermOpera
     if theta.base_size != t.base_size:
         raise ValueError("congruence base does not match term base")
     m = theta.num_classes
-    reps = [block[0] for block in theta.classes()]
-    table = []
-    for ci, cj, ck in itertools.product(range(m), repeat=3):
-        table.append(theta.class_of[t(reps[ci], reps[cj], reps[ck])])
-    out = TernaryTermOperation(m, tuple(table))
-    for x in range(t.base_size):
-        for y in range(t.base_size):
-            for z in range(t.base_size):
-                if theta.class_of[t(x, y, z)] != out(
-                    theta.class_of[x], theta.class_of[y], theta.class_of[z]
-                ):
-                    raise ValueError("term does not descend to the quotient")
-    return out
+    C = np.array(theta.class_of, dtype=np.int64)
+    reps = np.array([block[0] for block in theta.classes()], dtype=np.int64)
+    tnp = t.np_table
+    table = tuple(
+        v
+        for args in grid_blocks((reps,), 3)
+        for v in np.ravel(C[apply_coordinatewise([tnp], [t.base_size], args)]).tolist()
+    )
+    quotient = np.array(table, dtype=np.int64)
+    # the class of t on every triple, against the quotient table on its classes
+    start = 0
+    for args in grid_blocks((C,), 3):
+        descended = np.ravel(apply_coordinatewise([quotient], [m], args))
+        if not np.array_equal(C[tnp[start : start + descended.size]], descended):
+            raise ValueError("term does not descend to the quotient")
+        start += descended.size
+    return TernaryTermOperation(m, table)
 
 
 def lift_term_to_power(t: TernaryTermOperation, n: int, budget=DEFAULT_BUDGET):
@@ -406,10 +371,8 @@ def lift_term_to_power(t: TernaryTermOperation, n: int, budget=DEFAULT_BUDGET):
     N = s**n
     if N**3 > budget:
         raise BudgetExceededError(N**3, budget, hint="lifted ternary table")
-    table = []
-    for cx, cy, cz in itertools.product(range(N), repeat=3):
-        dx = decode_code(cx, s, n)
-        dy = decode_code(cy, s, n)
-        dz = decode_code(cz, s, n)
-        table.append(encode_tuple([t(a, b, c) for a, b, c in zip(dx, dy, dz)], s))
-    return TernaryTermOperation(N, tuple(table))
+    sizes, tables = [s] * n, [t.np_table] * n
+    digits = decode_code(np.arange(N, dtype=np.int64), sizes)
+    blocks = grid_blocks(digits, 3)
+    table = tuple(v for args in blocks for v in np.ravel(apply_coordinatewise(tables, sizes, args)).tolist())
+    return TernaryTermOperation(N, table)

@@ -10,6 +10,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,13 +48,28 @@ class VerificationError(Exception):
 def encode_tuple(values, size):
     """Mixed-radix code of a tuple over {0..size-1}, first coordinate most significant.
 
-    The coordinates may also be integer arrays of one shape, which gives the
-    codes elementwise.
+    The coordinates may also be integer arrays that broadcast together, which
+    gives the codes elementwise.
     """
-    code = 0
+    code = None
     for v in values:
-        code = code * size + v
-    return code
+        code = v if code is None else code * size + v
+    return 0 if code is None else code
+
+
+def decode_code(code, sizes):
+    """The coordinates of a mixed-radix code, first coordinate most significant.
+
+    `sizes` gives the radix of each coordinate.  An integer code gives a
+    tuple of integers; an integer array gives one array per coordinate.
+    """
+    if not sizes:
+        return ()
+    digits = []
+    for size in reversed(sizes[1:]):
+        code, digit = divmod(code, size)
+        digits.append(digit)
+    return (code, *reversed(digits))  # a code below prod(sizes) leaves the first digit
 
 
 def sorted_member(sorted_codes, codes):
@@ -66,12 +82,53 @@ def sorted_member(sorted_codes, codes):
     return sorted_codes[pos] == codes
 
 
-def decode_code(code, size, arity):
-    out = [0] * arity
-    for i in range(arity - 1, -1, -1):
-        out[i] = code % size
-        code //= size
-    return tuple(out)
+# Cells per temporary array in chunked array work; bounds its memory.
+CHUNK_CELLS = 1 << 16
+
+
+def apply_coordinatewise(tables, sizes, args):
+    """An operation applied coordinatewise on a product of algebras, as codes.
+
+    `tables[i]` is the operation's flat table (an integer array) on the i-th
+    factor, whose universe has `sizes[i]` elements.  `args` holds one entry
+    per argument, any number of them: the digits of that argument, one
+    integer array per factor, as `decode_code` gives them.  All digit arrays
+    broadcast together, and the result has their common shape.  Codes are
+    mixed radix with the first factor most significant.
+    """
+    code = None
+    for i, (table, size) in enumerate(zip(tables, sizes)):
+        value = table[encode_tuple([a[i] for a in args], size)]
+        code = value if code is None else code * size + value
+    return code
+
+
+def along_axis(digits, axis, depth):
+    """`digits` reshaped to run along `axis` of a `depth`-dimensional grid.
+
+    Every axis before `axis` is left to broadcasting, so arguments laid
+    along different axes span the grid of all their combinations.
+    """
+    shape = (-1,) + (1,) * (depth - 1 - axis)
+    return tuple([d.reshape(shape) for d in digits])
+
+
+def grid_args(digits, arity):
+    """Kernel arguments spanning every `arity`-tuple of the elements `digits`."""
+    return [along_axis(digits, j, arity) for j in range(arity)]
+
+
+def grid_blocks(digits, arity):
+    """`grid_args(digits, arity)` cut along the first argument into blocks.
+
+    Each block spans at most CHUNK_CELLS cells (at least one first element),
+    and the blocks follow one another in the flat order of the grid.
+    """
+    args = grid_args(digits, arity)
+    rows = len(digits[0]) if arity else 1
+    step = max(1, CHUNK_CELLS // len(digits[0]) ** max(0, arity - 1))
+    for s in range(0, rows, step):
+        yield [tuple(d[s : s + step] for d in a) for a in args[:1]] + args[1:]
 
 
 class Operation:
@@ -193,9 +250,8 @@ def _check_same_signature(A, B):
 #
 # All subuniverse generation runs through one routine that closes a set of
 # integer codes under the operations of a product of algebras, applied
-# coordinatewise.  Factors may repeat (powers) or differ (used for graphs of
-# partial maps inside A x B).  Arities 0..2 are vectorized; higher arities
-# fall back to plain loops.
+# coordinatewise by `apply_coordinatewise`.  Factors may repeat (powers) or
+# differ (used for graphs of partial maps inside A x B).
 # ---------------------------------------------------------------------------
 
 
@@ -206,101 +262,48 @@ def closed_product_subset(factors, seed, base=None):
     codes are mixed-radix with the first factor most significant.  `base`,
     if given, is an already-closed member array that the seed extends.
     Returns the sorted member codes as a numpy array.
+
+    Each round applies every operation to the argument tuples that hold a
+    frontier element (the newest members) at some position and current
+    members elsewhere.  The frontier runs along the first grid axis and is
+    cut into blocks, so no temporary exceeds CHUNK_CELLS cells unless one
+    frontier element alone spans more.
     """
     factors = list(factors)
     for F in factors[1:]:
         _check_same_signature(factors[0], F)
-    sizes = np.array([F.size for F in factors], dtype=np.int64)
-    width = len(factors)
-    total = 1
-    for s in sizes:
-        total *= int(s)
-    strides = np.ones(width, dtype=np.int64)
-    for i in range(width - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-
-    member = np.zeros(total, dtype=bool)
+    sizes = [F.size for F in factors]
+    member = np.zeros(math.prod(sizes), dtype=bool)
     if base is not None:
-        base = np.asarray(base, dtype=np.int64)
-        member[base] = True
-    seed_arr = np.array(sorted(set(int(c) for c in seed)), dtype=np.int64)
-    frontier = seed_arr[~member[seed_arr]] if seed_arr.size else seed_arr
+        member[np.asarray(base, dtype=np.int64)] = True
+    ops = [([F.op(o.name).np_table for F in factors], o.arity) for o in factors[0].ops]
+    # constants join the seed once
+    consts = {int(apply_coordinatewise(tables, sizes, ())) for tables, arity in ops if arity == 0}
+    seed_arr = np.array(sorted(consts.union(int(c) for c in seed)), dtype=np.int64)
+    frontier = seed_arr[~member[seed_arr]]
     member[frontier] = True
-
-    # constants join the frontier once
-    consts = []
-    for o in factors[0].ops:
-        if o.arity == 0:
-            c = sum(int(F.op(o.name).table[0]) * int(strides[i]) for i, F in enumerate(factors))
-            if not member[c]:
-                member[c] = True
-                consts.append(c)
-    if consts:
-        frontier = np.concatenate([frontier, np.array(consts, dtype=np.int64)])
-
-    op_groups = [
-        (o.name, o.arity, [F.op(o.name).np_table for F in factors])
-        for o in factors[0].ops
-        if o.arity >= 1
-    ]
-
-    def digits(codes):
-        return (codes[:, None] // strides[None, :]) % sizes[None, :]
+    ops = [(tables, arity) for tables, arity in ops if arity]
+    depth = max((arity for _, arity in ops), default=0)
 
     while frontier.size:
         current = np.flatnonzero(member)
-        DF = digits(frontier)
-        DM = digits(current)
-        produced = []
-        for name, arity, tabs in op_groups:
-            if arity == 1:
-                out = np.zeros(frontier.size, dtype=np.int64)
-                for i in range(width):
-                    out += tabs[i][DF[:, i]] * strides[i]
-                produced.append(out)
-            elif arity == 2:
-                left = np.zeros((frontier.size, current.size), dtype=np.int64)
-                right = np.zeros((current.size, frontier.size), dtype=np.int64)
-                for i in range(width):
-                    s = int(sizes[i])
-                    left += tabs[i][DF[:, None, i] * s + DM[None, :, i]] * strides[i]
-                    right += tabs[i][DM[:, None, i] * s + DF[None, :, i]] * strides[i]
-                produced.append(left.ravel())
-                produced.append(right.ravel())
-            else:
-                out = []
-                cur_list = current.tolist()
-                fr_list = frontier.tolist()
-                dig_cache = {c: decode_mixed(c, sizes, strides) for c in cur_list}
+        first = along_axis(decode_code(frontier, sizes), 0, depth)
+        digits = decode_code(current, sizes)
+        rest = [along_axis(digits, j, depth) for j in range(1, depth)]
+        new = []
+        for tables, arity in ops:
+            step = max(1, CHUNK_CELLS // current.size ** (arity - 1))
+            for s in range(0, frontier.size, step):
+                block = tuple(d[s : s + step] for d in first)
                 for pos in range(arity):
-                    for f in fr_list:
-                        fd = dig_cache[f] if f in dig_cache else decode_mixed(f, sizes, strides)
-                        for rest in itertools.product(cur_list, repeat=arity - 1):
-                            args = rest[:pos] + (f,) + rest[pos:]
-                            code = 0
-                            for i in range(width):
-                                argd = tuple(
-                                    dig_cache.get(a, decode_mixed(a, sizes, strides))[i]
-                                    for a in args
-                                )
-                                code += int(tabs[i][encode_tuple(argd, int(sizes[i]))]) * int(
-                                    strides[i]
-                                )
-                            out.append(code)
-                if out:
-                    produced.append(np.array(out, dtype=np.int64))
-        if produced:
-            cand = np.unique(np.concatenate(produced))
-            new = cand[~member[cand]]
-        else:
-            new = np.empty(0, dtype=np.int64)
-        member[new] = True
-        frontier = new
+                    args = rest[: arity - 1]
+                    args.insert(pos, block)
+                    codes = apply_coordinatewise(tables, sizes, args).ravel()
+                    fresh = codes[~member[codes]]
+                    member[fresh] = True
+                    new.append(fresh)
+        frontier = np.unique(np.concatenate(new)) if new else current[:0]
     return np.flatnonzero(member)
-
-
-def decode_mixed(code, sizes, strides):
-    return tuple(int(code // strides[i]) % int(sizes[i]) for i in range(len(sizes)))
 
 
 def generated_subuniverse(A, seed, budget=DEFAULT_BUDGET):
@@ -341,39 +344,56 @@ def power_algebra(A, n, budget=DEFAULT_BUDGET):
             raise BudgetExceededError(
                 N**o.arity, budget, hint=f"table of {o.name} on the power"
             )
-    strides = [A.size ** (n - 1 - i) for i in range(n)]
-    codes = np.arange(N, dtype=np.int64)
-    D = (codes[:, None] // np.array(strides)) % A.size
-    ops = []
-    for o in A.ops:
-        if o.arity == 0:
-            val = sum(o.table[0] * s for s in strides)
-            ops.append(Operation(o.name, 0, N, (val,)))
-        elif o.arity == 1:
-            out = np.zeros(N, dtype=np.int64)
-            for i in range(n):
-                out += o.np_table[D[:, i]] * strides[i]
-            ops.append(Operation(o.name, 1, N, out.tolist()))
-        elif o.arity == 2:
-            out = np.zeros((N, N), dtype=np.int64)
-            for i in range(n):
-                out += o.np_table[D[:, None, i] * A.size + D[None, :, i]] * strides[i]
-            ops.append(Operation(o.name, 2, N, out.ravel().tolist()))
-        else:
-            table = []
-            for args in itertools.product(range(N), repeat=o.arity):
-                argd = [decode_code(a, A.size, n) for a in args]
-                val = 0
-                for i in range(n):
-                    val = val * A.size + o(*(d[i] for d in argd))
-                table.append(val)
-            ops.append(Operation(o.name, o.arity, N, table))
     return FiniteAlgebra(
         f"{A.name}^{n}",
         N,
-        ops,
+        product_operations([A] * n),
         power_of=PowerView(A.name, A.size, n),
     )
+
+
+def product_operations(factors):
+    """The operations of the direct product of `factors`, which share a signature.
+
+    Codes are mixed radix with the first factor most significant.
+    """
+    sizes = [F.size for F in factors]
+    N = math.prod(sizes)
+    digits = decode_code(np.arange(N, dtype=np.int64), sizes)
+    return [
+        Operation(
+            o.name,
+            o.arity,
+            N,
+            np.ravel(
+                apply_coordinatewise(
+                    [F.op(o.name).np_table for F in factors], sizes, grid_args(digits, o.arity)
+                )
+            ).tolist(),
+        )
+        for o in factors[0].ops
+    ]
+
+
+def carrier_tables(A, carrier):
+    """The flat table of each operation of A on the argument grid over `carrier`.
+
+    `carrier` is a sorted integer array; the values are ambient elements.
+    Raises ValueError when a value escapes the carrier, so a carrier that
+    passes is closed.
+    """
+    tables = []
+    for o in A.ops:
+        values = np.ravel(apply_coordinatewise([o.np_table], [A.size], grid_args((carrier,), o.arity)))
+        escapes = ~sorted_member(carrier, values)
+        if escapes.any():
+            i = int(np.flatnonzero(escapes)[0])
+            args = tuple(int(carrier[d]) for d in decode_code(i, [len(carrier)] * o.arity))
+            raise ValueError(
+                f"carrier not closed: {o.name}{args} = {values[i]} escapes in {A.name}"
+            )
+        tables.append(values)
+    return tables
 
 
 def subalgebra_on(A, carrier, name=None):
@@ -385,19 +405,12 @@ def subalgebra_on(A, carrier, name=None):
     carrier = tuple(sorted(set(carrier)))
     if not carrier:
         raise ValueError("subalgebra carrier must be nonempty")
-    cset = set(carrier)
+    arr = np.array(carrier, dtype=np.int64)
+    ops = [
+        Operation(o.name, o.arity, len(carrier), np.searchsorted(arr, values).tolist())
+        for o, values in zip(A.ops, carrier_tables(A, arr))
+    ]
     to_sub = {x: i for i, x in enumerate(carrier)}
-    ops = []
-    for o in A.ops:
-        table = []
-        for args in itertools.product(carrier, repeat=o.arity):
-            v = o(*args)
-            if v not in cset:
-                raise ValueError(
-                    f"carrier not closed: {o.name}{args} = {v} escapes in {A.name}"
-                )
-            table.append(to_sub[v])
-        ops.append(Operation(o.name, o.arity, len(carrier), table))
     name = name or f"{A.name}|{len(carrier)}"
     return FiniteAlgebra(name, len(carrier), ops), to_sub, carrier
 
@@ -435,7 +448,7 @@ class Relation:
 
     @classmethod
     def from_codes(cls, codes, base_size, arity):
-        return cls(arity, base_size, [decode_code(c, base_size, arity) for c in codes])
+        return cls(arity, base_size, [decode_code(c, [base_size] * arity) for c in codes])
 
     def codes(self):
         return tuple(encode_tuple(t, self.base_size) for t in self.tuples)
@@ -486,33 +499,15 @@ def is_compatible_relation(A, R: Relation, budget=DEFAULT_BUDGET):
         raise ValueError(
             f"relation over universe of size {R.base_size}, algebra {A.name} has size {A.size}"
         )
-    T = np.array(R.tuples, dtype=np.int64)
-    r, k = T.shape
-    codes = encode_tuple(T.T, A.size)  # sorted, as R.tuples is
-
-    def present(arr):
-        return bool(sorted_member(codes, arr).all())
-
+    columns = tuple(np.array(R.tuples, dtype=np.int64).T)
+    codes = encode_tuple(columns, A.size)  # sorted, as R.tuples is
+    r, sizes = len(R), [A.size] * R.arity
     for o in A.ops:
-        if o.arity == 0:
-            if (o.table[0],) * k not in R:
-                return False
-        elif o.arity == 1:
-            if not present(encode_tuple(o.np_table[T].T, A.size)):
-                return False
-        elif o.arity == 2:
-            if r * r > budget:
-                raise BudgetExceededError(r * r, budget, hint="compatibility check")
-            out = encode_tuple(
-                (o.np_table[T[:, None, c] * A.size + T[None, :, c]] for c in range(k)), A.size
-            )
-            if not present(out):
-                return False
-        else:
-            for rows in itertools.product(range(r), repeat=o.arity):
-                img = tuple(o(*(int(T[i, c]) for i in rows)) for c in range(k))
-                if img not in R:
-                    return False
+        if r**o.arity > budget:
+            raise BudgetExceededError(r**o.arity, budget, hint="compatibility check")
+        images = apply_coordinatewise([o.np_table] * R.arity, sizes, grid_args(columns, o.arity))
+        if not sorted_member(codes, np.ravel(images)).all():
+            return False
     return True
 
 
@@ -528,8 +523,8 @@ def sampled_compatibility(A, R: Relation, samples=10_000, seed=0):
     for _ in range(samples):
         o = A.ops[rng.randrange(len(A.ops))]
         combo = [rows[rng.randrange(len(rows))] for _ in range(o.arity)]
-        image = tuple(o(*(row[c] for row in combo)) for c in range(R.arity))
-        if image not in R:
+        image = apply_coordinatewise([o.np_table] * R.arity, [A.size] * R.arity, combo)
+        if decode_code(int(image), [A.size] * R.arity) not in R:
             return False
     return True
 
@@ -612,29 +607,13 @@ class Homomorphism:
 
     def _verify(self):
         m = self._np
-        nB = self.codomain.size
         for oA in self.domain.ops:
             oB = self.codomain.op(oA.name)
-            if oA.arity == 0:
-                if self.mapping[oA.table[0]] != oB.table[0]:
-                    raise ValueError(
-                        f"not a homomorphism: constant {oA.name} maps to "
-                        f"{self.mapping[oA.table[0]]}, expected {oB.table[0]}"
-                    )
-            elif oA.arity == 1:
-                if not np.array_equal(m[oA.np_table], oB.np_table[m]):
-                    raise ValueError(f"not a homomorphism: fails on {oA.name}")
-            elif oA.arity == 2:
-                lhs = m[oA.np_table]
-                rhs = oB.np_table[(m[:, None] * nB + m[None, :]).ravel()]
-                if not np.array_equal(lhs, rhs):
-                    raise ValueError(f"not a homomorphism: fails on {oA.name}")
-            else:
-                for args in itertools.product(range(self.domain.size), repeat=oA.arity):
-                    if self.mapping[oA(*args)] != oB(*(self.mapping[a] for a in args)):
-                        raise ValueError(
-                            f"not a homomorphism: fails on {oA.name} at {args}"
-                        )
+            rhs = apply_coordinatewise([oB.np_table], [self.codomain.size], grid_args((m,), oA.arity))
+            wrong = m[oA.np_table] != np.ravel(rhs)
+            if wrong.any():
+                args = decode_code(int(wrong.argmax()), [self.domain.size] * oA.arity)
+                raise ValueError(f"not a homomorphism: fails on {oA.name} at {args}")
 
     def __call__(self, x):
         return self.mapping[x]
@@ -853,39 +832,32 @@ class _UnionFind:
 
 def verify_congruence(A, part: Congruence):
     """Check that the partition is preserved by every operation of A; raise otherwise."""
+    quotient_tables(A, part)
+    return part
+
+
+def quotient_tables(A, part: Congruence):
+    """The flat table of each operation of A on the classes of `part`.
+
+    Each table is computed on class representatives and checked against
+    every argument tuple of A, so a partition that passes is a congruence;
+    otherwise ValueError names an argument tuple where it fails.
+    """
     if part.base_size != A.size:
         raise ValueError("partition base does not match algebra")
     C = np.array(part.class_of, dtype=np.int64)
-    m = part.num_classes
+    reps = np.array([block[0] for block in part.classes()], dtype=np.int64)
+    tables = []
     for o in A.ops:
-        if o.arity == 0:
-            continue
-        if o.arity == 1:
-            vals = C[o.np_table]
-            idx = C
-        elif o.arity == 2:
-            vals = C[o.np_table]
-            idx = (C[:, None] * m + C[None, :]).ravel()
-        else:
-            table = {}
-            for args in itertools.product(range(A.size), repeat=o.arity):
-                key = tuple(part.class_of[a] for a in args)
-                v = part.class_of[o(*args)]
-                if table.setdefault(key, v) != v:
-                    raise ValueError(
-                        f"partition not preserved by {o.name} at class tuple {key}"
-                    )
-            continue
-        size = m**o.arity
-        lo = np.full(size, m, dtype=np.int64)
-        hi = np.full(size, -1, dtype=np.int64)
-        np.minimum.at(lo, idx, vals)
-        np.maximum.at(hi, idx, vals)
-        seen = hi >= 0
-        if not np.array_equal(lo[seen], hi[seen]):
-            bad = int(np.flatnonzero(seen & (lo != hi))[0])
-            raise ValueError(f"partition not preserved by {o.name} at class index {bad}")
-    return part
+        table = np.ravel(C[apply_coordinatewise([o.np_table], [A.size], grid_args((reps,), o.arity))])
+        # the class of each value, against the table on the classes of its arguments
+        lifted = apply_coordinatewise([table], [part.num_classes], grid_args((C,), o.arity))
+        wrong = C[o.np_table] != np.ravel(lifted)
+        if wrong.any():
+            args = decode_code(int(wrong.argmax()), [A.size] * o.arity)
+            raise ValueError(f"partition not preserved by {o.name} at {args}")
+        tables.append(table)
+    return tables
 
 
 def congruence_generated_by(A, pairs):
@@ -941,15 +913,11 @@ def quotient_algebra(A, theta: Congruence, name=None):
     Well-definedness of every induced operation is checked exhaustively; a
     violation means theta was not a congruence and raises ValueError.
     """
-    verify_congruence(A, theta)
     m = theta.num_classes
-    reps = [block[0] for block in theta.classes()]
-    ops = []
-    for o in A.ops:
-        table = []
-        for args in itertools.product(range(m), repeat=o.arity):
-            table.append(theta.class_of[o(*(reps[c] for c in args))])
-        ops.append(Operation(o.name, o.arity, m, table))
+    ops = [
+        Operation(o.name, o.arity, m, table.tolist())
+        for o, table in zip(A.ops, quotient_tables(A, theta))
+    ]
     Q = FiniteAlgebra(name or f"{A.name}/~{m}", m, ops)
     projection = Homomorphism(A, Q, theta.class_of)
     return Q, projection

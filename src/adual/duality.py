@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    CHUNK_CELLS,
     BudgetExceededError,
     DEFAULT_BUDGET,
     FiniteAlgebra,
@@ -104,10 +105,6 @@ class DualStructure:
     homs: tuple
     ego: AlterEgo
     lifted: tuple
-
-
-# Cells per temporary array in the joins below; bounds their memory.
-CHUNK_CELLS = 1 << 16
 
 
 def dual_of(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualStructure:

@@ -18,6 +18,7 @@ from .core import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     Homomorphism,
+    apply_coordinatewise,
     decode_code,
     encode_tuple,
     power_algebra,
@@ -52,11 +53,8 @@ class LargePowerMorphism:
         for _ in range(samples):
             o = self.base.ops[rng.randrange(len(self.base.ops))]
             args = [rng.randrange(len(self.mapping)) for _ in range(o.arity)]
-            decoded = [decode_code(a, s, n) for a in args]
-            combined = encode_tuple(
-                [o(*(d[i] for d in decoded)) for i in range(n)], s
-            )
-            lhs = self.mapping[combined]
+            digits = [decode_code(a, [s] * n) for a in args]
+            lhs = self.mapping[apply_coordinatewise([o.np_table] * n, [s] * n, digits)]
             rhs = self.codomain.op(o.name)(*(self.mapping[a] for a in args))
             if lhs != rhs:
                 raise ValueError(f"not a homomorphism: fails on {o.name} at {args}")
@@ -143,7 +141,7 @@ def factor_morphism(
     # telescoping identity: f(x) = sum_i (f_i(x_i, x_1) - f_i(x_1, x_1)) + k(x_1)
     tele = AffineTerm((1, -1) * n + (1,))
     for code in range(f.domain.size):
-        xs = decode_code(code, A.size, n)
+        xs = decode_code(code, [A.size] * n)
         args = []
         for i in range(n):
             args.append(f_slots[i][xs[i] * A.size + xs[0]])
@@ -170,7 +168,7 @@ def factor_morphism(
     p_tables = []
     for term in terms:
         table = [
-            eval_affine_combination(term, t_A, 0, decode_code(c, A.size, n))
+            eval_affine_combination(term, t_A, 0, decode_code(c, [A.size] * n))
             for c in range(f.domain.size)
         ]
         p_tables.append(Homomorphism(f.domain, A, table))
@@ -180,7 +178,7 @@ def factor_morphism(
         for j in range(N):
             h = group.elements[family.generators[j]]
             for code in range(f.domain.size):
-                xs = decode_code(code, A.size, n)
+                xs = decode_code(code, [A.size] * n)
                 pj = p_tables[j](code)
                 for z in range(A.size):
                     exch = AffineTerm(

@@ -14,12 +14,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     Congruence,
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
     _UnionFind,
+    carrier_tables,
     con_lattice,
     congruence_generated_by,
     quotient_algebra,
@@ -42,15 +45,9 @@ class SubalgebraWitness:
         object.__setattr__(self, "carrier", carrier)
         if not carrier:
             raise ValueError("subalgebra carrier must be nonempty")
-        cset = set(carrier)
         if any(not 0 <= x < self.ambient.size for x in carrier):
             raise ValueError("carrier element outside the ambient universe")
-        for o in self.ambient.ops:
-            for args in itertools.product(carrier, repeat=o.arity):
-                if o(*args) not in cset:
-                    raise ValueError(
-                        f"carrier not closed under {o.name} at {args} in {self.ambient.name}"
-                    )
+        carrier_tables(self.ambient, np.array(carrier, dtype=np.int64))
 
     def __len__(self):
         return len(self.carrier)

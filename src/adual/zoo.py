@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import FiniteAlgebra, Operation
+from .core import FiniteAlgebra, Operation, product_operations
 
 
 def cyclic_group(n, name=None):
@@ -26,17 +26,7 @@ def direct_product(A, B, name=None):
     """Direct product of two same-signature algebras, codes a*|B| + b."""
     if A.signature() != B.signature():
         raise ValueError("direct product needs identical signatures")
-    n = A.size * B.size
-    ops = []
-    for oA in A.ops:
-        oB = B.op(oA.name)
-        table = []
-        for args in itertools.product(range(n), repeat=oA.arity):
-            va = oA(*(a // B.size for a in args))
-            vb = oB(*(a % B.size for a in args))
-            table.append(va * B.size + vb)
-        ops.append(Operation(oA.name, oA.arity, n, table))
-    return FiniteAlgebra(name or f"{A.name}x{B.name}", n, ops)
+    return FiniteAlgebra(name or f"{A.name}x{B.name}", A.size * B.size, product_operations([A, B]))
 
 
 def klein_group(name="v4"):

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from adual import affine, zoo
+
+# Every Hypothesis test draws the same examples on every run, and none has a
+# time limit per example (timings on a shared machine vary too much).
+settings.register_profile("adual", derandomize=True, deadline=None)
+settings.load_profile("adual")
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -134,7 +138,7 @@ def test_eval_affine_combination_examples(z4, terms):
     assert affine.eval_affine_combination(combo, t, 0, (1, 2, 3)) == 2
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     data=st.tuples(
         st.lists(st.integers(-6, 6), min_size=1, max_size=4),
@@ -164,3 +168,39 @@ def test_lift_term_to_power(z2, terms):
     # (0,1) - (1,1) + (1,0) = (0,0)
     assert tp(1, 3, 2) == 0
     assert affine.is_malcev(tp)
+
+
+_UNDER_OPTIMIZE = """
+import sys
+
+import numpy as np
+
+from adual import affine, core, zoo
+
+if __debug__ or not sys.flags.optimize:
+    sys.exit("not running under -O")
+if sys.argv[1] == "Mal'cev":  # the closure returns the graph of t(x,y,z) = x
+    codes = np.arange(8)
+    affine.closed_product_subset = lambda factors, seed: 2 * codes + codes // 4
+else:  # the clone search derives the first projection
+    affine._clone_search = lambda A, target, budget: ("proj", 0)
+try:
+    affine.find_affine_term(zoo.cyclic_group(2))
+except core.VerificationError as e:
+    print("VerificationError:", e)
+"""
+
+
+@pytest.mark.parametrize("corruption", ["Mal'cev", "derivation"])
+def test_affine_term_checks_run_under_optimize(corruption):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE, corruption],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("VerificationError:") and corruption in done.stdout, done.stdout

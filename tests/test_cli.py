@@ -1,4 +1,6 @@
+import itertools
 import re
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,21 @@ def test_sub_verb(files, capsys):
     code, out, _ = run(capsys, ["sub", paths["z2"], "--max-power", "2"])
     assert code == 0
     assert "count 5" in out
+
+
+Z4AFF = str(Path(__file__).resolve().parents[1] / "data" / "z4aff.alg")
+
+
+def test_ternary_algebra_verbs(capsys):
+    """The affine reduct <Z4; x-y+z>: one ternary operation, no constants."""
+    code, out, _ = run(capsys, ["sub", Z4AFF])
+    assert code == 0 and out.endswith("count 7\n")
+    code, out, _ = run(capsys, ["sub", Z4AFF, "--max-power", "2"])
+    assert code == 0 and out.endswith("count 75\n")
+    code, out, _ = run(capsys, ["check-abelian", Z4AFF])
+    term = " ".join(str((x - y + z) % 4) for x, y, z in itertools.product(range(4), repeat=3))
+    assert code == 0
+    assert out.splitlines()[1:] == ["PASS: z4aff is affine", "# affine term of z4aff", "op t 3", term]
 
 
 def test_galois_verb(files, capsys):

@@ -117,7 +117,7 @@ def test_power_budget():
 
 def test_encode_decode_roundtrip():
     for code in range(81):
-        assert core.encode_tuple(core.decode_code(code, 3, 4), 3) == code
+        assert core.encode_tuple(core.decode_code(code, [3] * 4), 3) == code
 
 
 def test_encode_tuple_on_arrays_matches_scalars():
@@ -125,7 +125,7 @@ def test_encode_tuple_on_arrays_matches_scalars():
     assert core.encode_tuple(rows.T, 3).tolist() == [core.encode_tuple(t, 3) for t in rows]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     members=st.sets(st.integers(0, 10**7), max_size=40),
     queries=st.lists(st.integers(0, 2 * 10**7), max_size=40),
@@ -156,7 +156,7 @@ def test_generated_subuniverse_empty_seed(z4, semilattice):
         core.generated_subuniverse(semilattice, [])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=st.sets(st.integers(0, 5)), extra=st.sets(st.integers(0, 5)))
 def test_generated_subuniverse_monotone_idempotent(seed, extra):
     z6 = zoo.cyclic_group(6)

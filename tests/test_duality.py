@@ -151,7 +151,7 @@ _Z2_EGO = du.build_alter_ego(zoo.cyclic_group(2), 4)
 _Z2_SUBALGEBRAS = list(every_subalgebra(zoo.cyclic_group(2), 3))
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(
     picks=st.sets(st.integers(0, len(_Z2_EGO.relations) - 1), max_size=6),
     which=st.integers(0, len(_Z2_SUBALGEBRAS) - 1),

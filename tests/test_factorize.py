@@ -38,7 +38,7 @@ def test_projection_over_z4(z4, terms):
     assert fac.coefficient_matrix == ((1, 0),)
     for code in range(16):
         image = core.encode_tuple(
-            [affine.eval_affine_combination(term, t4, 0, core.decode_code(code, 4, 2))
+            [affine.eval_affine_combination(term, t4, 0, core.decode_code(code, [4] * 2))
              for term in fac.terms],
             4,
         )
@@ -63,7 +63,7 @@ def test_every_term_is_a_morphism(z2, terms):
         for term in fac.terms:
             # evaluating the term over the power gives a verified homomorphism
             table = [
-                affine.eval_affine_combination(term, t2, 0, core.decode_code(c, 2, 3))
+                affine.eval_affine_combination(term, t2, 0, core.decode_code(c, [2] * 3))
                 for c in range(8)
             ]
             core.Homomorphism(P3, z2, table)
@@ -78,7 +78,7 @@ def test_padded_family_and_mixed_signature(z2, z4, terms):
     assert fac.inner_arity == 5
     for code in range(64):
         image = core.encode_tuple(
-            [affine.eval_affine_combination(term, t4, 0, core.decode_code(code, 4, 3))
+            [affine.eval_affine_combination(term, t4, 0, core.decode_code(code, [4] * 3))
              for term in fac.terms],
             4,
         )

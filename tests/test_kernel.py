@@ -1,0 +1,309 @@
+"""Differential tests of the coordinatewise operation kernel.
+
+`core.apply_coordinatewise` and every function built on it are checked
+against plain oracles that apply an operation to one argument tuple at a
+time, with itertools.product over all tuples.  The algebras are random: 1 to
+4 elements, operations of arity 0 to 3, and products whose factors differ in
+size.
+"""
+
+import itertools
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from adual import affine, core, textio, zoo
+
+Z4AFF = Path(__file__).resolve().parents[1] / "data" / "z4aff.alg"
+
+
+def load_z4aff():
+    return textio.parse_document(Z4AFF.read_text(), source=str(Z4AFF)).algebras["z4aff"]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: one argument tuple at a time
+# ---------------------------------------------------------------------------
+
+
+def digits_of(code, sizes):
+    out = []
+    for s in reversed(sizes):
+        out.append(code % s)
+        code //= s
+    return out[::-1]
+
+
+def code_of(digits, sizes):
+    code = 0
+    for d, s in zip(digits, sizes):
+        code = code * s + d
+    return code
+
+
+def oracle_apply(factors, name, codes):
+    """The operation `name` on the product of `factors` at the argument codes."""
+    sizes = [F.size for F in factors]
+    digits = [digits_of(c, sizes) for c in codes]
+    return code_of([F.op(name)(*(d[i] for d in digits)) for i, F in enumerate(factors)], sizes)
+
+
+def oracle_closure(factors, seed):
+    members = set(seed)
+    while True:
+        found = {
+            oracle_apply(factors, o.name, args)
+            for o in factors[0].ops
+            for args in itertools.product(sorted(members), repeat=o.arity)
+        }
+        if found <= members:
+            return sorted(members)
+        members |= found
+
+
+def oracle_closed(A, tuples):
+    """True iff the set of tuples is closed under every operation of A."""
+    rows = set(tuples)
+    k = len(next(iter(rows)))
+    return all(
+        tuple(o(*(row[c] for row in args)) for c in range(k)) in rows
+        for o in A.ops
+        for args in itertools.product(sorted(rows), repeat=o.arity)
+    )
+
+
+def partitions(n):
+    """Every partition of range(n) as a canonical class map."""
+    for class_of in itertools.product(range(n), repeat=n):
+        if all(c <= max(class_of[:i], default=-1) + 1 for i, c in enumerate(class_of)):
+            yield class_of
+
+
+# ---------------------------------------------------------------------------
+# Random algebras
+# ---------------------------------------------------------------------------
+
+
+signatures = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+    lambda arities: [(f"f{i}", a) for i, a in enumerate(arities)]
+)
+
+
+def draw_algebra(draw, signature, size, name="A"):
+    ops = [
+        core.Operation(op, arity, size, draw(st.lists(st.integers(0, size - 1), min_size=size**arity, max_size=size**arity)))
+        for op, arity in signature
+    ]
+    return core.FiniteAlgebra(name, size, ops)
+
+
+def reducts(*algebras):
+    """The algebras, then their reducts to each single operation in turn.
+
+    A check that fails on one operation alone is then seen even when
+    another operation of the full algebra already decides the outcome.
+    """
+    names = [o.name for o in algebras[0].ops]
+    for keep in [names] + [[name] for name in names]:
+        yield [core.FiniteAlgebra(A.name, A.size, [A.op(name) for name in keep]) for A in algebras]
+
+
+@st.composite
+def algebras(draw, max_size=4):
+    return draw_algebra(draw, draw(signatures), draw(st.integers(1, max_size)))
+
+
+@st.composite
+def products(draw, max_cells=12):
+    """Same-signature factors of differing sizes whose product is small."""
+    signature = draw(signatures)
+    factors, cells = [], 1
+    for i in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, max(1, min(4, max_cells // cells))))
+        factors.append(draw_algebra(draw, signature, size, name=f"F{i}"))
+        cells *= size
+    return factors
+
+
+@st.composite
+def ternary_tables(draw, size):
+    return affine.TernaryTermOperation(size, tuple(draw(st.lists(st.integers(0, size - 1), min_size=size**3, max_size=size**3))))
+
+
+# ---------------------------------------------------------------------------
+# The kernel and the closure
+# ---------------------------------------------------------------------------
+
+
+@given(products(), st.data())
+@settings(max_examples=80)
+def test_kernel_matches_oracle(factors, data):
+    sizes = [F.size for F in factors]
+    total = int(np.prod(sizes))
+    elements = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=5))
+    digits = core.decode_code(np.array(elements, dtype=np.int64), sizes)
+    for o in factors[0].ops:
+        tables = [F.op(o.name).np_table for F in factors]
+        codes = core.apply_coordinatewise(tables, sizes, core.grid_args(digits, o.arity))
+        assert np.shape(codes) == (len(elements),) * o.arity
+        expected = [oracle_apply(factors, o.name, args) for args in itertools.product(elements, repeat=o.arity)]
+        assert np.ravel(codes).tolist() == expected
+        # integer digits give one integer code
+        args = data.draw(st.lists(st.sampled_from(elements), min_size=o.arity, max_size=o.arity))
+        one = core.apply_coordinatewise(tables, sizes, [core.decode_code(a, sizes) for a in args])
+        assert int(one) == oracle_apply(factors, o.name, args)
+
+
+@given(products(), st.data())
+@settings(max_examples=80)
+def test_closure_matches_oracle(factors, data):
+    total = int(np.prod([F.size for F in factors]))
+    codes = st.lists(st.integers(0, total - 1), max_size=3)
+    seed = data.draw(codes)
+    assert core.closed_product_subset(factors, seed).tolist() == oracle_closure(factors, seed)
+    base = oracle_closure(factors, data.draw(codes))
+    extra = data.draw(codes)
+    got = core.closed_product_subset(factors, extra, base=np.array(base, dtype=np.int64))
+    assert got.tolist() == oracle_closure(factors, base + extra)
+
+
+def test_ternary_closure_memory_is_bounded():
+    """The whole of <Z4; x-y+z>^4, 256 elements, closed in frontier blocks."""
+    A = load_z4aff()
+    seed = [0] + [4**i for i in range(4)]  # 0 and the unit vectors
+    tracemalloc.start()
+    try:
+        members = core.closed_product_subset([A] * 4, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert members.tolist() == list(range(256))
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# Functions built on the kernel: accepted and rejected inputs
+# ---------------------------------------------------------------------------
+
+
+@given(algebras(max_size=3), st.integers(1, 2), st.data())
+@settings(max_examples=40)
+def test_power_and_product_tables_match_oracle(A, n, data):
+    P = core.power_algebra(A, n)
+    B = draw_algebra(data.draw, [(o.name, o.arity) for o in A.ops], data.draw(st.integers(1, 3)), "B")
+    AB = zoo.direct_product(A, B)
+    for C, factors in ((P, [A] * n), (AB, [A, B])):
+        for o in C.ops:
+            expected = [
+                oracle_apply(factors, o.name, args) for args in itertools.product(range(C.size), repeat=o.arity)
+            ]
+            assert list(o.table) == expected
+
+
+@given(algebras(max_size=3), st.integers(1, 3), st.data())
+@settings(max_examples=60)
+def test_compatible_relation_matches_oracle(A, k, data):
+    tuples = list(itertools.product(range(A.size), repeat=k))
+    rows = data.draw(st.lists(st.sampled_from(tuples), min_size=1, max_size=6))
+    R = core.Relation(k, A.size, rows)
+    for (C,) in reducts(A):
+        assert core.is_compatible_relation(C, R) == oracle_closed(C, R.tuples)
+        closed = oracle_closure([C] * k, R.codes())
+        assert core.is_compatible_relation(C, core.Relation.from_codes(closed, A.size, k))
+
+
+@given(signatures, st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=40)
+def test_homomorphisms_match_oracle(signature, m, n, data):
+    for A, B in reducts(draw_algebra(data.draw, signature, m, "A"), draw_algebra(data.draw, signature, n, "B")):
+        homs = []
+        for mapping in itertools.product(range(n), repeat=m):
+            is_hom = all(
+                mapping[o(*args)] == B.op(o.name)(*(mapping[a] for a in args))
+                for o in A.ops
+                for args in itertools.product(range(m), repeat=o.arity)
+            )
+            if is_hom:
+                homs.append(mapping)
+                core.Homomorphism(A, B, mapping)
+            else:
+                with pytest.raises(ValueError, match="not a homomorphism"):
+                    core.Homomorphism(A, B, mapping)
+        assert [h.mapping for h in core.enumerate_homs(A, B)] == homs
+
+
+@given(algebras())
+@settings(max_examples=40)
+def test_congruences_match_oracle(A):
+    for (C,), class_of in itertools.product(reducts(A), partitions(A.size)):
+        preserved = True
+        for o in C.ops:
+            seen = {}
+            for args in itertools.product(range(C.size), repeat=o.arity):
+                key = tuple(class_of[a] for a in args)
+                preserved &= seen.setdefault(key, class_of[o(*args)]) == class_of[o(*args)]
+        part = core.Congruence(C.size, class_of)
+        if preserved:
+            assert core.verify_congruence(C, part) is part
+        else:
+            with pytest.raises(ValueError, match="not preserved"):
+                core.verify_congruence(C, part)
+
+
+@given(algebras(max_size=3), st.data())
+@settings(max_examples=30)
+def test_commutes_with_algebra_matches_oracle(A, data):
+    n = A.size
+    triples = list(itertools.product(range(n), repeat=3))
+    projection = affine.TernaryTermOperation(n, tuple(x for x, _, _ in triples))
+    for (C,), t in itertools.product(reducts(A), (data.draw(ternary_tables(n)), projection)):
+        expected = all(
+            t(*(o(*(tr[i] for tr in args)) for i in range(3))) == o(*(t(*tr) for tr in args))
+            for o in C.ops
+            for args in itertools.product(triples, repeat=o.arity)
+        )
+        assert affine.commutes_with_algebra(t, C) == expected
+    assert affine.commutes_with_algebra(projection, A)
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+@settings(max_examples=30)
+def test_lift_term_to_power_matches_oracle(size, n, data):
+    t = data.draw(ternary_tables(size))
+    lifted = affine.lift_term_to_power(t, n)
+    sizes = [size] * n
+    for args in itertools.product(range(size**n), repeat=3):
+        digits = [digits_of(c, sizes) for c in args]
+        expected = code_of([t(*(d[i] for d in digits)) for i in range(n)], sizes)
+        assert lifted(*args) == expected
+
+
+def test_carrier_checks_on_ternary_algebra():
+    A = load_z4aff()
+    sub, _, carrier = core.subalgebra_on(A, (0, 2))
+    assert carrier == (0, 2) and sub.op("t").table == tuple((x - y + z) % 2 for x, y, z in itertools.product(range(2), repeat=3))
+    with pytest.raises(ValueError, match="carrier not closed"):
+        core.subalgebra_on(A, (0, 1, 2))
+    assert len(core.enumerate_homs(core.power_algebra(A, 2), A)) == 64
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=30)
+def test_induced_term_matches_oracle(size, data):
+    t = data.draw(ternary_tables(size))
+    for class_of in partitions(size):
+        theta = core.Congruence(size, class_of)
+        quotient = {}
+        descends = True
+        for args in itertools.product(range(size), repeat=3):
+            key = tuple(class_of[a] for a in args)
+            descends &= quotient.setdefault(key, class_of[t(*args)]) == class_of[t(*args)]
+        if descends:
+            table = tuple(quotient[key] for key in itertools.product(range(theta.num_classes), repeat=3))
+            assert affine.induced_term(t, theta).table == table
+        else:
+            with pytest.raises(ValueError, match="does not descend"):
+                affine.induced_term(t, theta)
