@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -62,9 +62,12 @@ class TernaryTermOperation:
     def as_operation(self, name="t"):
         return Operation(name, 3, self.base_size, self.table)
 
-    @property
+    @cached_property
     def np_table(self):
-        return np.array(self.table, dtype=np.int64)
+        """The table as a read-only int64 array, built once per instance."""
+        table = np.array(self.table, dtype=np.int64)
+        table.setflags(write=False)
+        return table
 
 
 @dataclass(frozen=True)

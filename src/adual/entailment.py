@@ -12,21 +12,28 @@ refutes an entailment, while exhaustion proves nothing and says so.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
+
+import numpy as np
 
 from .core import (
     BudgetExceededError,
+    CHUNK_CELLS,
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
     Operation,
     Relation,
+    VerificationError,
+    decode_code,
     encode_tuple,
     full_relation,
     graph_relation,
+    grid_args,
     is_compatible_relation,
     power_algebra,
+    sorted_member,
     subuniverse_carriers,
 )
 from .affine import (
@@ -279,19 +286,12 @@ def derive(
         extra_ops=tuple(extra_ops),
     )
     value = _eval_node(node, cert, budget)
-    cert = EntailmentCertificate(
-        conclusion=value,
-        premises=certificate_premises(node, t),
-        derivation=node,
-        term_op=t,
-        neutral=neutral,
-        extra_ops=tuple(extra_ops),
-    )
+    cert = replace(cert, conclusion=value, premises=certificate_premises(node, t))
     if rule != "graph-to-operation" and all(
         isinstance(v, Relation) and is_compatible_relation(A, v) for v in inputs
     ):
         if not is_compatible_relation(A, value):
-            raise AssertionError(f"rule {rule} broke compatibility; this is a bug")
+            raise VerificationError(f"rule {rule} broke compatibility; this is a bug")
     return value, cert
 
 
@@ -331,43 +331,54 @@ def _as_relation(value):
     return graph_relation(value) if isinstance(value, Operation) else value
 
 
-def _preserves(op_table, arity, size, R: Relation):
-    rows = R.tuples
-    for combo in itertools.product(rows, repeat=arity):
-        image = []
-        for c in range(R.arity):
-            idx = 0
-            for row in combo:
-                idx = idx * size + row[c]
-            image.append(op_table[idx])
-        if tuple(image) not in R:
-            return False
-    return True
+def _preservation_test(R: Relation, arity):
+    """A test of which maps A^arity -> A, given by their flat tables one per row, preserve R."""
+    columns = tuple(np.array(R.tuples, dtype=np.int64).T)
+    rows = grid_args(columns, arity)
+    # the table index each coordinate reads, for every arity-tuple of rows
+    index = [np.ravel(encode_tuple([a[c] for a in rows], R.base_size)) for c in range(R.arity)]
+    codes = encode_tuple(columns, R.base_size)
+    return lambda tables: sorted_member(
+        codes, encode_tuple([tables[:, i] for i in index], R.base_size)
+    ).all(axis=1)
 
 
 def refute_entailment(A, premises, target, max_arity, budget=DEFAULT_BUDGET):
     """Search all maps A^m -> A, m <= max_arity, preserving every premise.
 
     Returns the first map in canonical order (arity, then table) violating
-    the target, or the exhaustion outcome.
+    the target, or the exhaustion outcome.  The maps of one arity are
+    checked in blocks, each against one relation after another, and only
+    the maps that preserve every premise against the target.
     """
     premise_rels = [_as_relation(p) for p in premises]
     target_rel = _as_relation(target)
+    s = A.size
     checked = 0
     for m in range(1, max_arity + 1):
-        count = A.size ** (A.size**m)
+        count = s ** (s**m)
         if count > budget:
             raise BudgetExceededError(count, budget, hint=f"maps of arity {m}")
-        for table in itertools.product(range(A.size), repeat=A.size**m):
-            checked += 1
-            if not all(_preserves(table, m, A.size, R) for R in premise_rels):
-                continue
-            if not _preserves(table, m, A.size, target_rel):
+        rels = premise_rels + [target_rel]
+        grid = max(len(R) ** m for R in rels)
+        if grid > budget:
+            raise BudgetExceededError(grid, budget, hint=f"argument tuples of arity {m}")
+        *kept, broken = [_preservation_test(R, m) for R in rels]
+        step = max(1, CHUNK_CELLS // max(grid, s**m))
+        for start in range(0, count, step):
+            tables = np.stack(decode_code(np.arange(start, min(start + step, count)), [s] * s**m), axis=1)
+            survivors = np.arange(len(tables))
+            for preserves in kept:
+                survivors = survivors[preserves(tables[survivors])]
+            hits = survivors[~broken(tables[survivors])]
+            if hits.size:
+                i = int(hits[0])
                 return RefutationOutcome(
-                    witness=Operation("witness", m, A.size, table),
+                    witness=Operation("witness", m, s, tables[i].tolist()),
                     searched_arity=m,
-                    maps_checked=checked,
+                    maps_checked=checked + i + 1,
                 )
+            checked += len(tables)
     return RefutationOutcome(witness=None, searched_arity=max_arity, maps_checked=checked)
 
 
@@ -386,7 +397,8 @@ class ReductionResult:
 
     def __post_init__(self):
         bound = max((r.arity for r in self.bounded_premises), default=0)
-        assert all(isinstance(r, Relation) for r in self.bounded_premises)
+        if not all(isinstance(r, Relation) for r in self.bounded_premises):
+            raise VerificationError("a bounded premise is not a relation")
         self.max_premise_arity = bound
 
 
@@ -440,9 +452,10 @@ def reduce_to_bounded_arity(
         meet = set(components[0].carrier)
         for w in components[1:]:
             meet &= set(w.carrier)
-        assert meet == r_codes, "meet-irreducible decomposition failed"
-    else:
-        assert len(r_codes) == P.size, "only the full relation has no components"
+        if meet != r_codes:
+            raise VerificationError("meet-irreducible decomposition failed")
+    elif len(r_codes) != P.size:
+        raise VerificationError("only the full relation has no components")
 
     nodes = []
     premises = []
@@ -459,15 +472,13 @@ def reduce_to_bounded_arity(
                 f"needed for a quotient of {P.name}"
             )
         fac = factor_morphism(A, S, t, t_S, f, family.padded(N), budget)
-        b_codes = [code for code in range(len(fac.g.mapping)) if fac.g(code) == c]
-        B = Relation.from_codes(b_codes, A.size, N + 1)
-        try:
-            compatible = is_compatible_relation(A, B, budget)
-        except BudgetExceededError:
-            from .core import sampled_compatibility
-
-            compatible = sampled_compatibility(A, B)
-        assert compatible, "preimage of the point is not compatible"
+        # B = g^-1(c) is the preimage of B_hat = reduced^-1(c) under the
+        # projection, a homomorphism, so B is compatible exactly when B_hat is
+        b_hat = [code for code, v in enumerate(fac.g.reduced.mapping) if v == c]
+        B_hat = Relation.from_codes(b_hat, A.size, len(fac.g.coordinates))
+        if not is_compatible_relation(A, B_hat, budget):
+            raise VerificationError("preimage of the point is not compatible")
+        B = Relation.from_codes(np.flatnonzero(fac.g.mapping == c), A.size, N + 1)
         node = TermPreimage(fac.terms, Premise(B))
         premises.append(B)
         nodes.append(node)
@@ -480,8 +491,8 @@ def reduce_to_bounded_arity(
         term_op=t,
         neutral=0,
     )
-    value = replay_certificate(cert, budget)
-    assert value == R, "reduction pipeline did not reproduce the input relation"
+    if replay_certificate(cert, budget) != R:
+        raise VerificationError("reduction pipeline did not reproduce the input relation")
     return ReductionResult(input=R, bounded_premises=tuple(premises), certificate=cert)
 
 
@@ -508,7 +519,8 @@ def eliminate_t(A, t: TernaryTermOperation, N: int, budget=DEFAULT_BUDGET) -> En
     t_op = t.as_operation("t")
     graph = graph_relation(t_op)
     padded = pad_relation(graph, N)
-    assert is_compatible_relation(A, padded, budget), "padded graph is not compatible"
+    if not is_compatible_relation(A, padded, budget):
+        raise VerificationError("padded graph is not compatible")
     node = Premise(padded)
     for _ in range(N - 4):
         node = StripPadding(node)
@@ -519,5 +531,6 @@ def eliminate_t(A, t: TernaryTermOperation, N: int, budget=DEFAULT_BUDGET) -> En
         derivation=node,
         term_op=t,
     )
-    assert replay_certificate(cert, budget) == t_op
+    if replay_certificate(cert, budget) != t_op:
+        raise VerificationError("replay did not recover the affine operation")
     return cert

@@ -3,22 +3,24 @@
 N is the size of a generating family of the group on {f: A^2 -> S with
 f(x,x) = f-diagonal}.  The slot morphisms f_i(x,y) = f(y,..,y,x,y,..,y)
 decompose over the generators h_j, the inner terms p_j repackage the n
-arguments into N+1, and g recombines generator values; the defining identity
-f = g(p_1, .., p_{N+1}) is verified exhaustively when the domain fits the
-budget and on a seeded random sample otherwise.
+arguments into N+1, and g recombines generator values.  g depends only on
+the coordinates of the generators that are not neutral and on the last one,
+so it is verified as a homomorphism on that smaller power; the defining
+identity f = g(p_1, .., p_{N+1}) is verified on every input of f.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     Homomorphism,
-    apply_coordinatewise,
+    VerificationError,
     decode_code,
     encode_tuple,
     power_algebra,
@@ -26,58 +28,43 @@ from .core import (
 from .affine import AffineTerm, TernaryTermOperation, eval_affine_combination, projection_term
 from .homgroups import GeneratingFamily, HkGroup
 
-VERIFY_SAMPLES = 10_000
 
+class FactorMap:
+    """The morphism g: A^exponent -> S of a factorization, as g = reduced o pi.
 
-@dataclass
-class LargePowerMorphism:
-    """A morphism out of a power too big to materialize as an algebra.
-
-    Stores the value table over the mixed-radix codes of base**exponent; the
-    homomorphism property is spot-checked on a seeded sample because the
-    power's own operation tables cannot be built.
+    pi: A^exponent -> A^len(coordinates) keeps the increasing `coordinates`.
+    It is a homomorphism, so g is one because `reduced`, a Homomorphism on
+    A^len(coordinates), is verified at construction.  `mapping` lists g over
+    the codes of A^exponent.
     """
 
-    base: object
-    exponent: int
-    codomain: object
-    mapping: tuple
-    checked: str = "sampled"
+    def __init__(self, exponent, coordinates, reduced: Homomorphism):
+        size = reduced.domain.power_of.base_size
+        shape = [1] * exponent
+        for i in coordinates:
+            shape[i] = size
+        table = np.array(reduced.mapping, dtype=np.int64).reshape(shape)
+        self.coordinates = tuple(coordinates)
+        self.reduced = reduced
+        # ravel copies the broadcast view into one table of size**exponent cells
+        self.mapping = np.broadcast_to(table, (size,) * exponent).ravel()
 
     def __call__(self, code):
-        return self.mapping[code]
-
-    def spot_check(self, samples=2000, seed=0):
-        rng = random.Random(seed)
-        n, s = self.exponent, self.base.size
-        for _ in range(samples):
-            o = self.base.ops[rng.randrange(len(self.base.ops))]
-            args = [rng.randrange(len(self.mapping)) for _ in range(o.arity)]
-            digits = [decode_code(a, [s] * n) for a in args]
-            lhs = self.mapping[apply_coordinatewise([o.np_table] * n, [s] * n, digits)]
-            rhs = self.codomain.op(o.name)(*(self.mapping[a] for a in args))
-            if lhs != rhs:
-                raise ValueError(f"not a homomorphism: fails on {o.name} at {args}")
-        return self
+        return int(self.mapping[code])
 
 
 @dataclass
 class Factorization:
     """f together with g, the inner terms p_j and the coefficient matrix u[j][i].
 
-    `mode` records whether the identity f = g(p_1..p_{N+1}) was checked on
-    every input ("exhaustive") or on a seeded sample ("sampled"); `seed` is
-    the sample seed.  The last term is always the first projection.  g is a
-    fully verified Homomorphism whenever A^(N+1) materializes inside the
-    budget and a spot-checked LargePowerMorphism otherwise.
+    The identity f = g(p_1..p_{N+1}) is checked on every input of f.  The
+    last term is always the first projection.
     """
 
     f: Homomorphism
-    g: object
+    g: FactorMap
     terms: tuple
     coefficient_matrix: tuple
-    mode: str
-    seed: int
 
     @property
     def inner_arity(self):
@@ -95,6 +82,20 @@ def _domain_exponent(A, f):
     return 1
 
 
+def _g_values(A, t_S, k_map, generators):
+    """sum_j (h_j(y_j, z) - h_j(z, z)) + k(z) over every (y_1, .., z), listed by code."""
+    term = AffineTerm((1, -1) * len(generators) + (1,))
+    values = []
+    for ys in itertools.product(range(A.size), repeat=len(generators) + 1):
+        z = ys[-1]
+        args = []
+        for h, y in zip(generators, ys):
+            args += [h[y * A.size + z], h[z * A.size + z]]
+        args.append(k_map[z])
+        values.append(eval_affine_combination(term, t_S, 0, args))
+    return values
+
+
 def factor_morphism(
     A,
     S,
@@ -103,13 +104,14 @@ def factor_morphism(
     f: Homomorphism,
     family: GeneratingFamily,
     budget=DEFAULT_BUDGET,
-    seed=0,
 ) -> Factorization:
     """Build g and p_1..p_{N+1} with f = g(p_1, .., p_{N+1}) and verify it.
 
     `family` must generate the group built from build_hk_group with base
-    morphism k(x) = f(x, .., x).  Identity failure is a bug in the inputs,
-    not a legitimate outcome, and raises AssertionError.
+    morphism k(x) = f(x, .., x).  A failed identity is a bug in the inputs,
+    not a legitimate outcome, and raises VerificationError.  The budget
+    bounds the table of g and the operation tables of the power g is
+    verified on.
     """
     n = _domain_exponent(A, f)
     group = family.group
@@ -120,6 +122,16 @@ def factor_morphism(
     if group.k.mapping != k_map:
         raise ValueError("family was built for a different base morphism k")
     N = family.size
+
+    # Generators equal to the neutral (padding) contribute nothing to g, so g
+    # depends only on the active coordinates and z and is verified on that
+    # power; both tables are refused here, before any other work.
+    domain_size = A.size ** (N + 1)
+    if domain_size > budget:
+        raise BudgetExceededError(domain_size, budget, hint="domain of g")
+    neutral_map = group.elements[group.neutral]
+    active = [j for j in range(N) if group.elements[family.generators[j]] != neutral_map]
+    reduced_domain = power_algebra(A, len(active) + 1, budget)
 
     # slot morphisms f_i and their generator coordinates
     f_slots = []
@@ -147,23 +159,13 @@ def factor_morphism(
             args.append(f_slots[i][xs[i] * A.size + xs[0]])
             args.append(f_slots[i][xs[0] * A.size + xs[0]])
         args.append(k_map[xs[0]])
-        assert f(code) == eval_affine_combination(tele, t_S, 0, args), (
-            "telescoping identity failed"
-        )
+        if f(code) != eval_affine_combination(tele, t_S, 0, args):
+            raise VerificationError(f"telescoping identity failed at {code}")
 
-    # inner terms p_j; the (N+1)-st is the first projection
-    terms = []
-    for j in range(N):
-        coeffs = [0] * n
-        total = 0
-        for i in range(n):
-            u = matrix[i][j]
-            coeffs[i] += u
-            total += u
-        coeffs[0] += 1 - total
-        terms.append(AffineTerm(tuple(coeffs)))
-    terms.append(projection_term(n, 0))
-    terms = tuple(terms)
+    # inner terms p_j = x_1 + sum_i u_ij (x_i - x_1); the (N+1)-st is the first projection
+    coefficients = tuple(tuple(row[j] for row in matrix) for j in range(N))
+    terms = [AffineTerm((u[0] + 1 - sum(u),) + u[1:]) for u in coefficients]
+    terms = tuple(terms) + (projection_term(n, 0),)
 
     p_tables = []
     for term in terms:
@@ -175,77 +177,33 @@ def factor_morphism(
 
     # generator/term exchange identity, checked whenever the domain is small
     if f.domain.size * A.size <= 4096:
-        for j in range(N):
+        for j, u in enumerate(coefficients):
             h = group.elements[family.generators[j]]
+            exch = AffineTerm(u + (1 - sum(u),))
             for code in range(f.domain.size):
                 xs = decode_code(code, [A.size] * n)
                 pj = p_tables[j](code)
                 for z in range(A.size):
-                    exch = AffineTerm(
-                        tuple(matrix[i][j] for i in range(n))
-                        + (1 - sum(matrix[i][j] for i in range(n)),)
-                    )
                     args = [h[xs[i] * A.size + z] for i in range(n)]
                     args.append(h[xs[0] * A.size + z])
-                    assert h[pj * A.size + z] == eval_affine_combination(
-                        exch, t_S, 0, args
-                    ), "generator/term exchange identity failed"
+                    if h[pj * A.size + z] != eval_affine_combination(exch, t_S, 0, args):
+                        raise VerificationError("generator/term exchange identity failed")
 
-    # g(y_1..y_N, z) = sum_j (h_j(y_j, z) - h_j(z, z)) + k(z).  Generators
-    # equal to the neutral (padding) contribute nothing, so the value only
-    # depends on the active coordinates and z; a cache over that projection
-    # keeps huge powers affordable.
-    domain_size = A.size ** (N + 1)
-    if domain_size > budget:
-        raise BudgetExceededError(domain_size, budget, hint="domain of g")
-    neutral_map = group.elements[group.neutral]
-    active = [j for j in range(N) if group.elements[family.generators[j]] != neutral_map]
-    g_term = AffineTerm((1, -1) * len(active) + (1,))
-    cache = {}
-    g_table = []
-    for ys in itertools.product(range(A.size), repeat=N + 1):
-        z = ys[N]
-        key = tuple(ys[j] for j in active) + (z,)
-        value = cache.get(key)
-        if value is None:
-            args = []
-            for j in active:
-                h = group.elements[family.generators[j]]
-                args.append(h[ys[j] * A.size + z])
-                args.append(h[z * A.size + z])
-            args.append(k_map[z])
-            value = eval_affine_combination(g_term, t_S, 0, args)
-            cache[key] = value
-        g_table.append(value)
+    generators = [group.elements[family.generators[j]] for j in active]
     try:
-        P = power_algebra(A, N + 1, budget)
-    except BudgetExceededError:
-        P = None
-    if P is not None:
-        g = Homomorphism(P, S, g_table)
-    else:
-        g = LargePowerMorphism(A, N + 1, S, tuple(g_table)).spot_check(seed=seed)
+        reduced = Homomorphism(reduced_domain, S, _g_values(A, t_S, k_map, generators))
+    except ValueError as e:
+        raise VerificationError(f"g: {e}") from None
+    g = FactorMap(N + 1, active + [N], reduced)
 
-    def composed(code):
-        image = encode_tuple((p(code) for p in p_tables), A.size)
-        return g(image)
-
-    if f.domain.size <= budget:
-        mode = "exhaustive"
-        for code in range(f.domain.size):
-            assert f(code) == composed(code), f"factorization identity failed at {code}"
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-        for _ in range(VERIFY_SAMPLES):
-            code = rng.randrange(f.domain.size)
-            assert f(code) == composed(code), f"factorization identity failed at {code}"
+    image = encode_tuple([np.array(p.mapping) for p in p_tables], A.size)
+    wrong = np.flatnonzero(g.mapping[image] != np.array(f.mapping))
+    if wrong.size:
+        raise VerificationError(f"factorization identity failed at {int(wrong[0])}")
 
     return Factorization(
         f=f,
         g=g,
         terms=terms,
-        coefficient_matrix=tuple(tuple(row[j] for row in matrix) for j in range(N)),
-        mode=mode,
-        seed=seed,
+        coefficient_matrix=coefficients,
     )

@@ -231,7 +231,7 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
     group = HkGroup(A, S, t_S, k, square, elements, neutral_index, tuple(add_table))
     _verify_abelian_group(group)
     _verify_restriction_embedding(group, t_A, budget)
-    _verify_base_change(group, t_A, budget)
+    _verify_base_change(group, homs2, budget)
     return group
 
 
@@ -271,18 +271,20 @@ def _verify_restriction_embedding(G: HkGroup, t_A, budget):
             assert lhs == rhs, "restriction is not additive"
 
 
-def _verify_base_change(G: HkGroup, t_A, budget):
-    """For every other base hom j, f |-> t_S(f, kbar, jbar) is a group isomorphism."""
+def _verify_base_change(G: HkGroup, homs2, budget):
+    """For every other base hom j, f |-> t_S(f, kbar, jbar) is a group isomorphism.
+
+    `homs2` is Hom(A^2, S); the target of j is its fiber over j on the diagonal.
+    """
     A, S = G.A, G.S
     kbar = G.elements[G.neutral]
+    diag = diagonal_restriction(G.square, A.size)
+    fibers = {}
+    for h in homs2:
+        fibers.setdefault(tuple(h.mapping[d] for d in diag), set()).add(h.mapping)
     for j in enumerate_homs(A, S, budget):
         jbar = tuple(j(c % A.size) for c in range(G.square.size))
-        diag = diagonal_restriction(G.square, A.size)
-        other = tuple(
-            h.mapping
-            for h in enumerate_homs(G.square, S, budget)
-            if all(h.mapping[diag[x]] == j(x) for x in range(A.size))
-        )
+        other = fibers.get(j.mapping, set())
         phi = {}
         for f in G.elements:
             img = tuple(G.t_S(f[u], kbar[u], jbar[u]) for u in range(G.square.size))

@@ -21,6 +21,7 @@ from .core import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
+    VerificationError,
     _UnionFind,
     carrier_tables,
     con_lattice,
@@ -123,8 +124,10 @@ def c_of_congruence(A, B: SubalgebraWitness, alpha: Congruence) -> SubalgebraWit
         )
     forall = [x for x in range(A.size) if all(alpha.related(x, b) for b in B.carrier)]
     exists = [x for x in range(A.size) if any(alpha.related(x, b) for b in B.carrier)]
-    assert forall == exists, "universal and existential forms of C(alpha,B) disagree"
-    assert set(B.carrier) <= set(forall)
+    if forall != exists:
+        raise VerificationError("universal and existential forms of C(alpha,B) disagree")
+    if not set(B.carrier) <= set(forall):
+        raise VerificationError("C(alpha,B) does not contain B")
     return SubalgebraWitness(A, tuple(forall))
 
 
@@ -253,12 +256,16 @@ def kernel_quotient(
     theta = theta_of_subalgebra(A, t, B)
     S, f = quotient_algebra(A, theta)
     c = f(B.carrier[0])
-    assert all(f(b) == c for b in B.carrier)
-    assert tuple(x for x in range(A.size) if f(x) == c) == B.carrier
+    if any(f(b) != c for b in B.carrier):
+        raise VerificationError("the projection does not collapse the carrier to one point")
+    if tuple(x for x in range(A.size) if f(x) == c) != B.carrier:
+        raise VerificationError("the preimage of the point is not the carrier")
     for o in S.ops:
-        assert o(*([c] * o.arity)) == c, f"{{c}} not closed under {o.name}"
+        if o(*([c] * o.arity)) != c:
+            raise VerificationError(f"{{c}} not closed under {o.name}")
     nontrivial = [th for th in con_lattice(S) if not th.is_identity()]
-    assert nontrivial, "quotient is trivial"
+    if not nontrivial:
+        raise VerificationError("quotient is trivial")
     monolith = nontrivial[0]
     for th in nontrivial[1:]:
         monolith = monolith.meet(th)

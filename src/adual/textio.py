@@ -405,9 +405,14 @@ def serialize_hom(h: Homomorphism, name) -> str:
         base, power = h.domain.power_of.base_name, h.domain.power_of.exponent
     else:
         base, power = h.domain.name, 1
+    return serialize_map(name, base, power, h.codomain.name, h.mapping)
+
+
+def serialize_map(name, base, power, codomain, mapping) -> str:
+    """A hom block for the map with value table `mapping` from base^power to codomain."""
     out = [
-        f"hom {name} from {base} power {power} to {h.codomain.name}",
-        "m " + " ".join(str(v) for v in h.mapping),
+        f"hom {name} from {base} power {power} to {codomain}",
+        "m " + " ".join(str(v) for v in mapping),
     ]
     return "\n".join(out) + "\n"
 

@@ -154,7 +154,11 @@ def test_criterion_4_factorization():
                 fac = factorize.factor_morphism(
                     A, S, t[a], t[s], f, family_cache[key]
                 )
-                assert fac.mode == "exhaustive"
+                # the identity f = g(p_1, .., p_{N+1}), recomputed on every input
+                for code in range(f.domain.size):
+                    xs = core.decode_code(code, [A.size] * n)
+                    image = [affine.eval_affine_combination(p, t[a], 0, xs) for p in fac.terms]
+                    assert fac.g(core.encode_tuple(image, A.size)) == f(code)
                 total += 1
     _report(4, "factorization identity", f"{total} morphisms, all exact")
 

@@ -163,6 +163,16 @@ def test_induced_term_on_quotient(z4, terms):
     assert ti.table == modular_term_table(2)
 
 
+def test_term_table_array_is_built_once(z4, terms):
+    t = affine.lift_term_to_power(terms["z4"], 2)
+    table = t.np_table
+    assert t.np_table is table and not table.flags.writeable
+    assert table.tolist() == list(t.table)
+    fresh = affine.TernaryTermOperation(t.base_size, t.table)
+    assert fresh == t and hash(fresh) == hash(t)
+    assert fresh.np_table is not table and fresh == t and hash(fresh) == hash(t)
+
+
 def test_lift_term_to_power(z2, terms):
     tp = affine.lift_term_to_power(terms["z2"], 2)
     # (0,1) - (1,1) + (1,0) = (0,0)

@@ -162,6 +162,36 @@ def test_duality_verb_and_determinism(files, capsys):
     assert scrub(out1) == scrub(out2)
 
 
+def test_factorize_prints_g_and_refuses_what_it_cannot_verify(capsys, tmp_path):
+    z2 = zoo.cyclic_group(2)
+    P3 = core.power_algebra(z2, 3)
+    f = core.Homomorphism(P3, z2, [bin(c).count("1") % 2 for c in range(8)])
+    hom_file = tmp_path / "parity.hom"
+    hom_file.write_text(textio.serialize_algebra(z2) + textio.serialize_hom(f, "parity"))
+    code, out, _ = run(capsys, ["factorize", str(hom_file), "--seed", "4"])
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "factorization of parity through power 2",
+        "term p1: -1 1 1",
+        "term p2: 1 0 0",
+        "coefficients u_1: 1 1 1",
+        "hom g from z2 power 2 to z2",
+        "m 0 0 1 1",
+        "identity verified: exhaustive (seed 4)",
+        "FACTORIZE PASS",
+    ]
+    # g: Z12^3 -> V4 depends on both generator coordinates, and the table of
+    # add on Z12^3 has 1728^2 cells: refused, not spot-checked
+    A, S = zoo.cyclic_group(12), zoo.klein_group()
+    f = core.enumerate_homs(A, S)[-1]
+    hom_file.write_text(
+        textio.serialize_algebra(A) + textio.serialize_algebra(S) + textio.serialize_hom(f, "f")
+    )
+    code, out, err = run(capsys, ["factorize", str(hom_file)])
+    assert code == 3 and "FACTORIZE" not in out
+    assert "refused to materialize 2985984 elements" in err
+
+
 def test_exit_codes_for_bad_input(files, capsys, tmp_path):
     paths, _ = files
     bad = tmp_path / "bad.alg"

@@ -1,6 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adual import affine, core, entailment as ent, zoo
 
@@ -17,6 +22,60 @@ def preserves(table, arity, size, R):
         if tuple(image) not in R:
             return False
     return True
+
+
+def refute_oracle(A, premises, target, max_arity):
+    """The refuter as a loop over maps, one `preserves` call per relation and map."""
+    rels = [ent._as_relation(p) for p in premises]
+    target = ent._as_relation(target)
+    checked = 0
+    for m in range(1, max_arity + 1):
+        for table in itertools.product(range(A.size), repeat=A.size**m):
+            checked += 1
+            if all(preserves(table, m, A.size, R) for R in rels) and not preserves(
+                table, m, A.size, target
+            ):
+                return table, m, checked
+    return None, max_arity, checked
+
+
+@pytest.fixture
+def exhaustive_oracles(monkeypatch):
+    """Checks a reduction's factor maps and premises on the full power, where that fits.
+
+    Every g must be a Homomorphism on A^(N+1) and every bounded premise must
+    pass `is_compatible_relation`, the checks the reduction makes on the
+    smaller power A^(a+1) instead.  Returns the number of checks made.
+    """
+    made = []
+    real = ent.factor_morphism
+
+    def recording(*args, **kwargs):
+        fac = real(*args, **kwargs)
+        made.append(fac)
+        return fac
+
+    monkeypatch.setattr(ent, "factor_morphism", recording)
+
+    def check(A, res):
+        checks = 0
+        for fac in made:
+            try:
+                P = core.power_algebra(A, fac.inner_arity)
+            except core.BudgetExceededError:
+                continue
+            core.Homomorphism(P, fac.g.reduced.codomain, fac.g.mapping)
+            checks += 1
+        for B in res.bounded_premises:
+            try:
+                assert core.is_compatible_relation(A, B)
+            except core.BudgetExceededError:
+                continue
+            checks += 1
+        made.clear()
+        return checks
+
+    return check
 
 
 def test_intersection_rule(z2):
@@ -135,24 +194,27 @@ def test_eliminate_t_shapes(z2, z4, terms):
         ent.eliminate_t(z2, terms["z2"], 3)
 
 
-def test_reduce_diagonal_z2_cube(z2, terms):
+def test_reduce_diagonal_z2_cube(z2, terms, exhaustive_oracles):
     res = ent.reduce_to_bounded_arity(z2, terms["z2"], core.diagonal_relation(2, 3), 1)
+    assert exhaustive_oracles(z2, res) == 6
     assert len(res.bounded_premises) == 3
     assert all(b.arity == 2 for b in res.bounded_premises)
     assert ent.verify_certificate(res.certificate)
 
 
-def test_reduce_trivial_flag(z2, terms):
+def test_reduce_trivial_flag(z2, terms, exhaustive_oracles):
     r = core.Relation(2, 2, [(0, 0), (1, 1)])
     res = ent.reduce_to_bounded_arity(z2, terms["z2"], r, 3, trivial_when_bounded=True)
+    assert exhaustive_oracles(z2, res) == 1
     assert res.bounded_premises == (r,)
     assert isinstance(res.certificate.derivation, ent.Premise)
     assert ent.verify_certificate(res.certificate)
 
 
-def test_reduce_full_relation_has_no_components(z2, terms):
+def test_reduce_full_relation_has_no_components(z2, terms, exhaustive_oracles):
     full = core.full_relation(2, 2)
     res = ent.reduce_to_bounded_arity(z2, terms["z2"], full, 3)
+    assert exhaustive_oracles(z2, res) == 0
     assert res.bounded_premises == ()
     assert ent.verify_certificate(res.certificate)
 
@@ -163,7 +225,7 @@ def test_reduce_rejects_incompatible_input(z2, terms):
         ent.reduce_to_bounded_arity(z2, terms["z2"], bad, 3)
 
 
-def test_pipeline_correctness_all_small_relations(z2, terms):
+def test_pipeline_correctness_all_small_relations(z2, terms, exhaustive_oracles):
     # every compatible relation of arity <= 3 over the two-element group,
     # certified from 4-ary premises and replayed bit-exactly
     t2 = terms["z2"]
@@ -171,24 +233,102 @@ def test_pipeline_correctness_all_small_relations(z2, terms):
         P = core.power_algebra(z2, arity)
         for R in core.enumerate_subuniverses(P):
             res = ent.reduce_to_bounded_arity(z2, t2, R, 3)
+            assert exhaustive_oracles(z2, res) == 2 * len(res.bounded_premises)
             assert all(b.arity == 4 for b in res.bounded_premises)
             assert all(core.is_compatible_relation(z2, b) for b in res.bounded_premises)
             assert ent.replay_certificate(res.certificate) == R
 
 
-def test_reduce_z4_through_arity_ten(z4, terms):
+def test_reduce_z4_through_arity_ten(z4, terms, exhaustive_oracles):
     # a meet-irreducible binary relation pushed through the theorem-size bound
     R = core.Relation(2, 4, [(x, (3 * x) % 4) for x in range(4)])
     res = ent.reduce_to_bounded_arity(z4, terms["z4"], R, 9, budget=2_200_000)
+    assert exhaustive_oracles(z4, res) == 0  # neither Z4^10 nor B x B fits
     assert len(res.bounded_premises) == 1
     assert res.bounded_premises[0].arity == 10
     assert ent.verify_certificate(res.certificate, budget=2_200_000)
 
 
-def test_certified_relations_never_refuted_against_their_premises(z2, terms):
+def test_certified_relations_never_refuted_against_their_premises(z2, terms, exhaustive_oracles):
     t2 = terms["z2"]
     R = core.diagonal_relation(2, 3)
     res = ent.reduce_to_bounded_arity(z2, t2, R, 3)
+    assert exhaustive_oracles(z2, res) == 6
     premises = list(res.bounded_premises) + [t2.as_operation("t")]
     out = ent.refute_entailment(z2, premises, R, 2)
     assert not out.refuted
+
+
+@settings(max_examples=25)
+@given(
+    size=st.sampled_from([2, 3]),
+    data=st.data(),
+)
+def test_refuter_matches_the_map_by_map_loop(size, data):
+    A = zoo.cyclic_group(size)
+    max_arity = 3 if size == 2 else 2
+
+    def relation():
+        arity = data.draw(st.integers(1, 2 if size == 3 else 3))
+        tuples = list(itertools.product(range(size), repeat=arity))
+        return core.Relation(arity, size, data.draw(st.sets(st.sampled_from(tuples), min_size=1)))
+
+    premises = [relation() for _ in range(data.draw(st.integers(0, 2)))]
+    target = relation()
+    out = ent.refute_entailment(A, premises, target, max_arity)
+    table, arity, checked = refute_oracle(A, premises, target, max_arity)
+    assert out.maps_checked == checked
+    assert out.searched_arity == arity
+    if table is None:
+        assert out.witness is None
+    else:
+        assert (out.witness.arity, out.witness.table) == (arity, table)
+
+
+def test_refuter_refuses_argument_grids_over_budget(z2):
+    full = core.full_relation(2, 3)  # 8 rows: 64 argument pairs at arity 2
+    out = ent.refute_entailment(z2, [full], full, 1, budget=16)
+    assert not out.refuted and out.maps_checked == 4
+    with pytest.raises(core.BudgetExceededError) as e:
+        ent.refute_entailment(z2, [full], full, 2, budget=16)
+    assert e.value.count == 64
+
+
+_UNDER_OPTIMIZE = """
+import sys
+
+from adual import affine, core, entailment, factorize, zoo
+
+if __debug__ or not sys.flags.optimize:
+    sys.exit("not running under -O")
+z2 = zoo.cyclic_group(2)
+t = affine.find_affine_term(z2)
+if sys.argv[1] == "g table":  # one value of g is flipped
+    real = factorize._g_values
+    factorize._g_values = lambda *a: [1 - real(*a)[0]] + real(*a)[1:]
+else:  # only one of the three meet-irreducibles above the diagonal is listed
+    real = entailment.meet_irreducibles
+    entailment.meet_irreducibles = lambda *a, **k: real(*a, **k)[:3]
+try:
+    entailment.reduce_to_bounded_arity(z2, t, core.diagonal_relation(2, 3), 1)
+except core.VerificationError as e:
+    print("VerificationError:", e)
+"""
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [("g table", "not a homomorphism"), ("meet", "meet-irreducible decomposition failed")],
+)
+def test_reduction_checks_run_under_optimize(corruption, message):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE, corruption],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("VerificationError:") and message in done.stdout, done.stdout

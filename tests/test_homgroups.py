@@ -130,6 +130,22 @@ def test_hk_base_change_isomorphism(z4, terms):
     assert sizes == {4}
 
 
+def test_hk_group_enumerates_homs_on_the_square_once(v4, terms, monkeypatch):
+    # the base-change check takes each j's fiber from the one list of Hom(A^2, S)
+    real = hg.enumerate_homs
+    domains = []
+
+    def counting(A, B, *args, **kwargs):
+        domains.append(A.name)
+        return real(A, B, *args, **kwargs)
+
+    monkeypatch.setattr(hg, "enumerate_homs", counting)
+    k = real(v4, v4)[1]
+    H = hg.build_hk_group(v4, v4, terms["v4"], terms["v4"], k)
+    assert H.size == 16
+    assert domains.count("v4^2") == 1 and domains.count("v4") == 1
+
+
 def test_hk_invalid_base_morphism(z4, terms):
     with pytest.raises(ValueError):
         _hk(z4, z4, terms, (0, 3, 2, 2))
