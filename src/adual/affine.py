@@ -344,6 +344,19 @@ def eval_affine_combination(term: AffineTerm, t: TernaryTermOperation, c: int, a
     return acc
 
 
+def affine_combination_array(term: AffineTerm, t: TernaryTermOperation, c: int, args):
+    """`eval_affine_combination` elementwise on integer arrays that broadcast together."""
+    if len(args) != term.arity:
+        raise ValueError(f"expected {term.arity} arguments, got {len(args)}")
+    G = _cached_group(t, c)
+    add = np.array(G.add, dtype=np.int64)
+    acc = np.full(np.broadcast_shapes(*(np.shape(x) for x in args)), G.neutral, dtype=np.int64)
+    for u, x in zip(term.coeffs, args):
+        for _ in range(u % G.exponent):
+            acc = add[acc * G.base_size + x]
+    return acc
+
+
 def induced_term(t: TernaryTermOperation, theta: Congruence) -> TernaryTermOperation:
     """The image of t on the quotient by theta, verified total and well-defined."""
     if theta.base_size != t.base_size:

@@ -238,6 +238,11 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name!r}, size={self.size}, ops={len(self.ops)})"
 
 
+def _same_tables(A, B):
+    """True iff A and B have the same universe and operation tables; names aside."""
+    return A is B or (A.size == B.size and A.ops == B.ops)
+
+
 def _check_same_signature(A, B):
     if A.signature() != B.signature():
         raise ValueError(
@@ -441,6 +446,9 @@ class Relation:
                 raise ValueError(f"tuple {t} does not have arity {arity}")
             if any(not 0 <= v < base_size for v in t):
                 raise ValueError(f"tuple {t} outside universe of size {base_size}")
+        self._fill(arity, base_size, tuples)
+
+    def _fill(self, arity, base_size, tuples):
         self.arity = arity
         self.base_size = base_size
         self.tuples = tuples
@@ -448,8 +456,23 @@ class Relation:
 
     @classmethod
     def from_codes(cls, codes, base_size, arity):
-        columns = decode_code(np.asarray(codes, dtype=np.int64), [base_size] * arity)
-        return cls(arity, base_size, zip(*(c.tolist() for c in columns)))
+        """The relation whose tuples have the given mixed-radix codes.
+
+        The codes are checked and deduplicated as arrays; sorted codes
+        decode to lexicographically sorted tuples.
+        """
+        if arity < 1:
+            raise ValueError("relation arity must be >= 1")
+        codes = np.unique(np.asarray(codes, dtype=np.int64))
+        if not codes.size:
+            raise ValueError("empty relation rejected")
+        for code in (int(codes[0]), int(codes[-1])):
+            if not 0 <= code < base_size**arity:
+                raise ValueError(f"code {code} outside universe of size {base_size} at arity {arity}")
+        columns = decode_code(codes, [base_size] * arity)
+        relation = cls.__new__(cls)
+        relation._fill(arity, base_size, tuple(zip(*(c.tolist() for c in columns))))
+        return relation
 
     def codes(self):
         return tuple(encode_tuple(t, self.base_size) for t in self.tuples)
@@ -515,32 +538,55 @@ def is_compatible_relation(A, R: Relation, budget=DEFAULT_BUDGET):
 def subuniverse_carriers(A, budget=DEFAULT_BUDGET):
     """All nonempty subuniverses of A as sorted carrier tuples.
 
-    Strategy: closures of singletons, then one-element extensions of found
-    subuniverses until nothing new appears.  Output sorted by (cardinality,
-    lexicographic carrier).
+    Output sorted by (cardinality, lexicographic carrier).  The closed sets
+    are listed once each by Close-by-One (Kuznetsov 1993) with the pruning
+    of FCbO (Outrata & Vychodil 2012).  Its attributes are the distinct
+    1-generated subuniverses Sg(g_0), .., Sg(g_{m-1}), one generator g_k per
+    subuniverse, in order of g_k.  A subuniverse is the closure of the
+    generators it holds, so they determine it.  From a closed set S
+    with start index y, each j >= y with g_j outside S gives T = Sg(S + g_j).
+    T is a child of S, with start j + 1, iff it holds no g_k with k < j
+    outside S; every subuniverse is thus the child of exactly one closed set.
+    When T fails, such a g_k is kept as a witness for j: a descendant of S
+    that lacks g_k skips j, because its closure with g_j contains T and fails
+    the same test.
     """
     if A.size > budget:
         raise BudgetExceededError(A.size, budget)
-    found = {}
-    queue = []
+    first_generator = {}
     for x in range(A.size):
         arr = closed_product_subset([A], [x])
-        key = arr.tobytes()
-        if key not in found:
-            found[key] = arr
-            queue.append(arr)
-    while queue:
-        arr = queue.pop()
-        members = set(arr.tolist())
-        for x in range(A.size):
-            if x in members:
+        first_generator.setdefault(arr.tobytes(), (x, arr))
+    gens = np.array([x for x, _ in first_generator.values()], dtype=np.int64)
+    singles = [arr for _, arr in first_generator.values()]
+
+    def held(carrier):
+        member = np.zeros(A.size, dtype=bool)
+        member[carrier] = True
+        return member[gens]
+
+    # the root Sg({}) is empty, and not listed, unless A has constants
+    root = closed_product_subset([A], []) if A.constants() else gens[:0]
+    found = [root] if root.size else []
+    stack = [(root, held(root), 0, np.full(len(gens), -1))]
+    while stack:
+        S, holds, start, witness = stack.pop()
+        witness = witness.copy()  # shared with the siblings of S
+        children = []
+        for j in range(start, len(gens)):
+            if holds[j] or (witness[j] >= 0 and not holds[witness[j]]):
                 continue
-            ext = closed_product_subset([A], [x], base=arr)
-            key = ext.tobytes()
-            if key not in found:
-                found[key] = ext
-                queue.append(ext)
-    carriers = [tuple(int(v) for v in arr) for arr in found.values()]
+            # the children of the root are the 1-generated subuniverses
+            T = singles[j] if S is root else closed_product_subset([A], [gens[j]], base=S)
+            T_holds = held(T)
+            added = T_holds & ~holds
+            if added[:j].any():
+                witness[j] = added.argmax()
+            else:
+                children.append((T, T_holds, j + 1, witness))
+        found.extend(child[0] for child in children)
+        stack.extend(children)
+    carriers = [tuple(S.tolist()) for S in found]
     carriers.sort(key=lambda c: (len(c), c))
     return carriers
 
@@ -611,12 +657,12 @@ class Homomorphism:
         return (
             isinstance(other, Homomorphism)
             and self.mapping == other.mapping
-            and self.domain.name == other.domain.name
-            and self.codomain.name == other.codomain.name
+            and _same_tables(self.domain, other.domain)
+            and _same_tables(self.codomain, other.codomain)
         )
 
     def __hash__(self):
-        return hash((self.domain.name, self.codomain.name, self.mapping))
+        return hash((self.domain.size, self.codomain.size, self.mapping))
 
     def __repr__(self):
         return f"Homomorphism({self.domain.name} -> {self.codomain.name}, {self.mapping})"

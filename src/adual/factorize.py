@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     BudgetExceededError,
+    CHUNK_CELLS,
     DEFAULT_BUDGET,
     Homomorphism,
     VerificationError,
@@ -25,7 +26,13 @@ from .core import (
     encode_tuple,
     power_algebra,
 )
-from .affine import AffineTerm, TernaryTermOperation, eval_affine_combination, projection_term
+from .affine import (
+    AffineTerm,
+    TernaryTermOperation,
+    affine_combination_array,
+    eval_affine_combination,
+    projection_term,
+)
 from .homgroups import GeneratingFamily, HkGroup
 
 
@@ -96,6 +103,11 @@ def _g_values(A, t_S, k_map, generators):
     return values
 
 
+def _inner_maps(A, t_A, terms, f, digits):
+    """Each inner term on every input of f, whose digits are `digits`, as a map into A."""
+    return [Homomorphism(f.domain, A, affine_combination_array(term, t_A, 0, digits)) for term in terms]
+
+
 def factor_morphism(
     A,
     S,
@@ -151,43 +163,37 @@ def factor_morphism(
         matrix.append(tuple(int(u) for u in coeffs))
 
     # telescoping identity: f(x) = sum_i (f_i(x_i, x_1) - f_i(x_1, x_1)) + k(x_1)
-    tele = AffineTerm((1, -1) * n + (1,))
-    for code in range(f.domain.size):
-        xs = decode_code(code, [A.size] * n)
-        args = []
-        for i in range(n):
-            args.append(f_slots[i][xs[i] * A.size + xs[0]])
-            args.append(f_slots[i][xs[0] * A.size + xs[0]])
-        args.append(k_map[xs[0]])
-        if f(code) != eval_affine_combination(tele, t_S, 0, args):
-            raise VerificationError(f"telescoping identity failed at {code}")
+    digits = decode_code(np.arange(f.domain.size, dtype=np.int64), [A.size] * n)
+    first = digits[0]
+    args = []
+    for fi, x in zip(f_slots, digits):
+        fi = np.array(fi, dtype=np.int64)
+        args += [fi[x * A.size + first], fi[first * A.size + first]]
+    args.append(np.array(k_map, dtype=np.int64)[first])
+    tele = affine_combination_array(AffineTerm((1, -1) * n + (1,)), t_S, 0, args)
+    wrong = np.flatnonzero(tele != np.array(f.mapping))
+    if wrong.size:
+        raise VerificationError(f"telescoping identity failed at {int(wrong[0])}")
 
     # inner terms p_j = x_1 + sum_i u_ij (x_i - x_1); the (N+1)-st is the first projection
     coefficients = tuple(tuple(row[j] for row in matrix) for j in range(N))
     terms = [AffineTerm((u[0] + 1 - sum(u),) + u[1:]) for u in coefficients]
     terms = tuple(terms) + (projection_term(n, 0),)
+    p_tables = [np.array(p.mapping, dtype=np.int64) for p in _inner_maps(A, t_A, terms, f, digits)]
 
-    p_tables = []
-    for term in terms:
-        table = [
-            eval_affine_combination(term, t_A, 0, decode_code(c, [A.size] * n))
-            for c in range(f.domain.size)
-        ]
-        p_tables.append(Homomorphism(f.domain, A, table))
-
-    # generator/term exchange identity, checked whenever the domain is small
-    if f.domain.size * A.size <= 4096:
-        for j, u in enumerate(coefficients):
-            h = group.elements[family.generators[j]]
-            exch = AffineTerm(u + (1 - sum(u),))
-            for code in range(f.domain.size):
-                xs = decode_code(code, [A.size] * n)
-                pj = p_tables[j](code)
-                for z in range(A.size):
-                    args = [h[xs[i] * A.size + z] for i in range(n)]
-                    args.append(h[xs[0] * A.size + z])
-                    if h[pj * A.size + z] != eval_affine_combination(exch, t_S, 0, args):
-                        raise VerificationError("generator/term exchange identity failed")
+    # generator/term exchange identity h(p_j(x), z) = sum_i u_ij h(x_i, z) +
+    # (1 - sum_i u_ij) h(x_1, z), on every input x of f and every z, in blocks
+    z = np.arange(A.size)
+    step = max(1, CHUNK_CELLS // A.size)
+    for j, u in enumerate(coefficients):
+        h = np.array(group.elements[family.generators[j]], dtype=np.int64)
+        exch = AffineTerm(u + (1 - sum(u),))
+        for s in range(0, f.domain.size, step):
+            xs = [d[s : s + step, None] for d in digits]
+            args = [h[x * A.size + z] for x in xs + xs[:1]]
+            lhs = h[p_tables[j][s : s + step, None] * A.size + z]
+            if not np.array_equal(lhs, affine_combination_array(exch, t_S, 0, args)):
+                raise VerificationError("generator/term exchange identity failed")
 
     generators = [group.elements[family.generators[j]] for j in active]
     try:
@@ -196,7 +202,7 @@ def factor_morphism(
         raise VerificationError(f"g: {e}") from None
     g = FactorMap(N + 1, active + [N], reduced)
 
-    image = encode_tuple([np.array(p.mapping) for p in p_tables], A.size)
+    image = encode_tuple(p_tables, A.size)
     wrong = np.flatnonzero(g.mapping[image] != np.array(f.mapping))
     if wrong.size:
         raise VerificationError(f"factorization identity failed at {int(wrong[0])}")

@@ -16,6 +16,7 @@ from typing import Optional
 from .core import (
     DEFAULT_BUDGET,
     Homomorphism,
+    VerificationError,
     enumerate_homs,
     power_algebra,
 )
@@ -238,12 +239,16 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
 def _verify_abelian_group(G: HkGroup):
     m, e = G.size, G.neutral
     for i in range(m):
-        assert G.add(i, e) == i and G.add(e, i) == i
-        assert any(G.add(i, j) == e for j in range(m)), "missing inverse"
+        if G.add(i, e) != i or G.add(e, i) != i:
+            raise VerificationError("neutral element is not neutral")
+        if all(G.add(i, j) != e for j in range(m)):
+            raise VerificationError("missing inverse")
         for j in range(m):
-            assert G.add(i, j) == G.add(j, i), "not commutative"
+            if G.add(i, j) != G.add(j, i):
+                raise VerificationError("not commutative")
             for l in range(m):
-                assert G.add(G.add(i, j), l) == G.add(i, G.add(j, l)), "not associative"
+                if G.add(G.add(i, j), l) != G.add(i, G.add(j, l)):
+                    raise VerificationError("not associative")
 
 
 def _verify_restriction_embedding(G: HkGroup, t_A, budget):
@@ -256,19 +261,22 @@ def _verify_restriction_embedding(G: HkGroup, t_A, budget):
     restricted = []
     for f in G.elements:
         fa = tuple(f[a * A.size + x] for x in range(A.size))
-        assert fa in K, "restriction is not a group homomorphism"
+        if fa not in K:
+            raise VerificationError("restriction is not a group homomorphism")
         restricted.append(fa)
-    assert len(set(restricted)) == len(restricted), "restriction not injective"
+    if len(set(restricted)) != len(restricted):
+        raise VerificationError("restriction not injective")
     for i, fa in enumerate(restricted):
-        if fa == G.k.mapping:
-            assert i == G.neutral, "kernel of the restriction is larger than {kbar}"
+        if fa == G.k.mapping and i != G.neutral:
+            raise VerificationError("kernel of the restriction is larger than {kbar}")
     for i in range(G.size):
         for j in range(G.size):
             lhs = restricted[G.add(i, j)]
             rhs = tuple(
                 G.t_S(restricted[i][x], G.k(x), restricted[j][x]) for x in range(A.size)
             )
-            assert lhs == rhs, "restriction is not additive"
+            if lhs != rhs:
+                raise VerificationError("restriction is not additive")
 
 
 def _verify_base_change(G: HkGroup, homs2, budget):
@@ -288,12 +296,15 @@ def _verify_base_change(G: HkGroup, homs2, budget):
         phi = {}
         for f in G.elements:
             img = tuple(G.t_S(f[u], kbar[u], jbar[u]) for u in range(G.square.size))
-            assert img in other, "base change leaves the target hom set"
+            if img not in other:
+                raise VerificationError("base change leaves the target hom set")
             phi[f] = img
-        assert len(set(phi.values())) == len(G.elements) == len(other), "not bijective"
+        if not (len(set(phi.values())) == len(G.elements) == len(other)):
+            raise VerificationError("not bijective")
         for f in G.elements:
             back = tuple(G.t_S(phi[f][u], jbar[u], kbar[u]) for u in range(G.square.size))
-            assert back == f, "base change composed with its inverse is not the identity"
+            if back != f:
+                raise VerificationError("base change composed with its inverse is not the identity")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +389,8 @@ def generating_family(group, budget=DEFAULT_BUDGET) -> GeneratingFamily:
             for _ in range(u):
                 x = group.add(x, g)
         expressions.setdefault(x, tuple(coeffs))
-    assert len(expressions) == group.size, "generators do not span the group"
+    if len(expressions) != group.size:
+        raise VerificationError("generators do not span the group")
     return GeneratingFamily(group, tuple(gens), gen_orders, expressions)
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from adual import cli, core, textio, zoo
 
+DATA = Path(__file__).resolve().parents[1] / "data"
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -52,9 +54,14 @@ def test_sub_verb(files, capsys):
     code, out, _ = run(capsys, ["sub", paths["z2"], "--max-power", "2"])
     assert code == 0
     assert "count 5" in out
+    # the subspaces of F_2^5 and F_3^4
+    code, out, _ = run(capsys, ["sub", paths["z2"], "--max-power", "5"])
+    assert code == 0 and out.endswith("count 374\n")
+    code, out, _ = run(capsys, ["sub", str(DATA / "z3.alg"), "--max-power", "4"])
+    assert code == 0 and out.endswith("count 212\n")
 
 
-Z4AFF = str(Path(__file__).resolve().parents[1] / "data" / "z4aff.alg")
+Z4AFF = str(DATA / "z4aff.alg")
 
 
 def test_ternary_algebra_verbs(capsys):

@@ -189,10 +189,10 @@ def test_enumeration_matches_subset_filter_on_powers(z2, z3):
 
 
 def test_subuniverse_counts_gaussian(z2, z3):
-    # subuniverses of (Z_p)^4 are the subspaces of a 4-dim space over F_p
-    for A, q, expected in ((z2, 2, 67), (z3, 3, 212)):
-        assert sum(gaussian_binomial(4, k, q) for k in range(5)) == expected
-        P = core.power_algebra(A, 4)
+    # subuniverses of (Z_p)^n are the subspaces of an n-dim space over F_p
+    for A, q, n, expected in ((z2, 2, 4, 67), (z2, 2, 5, 374), (z3, 3, 4, 212)):
+        assert sum(gaussian_binomial(n, k, q) for k in range(n + 1)) == expected
+        P = core.power_algebra(A, n)
         assert len(core.subuniverse_carriers(P)) == expected
 
 
@@ -257,6 +257,20 @@ def test_hom_verification_rejects_non_hom(z4):
         core.Homomorphism(z4, z4, (0, 1, 2, 2))
 
 
+def test_hom_equality_compares_tables_not_names():
+    # two algebras named "A" on {0, 1}: f is the identity on one, constant on the other
+    identity = core.FiniteAlgebra("A", 2, [core.Operation("f", 1, 2, (0, 1))])
+    constant = core.FiniteAlgebra("A", 2, [core.Operation("f", 1, 2, (0, 0))])
+    point = core.FiniteAlgebra("B", 1, [core.Operation("f", 1, 1, (0,))])
+    h, k = core.Homomorphism(identity, point, (0, 0)), core.Homomorphism(constant, point, (0, 0))
+    assert h != k and len({h, k}) == 2
+    assert core.Homomorphism(identity, identity, (0, 1)) != core.Homomorphism(constant, constant, (0, 1))
+    # the same tables under another name give an equal hom
+    renamed = core.FiniteAlgebra("C", 2, [core.Operation("f", 1, 2, (0, 1))])
+    same = core.Homomorphism(renamed, point, (0, 0))
+    assert h == same and hash(h) == hash(same)
+
+
 # ---------------------------------------------------------------------------
 # compatible relations
 # ---------------------------------------------------------------------------
@@ -298,6 +312,27 @@ def test_compatibility_mismatch_errors(z2, z4):
 def test_empty_relation_rejected():
     with pytest.raises(ValueError):
         core.Relation(2, 2, [])
+    with pytest.raises(ValueError):
+        core.Relation.from_codes([], 2, 2)
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+@settings(max_examples=60)
+def test_relation_from_codes_matches_tuples(size, arity, data):
+    codes = data.draw(st.lists(st.integers(0, size**arity - 1), min_size=1, max_size=12))
+    tuples = [core.decode_code(c, [size] * arity) for c in codes]
+    R = core.Relation.from_codes(np.array(codes), size, arity)
+    assert R == core.Relation(arity, size, tuples)
+    assert all(type(v) is int for t in R.tuples for v in t)
+    assert len(R) == len(set(codes)) and list(R.codes()) == sorted(set(codes))
+
+
+def test_relation_from_codes_rejects_codes_outside_the_universe():
+    for bad in ([0, 9], [-1, 3], [27]):
+        with pytest.raises(ValueError, match="outside universe"):
+            core.Relation.from_codes(bad, 3, 2)
+    with pytest.raises(ValueError):
+        core.Relation.from_codes([0], 3, 0)
 
 
 # ---------------------------------------------------------------------------

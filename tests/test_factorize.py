@@ -171,6 +171,29 @@ def test_bogus_g_rejected_by_the_exact_check(z2, terms, monkeypatch):
         fz.factor_morphism(z2, z2, t2, t2, f, fam)
 
 
+def test_exchange_identity_checked_on_large_domains(monkeypatch):
+    # f(x, y) = x + y on Z17^2: 289 inputs times 17 values of z, above the
+    # 4096 cells up to which the identity used to be checked
+    A = zoo.cyclic_group(17)
+    t = affine.TernaryTermOperation(17, tuple((x - y + z) % 17 for x, y, z in itertools.product(range(17), repeat=3)))
+    P = core.power_algebra(A, 2)
+    f = core.Homomorphism(P, A, [(c // 17 + c % 17) % 17 for c in range(P.size)])
+    fam = family_for(A, A, t, t, f, 2)
+    fac = fz.factor_morphism(A, A, t, t, f, fam)
+    check_against_oracles(A, A, t, t, f, fam, fac)
+    # the first inner term doubled: still a homomorphism, but not the term
+    real = fz._inner_maps
+
+    def corrupted(*args):
+        maps = real(*args)
+        maps[0] = core.Homomorphism(P, A, [2 * v % 17 for v in maps[0].mapping])
+        return maps
+
+    monkeypatch.setattr(fz, "_inner_maps", corrupted)
+    with pytest.raises(core.VerificationError, match="exchange identity failed"):
+        fz.factor_morphism(A, A, t, t, f, fam)
+
+
 def is_hom(domain, codomain, mapping):
     try:
         core.Homomorphism(domain, codomain, mapping)

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +189,47 @@ def test_kearnes_examples(z2, z4):
     assert (r.computed, r.bound, r.passed) == (2, 4, True)
     assert hg.kearnes_divisibility_check(z4, z4).passed
     assert hg.kearnes_divisibility_check(z2, z2).passed
+
+
+_UNDER_OPTIMIZE = """
+import sys
+
+from adual import affine, core, homgroups, zoo
+
+if __debug__ or not sys.flags.optimize:
+    sys.exit("not running under -O")
+
+
+class Corrupted(homgroups.HkGroup):
+    \"\"\"The group with one entry of its addition table changed: i + i for some i not neutral.\"\"\"
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        table = list(self.add_table)
+        i = (self.neutral + 1) % self.size
+        table[i * self.size + i] = (table[i * self.size + i] + 1) % self.size
+        self.add_table = tuple(table)
+
+
+homgroups.HkGroup = Corrupted
+z4 = zoo.cyclic_group(4)
+t = affine.find_affine_term(z4)
+try:
+    homgroups.build_hk_group(z4, z4, t, t, core.Homomorphism(z4, z4, range(4)))
+except core.VerificationError as e:
+    print("VerificationError:", e)
+"""
+
+
+def test_group_checks_run_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("VerificationError:"), done.stdout
