@@ -2,17 +2,32 @@
 
 The candidate dualizing structure on A collects every N-ary compatible
 relation for N = max(4, 1 + a^3) with a the largest prime exponent of |A|.
-For a subalgebra B of a small power, the dual carries Hom(B, A) with the
-alter-ego relations lifted pointwise; the double dual consists of the maps
-Hom(B, A) -> A preserving every lifted relation.  Evaluation at elements of
-B always lands there injectively; the desk-scale duality check is that
-nothing else does, i.e. the double dual has exactly |B| members.
+For a subalgebra B of a small power, the dual carries Hom(B, A); the double
+dual consists of the maps phi: Hom(B, A) -> A preserving every alter-ego
+relation lifted pointwise.  Evaluation at elements of B always lands there
+injectively; the desk-scale duality check is that nothing else does, i.e.
+the double dual has exactly |B| members.
+
+One constraint engine, `double_dual`, decides the double dual.  A constraint
+is a scope, a tuple of hom indices, with the codes phi may take on it.  For a
+caller-supplied subset of relations (partial mode) the scopes are the lifted
+tuples of each relation, built by `dual_of`, and the codes are the
+relation's.  The complete alter ego lifts nothing: phi preserves every
+compatible N-ary relation exactly when, for every set S of N homs, phi
+restricted to S lies in pr_S e(B), the projection of the evaluation image
+(the interpolation condition of Clark and Davey, "Natural Dualities for the
+Working Algebraist", 1998).  pr_S e(B) is a compatible relation whose lift
+holds S, and every relation whose lift holds S contains it.  So complete
+mode reads its constraints off the table of hom values, and the relations
+of the alter ego serve only the count the summary reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
+from itertools import chain, combinations, islice
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -59,12 +74,13 @@ class AlterEgo:
     relations: tuple
     arity: int
     complete: bool = True
+    budget: InitVar[int] = DEFAULT_BUDGET
 
-    def __post_init__(self):
+    def __post_init__(self, budget):
         for r in self.relations:
             if r.arity != self.arity:
                 raise ValueError(f"alter-ego relation has arity {r.arity}, expected {self.arity}")
-            if not is_compatible_relation(self.base, r):
+            if not is_compatible_relation(self.base, r, budget):
                 raise ValueError("alter-ego relation is not compatible with the base algebra")
 
     @cached_property
@@ -81,30 +97,43 @@ class AlterEgo:
 def build_alter_ego(A, N, budget=DEFAULT_BUDGET, relations=None) -> AlterEgo:
     """All N-ary compatible relations of A, or a supplied subset (partial mode)."""
     if relations is not None:
-        return AlterEgo(A, tuple(relations), N, complete=False)
+        return AlterEgo(A, tuple(relations), N, complete=False, budget=budget)
     try:
         P = power_algebra(A, N, budget)
     except BudgetExceededError as e:
         raise BudgetExceededError(
             e.count, budget, hint="supply a relation subset via relations= (partial mode)"
         ) from None
-    return AlterEgo(A, tuple(enumerate_subuniverses(P, budget)), N, complete=True)
+    return AlterEgo(A, tuple(enumerate_subuniverses(P, budget)), N, budget=budget)
 
 
 @dataclass
 class DualStructure:
-    """Hom(B, A) with each alter-ego relation lifted pointwise.
+    """Hom(B, A), with each alter-ego relation lifted pointwise in partial mode.
 
     lifted[i] is an integer array of shape (count, arity) holding, in
     lexicographic order, the index tuples into `homs` that satisfy relation
-    i at every point of B.
+    i at every point of B.  It is None for the complete alter ego, whose
+    constraints `double_dual` reads off `values` instead.
     """
 
     witness: SubalgebraWitness
     algebra: FiniteAlgebra
     homs: tuple
     ego: AlterEgo
-    lifted: tuple
+    lifted: Optional[tuple] = None
+
+    @cached_property
+    def values(self):
+        """values[i, b] = homs[i](b), an array of shape (|Hom(B, A)|, |B|)."""
+        mappings = [hom.mapping for hom in self.homs]
+        return np.array(mappings, dtype=np.int64).reshape(len(self.homs), self.algebra.size)
+
+
+def hom_dual(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualStructure:
+    """The dual of B with no lifted relations, as the complete alter ego uses it."""
+    B_alg, _, _ = B.as_algebra()
+    return DualStructure(B, B_alg, tuple(enumerate_homs(B_alg, ego.base, budget)), ego)
 
 
 def dual_of(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualStructure:
@@ -116,17 +145,16 @@ def dual_of(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualS
     the relation.  All relations extend together, each prefix code tagged
     with its relation's position, and rows stay in lexicographic order.
     """
-    B_alg, _, carrier = B.as_algebra()
-    homs = tuple(enumerate_homs(B_alg, ego.base, budget))
-    h = len(homs)
+    D = hom_dual(B, ego, budget)
+    values = D.values
+    h, width = values.shape
     size, r = ego.base.size, ego.arity
     count = len(ego.relations)
-    values = np.array([hom.mapping for hom in homs], dtype=np.int64).reshape(h, len(carrier))
     full = ego.tagged_codes
     # One row per surviving prefix: its relation and its indices.
     rel = np.arange(count, dtype=np.int64)
     idx = np.zeros((count, 0), dtype=np.int64)
-    step = max(1, CHUNK_CELLS // max(1, h * len(carrier)))
+    step = max(1, CHUNK_CELLS // max(1, h * width))
     for j in range(1, r + 1):
         reach = np.bincount(rel, minlength=count).max(initial=0) * h
         if reach > budget:
@@ -144,18 +172,16 @@ def dual_of(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualS
             idxs.append(np.column_stack((block_idx[row], new)))
         rel, idx = np.concatenate(rels), np.concatenate(idxs)
     bounds = np.searchsorted(rel, np.arange(count + 1))
-    lifted = tuple(idx[bounds[i] : bounds[i + 1]] for i in range(count))
-    return DualStructure(B, B_alg, homs, ego, lifted)
+    D.lifted = tuple(idx[bounds[i] : bounds[i + 1]] for i in range(count))
+    return D
 
 
-def double_dual(D: DualStructure, budget=DEFAULT_BUDGET):
-    """All maps Hom(B,A) -> A preserving every lifted relation, sorted.
+def _lifted_constraints(D: DualStructure):
+    """Partial mode: at step j, the lifted tuples whose largest index is j.
 
-    Continuity is vacuous on a finite discrete space.  The values phi(0),
-    phi(1), ... are assigned in turn; a lifted tuple is checked as soon as
-    its largest index is assigned, so only partial maps that preserve every
-    fully assigned tuple are extended.  A relation holding every tuple
-    constrains nothing and is skipped.
+    Each tuple is tagged with its relation's position, so the tagged codes
+    of the alter ego serve every relation at once.  A relation holding every
+    tuple constrains nothing and is skipped.
     """
     h = len(D.homs)
     size, r = D.ego.base.size, D.ego.arity
@@ -169,14 +195,84 @@ def double_dual(D: DualStructure, budget=DEFAULT_BUDGET):
     order = np.argsort(last, kind="stable")
     bounds = np.searchsorted(last, np.arange(h + 1), sorter=order)
     group = max(1, CHUNK_CELLS // r)  # tuples per gather
+
+    def at(j):
+        rows = order[bounds[j] : bounds[j + 1]]
+        return [
+            (tuples[rows[t : t + group]], tags[rows[t : t + group]], full)
+            for t in range(0, len(rows), group)
+        ]
+
+    return at
+
+
+def _interpolation_constraints(D: DualStructure, budget):
+    """Complete mode: at step j, the M-sets with largest index j and pr_S e(B).
+
+    M = min(N, |Hom(B, A)|): with fewer homs than N, the one set of all homs
+    already pins phi to e(B).  The C(j, M-1) sets of step j are built only
+    after the budget admits their C(j, M-1)·|B| projection codes, in blocks
+    of at most CHUNK_CELLS codes.  Within a block the codes of the k-th set
+    are tagged with k·|A|^M, so one sorted array serves the block.  A set
+    whose projection is all of A^M constrains nothing and is dropped.
+    """
+    values = D.values
+    h, width = values.shape
+    size = D.ego.base.size
+    M = min(D.ego.arity, h)
+    span = size**M
+    if span > budget:
+        raise BudgetExceededError(span, budget, hint=f"codes of A^{M}")
+    per = max(1, CHUNK_CELLS // max(width, M))  # sets per block
+
+    def at(j):
+        count = comb(j, M - 1)
+        if count * width > budget:
+            raise BudgetExceededError(count * width, budget, hint="projection codes")
+        heads = combinations(range(j), M - 1)
+        blocks = []
+        for s in range(0, count, per):
+            c = min(per, count - s)
+            flat = np.fromiter(chain.from_iterable(islice(heads, c)), np.int64, c * (M - 1))
+            scopes = np.column_stack((flat.reshape(c, M - 1), np.full(c, j, dtype=np.int64)))
+            codes = np.sort(encode_tuple((values[col] for col in scopes.T), size), axis=1)
+            new = np.ones(codes.shape, dtype=bool)
+            np.not_equal(codes[:, 1:], codes[:, :-1], out=new[:, 1:])
+            binding = new.sum(axis=1) < span
+            if binding.any():
+                scopes, codes, new = scopes[binding], codes[binding], new[binding]
+                offsets = np.arange(len(scopes), dtype=np.int64) * span
+                blocks.append((scopes, offsets, (codes + offsets[:, None])[new]))
+        return blocks
+
+    return at
+
+
+def double_dual(D: DualStructure, budget=DEFAULT_BUDGET):
+    """All maps Hom(B,A) -> A meeting every constraint of D, sorted.
+
+    Continuity is vacuous on a finite discrete space.  The values phi(0),
+    phi(1), ... are assigned in turn; at index j every constraint whose
+    largest index is j is checked, so only partial maps that meet every
+    fully assigned constraint are extended.  The constraints are the lifted
+    tuples of D in partial mode and the N-sets of homs with the projections
+    of the evaluation image in complete mode.  Each step is refused before
+    it builds anything: its partial maps times |A|, and its projection
+    codes, must fit the budget.
+    """
+    h, size = len(D.homs), D.ego.base.size
+    if D.lifted is None:
+        constraints = _interpolation_constraints(D, budget)
+    else:
+        constraints = _lifted_constraints(D)
     maps = np.zeros((1, 0), dtype=np.int64)
     for j in range(h):
         reach = len(maps) * size
         if reach > budget:
             raise BudgetExceededError(reach, budget, hint="double dual partial maps")
-        rows = order[bounds[j] : bounds[j + 1]]
-        T, offsets = tuples[rows], tags[rows]
-        step = max(1, CHUNK_CELLS // (size * max(j + 1, r * min(len(T), group))))
+        blocks = constraints(j)
+        widest = max((scopes.size for scopes, _, _ in blocks), default=0)
+        step = max(1, CHUNK_CELLS // (size * max(j + 1, widest)))
         parts = [np.zeros((0, j + 1), dtype=np.int64)]
         for s in range(0, len(maps), step):
             block = maps[s : s + step]
@@ -184,10 +280,9 @@ def double_dual(D: DualStructure, budget=DEFAULT_BUDGET):
             ext[:, :-1] = np.repeat(block, size, axis=0)
             ext[:, -1] = np.tile(np.arange(size), len(block))
             ok = np.ones(len(ext), dtype=bool)
-            for t in range(0, len(T), group):
-                cols = T[t : t + group]
-                codes = encode_tuple((ext[:, cols[:, c]] for c in range(r)), size)
-                ok &= sorted_member(full, codes + offsets[t : t + group]).all(axis=1)
+            for scopes, offsets, allowed in blocks:
+                codes = encode_tuple((ext[:, col] for col in scopes.T), size)
+                ok &= sorted_member(allowed, codes + offsets).all(axis=1)
             parts.append(ext[ok])
         maps = np.concatenate(parts)
     return [tuple(row) for row in maps.tolist()]
@@ -219,8 +314,8 @@ class EvaluationReport:
 
 def evaluate_subalgebra(B: SubalgebraWitness, ego: AlterEgo, power, budget=DEFAULT_BUDGET):
     """Check the evaluation map on one B: embed, then compare cardinalities."""
-    D = dual_of(B, ego, budget)
-    images = [tuple(hom(x) for hom in D.homs) for x in range(D.algebra.size)]
+    D = (hom_dual if ego.complete else dual_of)(B, ego, budget)
+    images = [tuple(column) for column in D.values.T.tolist()]
     image_set = set(images)
     if len(image_set) != len(images):
         raise VerificationError("evaluation map is not injective")

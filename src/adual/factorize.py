@@ -20,11 +20,14 @@ from .core import (
     BudgetExceededError,
     CHUNK_CELLS,
     DEFAULT_BUDGET,
+    FiniteAlgebra,
     Homomorphism,
     VerificationError,
+    _same_tables,
     decode_code,
     encode_tuple,
     power_algebra,
+    product_operations,
 )
 from .affine import (
     AffineTerm,
@@ -79,14 +82,17 @@ class Factorization:
 
 
 def _domain_exponent(A, f):
-    if f.domain.power_of is not None:
-        pv = f.domain.power_of
-        if pv.base_name != A.name or pv.base_size != A.size:
-            raise ValueError(f"morphism domain is a power of {pv.base_name}, not {A.name}")
-        return pv.exponent
-    if f.domain.size != A.size:
-        raise ValueError("morphism domain is neither A nor a power of A")
-    return 1
+    """The n with f.domain = A^n, compared by size and tables, not by name.
+
+    The tables of A^n are rebuilt at the size of f.domain, which is already
+    materialized, so no budget applies.
+    """
+    n = f.domain.power_of.exponent if f.domain.power_of is not None else 1
+    if f.domain.size != A.size**n or not _same_tables(
+        f.domain, A if n == 1 else FiniteAlgebra(A.name, f.domain.size, product_operations([A] * n))
+    ):
+        raise ValueError(f"morphism domain is not {A.name}^{n}")
+    return n
 
 
 def _g_values(A, t_S, k_map, generators):

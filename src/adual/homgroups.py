@@ -17,6 +17,7 @@ from .core import (
     DEFAULT_BUDGET,
     Homomorphism,
     VerificationError,
+    _same_tables,
     enumerate_homs,
     power_algebra,
 )
@@ -208,7 +209,7 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
     defined as soon as one such k exists; different choices give isomorphic
     groups, which is re-verified here through the explicit isomorphisms.
     """
-    if k.domain.name != A.name or k.codomain.name != S.name:
+    if not (_same_tables(k.domain, A) and _same_tables(k.codomain, S)):
         raise ValueError("base morphism must go from A to S")
     square = power_algebra(A, 2, budget)
     homs2 = enumerate_homs(square, S, budget)

@@ -11,6 +11,7 @@ whole standard output replays; anywhere else they are unknown blocks.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -394,10 +395,16 @@ def serialize_algebra(A: FiniteAlgebra) -> str:
 
 
 def serialize_relation(R: Relation, name, algebra_name) -> str:
-    out = [f"relation {name} {R.arity} over {algebra_name}"]
-    for t in R.tuples:
-        out.append("t " + " ".join(str(v) for v in t))
-    return "\n".join(out) + "\n"
+    lines = [f"relation {name} {R.arity} over {algebra_name}", *_tuple_lines(R, "t ")]
+    return "\n".join(lines) + "\n"
+
+
+def _tuple_lines(R: Relation, prefix):
+    """R's tuple lines, `prefix` then the values, as one string formatted in one pass."""
+    if not R.tuples:
+        return []
+    line = prefix + " ".join(["%d"] * R.arity)
+    return ["\n".join([line] * len(R.tuples)) % tuple(itertools.chain.from_iterable(R.tuples))]
 
 
 def serialize_hom(h: Homomorphism, name) -> str:
@@ -451,10 +458,7 @@ def serialize_certificate(cert: EntailmentCertificate, name, algebra_name) -> st
 def _serialize_cert_value(value, label, indent):
     pad = " " * indent
     if isinstance(value, Relation):
-        out = [f"{pad}{label} relation {value.arity}"]
-        for t in value.tuples:
-            out.append(f"{pad}  t " + " ".join(str(v) for v in t))
-        return out
+        return [f"{pad}{label} relation {value.arity}", *_tuple_lines(value, f"{pad}  t ")]
     out = [f"{pad}{label} op {value.name} {value.arity}"]
     out.append(f"{pad}  table " + " ".join(str(v) for v in value.table))
     return out

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import settings
 
-from adual import affine, zoo
+from adual import affine, core, zoo
 
 # Every Hypothesis test draws the same examples on every run, and none has a
 # time limit per example (timings on a shared machine vary too much).
@@ -47,3 +49,19 @@ def semilattice():
 @pytest.fixture(scope="session")
 def terms(z2, z3, z4, z6, v4):
     return {A.name: affine.find_affine_term(A) for A in (z2, z3, z4, z6, v4)}
+
+
+@pytest.fixture(scope="session")
+def relabeled():
+    """A -> the copy of A under x -> perm[x], under A's name but with other tables."""
+
+    def relabel(A, perm):
+        ops = []
+        for o in A.ops:
+            table = [0] * len(o.table)
+            for args in itertools.product(range(A.size), repeat=o.arity):
+                table[core.encode_tuple([perm[a] for a in args], A.size)] = perm[o(*args)]
+            ops.append(core.Operation(o.name, o.arity, A.size, table))
+        return core.FiniteAlgebra(A.name, A.size, ops)
+
+    return relabel

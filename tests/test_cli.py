@@ -169,6 +169,15 @@ def test_duality_verb_and_determinism(files, capsys):
     assert scrub(out1) == scrub(out2)
 
 
+def test_duality_passes_where_k_reaches_n(capsys):
+    # N = 4 for both: z3 at k = 3 and z2 at k = 5, refused before interpolation
+    for name, k, relations in (("z3", 3, 212), ("z2", 5, 67)):
+        code, out, _ = run(capsys, ["duality", str(DATA / f"{name}.alg"), "--max-power", str(k)])
+        assert code == 0
+        assert re.search(rf"^DUALITY PASS k_max={k} relations={relations} time=", out, re.M)
+        assert "NOT surjective" not in out
+
+
 def test_factorize_prints_g_and_refuses_what_it_cannot_verify(capsys, tmp_path):
     z2 = zoo.cyclic_group(2)
     P3 = core.power_algebra(z2, 3)

@@ -1,7 +1,9 @@
+import functools
 import os
 import subprocess
 import sys
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,19 @@ from adual.subcong import SubalgebraWitness
 
 # ---------------------------------------------------------------------------
 # The brute-force method: every index tuple and every candidate map, listed
-# as a grid.  It is the oracle for the prefix joins in `duality`.
+# as a grid.  It is the oracle for the prefix joins in `duality` and for the
+# complete-mode interpolation.
 # ---------------------------------------------------------------------------
+
+
+@functools.cache
+def relation_codes(rel, size):
+    """The sorted codes of a relation's tuples, first coordinate most significant.
+
+    Cached, since every subalgebra checks the same alter ego; callers only read it.
+    """
+    weights = size ** np.arange(rel.arity - 1, -1, -1, dtype=np.int64)
+    return np.sort(np.array(rel.tuples, dtype=np.int64).reshape(len(rel), rel.arity) @ weights)
 
 
 def brute_dual_of(B, ego, budget=core.DEFAULT_BUDGET):
@@ -25,27 +38,22 @@ def brute_dual_of(B, ego, budget=core.DEFAULT_BUDGET):
     size = ego.base.size
     values = np.array([hom.mapping for hom in homs], dtype=np.int64)  # (h, |B|)
     lifted = []
+    grids = {}  # per arity: every index tuple, and its codes at every point of B
     for rel in ego.relations:
         r = rel.arity
         if h**r > budget:
             raise core.BudgetExceededError(h**r, budget, hint="lifted relation tuples")
-        rel_codes = np.sort(
-            np.array(
-                [sum(v * size ** (r - 1 - i) for i, v in enumerate(t)) for t in rel.tuples],
-                dtype=np.int64,
-            )
-        )
-        grids = np.meshgrid(*([np.arange(h)] * r), indexing="ij")
-        tuples_idx = np.stack([g.ravel() for g in grids], axis=1)  # (h**r, r)
-        ok = np.ones(len(tuples_idx), dtype=bool)
-        for b in range(values.shape[1]):
-            codes = np.zeros(len(tuples_idx), dtype=np.int64)
+        if r not in grids:
+            mesh = np.meshgrid(*([np.arange(h)] * r), indexing="ij")
+            tuples_idx = np.stack([g.ravel() for g in mesh], axis=1)  # (h**r, r)
+            codes = np.zeros((len(tuples_idx), values.shape[1]), dtype=np.int64)
             for i in range(r):
-                codes = codes * size + values[tuples_idx[:, i], b]
-            pos = np.searchsorted(rel_codes, codes)
-            pos[pos >= rel_codes.size] = rel_codes.size - 1
-            ok &= rel_codes[pos] == codes
-        lifted.append(tuples_idx[ok])
+                codes = codes * size + values[tuples_idx[:, i]]
+            grids[r] = tuples_idx, codes
+        tuples_idx, codes = grids[r]
+        rel_codes = relation_codes(rel, size)
+        pos = np.minimum(np.searchsorted(rel_codes, codes), rel_codes.size - 1)
+        lifted.append(tuples_idx[(rel_codes[pos] == codes).all(axis=1)])
     return du.DualStructure(B, B_alg, homs, ego, tuple(lifted))
 
 
@@ -65,12 +73,7 @@ def brute_double_dual(D, budget=core.DEFAULT_BUDGET):
             continue
         rel = D.ego.relations[i]
         r = rel.arity
-        rel_codes = np.sort(
-            np.array(
-                [sum(v * size ** (r - 1 - j) for j, v in enumerate(t)) for t in rel.tuples],
-                dtype=np.int64,
-            )
-        )
+        rel_codes = relation_codes(rel, size)
         live = np.flatnonzero(alive)
         phi = candidates[live]
         keep = np.ones(live.size, dtype=bool)
@@ -175,6 +178,7 @@ def test_budget_never_refuses_what_brute_force_finishes(z2, z3):
             budget = _needs(B, ego)
             slow = brute_double_dual(brute_dual_of(B, ego, budget), budget)
             assert du.double_dual(du.dual_of(B, ego, budget), budget) == slow
+            assert du.double_dual(du.hom_dual(B, ego, budget), budget) == slow
 
 
 def test_budget_refuses_before_allocating(z3):
@@ -198,6 +202,123 @@ def test_budget_refuses_before_allocating(z3):
     assert len(du.dual_of(B, full, 27**4).lifted[0]) == 27**4
 
 
+# ---------------------------------------------------------------------------
+# Complete mode decides the double dual by N-local interpolation; every
+# lifted tuple of every compatible N-ary relation is the oracle.
+# ---------------------------------------------------------------------------
+
+ALGEBRAS = {
+    "z2": zoo.cyclic_group(2),
+    "z3": zoo.cyclic_group(3),
+    "z4": zoo.cyclic_group(4),
+    "meet2": zoo.two_element_semilattice(),
+    "s3": zoo.symmetric_group_3(),
+}
+
+
+def lifted_double_dual(slow, budget=core.DEFAULT_BUDGET):
+    """The double dual of `brute_dual_of`'s structure: every lifted tuple checked.
+
+    The candidate maps are listed when they fit the budget.  Otherwise the
+    brute-force lifts go through the lifted-tuple path of `double_dual`,
+    which the tests above check against that listing.
+    """
+    if slow.ego.base.size ** len(slow.homs) <= budget:
+        return brute_double_dual(slow, budget)
+    return du.double_dual(slow, budget)
+
+
+def outcome(call):
+    """The result of `call`, or the count of the budget refusal it raised."""
+    try:
+        return call()
+    except core.BudgetExceededError as e:
+        return ("refused", e.count)
+
+
+def assert_interpolation_matches(B, ego):
+    """The complete-mode double dual of B against the brute-force lifts; returns it."""
+    slow = brute_dual_of(B, ego)
+    D = du.DualStructure(B, slow.algebra, slow.homs, ego)  # no lifts: interpolation
+    fast = outcome(lambda: du.double_dual(D))
+    assert fast == outcome(lambda: lifted_double_dual(slow)), B.carrier
+    return fast
+
+
+@pytest.mark.parametrize(
+    "name, k_max, N",
+    [
+        ("z2", 3, 4),
+        ("z3", 2, 4),
+        ("meet2", 2, 4),
+        ("meet2", 3, 1),
+        ("meet2", 3, 2),
+        ("s3", 2, 1),
+        ("s3", 2, 2),
+        ("z4", 2, 1),
+        ("z4", 2, 2),
+    ],
+)
+def test_interpolation_matches_lifted_relations_on_every_subalgebra(name, k_max, N):
+    A = ALGEBRAS[name]
+    ego = du.build_alter_ego(A, N)
+    unhit = 0
+    for B in every_subalgebra(A, k_max):
+        fast = assert_interpolation_matches(B, ego)
+        unhit += isinstance(fast, list) and len(fast) > len(B.carrier)
+    # a forced small N leaves maps that no element of B evaluates to
+    assert (unhit > 0) == (N < 4)
+
+
+def test_interpolation_with_fewer_homs_than_n(z2, z3):
+    # with h = |Hom(B, A)| < N the one set of all h homs pins phi to e(B)
+    for A in (z2, z3):
+        ego = du.build_alter_ego(A, 4)
+        for B in (
+            SubalgebraWitness(A, (0,)),
+            SubalgebraWitness(A, tuple(range(A.size))),
+            SubalgebraWitness(core.power_algebra(A, 2), (0,)),
+        ):
+            D = du.hom_dual(B, ego)
+            assert len(D.homs) < 4 and D.lifted is None
+            images = sorted(tuple(column) for column in D.values.T.tolist())
+            assert du.double_dual(D) == assert_interpolation_matches(B, ego) == images
+
+
+def test_informative_pair_z2_power_four(z2):
+    # k = N: the first pair where the double dual could exceed e(B)
+    reports = du.verify_duality(z2, k_max=4)
+    assert du.arity_bound(z2) == 4 and len(reports) == 90
+    assert all(r.bijective and r.double_dual_size == r.b_size for r in reports)
+
+
+def test_refused_interpolation_step_allocates_nothing(z3):
+    B = SubalgebraWitness(core.power_algebra(z3, 3), tuple(range(27)))
+    D = du.hom_dual(B, du.build_alter_ego(z3, 4))
+    j = 20
+    count = comb(j, 3) * 27  # the projection codes of step j: 30,780
+    with pytest.raises(core.BudgetExceededError) as info:
+        du.double_dual(D, count - 1)
+    assert info.value.count == count and "projection codes" in str(info.value)
+    D.values  # the hom value table exists before any step
+    for budget in (count - 1, count):
+        step = du._interpolation_constraints(D, budget)
+        tracemalloc.start()
+        try:
+            if budget < count:
+                with pytest.raises(core.BudgetExceededError):
+                    step(j)
+            else:
+                step(j)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if budget < count:
+            assert peak < count  # under a byte per refused code
+        else:
+            assert peak >= count * 8  # the admitted step holds its codes
+
+
 _UNDER_OPTIMIZE = """
 import sys
 from adual import core, duality as du, zoo
@@ -205,36 +326,52 @@ from adual.subcong import SubalgebraWitness
 
 if __debug__ or not sys.flags.optimize:
     sys.exit("not running under -O")
-honest_dual_of, honest_double_dual = du.dual_of, du.double_dual
-if sys.argv[1] == "escaped":  # drop the image of 0 from the double dual
+mode, corruption = sys.argv[1:]
+honest_double_dual, honest_homs, honest_dual_of = du.double_dual, du.enumerate_homs, du.dual_of
+lifts = []
+def dual_of(B, ego, budget):
+    lifts.append(B)
+    return honest_dual_of(B, ego, budget)
+du.dual_of = dual_of
+if corruption == "escaped":  # drop the image of 0 from the double dual
     du.double_dual = lambda D, budget: honest_double_dual(D, budget)[1:]
 else:  # keep only the zero hom, so both points of B evaluate alike
-    def dual_of(B, ego, budget):
-        D = honest_dual_of(B, ego, budget)
-        D.homs = D.homs[:1]
-        return D
-    du.dual_of = dual_of
+    du.enumerate_homs = lambda B, A, budget: honest_homs(B, A, budget)[:1]
 z2 = zoo.cyclic_group(2)
+ego = du.build_alter_ego(z2, 4)
+if mode == "partial":
+    ego = du.build_alter_ego(z2, 4, relations=ego.relations)
 try:
-    du.evaluate_subalgebra(SubalgebraWitness(z2, (0, 1)), du.build_alter_ego(z2, 4), 1)
+    du.evaluate_subalgebra(SubalgebraWitness(z2, (0, 1)), ego, 1)
 except core.VerificationError as e:
     print("VerificationError:", e)
+print("lifted", len(lifts))
 """
 
 
-@pytest.mark.parametrize("corruption", ["escaped", "not injective"])
-def test_evaluation_checks_run_under_optimize(corruption):
+@pytest.mark.parametrize(
+    "corruption, mode",
+    [
+        pytest.param(corruption, mode, id=corruption + ("" if mode == "complete" else "-" + mode))
+        for corruption in ("escaped", "not injective")
+        for mode in ("complete", "partial")
+    ],
+)
+def test_evaluation_checks_run_under_optimize(corruption, mode):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE, corruption],
+        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE, mode, corruption],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("VerificationError:") and corruption in done.stdout, done.stdout
+    error, lifted = done.stdout.splitlines()
+    assert error.startswith("VerificationError:") and corruption in error, done.stdout
+    # the corruptions sit in the hom list and the engine that both modes share
+    assert lifted == f"lifted {int(mode == 'partial')}"
 
 
 def test_arity_bound_values(z2, z4):
@@ -255,6 +392,16 @@ def test_alter_ego_counts(z2, z3):
 def test_alter_ego_relations_all_compatible(z2):
     ego = du.build_alter_ego(z2, 4)
     assert all(core.is_compatible_relation(z2, r) for r in ego.relations)
+
+
+def test_alter_ego_checks_compatibility_within_the_callers_budget(z2):
+    full = core.full_relation(2, 10)  # its pairs under add: 1024**2 > 10**6
+    with pytest.raises(core.BudgetExceededError):
+        du.AlterEgo(z2, (full,), 10)
+    with pytest.raises(core.BudgetExceededError):
+        du.build_alter_ego(z2, 10, relations=[full])
+    assert du.AlterEgo(z2, (full,), 10, budget=2_000_000).relations == (full,)
+    assert du.build_alter_ego(z2, 10, budget=2_000_000, relations=[full]).relations == (full,)
 
 
 def test_partial_mode(z2):

@@ -155,6 +155,21 @@ def test_tiny_budget_refuses_before_allocating(z2, terms):
     assert e.value.count == 16 and "domain of g" in str(e.value)
 
 
+def test_domain_power_compared_by_tables_not_names(z2, terms, relabeled):
+    t2 = terms["z2"]
+    parity = [bin(c).count("1") % 2 for c in range(8)]
+    f = core.Homomorphism(core.power_algebra(z2, 3), z2, parity)
+    fam = family_for(z2, z2, t2, t2, f, 3)
+    # twin is z2 with 0 and 1 swapped, under the same name, so twin^3 claims
+    # to be a power of z2; g is parity read through the swap
+    twin_cube = core.power_algebra(relabeled(z2, (1, 0)), 3)
+    assert twin_cube.power_of == f.domain.power_of
+    g = core.Homomorphism(twin_cube, z2, [parity[7 - c] for c in range(8)])
+    with pytest.raises(ValueError, match="morphism domain is not z2\\^3"):
+        fz.factor_morphism(z2, z2, t2, t2, g, fam)
+    assert fz.factor_morphism(z2, z2, t2, t2, f, fam).inner_arity == 2
+
+
 def test_bogus_g_rejected_by_the_exact_check(z2, terms, monkeypatch):
     t2 = terms["z2"]
     P3 = core.power_algebra(z2, 3)

@@ -155,6 +155,15 @@ def test_hk_invalid_base_morphism(z4, terms):
         _hk(z4, z4, terms, (0, 3, 2, 2))
 
 
+def test_hk_base_morphism_compared_by_tables_not_names(z4, terms, relabeled):
+    twin = relabeled(z4, (1, 0, 2, 3))  # also named z4; its zero is 1
+    assert twin.name == z4.name and twin.ops != z4.ops
+    k = core.Homomorphism(twin, z4, (1, 0, 2, 3))  # the isomorphism back to z4
+    with pytest.raises(ValueError, match="base morphism"):
+        hg.build_hk_group(z4, z4, terms["z4"], terms["z4"], k)
+    hg.build_hk_group(twin, z4, affine.find_affine_term(twin), terms["z4"], k)
+
+
 def test_cardinal_has_bound_and_family(z2, z3, z4, z6, v4, terms):
     algebras = (z2, z3, z4, z6, v4)
     for A in algebras:

@@ -72,6 +72,23 @@ def test_reduction_certificate_round_trip(z2, terms):
     assert textio.serialize_certificate(cert, "diag3", "z2") == s
 
 
+def test_tuple_blocks_match_per_tuple_formatting(z4, terms, monkeypatch):
+    # the premise of {(x, 3x)} over Z4 at N = 8 lists all 65,536 8-tuples
+    R = core.Relation(2, 4, [(x, 3 * x % 4) for x in range(4)])
+    res = ent.reduce_to_bounded_arity(z4, terms["z4"], R, 8)
+    assert max(len(P) for P in res.bounded_premises) == 4**8
+    relations = [R, core.Relation(1, 12, [(v,) for v in range(12)]), *res.bounded_premises]
+    cert = textio.serialize_certificate(res.certificate, "x3", "z4")
+    blocks = [textio.serialize_relation(P, "r", "a") for P in relations]
+
+    def per_tuple(P, prefix):
+        return [prefix + " ".join(str(v) for v in t) for t in P.tuples]
+
+    monkeypatch.setattr(textio, "_tuple_lines", per_tuple)
+    assert textio.serialize_certificate(res.certificate, "x3", "z4") == cert
+    assert [textio.serialize_relation(P, "r", "a") for P in relations] == blocks
+
+
 def test_operation_conclusion_certificate_round_trip(z4, terms):
     cert = ent.eliminate_t(z4, terms["z4"], 9)
     s = textio.serialize_certificate(cert, "t9", "z4")
