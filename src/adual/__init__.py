@@ -30,9 +30,9 @@ from .core import (
     subuniverse_carriers,
 )
 from .affine import (
+    AbelianGroup,
     AffineTerm,
-    GroupStructure,
-    TernaryTermOperation,
+    TermOperation,
     eval_affine_combination,
     find_affine_term,
     group_from_affine,

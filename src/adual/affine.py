@@ -5,19 +5,26 @@ with t(x,y,y) = t(y,y,x) = x that commutes with every basic operation; all
 Abelian group structures x +^c y = t(x,c,y) derived from such a t share the
 same term map, and integer combinations sum(u_k * x_k) with sum(u_k) = 1 are
 again terms.
+
+The term is a core `Operation` named t, of arity 3.  Its lift to a power and
+its image on a quotient are the core product and quotient tables of the
+one-operation algebra <A; t>.  Each group x +^c y is an `AbelianGroup`, the
+one group type of the package, whose construction is the one check of the
+Abelian group axioms.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .core import (
     BudgetExceededError,
+    CHUNK_CELLS,
     Congruence,
     DEFAULT_BUDGET,
     FiniteAlgebra,
@@ -28,6 +35,8 @@ from .core import (
     decode_code,
     encode_tuple,
     grid_blocks,
+    product_operations,
+    quotient_tables,
 )
 
 
@@ -35,88 +44,96 @@ class AffineStructureError(ValueError):
     """A claimed affine term failed the group axioms it must induce."""
 
 
-@dataclass(frozen=True)
-class TernaryTermOperation:
-    """A ternary operation table, optionally with a derivation over basic ops.
+class TermOperation(Operation):
+    """An operation of the term clone, with its derivation over the basic operations.
 
-    The table is flat of length base_size**3, indexed like an operation table
-    (first argument most significant).  The provenance, when present, is a
-    nested tuple tree: ("proj", i) for a projection or (op_name, children).
+    The provenance is a nested tuple tree: ("proj", i) for a projection or
+    (op_name, children).  It takes no part in equality or hashing.
     """
 
-    base_size: int
-    table: tuple
-    provenance: Optional[tuple] = field(default=None, compare=False)
+    __slots__ = ("provenance",)
 
-    def __post_init__(self):
-        n = self.base_size
-        if len(self.table) != n**3:
-            raise ValueError("ternary table must have base_size**3 entries")
-        if any(not 0 <= v < n for v in self.table):
-            raise ValueError("ternary table value outside universe")
-
-    def __call__(self, x, y, z):
-        n = self.base_size
-        return self.table[(x * n + y) * n + z]
-
-    def as_operation(self, name="t"):
-        return Operation(name, 3, self.base_size, self.table)
-
-    @cached_property
-    def np_table(self):
-        """The table as a read-only int64 array, built once per instance."""
-        table = np.array(self.table, dtype=np.int64)
-        table.setflags(write=False)
-        return table
+    def __init__(self, name, arity, base_size, table, provenance):
+        super().__init__(name, arity, base_size, table)
+        self.provenance = provenance
 
 
-@dataclass(frozen=True)
-class GroupStructure:
-    """An Abelian group on {0..base_size-1} given by neutral, add and neg tables."""
+class AbelianGroup:
+    """An Abelian group on {0..size-1}: a neutral element and an addition table.
 
-    base_size: int
-    neutral: int
-    add: tuple
-    neg: tuple
-    exponent: int
+    `add_table` is flat, x + y at index x * size + y.  Construction checks
+    every group axiom over the whole table and raises ValueError naming the
+    first that fails, so an instance is always a group.
+    """
 
-    @property
-    def size(self):
-        return self.base_size
+    def __init__(self, size, neutral, add_table):
+        self.size = size
+        self.neutral = neutral
+        self.add_table = tuple(int(v) for v in add_table)
+        failure = _group_axiom_failure(size, neutral, np.array(self.add_table, dtype=np.int64))
+        if failure is not None:
+            raise ValueError(failure)
 
-    def add_of(self, x, y):
-        return self.add[x * self.base_size + y]
-
-    def neg_of(self, x):
-        return self.neg[x]
+    def add(self, x, y):
+        return self.add_table[x * self.size + y]
 
     def element_order(self, x):
-        acc = x
-        order = 1
+        acc, order = x, 1
         while acc != self.neutral:
-            acc = self.add_of(acc, x)
+            acc = self.add(acc, x)
             order += 1
         return order
 
+    @cached_property
+    def exponent(self):
+        return math.lcm(*(self.element_order(x) for x in range(self.size)))
+
     def multiple(self, x, k):
         """k*x in the group, for any integer k."""
-        k %= self.exponent
         acc = self.neutral
-        for _ in range(k):
-            acc = self.add_of(acc, x)
+        for _ in range(k % self.exponent):
+            acc = self.add(acc, x)
         return acc
 
-    def as_algebra(self, name=None):
-        n = self.base_size
+    def as_algebra(self, name):
+        n = self.size
+        neg = [self.add_table[x * n : (x + 1) * n].index(self.neutral) for x in range(n)]
         return FiniteAlgebra(
-            name or f"group{n}@{self.neutral}",
+            name,
             n,
             [
-                Operation("add", 2, n, self.add),
-                Operation("neg", 1, n, self.neg),
+                Operation("add", 2, n, self.add_table),
+                Operation("neg", 1, n, neg),
                 Operation("zero", 0, n, [self.neutral]),
             ],
         )
+
+
+def _group_axiom_failure(size, neutral, add):
+    """The first Abelian group axiom the flat table `add` breaks, or None."""
+    if add.shape != (size * size,) or not ((0 <= add) & (add < size)).all():
+        return "the table is not a binary operation on the universe"
+    if not 0 <= neutral < size:
+        return f"neutral element {neutral} outside universe"
+    table = add.reshape(size, size)
+    x = np.arange(size)
+    wrong = (table[neutral] != x) | (table[:, neutral] != x)
+    if wrong.any():
+        return f"{neutral} is not neutral at {int(wrong.argmax())}"
+    wrong = ~(table == neutral).any(axis=1)
+    if wrong.any():
+        return f"no inverse for {int(wrong.argmax())}"
+    wrong = table != table.T
+    if wrong.any():
+        return f"not commutative at {tuple(int(v) for v in np.argwhere(wrong)[0])}"
+    step = max(1, CHUNK_CELLS // size**2)
+    for s in range(0, size, step):
+        # (x + y) + z against x + (y + z), for the block of x
+        wrong = table[table[s : s + step]] != table[x[s : s + step, None, None], table]
+        if wrong.any():
+            i, y, z = (int(v) for v in np.argwhere(wrong)[0])
+            return f"not associative at {(s + i, y, z)}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -141,14 +158,14 @@ def projection_term(arity, index):
     return AffineTerm(tuple(coeffs))
 
 
-def is_malcev(t: TernaryTermOperation):
+def is_malcev(t: Operation):
+    """True iff t(x,y,y) = t(y,y,x) = x for all x, y."""
     n = t.base_size
-    return all(
-        t(x, y, y) == x and t(y, y, x) == x for x in range(n) for y in range(n)
-    )
+    table, x = t.np_table.reshape(n, n, n), np.arange(n)
+    return bool((table[:, x, x] == x[:, None]).all() and (table[x, x, :] == x).all())
 
 
-def commutes_with_algebra(t: TernaryTermOperation, A: FiniteAlgebra):
+def commutes_with_algebra(t: Operation, A: FiniteAlgebra):
     """True iff t is a homomorphism A^3 -> A, i.e. compatible with every basic op."""
     if t.base_size != A.size:
         raise ValueError("term and algebra sizes differ")
@@ -167,7 +184,7 @@ def commutes_with_algebra(t: TernaryTermOperation, A: FiniteAlgebra):
 
 
 def find_affine_term(A, budget=DEFAULT_BUDGET):
-    """The affine term of A as a table, or None if the clone has none.
+    """The affine term of A as the operation t, or None if the clone has none.
 
     The search has three exact stages.  First, the set of Mal'cev-constrained
     triples G = {(x,y,y)} u {(y,y,x)} must generate A^3: any Mal'cev term m
@@ -193,7 +210,7 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
         return None
     table = np.zeros(n**3, dtype=np.int64)
     table[graph // n] = graph % n
-    candidate = TernaryTermOperation(n, tuple(int(v) for v in table))
+    candidate = Operation("t", 3, n, table.tolist())
     if not (is_malcev(candidate) and commutes_with_algebra(candidate, A)):
         raise VerificationError(
             f"the Mal'cev graph closure of {A.name} is not a compatible Mal'cev operation"
@@ -201,7 +218,7 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
     provenance = _clone_search(A, candidate.table, budget)
     if provenance is None:
         return None
-    term = TernaryTermOperation(n, candidate.table, provenance=provenance)
+    term = TermOperation("t", 3, n, candidate.table, provenance)
     if evaluate_provenance(provenance, A) != term.table:
         raise VerificationError(f"the derivation of the affine term of {A.name} misses its table")
     return term
@@ -281,58 +298,37 @@ def evaluate_provenance(expr, A):
     return tuple(np.broadcast_to(values, n**3).tolist())
 
 
-def group_from_affine(t: TernaryTermOperation, c: int) -> GroupStructure:
+def group_from_affine(t: Operation, c: int) -> AbelianGroup:
     """The Abelian group with neutral c derived from t: x + y = t(x,c,y).
 
-    All group axioms are verified exhaustively; a failure means t was not an
-    affine term and raises AffineStructureError.
+    All group axioms are verified over the whole table, and t(c,x,c) must be
+    the inverse of x; a failure means t was not an affine term and raises
+    AffineStructureError.
     """
     n = t.base_size
     if not 0 <= c < n:
         raise ValueError(f"neutral element {c} outside universe")
-    add = tuple(t(x, c, y) for x in range(n) for y in range(n))
-    neg = tuple(t(c, x, c) for x in range(n))
-
-    def plus(x, y):
-        return add[x * n + y]
-
+    table = t.np_table.reshape(n, n, n)
+    try:
+        G = AbelianGroup(n, c, table[:, c, :].ravel().tolist())
+    except ValueError as e:
+        raise AffineStructureError(str(e)) from None
     for x in range(n):
-        if plus(x, c) != x or plus(c, x) != x:
-            raise AffineStructureError(f"{c} is not neutral at {x}")
-        if plus(x, neg[x]) != c:
-            raise AffineStructureError(f"no inverse for {x}")
-        for y in range(n):
-            if plus(x, y) != plus(y, x):
-                raise AffineStructureError(f"not commutative at ({x},{y})")
-            for z in range(n):
-                if plus(plus(x, y), z) != plus(x, plus(y, z)):
-                    raise AffineStructureError(f"not associative at ({x},{y},{z})")
-    exponent = 1
-    for x in range(n):
-        acc, k = x, 1
-        while acc != c:
-            acc = plus(acc, x)
-            k += 1
-        exponent = exponent * k // _gcd(exponent, k)
-    return GroupStructure(n, c, add, neg, exponent)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+        if G.add(x, int(table[c, x, c])) != c:
+            raise AffineStructureError(f"t({c},{x},{c}) is not the inverse of {x}")
+    return G
 
 
 @lru_cache(maxsize=None)
-def _cached_group(t: TernaryTermOperation, c: int) -> GroupStructure:
+def _cached_group(t: Operation, c: int) -> AbelianGroup:
     return group_from_affine(t, c)
 
 
-def eval_affine_combination(term: AffineTerm, t: TernaryTermOperation, c: int, args):
+def eval_affine_combination(term: AffineTerm, t: Operation, c: int, args):
     """Evaluate sum(u_k * x_k) in the group (t, c); the result is c-independent.
 
-    Coefficients are reduced modulo the group exponent first, and negative
-    coefficients go through the neg table (reduction makes them nonnegative).
+    Coefficients are reduced modulo the group exponent first, which makes
+    negative ones nonnegative.
     """
     args = tuple(args)
     if len(args) != term.arity:
@@ -340,55 +336,38 @@ def eval_affine_combination(term: AffineTerm, t: TernaryTermOperation, c: int, a
     G = _cached_group(t, c)
     acc = G.neutral
     for u, x in zip(term.coeffs, args):
-        acc = G.add_of(acc, G.multiple(x, u))
+        acc = G.add(acc, G.multiple(x, u))
     return acc
 
 
-def affine_combination_array(term: AffineTerm, t: TernaryTermOperation, c: int, args):
+def affine_combination_array(term: AffineTerm, t: Operation, c: int, args):
     """`eval_affine_combination` elementwise on integer arrays that broadcast together."""
     if len(args) != term.arity:
         raise ValueError(f"expected {term.arity} arguments, got {len(args)}")
     G = _cached_group(t, c)
-    add = np.array(G.add, dtype=np.int64)
+    add = np.array(G.add_table, dtype=np.int64)
     acc = np.full(np.broadcast_shapes(*(np.shape(x) for x in args)), G.neutral, dtype=np.int64)
     for u, x in zip(term.coeffs, args):
         for _ in range(u % G.exponent):
-            acc = add[acc * G.base_size + x]
+            acc = add[acc * G.size + x]
     return acc
 
 
-def induced_term(t: TernaryTermOperation, theta: Congruence) -> TernaryTermOperation:
+def _term_algebra(t: Operation):
+    """The algebra <A; t> with t as its only operation."""
+    return FiniteAlgebra(t.name, t.base_size, [t])
+
+
+def induced_term(t: Operation, theta: Congruence) -> Operation:
     """The image of t on the quotient by theta, verified total and well-defined."""
-    if theta.base_size != t.base_size:
-        raise ValueError("congruence base does not match term base")
-    m = theta.num_classes
-    C = np.array(theta.class_of, dtype=np.int64)
-    reps = np.array([block[0] for block in theta.classes()], dtype=np.int64)
-    tnp = t.np_table
-    table = tuple(
-        v
-        for args in grid_blocks((reps,), 3)
-        for v in np.ravel(C[apply_coordinatewise([tnp], [t.base_size], args)]).tolist()
-    )
-    quotient = np.array(table, dtype=np.int64)
-    # the class of t on every triple, against the quotient table on its classes
-    start = 0
-    for args in grid_blocks((C,), 3):
-        descended = np.ravel(apply_coordinatewise([quotient], [m], args))
-        if not np.array_equal(C[tnp[start : start + descended.size]], descended):
-            raise ValueError("term does not descend to the quotient")
-        start += descended.size
-    return TernaryTermOperation(m, table)
+    (table,) = quotient_tables(_term_algebra(t), theta)
+    return Operation(t.name, 3, theta.num_classes, table.tolist())
 
 
-def lift_term_to_power(t: TernaryTermOperation, n: int, budget=DEFAULT_BUDGET):
+def lift_term_to_power(t: Operation, n: int, budget=DEFAULT_BUDGET) -> Operation:
     """t applied coordinatewise on the n-th power, as a ternary table over codes."""
-    s = t.base_size
-    N = s**n
+    N = t.base_size**n
     if N**3 > budget:
         raise BudgetExceededError(N**3, budget, hint="lifted ternary table")
-    sizes, tables = [s] * n, [t.np_table] * n
-    digits = decode_code(np.arange(N, dtype=np.int64), sizes)
-    blocks = grid_blocks(digits, 3)
-    table = tuple(v for args in blocks for v in np.ravel(apply_coordinatewise(tables, sizes, args)).tolist())
-    return TernaryTermOperation(N, table)
+    (lifted,) = product_operations([_term_algebra(t)] * n)
+    return lifted

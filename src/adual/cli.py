@@ -31,7 +31,7 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _load(paths, budget):
+def _load(paths):
     doc = textio.Document()
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
@@ -63,12 +63,11 @@ def _need_term(A, budget):
 
 
 def cmd_check_abelian(args):
-    doc = _load(args.files, args.budget)
+    doc = _load(args.files)
     A = _first_algebra(doc, args.files[0])
     _header(args)
-    t = affine.find_affine_term(A, args.budget)
+    t = _need_term(A, args.budget)
     if t is None:
-        print(f"FAIL: {A.name} has no affine term")
         return EXIT_FAIL
     print(f"PASS: {A.name} is affine")
     print(textio.serialize_term_dump(t, A.name), end="")
@@ -76,7 +75,7 @@ def cmd_check_abelian(args):
 
 
 def cmd_bound(args):
-    doc = _load(args.files, args.budget)
+    doc = _load(args.files)
     A = _first_algebra(doc, args.files[0])
     _header(args)
     print(f"N = {duality.arity_bound(A)}")
@@ -84,7 +83,7 @@ def cmd_bound(args):
 
 
 def cmd_sub(args):
-    doc = _load(args.files, args.budget)
+    doc = _load(args.files)
     A = _first_algebra(doc, args.files[0])
     _header(args)
     P = A if args.max_power == 1 else power_algebra(A, args.max_power, args.budget)
@@ -96,7 +95,7 @@ def cmd_sub(args):
 
 
 def cmd_galois(args):
-    doc = _load(args.files, args.budget)
+    doc = _load(args.files)
     A = _first_algebra(doc, args.files[0])
     _header(args)
     t = _need_term(A, args.budget)
@@ -127,7 +126,7 @@ def _two_algebras(doc, what):
 
 
 def cmd_hom(args):
-    doc = _load(args.files, args.budget)
+    doc = _load(args.files)
     A, B = _two_algebras(doc, "hom")
     _header(args)
     homs = enumerate_homs(A, B, args.budget)
@@ -148,7 +147,7 @@ def cmd_hom(args):
 
 
 def cmd_hk(args):
-    doc = _load(args.files, args.budget)
+    doc = _load(args.files)
     A, S = _two_algebras(doc, "hk")
     _header(args)
     t_A = _need_term(A, args.budget)
@@ -161,7 +160,7 @@ def cmd_hk(args):
         return EXIT_PASS
     k = homs[0]
     group = homgroups.build_hk_group(A, S, t_A, t_S, k, args.budget)
-    family = homgroups.generating_family(group, args.budget)
+    family = homgroups.generating_family(group)
     bound = homgroups.hom_count_bound(A.size, S.size, "group")
     print(f"base morphism k: {list(k.mapping)}")
     print(f"group order {group.size}, divides {bound}: {bound % group.size == 0}")
@@ -173,7 +172,7 @@ def cmd_hk(args):
 
 
 def cmd_factorize(args):
-    doc = _load(args.files, args.budget)
+    doc = _load(args.files)
     if not doc.homs:
         raise ValueError("no hom block found")
     name, f = doc.homs[0]
@@ -190,7 +189,7 @@ def cmd_factorize(args):
     n = f.domain.power_of.exponent if f.domain.power_of else 1
     k = Homomorphism(A, S, [f(encode_tuple((x,) * n, A.size)) for x in range(A.size)])
     group = homgroups.build_hk_group(A, S, t_A, t_S, k, args.budget)
-    family = homgroups.generating_family(group, args.budget)
+    family = homgroups.generating_family(group)
     fac = factorize.factor_morphism(A, S, t_A, t_S, f, family, args.budget)
     print(f"factorization of {name} through power {fac.inner_arity}")
     for j, term in enumerate(fac.terms):
@@ -204,7 +203,7 @@ def cmd_factorize(args):
 
 
 def cmd_entail(args):
-    doc = _load(args.files, args.budget)
+    doc = _load(args.files)
     A = _first_algebra(doc, args.files[0])
     if not doc.relations:
         raise ValueError("no relation block found")
@@ -222,7 +221,7 @@ def cmd_entail(args):
 
 
 def cmd_refute(args):
-    doc = _load(args.files + [args.premises, args.target], args.budget)
+    doc = _load(args.files + [args.premises, args.target])
     A = _first_algebra(doc, args.files[0])
     _header(args)
     if not doc.relations:
@@ -240,7 +239,7 @@ def cmd_refute(args):
 
 
 def cmd_replay(args):
-    doc = _load(args.files, args.budget)
+    doc = _load(args.files)
     if not doc.certificates:
         raise ValueError("no cert block found")
     _header(args)
@@ -253,7 +252,7 @@ def cmd_replay(args):
 
 
 def cmd_duality(args):
-    doc = _load(args.files, args.budget)
+    doc = _load(args.files)
     A = _first_algebra(doc, args.files[0])
     _header(args)
     N = args.arity if args.arity else duality.arity_bound(A)
@@ -265,7 +264,7 @@ def cmd_duality(args):
         )
     relations = None
     if args.partial_relations:
-        extra = _load([args.partial_relations], args.budget)
+        extra = _load([args.partial_relations])
         relations = [r for _, _, r in extra.relations]
     start = time.monotonic()
     ego = duality.build_alter_ego(A, N, args.budget, relations=relations)

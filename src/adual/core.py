@@ -146,13 +146,13 @@ class Operation:
             raise ValueError(f"operation {name}: arity must be >= 0, got {arity}")
         if base_size < 1:
             raise ValueError(f"operation {name}: base size must be >= 1")
-        table = tuple(int(v) for v in table)
+        table = tuple(map(int, table))
         if len(table) != base_size**arity:
             raise ValueError(
                 f"operation {name}: table has {len(table)} entries, "
                 f"expected {base_size}**{arity} = {base_size ** arity}"
             )
-        if any(not 0 <= v < base_size for v in table):
+        if min(table) < 0 or max(table) >= base_size:
             bad = next(v for v in table if not 0 <= v < base_size)
             raise ValueError(f"operation {name}: table value {bad} outside universe")
         self.name = name
@@ -163,8 +163,10 @@ class Operation:
 
     @property
     def np_table(self):
+        """The table as a read-only int64 array, built once per instance."""
         if self._np is None:
             self._np = np.array(self.table, dtype=np.int64)
+            self._np.setflags(write=False)
         return self._np
 
     def __call__(self, *args):
@@ -360,24 +362,19 @@ def power_algebra(A, n, budget=DEFAULT_BUDGET):
 def product_operations(factors):
     """The operations of the direct product of `factors`, which share a signature.
 
-    Codes are mixed radix with the first factor most significant.
+    Codes are mixed radix with the first factor most significant.  Each
+    table is computed in grid blocks, so no temporary spans the whole grid.
     """
     sizes = [F.size for F in factors]
     N = math.prod(sizes)
     digits = decode_code(np.arange(N, dtype=np.int64), sizes)
-    return [
-        Operation(
-            o.name,
-            o.arity,
-            N,
-            np.ravel(
-                apply_coordinatewise(
-                    [F.op(o.name).np_table for F in factors], sizes, grid_args(digits, o.arity)
-                )
-            ).tolist(),
-        )
-        for o in factors[0].ops
-    ]
+    ops = []
+    for o in factors[0].ops:
+        tables = [F.op(o.name).np_table for F in factors]
+        blocks = grid_blocks(digits, o.arity)
+        flat = [v for args in blocks for v in np.ravel(apply_coordinatewise(tables, sizes, args)).tolist()]
+        ops.append(Operation(o.name, o.arity, N, flat))
+    return ops
 
 
 def carrier_tables(A, carrier):
@@ -870,21 +867,31 @@ def quotient_tables(A, part: Congruence):
 
     Each table is computed on class representatives and checked against
     every argument tuple of A, so a partition that passes is a congruence;
-    otherwise ValueError names an argument tuple where it fails.
+    otherwise ValueError names an argument tuple where it fails.  Both grids
+    are walked in blocks.
     """
     if part.base_size != A.size:
         raise ValueError("partition base does not match algebra")
     C = np.array(part.class_of, dtype=np.int64)
     reps = np.array([block[0] for block in part.classes()], dtype=np.int64)
+    m = part.num_classes
     tables = []
     for o in A.ops:
-        table = np.ravel(C[apply_coordinatewise([o.np_table], [A.size], grid_args((reps,), o.arity))])
+        table = np.empty(m**o.arity, dtype=np.int64)
+        start = 0
+        for args in grid_blocks((reps,), o.arity):
+            block = np.ravel(C[apply_coordinatewise([o.np_table], [A.size], args)])
+            table[start : start + block.size] = block
+            start += block.size
         # the class of each value, against the table on the classes of its arguments
-        lifted = apply_coordinatewise([table], [part.num_classes], grid_args((C,), o.arity))
-        wrong = C[o.np_table] != np.ravel(lifted)
-        if wrong.any():
-            args = decode_code(int(wrong.argmax()), [A.size] * o.arity)
-            raise ValueError(f"partition not preserved by {o.name} at {args}")
+        start = 0
+        for args in grid_blocks((C,), o.arity):
+            lifted = np.ravel(apply_coordinatewise([table], [m], args))
+            wrong = C[o.np_table[start : start + lifted.size]] != lifted
+            if wrong.any():
+                where = decode_code(start + int(wrong.argmax()), [A.size] * o.arity)
+                raise ValueError(f"partition not preserved by {o.name} at {where}")
+            start += lifted.size
         tables.append(table)
     return tables
 

@@ -38,7 +38,6 @@ from .core import (
 )
 from .affine import (
     AffineTerm,
-    TernaryTermOperation,
     eval_affine_combination,
     lift_term_to_power,
 )
@@ -112,7 +111,7 @@ class EntailmentCertificate:
     conclusion: object
     premises: tuple
     derivation: object
-    term_op: Optional[TernaryTermOperation] = None
+    term_op: Optional[Operation] = None
     neutral: int = 0
     extra_ops: tuple = ()
 
@@ -223,7 +222,7 @@ def certificate_premises(derivation, term_op=None):
 
     premises = tuple(leaves(derivation))
     if term_op is not None and uses_affine(derivation):
-        premises = premises + (term_op.as_operation("t"),)
+        premises = premises + (term_op,)
     return premises
 
 
@@ -244,7 +243,7 @@ def derive(
     rule: str,
     inputs,
     terms=None,
-    t: Optional[TernaryTermOperation] = None,
+    t: Optional[Operation] = None,
     neutral: int = 0,
     extra_ops=(),
     budget=DEFAULT_BUDGET,
@@ -404,7 +403,7 @@ class ReductionResult:
 
 def reduce_to_bounded_arity(
     A,
-    t: TernaryTermOperation,
+    t: Operation,
     R: Relation,
     N: int,
     budget=DEFAULT_BUDGET,
@@ -507,7 +506,7 @@ def pad_relation(R: Relation, arity: int) -> Relation:
     )
 
 
-def eliminate_t(A, t: TernaryTermOperation, N: int, budget=DEFAULT_BUDGET) -> EntailmentCertificate:
+def eliminate_t(A, t: Operation, N: int, budget=DEFAULT_BUDGET) -> EntailmentCertificate:
     """Certify the affine operation itself from one N-ary compatible relation.
 
     The premise is the graph of t padded with duplicated last coordinates up
@@ -516,8 +515,7 @@ def eliminate_t(A, t: TernaryTermOperation, N: int, budget=DEFAULT_BUDGET) -> En
     """
     if N < 4:
         raise ValueError(f"need N >= 4 to reach the 4-ary graph, got {N}")
-    t_op = t.as_operation("t")
-    graph = graph_relation(t_op)
+    graph = graph_relation(t)
     padded = pad_relation(graph, N)
     if not is_compatible_relation(A, padded, budget):
         raise VerificationError("padded graph is not compatible")
@@ -526,11 +524,11 @@ def eliminate_t(A, t: TernaryTermOperation, N: int, budget=DEFAULT_BUDGET) -> En
         node = StripPadding(node)
     node = GraphToOperation(node, name="t")
     cert = EntailmentCertificate(
-        conclusion=t_op,
+        conclusion=t,
         premises=(padded,),
         derivation=node,
         term_op=t,
     )
-    if replay_certificate(cert, budget) != t_op:
+    if replay_certificate(cert, budget) != t:
         raise VerificationError("replay did not recover the affine operation")
     return cert

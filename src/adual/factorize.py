@@ -22,6 +22,7 @@ from .core import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
+    Operation,
     VerificationError,
     _same_tables,
     decode_code,
@@ -31,7 +32,6 @@ from .core import (
 )
 from .affine import (
     AffineTerm,
-    TernaryTermOperation,
     affine_combination_array,
     eval_affine_combination,
     projection_term,
@@ -117,8 +117,8 @@ def _inner_maps(A, t_A, terms, f, digits):
 def factor_morphism(
     A,
     S,
-    t_A: TernaryTermOperation,
-    t_S: TernaryTermOperation,
+    t_A: Operation,
+    t_S: Operation,
     f: Homomorphism,
     family: GeneratingFamily,
     budget=DEFAULT_BUDGET,

@@ -5,6 +5,10 @@ maps f: A^2 -> S with f(x,x) = k(x) form an Abelian group under the affine
 term applied pointwise, with neutral (x,y) |-> k(y).  Their cardinalities
 obey prime-wise divisibility bounds, and small generating families of these
 groups are what make morphism factorization through bounded powers work.
+
+That group is an `HkGroup`, an `AbelianGroup` that also keeps the maps, so
+`generating_family` takes it like any other group, and the group-mode probe
+of `hom` asks `AbelianGroup` whether a binary operation is a group.
 """
 
 from __future__ import annotations
@@ -13,15 +17,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     DEFAULT_BUDGET,
     Homomorphism,
+    Operation,
     VerificationError,
     _same_tables,
     enumerate_homs,
     power_algebra,
 )
-from .affine import GroupStructure, TernaryTermOperation, find_affine_term, group_from_affine
+from .affine import AbelianGroup, find_affine_term, group_from_affine
 
 
 @dataclass(frozen=True)
@@ -108,27 +115,19 @@ def hom_count_bound(size_a, size_b, mode):
 
 
 def _has_abelian_group_op(A):
+    """True iff some binary operation of A is an Abelian group operation."""
+    x = np.arange(A.size)
     for o in A.ops:
         if o.arity != 2:
             continue
-        neutral = next(
-            (e for e in range(A.size) if all(o(e, x) == x == o(x, e) for x in range(A.size))),
-            None,
-        )
-        if neutral is None:
-            continue
-        ok = all(o(x, y) == o(y, x) for x in range(A.size) for y in range(A.size))
-        ok = ok and all(
-            o(o(x, y), z) == o(x, o(y, z))
-            for x in range(A.size)
-            for y in range(A.size)
-            for z in range(A.size)
-        )
-        ok = ok and all(
-            any(o(x, y) == neutral for y in range(A.size)) for x in range(A.size)
-        )
-        if ok:
-            return True
+        # a group has one left neutral element: the row that copies the universe
+        left = np.flatnonzero((o.np_table.reshape(A.size, A.size) == x).all(axis=1))
+        if left.size:
+            try:
+                AbelianGroup(A.size, int(left[0]), o.table)
+                return True
+            except ValueError:
+                pass
     return False
 
 
@@ -157,44 +156,26 @@ def hom_divisibility_check(A, B, mode="abelian", budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 
 
-class HkGroup:
+class HkGroup(AbelianGroup):
     """Homomorphisms A^2 -> S agreeing with k on the diagonal, as a group.
 
-    Elements are stored as map tables over the power A^2 in canonical sorted
-    order; the sum of f and g is t_S(f, kbar, g) pointwise with neutral
-    kbar(x, y) = k(y).  Construction verifies the Abelian group axioms, that
+    Group element i is the map table elements[i] over the power A^2, in
+    canonical sorted order; the sum of f and g is t_S(f, kbar, g) pointwise
+    with neutral kbar(x, y) = k(y).  build_hk_group also verifies that
     restriction f |-> f(a, .) embeds the group into the hom group of the
     derived group structures, and that changing the base morphism gives an
     isomorphic group.
     """
 
     def __init__(self, A, S, t_S, k, square, elements, neutral_index, add_table):
+        super().__init__(len(elements), neutral_index, add_table)
         self.A = A
         self.S = S
         self.t_S = t_S
         self.k = k
         self.square = square
         self.elements = elements
-        self.neutral = neutral_index
-        self.add_table = add_table
         self.index = {m: i for i, m in enumerate(elements)}
-
-    @property
-    def size(self):
-        return len(self.elements)
-
-    def add(self, i, j):
-        return self.add_table[i * self.size + j]
-
-    def element_order(self, i):
-        acc, order = i, 1
-        while acc != self.neutral:
-            acc = self.add(acc, i)
-            order += 1
-        return order
-
-    def hom(self, i):
-        return Homomorphism(self.square, self.S, self.elements[i])
 
 
 def diagonal_restriction(square, base_size):
@@ -230,26 +211,13 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
             if s not in index:
                 raise ValueError("hom set not closed under the pointwise term")
             add_table.append(index[s])
-    group = HkGroup(A, S, t_S, k, square, elements, neutral_index, tuple(add_table))
-    _verify_abelian_group(group)
+    try:
+        group = HkGroup(A, S, t_S, k, square, elements, neutral_index, add_table)
+    except ValueError as e:
+        raise VerificationError(f"the hom set is not an Abelian group: {e}") from None
     _verify_restriction_embedding(group, t_A, budget)
     _verify_base_change(group, homs2, budget)
     return group
-
-
-def _verify_abelian_group(G: HkGroup):
-    m, e = G.size, G.neutral
-    for i in range(m):
-        if G.add(i, e) != i or G.add(e, i) != i:
-            raise VerificationError("neutral element is not neutral")
-        if all(G.add(i, j) != e for j in range(m)):
-            raise VerificationError("missing inverse")
-        for j in range(m):
-            if G.add(i, j) != G.add(j, i):
-                raise VerificationError("not commutative")
-            for l in range(m):
-                if G.add(G.add(i, j), l) != G.add(i, G.add(j, l)):
-                    raise VerificationError("not associative")
 
 
 def _verify_restriction_embedding(G: HkGroup, t_A, budget):
@@ -321,7 +289,7 @@ class GeneratingFamily:
     generator orders, with x = sum(u_j * h_j).
     """
 
-    group: object
+    group: AbelianGroup
     generators: tuple
     orders: tuple
     expressions: dict
@@ -356,17 +324,14 @@ def _span(group, gens):
     return members
 
 
-def generating_family(group, budget=DEFAULT_BUDGET) -> GeneratingFamily:
+def generating_family(group: AbelianGroup) -> GeneratingFamily:
     """Greedy generators of an Abelian group: largest order outside the span first.
 
     The family size never exceeds the largest prime exponent of |group|; a
     violation of that bound means the input was not an Abelian group and is
-    raised as an error.  Works on anything with size, neutral and add(i, j);
-    both GroupStructure (via a view) and HkGroup qualify.
+    raised as an error.
     """
-    if isinstance(group, GroupStructure):
-        group = _GroupView(group)
-    orders = [group_element_order(group, x) for x in range(group.size)]
+    orders = [group.element_order(x) for x in range(group.size)]
     gens = []
     span = _span(group, gens)
     while len(span) < group.size:
@@ -395,26 +360,6 @@ def generating_family(group, budget=DEFAULT_BUDGET) -> GeneratingFamily:
     return GeneratingFamily(group, tuple(gens), gen_orders, expressions)
 
 
-def group_element_order(group, x):
-    acc, order = x, 1
-    while acc != group.neutral:
-        acc = group.add(acc, x)
-        order += 1
-    return order
-
-
-class _GroupView:
-    """Adapter presenting a GroupStructure through the size/neutral/add protocol."""
-
-    def __init__(self, G: GroupStructure):
-        self._G = G
-        self.size = G.base_size
-        self.neutral = G.neutral
-
-    def add(self, i, j):
-        return self._G.add_of(i, j)
-
-
 def decompose_in_group(family: GeneratingFamily, element) -> tuple:
     """Coefficients with sum(u_j * h_j) = element, from the expression table."""
     if element not in family.expressions:
@@ -436,7 +381,7 @@ def cardinal_si_bound(A) -> int:
 
 
 def kearnes_divisibility_check(
-    A, S, t_A: Optional[TernaryTermOperation] = None, budget=DEFAULT_BUDGET
+    A, S, t_A: Optional[Operation] = None, budget=DEFAULT_BUDGET
 ):
     """|S| must divide |Hom((A,+),(A,+))| for the derived group structure on A."""
     if t_A is None:

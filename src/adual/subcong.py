@@ -17,12 +17,14 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    CHUNK_CELLS,
     Congruence,
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
+    Operation,
     VerificationError,
-    _UnionFind,
+    _same_tables,
     carrier_tables,
     con_lattice,
     congruence_generated_by,
@@ -31,7 +33,6 @@ from .core import (
     subuniverse_carriers,
     verify_congruence,
 )
-from .affine import TernaryTermOperation
 
 
 @dataclass(frozen=True)
@@ -71,37 +72,39 @@ class KernelTriple:
     source_carrier: tuple
 
 
-def theta_of_subalgebra(A, t: TernaryTermOperation, B: SubalgebraWitness) -> Congruence:
+def theta_of_subalgebra(A, t: Operation, B: SubalgebraWitness) -> Congruence:
     """The congruence collapsing B: pairs (x,y) with t(x,y,b) in B for all b in B.
 
     The universally and existentially quantified forms agree and the result
     is re-verified to be a congruence; both checks fail only when t is not
-    affine for A or B is not closed.
+    affine for A or B is not closed.  Both forms come from one gather of the
+    table of t at (x, y, b), in blocks of x.
     """
-    if B.ambient is not A and B.ambient.name != A.name:
+    if not _same_tables(B.ambient, A):
         raise ValueError("witness does not live in the given algebra")
     if t.base_size != A.size:
         raise ValueError("term base does not match algebra")
     n = A.size
-    bset = set(B.carrier)
-    uf = _UnionFind(n)
-    forall_pairs = set()
-    exists_pairs = set()
-    for x in range(n):
-        for y in range(n):
-            values = [t(x, y, b) in bset for b in B.carrier]
-            if all(values):
-                forall_pairs.add((x, y))
-                uf.union(x, y)
-            if any(values):
-                exists_pairs.add((x, y))
-    if forall_pairs != exists_pairs:
+    carrier = np.array(B.carrier, dtype=np.int64)
+    member = np.zeros(n, dtype=bool)
+    member[carrier] = True
+    table = t.np_table.reshape(n, n, n)
+    forall = np.empty((n, n), dtype=bool)
+    exists = np.empty((n, n), dtype=bool)
+    step = max(1, CHUNK_CELLS // (n * carrier.size))
+    for s in range(0, n, step):
+        hits = member[table[s : s + step, :, carrier]]
+        forall[s : s + step] = hits.all(axis=2)
+        exists[s : s + step] = hits.any(axis=2)
+    if not np.array_equal(forall, exists):
         raise ValueError(
             "universal and existential forms disagree: t is not affine for this algebra"
         )
-    theta = Congruence(n, tuple(uf.find(x) for x in range(n)))
-    if theta.pairs() != frozenset(forall_pairs):
+    # an equivalence relation is the kernel of x |-> its first related element
+    first = forall.argmax(axis=1)
+    if not np.array_equal(forall, first[:, None] == first[None, :]):
         raise ValueError("collapsing relation is not transitive: t is not affine")
+    theta = Congruence(n, tuple(first.tolist()))
     verify_congruence(A, theta)
     return theta
 
@@ -157,7 +160,7 @@ class GaloisReport:
         return out
 
 
-def verify_galois(A, t: TernaryTermOperation, B: SubalgebraWitness, budget=DEFAULT_BUDGET):
+def verify_galois(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET):
     """Check both composites and isotonicity on everything above B and theta_B."""
     carriers = subuniverse_carriers(A, budget)
     bset = set(B.carrier)
@@ -239,7 +242,7 @@ def meet_irreducibles(A, budget=DEFAULT_BUDGET, carriers=None):
 
 def kernel_quotient(
     A,
-    t: TernaryTermOperation,
+    t: Operation,
     B: SubalgebraWitness,
     budget=DEFAULT_BUDGET,
     carriers=None,

@@ -24,7 +24,7 @@ from .core import (
     Relation,
     power_algebra,
 )
-from .affine import AffineTerm, TernaryTermOperation
+from .affine import AffineTerm
 from .entailment import (
     EntailmentCertificate,
     GraphToOperation,
@@ -295,7 +295,7 @@ def _parse_cert(lines, doc, line_no, toks):
             while len(vals) < base**3:
                 nxt = lines.next()
                 vals.extend(int(v) for v in nxt[2])
-            term_op = TernaryTermOperation(base, tuple(vals))
+            term_op = Operation("t", 3, base, vals)
         elif key == "neutral":
             neutral = int(row[1])
         elif key == "extra-op":
@@ -431,7 +431,7 @@ def serialize_congruence(c: Congruence, name, algebra_name) -> str:
     return "\n".join(out) + "\n"
 
 
-def serialize_term_dump(t: TernaryTermOperation, algebra_name) -> str:
+def serialize_term_dump(t: Operation, algebra_name) -> str:
     """The 3-dimensional table of an affine term as an op block."""
     out = [
         f"# affine term of {algebra_name}",

@@ -186,7 +186,7 @@ def test_criterion_5_entailment_pipeline():
     assert t_cert.premises[0] in premise_pool
     assert entailment.verify_certificate(t_cert)
 
-    premises = list(ego.relations) + [t.as_operation("t")]
+    premises = list(ego.relations) + [t]
     for R in certified:
         outcome = entailment.refute_entailment(z2, premises, R, 2)
         assert not outcome.refuted, R

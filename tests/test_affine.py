@@ -87,8 +87,8 @@ def test_unique_affine_element_by_exhaustive_clone_scan(z2, z3, v4):
         hits = [
             tab
             for tab in clone
-            if affine.is_malcev(affine.TernaryTermOperation(A.size, tab))
-            and affine.commutes_with_algebra(affine.TernaryTermOperation(A.size, tab), A)
+            if affine.is_malcev(core.Operation("t", 3, A.size, tab))
+            and affine.commutes_with_algebra(core.Operation("t", 3, A.size, tab), A)
         ]
         assert hits == [affine.find_affine_term(A).table]
 
@@ -102,8 +102,8 @@ def test_group_from_affine(z4, terms):
     t = terms["z4"]
     G0 = affine.group_from_affine(t, 0)
     assert G0.neutral == 0
-    assert G0.add == z4.op("add").table
-    assert G0.neg == z4.op("neg").table
+    assert G0.add_table == z4.op("add").table
+    assert G0.as_algebra("g").op("neg").table == z4.op("neg").table
     assert G0.exponent == 4
     # any other neutral gives an isomorphic group with that neutral
     for c in range(4):
@@ -116,7 +116,7 @@ def test_group_from_affine_rejects_non_affine_tables():
     # a projection is Mal'cev in one identity only; axioms must fail
     n = 2
     table = tuple(x for x in range(n) for _ in range(n) for _ in range(n))
-    bad = affine.TernaryTermOperation(n, table)
+    bad = core.Operation("t", 3, n, table)
     with pytest.raises(affine.AffineStructureError):
         affine.group_from_affine(bad, 0)
 
@@ -168,7 +168,7 @@ def test_term_table_array_is_built_once(z4, terms):
     table = t.np_table
     assert t.np_table is table and not table.flags.writeable
     assert table.tolist() == list(t.table)
-    fresh = affine.TernaryTermOperation(t.base_size, t.table)
+    fresh = core.Operation("t", 3, t.base_size, t.table)
     assert fresh == t and hash(fresh) == hash(t)
     assert fresh.np_table is not table and fresh == t and hash(fresh) == hash(t)
 

@@ -254,7 +254,7 @@ def test_certified_relations_never_refuted_against_their_premises(z2, terms, exh
     R = core.diagonal_relation(2, 3)
     res = ent.reduce_to_bounded_arity(z2, t2, R, 3)
     assert exhaustive_oracles(z2, res) == 6
-    premises = list(res.bounded_premises) + [t2.as_operation("t")]
+    premises = list(res.bounded_premises) + [t2]
     out = ent.refute_entailment(z2, premises, R, 2)
     assert not out.refuted
 

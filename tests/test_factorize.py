@@ -190,7 +190,7 @@ def test_exchange_identity_checked_on_large_domains(monkeypatch):
     # f(x, y) = x + y on Z17^2: 289 inputs times 17 values of z, above the
     # 4096 cells up to which the identity used to be checked
     A = zoo.cyclic_group(17)
-    t = affine.TernaryTermOperation(17, tuple((x - y + z) % 17 for x, y, z in itertools.product(range(17), repeat=3)))
+    t = core.Operation("t", 3, 17, [(x - y + z) % 17 for x, y, z in itertools.product(range(17), repeat=3)])
     P = core.power_algebra(A, 2)
     f = core.Homomorphism(P, A, [(c // 17 + c % 17) % 17 for c in range(P.size)])
     fam = family_for(A, A, t, t, f, 2)

@@ -131,7 +131,7 @@ def products(draw, max_cells=12):
 
 @st.composite
 def ternary_tables(draw, size):
-    return affine.TernaryTermOperation(size, tuple(draw(st.lists(st.integers(0, size - 1), min_size=size**3, max_size=size**3))))
+    return core.Operation("t", 3, size, draw(st.lists(st.integers(0, size - 1), min_size=size**3, max_size=size**3)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def test_congruences_match_oracle(A):
 def test_commutes_with_algebra_matches_oracle(A, data):
     n = A.size
     triples = list(itertools.product(range(n), repeat=3))
-    projection = affine.TernaryTermOperation(n, tuple(x for x, _, _ in triples))
+    projection = core.Operation("t", 3, n, [x for x, _, _ in triples])
     for (C,), t in itertools.product(reducts(A), (data.draw(ternary_tables(n)), projection)):
         expected = all(
             t(*(o(*(tr[i] for tr in args)) for i in range(3))) == o(*(t(*tr) for tr in args))
@@ -322,6 +322,19 @@ def test_commutes_with_algebra_matches_oracle(A, data):
         )
         assert affine.commutes_with_algebra(t, C) == expected
     assert affine.commutes_with_algebra(projection, A)
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=50)
+def test_is_malcev_matches_oracle(size, data):
+    t = data.draw(ternary_tables(size))
+    if data.draw(st.booleans()):
+        # x - y + z on Z_size, with at most one entry changed
+        values = [(x - y + z) % size for x, y, z in itertools.product(range(size), repeat=3)]
+        values[data.draw(st.integers(0, size**3 - 1))] = data.draw(st.integers(0, size - 1))
+        t = core.Operation("t", 3, size, values)
+    expected = all(t(x, y, y) == x == t(y, y, x) for x in range(size) for y in range(size))
+    assert affine.is_malcev(t) == expected
 
 
 @given(st.integers(1, 3), st.integers(1, 2), st.data())
@@ -334,6 +347,36 @@ def test_lift_term_to_power_matches_oracle(size, n, data):
         digits = [digits_of(c, sizes) for c in args]
         expected = code_of([t(*(d[i] for d in digits)) for i in range(n)], sizes)
         assert lifted(*args) == expected
+
+
+def _peak_mib(f):
+    tracemalloc.start()
+    try:
+        result = f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
+def test_lifted_term_tables_are_built_in_blocks(z4):
+    """The term of Z4 lifted to Z4^3 has 262,144 cells; no step holds a full-grid temporary.
+
+    Built from one full grid, product_operations peaks at 8.0 MiB and
+    quotient_tables at 6.3 MiB (identity) and 4.3 MiB (four classes).
+    """
+    t = affine.find_affine_term(z4)
+    t.np_table  # built once per operation, outside the measured call
+    (lifted,), peak = _peak_mib(lambda: core.product_operations([core.FiniteAlgebra("t", 4, [t])] * 3))
+    assert len(lifted.table) == 64**3
+    assert peak < 6.0, f"product_operations peak {peak:.2f} MiB"
+    P = core.FiniteAlgebra("t3", 64, [lifted])
+    lifted.np_table
+    four_classes = core.Congruence(64, [c // 16 for c in range(64)])
+    for theta, bound in ((core.Congruence.identity(64), 5.0), (four_classes, 3.0)):
+        (table,), peak = _peak_mib(lambda: core.quotient_tables(P, theta))
+        assert table.size == theta.num_classes**3
+        assert peak < bound, f"quotient_tables peak {peak:.2f} MiB with {theta.num_classes} classes"
 
 
 def test_carrier_checks_on_ternary_algebra():
@@ -360,5 +403,5 @@ def test_induced_term_matches_oracle(size, data):
             table = tuple(quotient[key] for key in itertools.product(range(theta.num_classes), repeat=3))
             assert affine.induced_term(t, theta).table == table
         else:
-            with pytest.raises(ValueError, match="does not descend"):
+            with pytest.raises(ValueError, match="not preserved by t"):
                 affine.induced_term(t, theta)

@@ -36,6 +36,18 @@ def test_theta_examples(z4, v4, terms):
     assert thv == core.Congruence.from_classes(4, [[0, 2], [1, 3]])
 
 
+def test_theta_rejects_witness_of_another_algebra_under_the_same_name(z4, terms, relabeled):
+    # in Z4 with 0 and 1 swapped, {1} holds the zero and is closed; in Z4 it is not
+    other = relabeled(z4, (1, 0, 2, 3))
+    witness = subcong.SubalgebraWitness(other, (1,))
+    with pytest.raises(ValueError, match="does not live"):
+        subcong.theta_of_subalgebra(z4, terms["z4"], witness)
+    # the same tables under another name are the same algebra
+    twin = core.FiniteAlgebra("twin", 4, z4.ops)
+    theta = subcong.theta_of_subalgebra(z4, terms["z4"], subcong.SubalgebraWitness(twin, (0,)))
+    assert theta.is_identity()
+
+
 def test_theta_equals_least_collapsing_congruence(z4, z6, v4, terms):
     # the formula-based congruence agrees with a full lattice scan
     for A in (z4, z6, v4):
@@ -51,10 +63,10 @@ def test_theta_independent_of_term_choice(z2, z3, v4):
     for A in (z2, z3, v4):
         clone = affine.ternary_term_clone(A)
         good = [
-            affine.TernaryTermOperation(A.size, tab)
+            core.Operation("t", 3, A.size, tab)
             for tab in clone
-            if affine.is_malcev(affine.TernaryTermOperation(A.size, tab))
-            and affine.commutes_with_algebra(affine.TernaryTermOperation(A.size, tab), A)
+            if affine.is_malcev(core.Operation("t", 3, A.size, tab))
+            and affine.commutes_with_algebra(core.Operation("t", 3, A.size, tab), A)
         ]
         assert len(good) == 1
         for carrier in core.subuniverse_carriers(A):
