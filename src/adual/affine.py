@@ -51,8 +51,6 @@ class TermOperation(Operation):
     (op_name, children).  It takes no part in equality or hashing.
     """
 
-    __slots__ = ("provenance",)
-
     def __init__(self, name, arity, base_size, table, provenance):
         super().__init__(name, arity, base_size, table)
         self.provenance = provenance
@@ -210,7 +208,7 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
         return None
     table = np.zeros(n**3, dtype=np.int64)
     table[graph // n] = graph % n
-    candidate = Operation("t", 3, n, table.tolist())
+    candidate = Operation("t", 3, n, table)
     if not (is_malcev(candidate) and commutes_with_algebra(candidate, A)):
         raise VerificationError(
             f"the Mal'cev graph closure of {A.name} is not a compatible Mal'cev operation"
@@ -218,7 +216,7 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
     provenance = _clone_search(A, candidate.table, budget)
     if provenance is None:
         return None
-    term = TermOperation("t", 3, n, candidate.table, provenance)
+    term = TermOperation("t", 3, n, table, provenance)
     if evaluate_provenance(provenance, A) != term.table:
         raise VerificationError(f"the derivation of the affine term of {A.name} misses its table")
     return term
@@ -310,7 +308,7 @@ def group_from_affine(t: Operation, c: int) -> AbelianGroup:
         raise ValueError(f"neutral element {c} outside universe")
     table = t.np_table.reshape(n, n, n)
     try:
-        G = AbelianGroup(n, c, table[:, c, :].ravel().tolist())
+        G = AbelianGroup(n, c, table[:, c, :].ravel())
     except ValueError as e:
         raise AffineStructureError(str(e)) from None
     for x in range(n):
@@ -361,7 +359,7 @@ def _term_algebra(t: Operation):
 def induced_term(t: Operation, theta: Congruence) -> Operation:
     """The image of t on the quotient by theta, verified total and well-defined."""
     (table,) = quotient_tables(_term_algebra(t), theta)
-    return Operation(t.name, 3, theta.num_classes, table.tolist())
+    return Operation(t.name, 3, theta.num_classes, table)
 
 
 def lift_term_to_power(t: Operation, n: int, budget=DEFAULT_BUDGET) -> Operation:

@@ -3,8 +3,10 @@
 Everything lives on universes {0, ..., n-1}.  Powers and products encode
 their elements as integers in mixed radix with the first coordinate most
 significant, which fixes the tuple/integer conversion exactly once for the
-whole package.  All public functions return canonically sorted data so that
-repeated runs are byte-identical.
+whole package.  A relation is stored as the sorted int64 array of its tuple
+codes and an operation as its int64 table; tuples of Python ints are views
+decoded from them on demand.  All public functions return canonically
+sorted data so that repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -137,37 +140,34 @@ class Operation:
     Table entries are listed in lexicographic order of argument tuples with
     the first argument most significant; the index of (x_1,..,x_k) is
     sum(x_i * base_size**(k-1-i)).  Arity 0 is allowed and stores one value.
+    The table is kept once, as the read-only int64 array `np_table`; the
+    tuple `table` of Python ints is built from it on first use.
     """
-
-    __slots__ = ("name", "arity", "base_size", "table", "_np")
 
     def __init__(self, name, arity, base_size, table):
         if arity < 0:
             raise ValueError(f"operation {name}: arity must be >= 0, got {arity}")
         if base_size < 1:
             raise ValueError(f"operation {name}: base size must be >= 1")
-        table = tuple(map(int, table))
-        if len(table) != base_size**arity:
+        values = _int_array(table)
+        if values.shape != (base_size**arity,):
             raise ValueError(
-                f"operation {name}: table has {len(table)} entries, "
+                f"operation {name}: table has {values.size} entries, "
                 f"expected {base_size}**{arity} = {base_size ** arity}"
             )
-        if min(table) < 0 or max(table) >= base_size:
-            bad = next(v for v in table if not 0 <= v < base_size)
-            raise ValueError(f"operation {name}: table value {bad} outside universe")
+        outside = ((values < 0) | (values >= base_size)).astype(bool)
+        if outside.any():
+            raise ValueError(f"operation {name}: table value {values[outside][0]} outside universe")
+        values.setflags(write=False)  # int64 now: a value beyond int64 is outside
         self.name = name
         self.arity = arity
         self.base_size = base_size
-        self.table = table
-        self._np = None
+        self.np_table = values
 
-    @property
-    def np_table(self):
-        """The table as a read-only int64 array, built once per instance."""
-        if self._np is None:
-            self._np = np.array(self.table, dtype=np.int64)
-            self._np.setflags(write=False)
-        return self._np
+    @cached_property
+    def table(self):
+        """The table as a tuple of Python ints, built on first use."""
+        return tuple(self.np_table.tolist())
 
     def __call__(self, *args):
         if len(args) != self.arity:
@@ -183,14 +183,23 @@ class Operation:
             and self.name == other.name
             and self.arity == other.arity
             and self.base_size == other.base_size
-            and self.table == other.table
+            and np.array_equal(self.np_table, other.np_table)
         )
 
     def __hash__(self):
-        return hash((self.name, self.arity, self.base_size, self.table))
+        return hash((self.name, self.arity, self.base_size, self.np_table.tobytes()))
 
     def __repr__(self):
         return f"Operation({self.name!r}, arity={self.arity}, base={self.base_size})"
+
+
+def _int_array(values):
+    """`values` as a new int64 array, or as an object array of Python ints
+    when some value does not fit int64, so range checks can still name it."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -229,12 +238,9 @@ class FiniteAlgebra:
     def signature(self):
         return tuple((o.name, o.arity) for o in self.ops)
 
-    def elements(self):
-        return range(self.size)
-
     def constants(self):
         """Values of all arity-0 operations."""
-        return tuple(o.table[0] for o in self.ops if o.arity == 0)
+        return tuple(int(o.np_table[0]) for o in self.ops if o.arity == 0)
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, size={self.size}, ops={len(self.ops)})"
@@ -371,8 +377,12 @@ def product_operations(factors):
     ops = []
     for o in factors[0].ops:
         tables = [F.op(o.name).np_table for F in factors]
-        blocks = grid_blocks(digits, o.arity)
-        flat = [v for args in blocks for v in np.ravel(apply_coordinatewise(tables, sizes, args)).tolist()]
+        flat = np.empty(N**o.arity, dtype=np.int64)
+        start = 0
+        for args in grid_blocks(digits, o.arity):
+            block = np.ravel(apply_coordinatewise(tables, sizes, args))
+            flat[start : start + block.size] = block
+            start += block.size
         ops.append(Operation(o.name, o.arity, N, flat))
     return ops
 
@@ -409,7 +419,7 @@ def subalgebra_on(A, carrier, name=None):
         raise ValueError("subalgebra carrier must be nonempty")
     arr = np.array(carrier, dtype=np.int64)
     ops = [
-        Operation(o.name, o.arity, len(carrier), np.searchsorted(arr, values).tolist())
+        Operation(o.name, o.arity, len(carrier), np.searchsorted(arr, values))
         for o, values in zip(A.ops, carrier_tables(A, arr))
     ]
     to_sub = {x: i for i, x in enumerate(carrier)}
@@ -423,93 +433,104 @@ def subalgebra_on(A, carrier, name=None):
 
 
 class Relation:
-    """A finite k-ary relation over {0..base_size-1}.
+    """A finite nonempty k-ary relation over {0..base_size-1}, held as codes.
 
-    Tuples are stored sorted lexicographically with duplicates removed, so
-    equality of relations is set equality.  The empty relation is rejected:
+    The relation stores only the sorted, duplicate-free, read-only int64
+    array of the mixed-radix codes of its tuples (`codes()`), so equality of
+    relations is set equality.  Codes must fit int64, so base_size**arity
+    may not exceed 2**63.  The lexicographically sorted `tuples` and the set
+    behind `in` are decoded on first use.  The empty relation is rejected:
     only nonempty subuniverses occur as compatible relations here.
     """
 
-    __slots__ = ("arity", "base_size", "tuples", "_set")
-
     def __init__(self, arity, base_size, tuples):
-        if arity < 1:
-            raise ValueError("relation arity must be >= 1")
-        tuples = tuple(sorted(set(tuple(int(v) for v in t) for t in tuples)))
-        if not tuples:
-            raise ValueError("empty relation rejected")
-        for t in tuples:
+        _check_code_space(arity, base_size)
+        rows = [tuple(t) for t in tuples]
+        for t in rows:
             if len(t) != arity:
-                raise ValueError(f"tuple {t} does not have arity {arity}")
-            if any(not 0 <= v < base_size for v in t):
-                raise ValueError(f"tuple {t} outside universe of size {base_size}")
-        self._fill(arity, base_size, tuples)
-
-    def _fill(self, arity, base_size, tuples):
-        self.arity = arity
-        self.base_size = base_size
-        self.tuples = tuples
-        self._set = frozenset(tuples)
+                raise ValueError(f"tuple {tuple(map(int, t))} does not have arity {arity}")
+        values = _int_array(rows).reshape(len(rows), arity)
+        outside = ((values < 0) | (values >= base_size)).astype(bool).any(axis=1)
+        if outside.any():
+            bad = tuple(map(int, values[outside.argmax()]))
+            raise ValueError(f"tuple {bad} outside universe of size {base_size}")
+        self._fill(arity, base_size, encode_tuple(tuple(values.T), base_size))
 
     @classmethod
     def from_codes(cls, codes, base_size, arity):
-        """The relation whose tuples have the given mixed-radix codes.
+        """The relation whose tuples have the given mixed-radix codes."""
+        _check_code_space(arity, base_size)
+        relation = cls.__new__(cls)
+        relation._fill(arity, base_size, codes)
+        return relation
 
-        The codes are checked and deduplicated as arrays; sorted codes
-        decode to lexicographically sorted tuples.
-        """
-        if arity < 1:
-            raise ValueError("relation arity must be >= 1")
+    def _fill(self, arity, base_size, codes):
+        """Check, deduplicate and store the codes; both constructors end here."""
         codes = np.unique(np.asarray(codes, dtype=np.int64))
         if not codes.size:
             raise ValueError("empty relation rejected")
         for code in (int(codes[0]), int(codes[-1])):
             if not 0 <= code < base_size**arity:
                 raise ValueError(f"code {code} outside universe of size {base_size} at arity {arity}")
-        columns = decode_code(codes, [base_size] * arity)
-        relation = cls.__new__(cls)
-        relation._fill(arity, base_size, tuple(zip(*(c.tolist() for c in columns))))
-        return relation
+        codes.setflags(write=False)
+        self.arity = arity
+        self.base_size = base_size
+        self._codes = codes
 
     def codes(self):
-        return tuple(encode_tuple(t, self.base_size) for t in self.tuples)
+        """The sorted, read-only int64 array of the tuple codes."""
+        return self._codes
+
+    @cached_property
+    def tuples(self):
+        """The tuples, sorted lexicographically, as tuples of Python ints."""
+        columns = decode_code(self._codes, [self.base_size] * self.arity)
+        return tuple(zip(*(c.tolist() for c in columns)))
+
+    @cached_property
+    def _set(self):
+        return frozenset(self.tuples)
 
     def __contains__(self, t):
         return tuple(t) in self._set
 
     def __len__(self):
-        return len(self.tuples)
+        return len(self._codes)
 
     def __eq__(self, other):
         return (
             isinstance(other, Relation)
             and self.arity == other.arity
             and self.base_size == other.base_size
-            and self.tuples == other.tuples
+            and np.array_equal(self._codes, other._codes)
         )
 
     def __hash__(self):
-        return hash((self.arity, self.base_size, self.tuples))
+        return hash((self.arity, self.base_size, self._codes.tobytes()))
 
     def __repr__(self):
-        return f"Relation(arity={self.arity}, base={self.base_size}, size={len(self.tuples)})"
+        return f"Relation(arity={self.arity}, base={self.base_size}, size={len(self)})"
+
+
+def _check_code_space(arity, base_size):
+    if arity < 1:
+        raise ValueError("relation arity must be >= 1")
+    if base_size**arity > 2**63:
+        raise ValueError(f"relation codes {base_size}**{arity} exceed the int64 bound 2**63")
 
 
 def full_relation(base_size, arity):
-    return Relation(arity, base_size, itertools.product(range(base_size), repeat=arity))
+    return Relation.from_codes(np.arange(base_size**arity), base_size, arity)
 
 
 def diagonal_relation(base_size, arity):
-    return Relation(arity, base_size, [(x,) * arity for x in range(base_size)])
+    return Relation.from_codes(encode_tuple([np.arange(base_size)] * arity, base_size), base_size, arity)
 
 
 def graph_relation(op: Operation) -> Relation:
     """The (arity+1)-ary graph of an operation."""
     n = op.base_size
-    tuples = [
-        args + (op(*args),) for args in itertools.product(range(n), repeat=op.arity)
-    ]
-    return Relation(op.arity + 1, n, tuples)
+    return Relation.from_codes(np.arange(n**op.arity) * n + op.np_table, n, op.arity + 1)
 
 
 def is_compatible_relation(A, R: Relation, budget=DEFAULT_BUDGET):
@@ -520,9 +541,8 @@ def is_compatible_relation(A, R: Relation, budget=DEFAULT_BUDGET):
         raise ValueError(
             f"relation over universe of size {R.base_size}, algebra {A.name} has size {A.size}"
         )
-    columns = tuple(np.array(R.tuples, dtype=np.int64).T)
-    codes = encode_tuple(columns, A.size)  # sorted, as R.tuples is
-    r, sizes = len(R), [A.size] * R.arity
+    codes, r, sizes = R.codes(), len(R), [A.size] * R.arity
+    columns = decode_code(codes, sizes)
     for o in A.ops:
         if r**o.arity > budget:
             raise BudgetExceededError(r**o.arity, budget, hint="compatibility check")
@@ -794,14 +814,6 @@ class Congruence:
     def related(self, x, y):
         return self.class_of[x] == self.class_of[y]
 
-    def pairs(self):
-        return frozenset(
-            (x, y)
-            for x in range(self.base_size)
-            for y in range(self.base_size)
-            if self.class_of[x] == self.class_of[y]
-        )
-
     def refines(self, other):
         """True iff every block of self sits inside a block of other."""
         seen = {}
@@ -951,7 +963,7 @@ def quotient_algebra(A, theta: Congruence, name=None):
     """
     m = theta.num_classes
     ops = [
-        Operation(o.name, o.arity, m, table.tolist())
+        Operation(o.name, o.arity, m, table)
         for o, table in zip(A.ops, quotient_tables(A, theta))
     ]
     Q = FiniteAlgebra(name or f"{A.name}/~{m}", m, ops)

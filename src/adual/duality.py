@@ -88,7 +88,7 @@ class AlterEgo:
         """Sorted codes of every relation tuple, plus size**arity times the relation's index."""
         size, r = self.base.size, self.arity
         parts = [
-            encode_tuple(np.array(rel.tuples, dtype=np.int64).T, size) + i * size**r
+            rel.codes() + i * size**r
             for i, rel in enumerate(self.relations)
         ]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)

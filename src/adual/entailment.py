@@ -11,7 +11,6 @@ refutes an entailment, while exhaustion proves nothing and says so.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -34,11 +33,10 @@ from .core import (
     is_compatible_relation,
     power_algebra,
     sorted_member,
-    subuniverse_carriers,
 )
 from .affine import (
     AffineTerm,
-    eval_affine_combination,
+    affine_combination_array,
     lift_term_to_power,
 )
 from .homgroups import build_hk_group, generating_family
@@ -58,11 +56,16 @@ class TermTree:
     expr: tuple
 
     def evaluate(self, ops, args):
+        """The term at `args`, integers or integer arrays that broadcast together."""
+
         def walk(e):
             if e[0] == "proj":
                 return args[e[1]]
             name, children = e
-            return ops[name](*(walk(c) for c in children))
+            op = ops[name]
+            if len(children) != op.arity:
+                raise ValueError(f"operation {name} expects {op.arity} arguments")
+            return op.np_table[encode_tuple([walk(c) for c in children], op.base_size)]
 
         return walk(self.expr)
 
@@ -129,10 +132,10 @@ def _eval_node(node, cert: EntailmentCertificate, budget=DEFAULT_BUDGET):
                 raise ValueError("intersection inputs must be relations of equal arity")
         if not values:
             return full_relation(node.base_size, node.arity)
-        common = set(values[0].tuples)
+        codes = values[0].codes()
         for v in values[1:]:
-            common &= v._set
-        return Relation(node.arity, node.base_size, common)
+            codes = codes[sorted_member(v.codes(), codes)]
+        return Relation.from_codes(codes, node.base_size, node.arity)
     if isinstance(node, TermPreimage):
         R = _eval_node(node.child, cert, budget)
         if not isinstance(R, Relation):
@@ -149,45 +152,45 @@ def _eval_node(node, cert: EntailmentCertificate, budget=DEFAULT_BUDGET):
         if base**n > budget:
             raise BudgetExceededError(base**n, budget, hint="preimage evaluation")
         ops = cert.ops_by_name()
-        kept = []
-        for args in itertools.product(range(base), repeat=n):
-            image = tuple(_eval_term(t, cert, ops, args) for t in node.terms)
-            if image in R:
-                kept.append(args)
-        return Relation(n, base, kept)
+        # every argument tuple at once, in code order
+        args = decode_code(np.arange(base**n), [base] * n)
+        images = [np.broadcast_to(_eval_term(t, cert, ops, args), (base**n,)) for t in node.terms]
+        kept = np.flatnonzero(sorted_member(R.codes(), encode_tuple(images, base)))
+        return Relation.from_codes(kept, base, n)
     if isinstance(node, StripPadding):
         S = _eval_node(node.child, cert, budget)
         if not isinstance(S, Relation) or S.arity < 2:
             raise ValueError("strip needs a relation of arity >= 2")
-        for t in S.tuples:
-            if t[-1] != t[-2]:
-                raise ValueError(f"tuple {t} does not duplicate its last coordinate")
-        return Relation(S.arity - 1, S.base_size, [t[:-1] for t in S.tuples])
+        sizes = [S.base_size] * S.arity
+        *_, before_last, last = decode_code(S.codes(), sizes)
+        wrong = before_last != last
+        if wrong.any():
+            t = decode_code(int(S.codes()[wrong.argmax()]), sizes)
+            raise ValueError(f"tuple {t} does not duplicate its last coordinate")
+        return Relation.from_codes(S.codes() // S.base_size, S.base_size, S.arity - 1)
     if isinstance(node, GraphToOperation):
         G = _eval_node(node.child, cert, budget)
         if not isinstance(G, Relation) or G.arity < 2:
             raise ValueError("graph rule needs a relation of arity >= 2")
-        arity = G.arity - 1
-        if len(G) != G.base_size**arity:
+        arity, base = G.arity - 1, G.base_size
+        if len(G) != base**arity:
             raise ValueError("relation is not the graph of a total operation")
-        table = {}
-        for t in G.tuples:
-            if t[:-1] in table:
-                raise ValueError(f"relation is not functional at {t[:-1]}")
-            table[t[:-1]] = t[-1]
-        flat = [
-            table[args]
-            for args in itertools.product(range(G.base_size), repeat=arity)
-        ]
-        return Operation(node.name, arity, G.base_size, flat)
+        # sorted codes with distinct argument prefixes run through every argument tuple
+        args = G.codes() // base
+        repeated = args[1:] == args[:-1]
+        if repeated.any():
+            at = decode_code(int(args[repeated.argmax()]), [base] * arity)
+            raise ValueError(f"relation is not functional at {at}")
+        return Operation(node.name, arity, base, G.codes() % base)
     raise TypeError(f"unknown derivation node {node!r}")
 
 
 def _eval_term(term, cert, ops, args):
+    """The term at `args`, integer arrays that broadcast together."""
     if isinstance(term, AffineTerm):
         if cert.term_op is None:
             raise ValueError("certificate carries no affine operation table")
-        return eval_affine_combination(term, cert.term_op, cert.neutral, args)
+        return affine_combination_array(term, cert.term_op, cert.neutral, args)
     if isinstance(term, TermTree):
         return term.evaluate(ops, args)
     raise TypeError(f"unknown term {term!r}")
@@ -332,11 +335,10 @@ def _as_relation(value):
 
 def _preservation_test(R: Relation, arity):
     """A test of which maps A^arity -> A, given by their flat tables one per row, preserve R."""
-    columns = tuple(np.array(R.tuples, dtype=np.int64).T)
-    rows = grid_args(columns, arity)
+    codes = R.codes()
+    rows = grid_args(decode_code(codes, [R.base_size] * R.arity), arity)
     # the table index each coordinate reads, for every arity-tuple of rows
     index = [np.ravel(encode_tuple([a[c] for a in rows], R.base_size)) for c in range(R.arity)]
-    codes = encode_tuple(columns, R.base_size)
     return lambda tables: sorted_member(
         codes, encode_tuple([tables[:, i] for i in index], R.base_size)
     ).all(axis=1)
@@ -373,7 +375,7 @@ def refute_entailment(A, premises, target, max_arity, budget=DEFAULT_BUDGET):
             if hits.size:
                 i = int(hits[0])
                 return RefutationOutcome(
-                    witness=Operation("witness", m, s, tables[i].tolist()),
+                    witness=Operation("witness", m, s, tables[i]),
                     searched_arity=m,
                     maps_checked=checked + i + 1,
                 )
@@ -434,32 +436,20 @@ def reduce_to_bounded_arity(
 
     P = power_algebra(A, n, budget)
     t_P = lift_term_to_power(t, n, budget)
-    carriers = subuniverse_carriers(P, budget)
-    r_codes = set(R.codes())
-    above = [
-        w
-        for w in meet_irreducibles(P, budget, carriers=carriers)
-        if r_codes <= set(w.carrier)
-    ]
+    r_codes = R.codes()
+    above = [w for w in meet_irreducibles(P, budget) if sorted_member(np.array(w.carrier), r_codes).all()]
     # an inclusion-minimal subfamily has the same intersection
-    components = [
-        w
-        for w in above
-        if not any(set(v.carrier) < set(w.carrier) for v in above)
-    ]
-    if components:
-        meet = set(components[0].carrier)
-        for w in components[1:]:
-            meet &= set(w.carrier)
-        if meet != r_codes:
-            raise VerificationError("meet-irreducible decomposition failed")
-    elif len(r_codes) != P.size:
-        raise VerificationError("only the full relation has no components")
+    components = [w for w in above if not any(set(v.carrier) < set(w.carrier) for v in above)]
+    meet = np.arange(P.size)
+    for w in components:
+        meet = meet[sorted_member(np.array(w.carrier), meet)]
+    if not np.array_equal(meet, r_codes):
+        raise VerificationError("meet-irreducible decomposition failed")
 
     nodes = []
     premises = []
     for w in components:
-        kt = kernel_quotient(P, t_P, w, budget, carriers=carriers)
+        kt = kernel_quotient(P, t_P, w, budget)
         S, f, c = kt.quotient, kt.projection, kt.point
         t_S = _affine.induced_term(t_P, f.kernel_congruence())
         k = Homomorphism(A, S, [f(encode_tuple((x,) * n, A.size)) for x in range(A.size)])
@@ -499,11 +489,9 @@ def pad_relation(R: Relation, arity: int) -> Relation:
     """R with its last coordinate duplicated up to the requested arity."""
     if arity < R.arity:
         raise ValueError("cannot pad downward")
-    return Relation(
-        arity,
-        R.base_size,
-        [t + (t[-1],) * (arity - R.arity) for t in R.tuples],
-    )
+    columns = decode_code(R.codes(), [R.base_size] * R.arity)
+    padded = columns + (columns[-1],) * (arity - R.arity)
+    return Relation.from_codes(encode_tuple(padded, R.base_size), R.base_size, arity)
 
 
 def eliminate_t(A, t: Operation, N: int, budget=DEFAULT_BUDGET) -> EntailmentCertificate:

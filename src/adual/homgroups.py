@@ -124,7 +124,7 @@ def _has_abelian_group_op(A):
         left = np.flatnonzero((o.np_table.reshape(A.size, A.size) == x).all(axis=1))
         if left.size:
             try:
-                AbelianGroup(A.size, int(left[0]), o.table)
+                AbelianGroup(A.size, int(left[0]), o.np_table)
                 return True
             except ValueError:
                 pass
@@ -178,7 +178,7 @@ class HkGroup(AbelianGroup):
         self.index = {m: i for i, m in enumerate(elements)}
 
 
-def diagonal_restriction(square, base_size):
+def diagonal_restriction(base_size):
     """Codes of the diagonal (x, x) inside the power A^2."""
     return [x * base_size + x for x in range(base_size)]
 
@@ -194,7 +194,7 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
         raise ValueError("base morphism must go from A to S")
     square = power_algebra(A, 2, budget)
     homs2 = enumerate_homs(square, S, budget)
-    diag = diagonal_restriction(square, A.size)
+    diag = diagonal_restriction(A.size)
     elements = tuple(
         h.mapping for h in homs2 if all(h.mapping[diag[x]] == k(x) for x in range(A.size))
     )
@@ -255,7 +255,7 @@ def _verify_base_change(G: HkGroup, homs2, budget):
     """
     A, S = G.A, G.S
     kbar = G.elements[G.neutral]
-    diag = diagonal_restriction(G.square, A.size)
+    diag = diagonal_restriction(A.size)
     fibers = {}
     for h in homs2:
         fibers.setdefault(tuple(h.mapping[d] for d in diag), set()).add(h.mapping)

@@ -69,7 +69,6 @@ class KernelTriple:
     quotient: FiniteAlgebra
     projection: Homomorphism
     point: int
-    source_carrier: tuple
 
 
 def theta_of_subalgebra(A, t: Operation, B: SubalgebraWitness) -> Congruence:
@@ -219,43 +218,34 @@ def verify_galois(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET):
     )
 
 
-def meet_irreducibles(A, budget=DEFAULT_BUDGET, carriers=None):
+def meet_irreducibles(A, budget=DEFAULT_BUDGET):
     """Subuniverses B whose strictly larger subuniverses intersect above B.
 
     In a finite lattice this is the same as completely meet-irreducible.  The
     top subuniverse is never meet-irreducible.
     """
-    if carriers is None:
-        carriers = subuniverse_carriers(A, budget)
+    carriers = subuniverse_carriers(A, budget)
     out = []
-    for c in carriers:
+    for c in carriers:  # sorted by (size, carrier), as the result is
         cset = set(c)
         above = [set(d) for d in carriers if cset < set(d)]
-        if not above:
-            continue
-        inter = set.intersection(*above)
-        if inter > cset:
+        if above and set.intersection(*above) > cset:
             out.append(SubalgebraWitness(A, c))
-    out.sort(key=lambda w: (len(w.carrier), w.carrier))
     return out
 
 
-def kernel_quotient(
-    A,
-    t: Operation,
-    B: SubalgebraWitness,
-    budget=DEFAULT_BUDGET,
-    carriers=None,
-) -> KernelTriple:
+def kernel_quotient(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET) -> KernelTriple:
     """Quotient A by theta_B for a completely meet-irreducible B.
 
     Returns the subdirectly irreducible quotient S, the projection f, and
     the point c = f(B) whose singleton is a subalgebra and whose preimage
-    is B.  Raises on a B that is not meet-irreducible.
+    is B.  Raises ValueError on a B that is not meet-irreducible.  For a
+    B below A the subuniverses above B and the congruences above theta_B
+    form isomorphic lattices, so B has one upper cover exactly when S has a
+    least nonidentity congruence, and the SI check decides it.
     """
-    mi = {w.carrier for w in meet_irreducibles(A, budget, carriers=carriers)}
-    if B.carrier not in mi:
-        raise ValueError(f"carrier {list(B.carrier)} is not completely meet-irreducible")
+    if len(B.carrier) == A.size:
+        raise ValueError(f"carrier {list(B.carrier)} is the whole algebra, not meet-irreducible")
     theta = theta_of_subalgebra(A, t, B)
     S, f = quotient_algebra(A, theta)
     c = f(B.carrier[0])
@@ -266,12 +256,14 @@ def kernel_quotient(
     for o in S.ops:
         if o(*([c] * o.arity)) != c:
             raise VerificationError(f"{{c}} not closed under {o.name}")
+    # S has two or more elements, as the preimage of c is not all of A
     nontrivial = [th for th in con_lattice(S) if not th.is_identity()]
-    if not nontrivial:
-        raise VerificationError("quotient is trivial")
     monolith = nontrivial[0]
     for th in nontrivial[1:]:
         monolith = monolith.meet(th)
     if monolith.is_identity():
-        raise ValueError("quotient has no least nonidentity congruence: not SI")
-    return KernelTriple(S, f, c, B.carrier)
+        raise ValueError(
+            f"carrier {list(B.carrier)} is not completely meet-irreducible: "
+            "the quotient has no least nonidentity congruence"
+        )
+    return KernelTriple(S, f, c)

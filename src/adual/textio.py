@@ -11,9 +11,10 @@ whole standard output replays; anywhere else they are unknown blocks.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .core import (
     Congruence,
@@ -22,6 +23,7 @@ from .core import (
     Operation,
     ParseError,
     Relation,
+    decode_code,
     power_algebra,
 )
 from .affine import AffineTerm
@@ -401,10 +403,9 @@ def serialize_relation(R: Relation, name, algebra_name) -> str:
 
 def _tuple_lines(R: Relation, prefix):
     """R's tuple lines, `prefix` then the values, as one string formatted in one pass."""
-    if not R.tuples:
-        return []
     line = prefix + " ".join(["%d"] * R.arity)
-    return ["\n".join([line] * len(R.tuples)) % tuple(itertools.chain.from_iterable(R.tuples))]
+    values = np.stack(decode_code(R.codes(), [R.base_size] * R.arity), axis=1)
+    return ["\n".join([line] * len(R)) % tuple(values.ravel().tolist())]
 
 
 def serialize_hom(h: Homomorphism, name) -> str:

@@ -114,9 +114,8 @@ def test_criterion_3_counting():
         for n in (1, 2):
             P = core.power_algebra(A, n)
             t_P = affine.lift_term_to_power(terms[a], n)
-            carriers = core.subuniverse_carriers(P)
-            for w in subcong.meet_irreducibles(P, carriers=carriers):
-                kt = subcong.kernel_quotient(P, t_P, w, carriers=carriers)
+            for w in subcong.meet_irreducibles(P):
+                kt = subcong.kernel_quotient(P, t_P, w)
                 assert bound % kt.quotient.size == 0, (a, n, kt.quotient.size)
                 si_checked += 1
     _report(

@@ -1,13 +1,15 @@
-"""Full stdout of the affine verbs over data/, against recorded sha256 digests.
+"""Full stdout of the verbs over data/, against recorded sha256 digests.
 
 Each case runs one verb in-process on the algebras in data/, with hom and
 relation blocks written next to them where the verb needs one.  The replay
 case reads the stdout of the entail case before it.  A digest that moves
-means the output changed byte for byte, not just a count or a verdict.
+means the output changed byte for byte, not just a count or a verdict.  The
+duality summary line is compared without its `time=` field.
 """
 
 import hashlib
 import itertools
+import re
 from pathlib import Path
 
 from adual import cli, textio
@@ -37,6 +39,24 @@ RELATIONS = (
 )
 
 
+# (name, algebra, premise relations, target relation, --arity)
+REFUTATIONS = (
+    ("sum0-zero", "z2", [[(x, y, (x + y) % 2) for x in range(2) for y in range(2)]], [(0,)], 2),
+    ("diag-zero", "z3", [[(x, x) for x in range(3)]], [(0,)], 2),
+    ("order-sum", "meet2", [[(0, 0), (0, 1), (1, 1)]], [(0, 0), (0, 1), (1, 0)], 2),
+    ("even-double", "z4", [[(x, y) for x in range(4) for y in range(4) if (x - y) % 2 == 0]],
+     [(x, 2 * x % 4) for x in range(4)], 1),
+    ("sum0-nand", "z2", [[(x, y, (x + y) % 2) for x in range(2) for y in range(2)]], [(0, 0), (0, 1), (1, 0)], 2),
+)
+
+# relations of z3 for a partial-mode duality run at arity 2
+PARTIAL_Z3 = (
+    [(x, x) for x in range(3)],
+    [(x, 2 * x % 3) for x in range(3)],
+    [(0, 0)],
+)
+
+
 def data(name):
     return str(DATA / f"{name}.alg")
 
@@ -53,10 +73,14 @@ def _write_hom(tmp, name, a, n, s, f):
     return str(path)
 
 
-def _write_relation(tmp, name, algebra, tuples):
+def _relation_block(name, algebra, tuples):
     rows = "".join("t " + " ".join(map(str, t)) + "\n" for t in tuples)
+    return f"relation {name} {len(tuples[0])} over {algebra}\n{rows}"
+
+
+def _write_relation(tmp, name, algebra, tuples):
     path = tmp / f"{algebra}-{name}.rel"
-    path.write_text(f"relation {name} {len(tuples[0])} over {algebra}\n{rows}")
+    path.write_text(_relation_block(name, algebra, tuples))
     return str(path)
 
 
@@ -89,11 +113,36 @@ def outputs(tmp, capsys):
     return out
 
 
-def digests(tmp, capsys):
-    return {
-        name: f"{code} " + hashlib.sha256(text.encode()).hexdigest()
-        for name, (code, text) in outputs(tmp, capsys).items()
-    }
+def more_outputs(tmp, capsys):
+    """Case name -> (exit code, stdout) for sub, bound, refute and duality."""
+    tmp = Path(tmp)
+    out = {}
+
+    def run(name, argv):
+        code = cli.main(argv)
+        out[name] = (code, re.sub(r" time=\S+", "", capsys.readouterr().out))
+
+    for path in sorted(DATA.glob("*.alg")):
+        run(f"sub {path.stem}", ["sub", str(path), "--max-power", "2"])
+        run(f"bound {path.stem}", ["bound", str(path)])
+    for name, a, premises, target, arity in REFUTATIONS:
+        p_path = tmp / f"{name}.premises"
+        p_path.write_text("".join(_relation_block(f"p{i}", a, p) for i, p in enumerate(premises)))
+        t_path = _write_relation(tmp, f"{name}-target", a, target)
+        argv = ["refute", data(a), "--premises", str(p_path), "--target", t_path, "--arity", str(arity)]
+        run(f"refute {name}", argv)
+    for a in ("z2", "meet2"):
+        run(f"duality {a}", ["duality", data(a), "--max-power", "2"])
+    partial = tmp / "z3-partial.rel"
+    text = (DATA / "z3.alg").read_text()
+    partial.write_text(text + "".join(_relation_block(f"r{i}", "z3", r) for i, r in enumerate(PARTIAL_Z3)))
+    run("duality z3 partial", ["duality", data("z3"), "--max-power", "2", "--arity", "2",
+                               "--partial-relations", str(partial)])
+    return out
+
+
+def digests(cases):
+    return {name: f"{code} " + hashlib.sha256(text.encode()).hexdigest() for name, (code, text) in cases.items()}
 
 
 # exit code and sha256 of stdout, per case
@@ -155,5 +204,38 @@ GOLDEN = {
 }
 
 
+# exit code and sha256 of stdout with the time field removed, per case
+GOLDEN_MORE = {
+    "sub meet2": "0 0c9e60b00da034dd36a60bb35b8d79e8ff82cabde1283d8703d3fa7814257675",
+    "bound meet2": "0 6249094713e6373d5f8b192f5c4e4c71d0ff07a95f054f0489e3da2a4ca2f296",
+    "sub s3": "0 29141ba659b0668f6cdd09498032135b93d8b9965f018cdc9cc7dcf2b928fbe2",
+    "bound s3": "0 6249094713e6373d5f8b192f5c4e4c71d0ff07a95f054f0489e3da2a4ca2f296",
+    "sub v4": "0 61046b47f659b2aca25c522dcb3b1cc5ccd6c32a88678d5c6b04f3c745deb205",
+    "bound v4": "0 b4efc6cd1e77c1b2bfc8bc294bd45618ba0f8e05b6807be2c97081201d244946",
+    "sub z2": "0 710d013a8d33acce49012a5bec6bebbc7bc0e485223b854936099e7593d4aa3d",
+    "bound z2": "0 6249094713e6373d5f8b192f5c4e4c71d0ff07a95f054f0489e3da2a4ca2f296",
+    "sub z3": "0 c2c3c03c957df6db8babf35bd7667f7b0aac51e2a3cbf11b33f26d67043c4520",
+    "bound z3": "0 6249094713e6373d5f8b192f5c4e4c71d0ff07a95f054f0489e3da2a4ca2f296",
+    "sub z4": "0 934fa40855821b87063a5590072c422b0510edcda6a4445f2858bd2edfa87f6a",
+    "bound z4": "0 b4efc6cd1e77c1b2bfc8bc294bd45618ba0f8e05b6807be2c97081201d244946",
+    "sub z4aff": "0 b400c29a37394aca6ded693cca4910f0a284ed9c6994b9b8ff94c4020c23026f",
+    "bound z4aff": "0 b4efc6cd1e77c1b2bfc8bc294bd45618ba0f8e05b6807be2c97081201d244946",
+    "sub z6": "0 df036f06e97e1104edb89cf925de3e5b449e1f1159443e966b443406434c228a",
+    "bound z6": "0 6249094713e6373d5f8b192f5c4e4c71d0ff07a95f054f0489e3da2a4ca2f296",
+    "refute sum0-zero": "0 c76fda27344fc635fef4917d230ac93747b9f238e4222d6da169f80d6ece0519",
+    "refute diag-zero": "0 bc89cfce326dd42c6e0142647005bcc15fe3dba12a03450e2916929faa5a48cb",
+    "refute order-sum": "0 c8e73ab24fe4f1fb69b6d014934c10e6f2daac5158625914d38495e812c92e3c",
+    "refute even-double": "0 7045cc474d7fc25a27465f0ba5eef54d1f1c34a7d2962c7b1d5017d9f7c2c06c",
+    "refute sum0-nand": "0 240976a8d8b17aae989a93d6b3e59a84fdf447ad184a06cd6b7e1bdfa81fed26",
+    "duality z2": "0 c480961affca828d481cc4b108c9d8c38fba8be36a51afbd528335c4ef05ad3e",
+    "duality meet2": "0 a70d81fa5713ab90efd4ebc5a67892fac00ef6c89cd3d1b5faac76a7a50699ac",
+    "duality z3 partial": "1 dbf70f82fe79cecaf7806faa289e38744a1abed619b90e7a15e78a01a3259e0d",
+}
+
+
 def test_stdout_matches_recorded_digests(tmp_path, capsys):
-    assert digests(tmp_path, capsys) == GOLDEN
+    assert digests(outputs(tmp_path, capsys)) == GOLDEN
+
+
+def test_more_verbs_match_recorded_digests(tmp_path, capsys):
+    assert digests(more_outputs(tmp_path, capsys)) == GOLDEN_MORE

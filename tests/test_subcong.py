@@ -172,3 +172,20 @@ def test_quotient_by_meet_irreducible_is_subdirectly_irreducible(z6, terms):
         for c in nontrivial[1:]:
             monolith = monolith.meet(c)
         assert not monolith.is_identity()
+
+
+@pytest.mark.parametrize("name", ["z4", "v4", "z6", "z2^2"])
+def test_kernel_quotient_refuses_exactly_the_carriers_meet_irreducibles_omits(name, z2, z4, v4, z6):
+    A = {"z4": z4, "v4": v4, "z6": z6, "z2^2": core.power_algebra(z2, 2)}[name]
+    t = affine.find_affine_term(A)
+    irreducible = {w.carrier for w in subcong.meet_irreducibles(A)}
+    refused = set()
+    for carrier in core.subuniverse_carriers(A):
+        try:
+            kt = subcong.kernel_quotient(A, t, subcong.SubalgebraWitness(A, carrier))
+        except ValueError:
+            refused.add(carrier)
+            continue
+        assert tuple(x for x in range(A.size) if kt.projection(x) == kt.point) == carrier
+    assert refused == set(core.subuniverse_carriers(A)) - irreducible
+    assert irreducible and refused
