@@ -166,7 +166,7 @@ def cmd_hk(args):
     print(f"group order {group.size}, divides {bound}: {bound % group.size == 0}")
     print(f"generating family size {family.size}")
     for i, g in enumerate(family.generators):
-        print(f"generator {i}: {list(group.elements[g])} (order {family.orders[i]})")
+        print(f"generator {i}: {group.elements[g].tolist()} (order {family.orders[i]})")
     ok = bound % group.size == 0
     return EXIT_PASS if ok else EXIT_FAIL
 

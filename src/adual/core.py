@@ -141,7 +141,8 @@ class Operation:
     the first argument most significant; the index of (x_1,..,x_k) is
     sum(x_i * base_size**(k-1-i)).  Arity 0 is allowed and stores one value.
     The table is kept once, as the read-only int64 array `np_table`; the
-    tuple `table` of Python ints is built from it on first use.
+    tuple `table` of Python ints is built from it on first use.  A table
+    given as a read-only int64 array that owns its data is shared, not copied.
     """
 
     def __init__(self, name, arity, base_size, table):
@@ -194,8 +195,12 @@ class Operation:
 
 
 def _int_array(values):
-    """`values` as a new int64 array, or as an object array of Python ints
-    when some value does not fit int64, so range checks can still name it."""
+    """`values` as an int64 array, shared if it is one that is read-only and owns
+    its data and copied otherwise, or as an object array of Python ints when
+    some value does not fit int64, so range checks can still name it."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        if values.flags.owndata and not values.flags.writeable:
+            return values
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -231,6 +236,22 @@ class FiniteAlgebra:
         self.ops = ops
         self.power_of = power_of
         self._ops_by_name = {o.name: o for o in ops}
+
+    @cached_property
+    def generating_set(self):
+        """A small generating set, grown greedily from the constants upward; computed once."""
+        if self.constants():
+            current = closed_product_subset([self], [])
+        else:
+            current = np.empty(0, dtype=np.int64)
+        gens = []
+        members = set(current.tolist())
+        while len(members) < self.size:
+            x = next(v for v in range(self.size) if v not in members)
+            gens.append(x)
+            current = closed_product_subset([self], [x], base=current)
+            members = set(current.tolist())
+        return tuple(gens)
 
     def op(self, name):
         return self._ops_by_name[name]
@@ -383,6 +404,7 @@ def product_operations(factors):
             block = np.ravel(apply_coordinatewise(tables, sizes, args))
             flat[start : start + block.size] = block
             start += block.size
+        flat.setflags(write=False)  # handed over to the Operation, not copied
         ops.append(Operation(o.name, o.arity, N, flat))
     return ops
 
@@ -631,28 +653,29 @@ def enumerate_subuniverses(A, budget=DEFAULT_BUDGET):
 class Homomorphism:
     """A map between same-signature algebras commuting with every operation.
 
-    The defining equations are checked exhaustively at construction.
+    The map is kept once, as the read-only int64 array `np_mapping` of its
+    values; the tuple `mapping` of Python ints is built from it on first use.
+    A read-only int64 array that owns its data is shared, not copied.  The
+    defining equations are checked exhaustively at construction.
     """
-
-    __slots__ = ("domain", "codomain", "mapping", "_np")
 
     def __init__(self, domain, codomain, mapping):
         _check_same_signature(domain, codomain)
-        mapping = tuple(int(v) for v in mapping)
-        if len(mapping) != domain.size:
+        values = _int_array(mapping)
+        if values.shape != (domain.size,):
             raise ValueError(
-                f"mapping has {len(mapping)} entries, domain {domain.name} has {domain.size}"
+                f"mapping has {values.size} entries, domain {domain.name} has {domain.size}"
             )
-        if any(not 0 <= v < codomain.size for v in mapping):
+        if ((values < 0) | (values >= codomain.size)).astype(bool).any():
             raise ValueError("mapping value outside codomain universe")
+        values.setflags(write=False)  # int64 now: a value beyond int64 is outside
         self.domain = domain
         self.codomain = codomain
-        self.mapping = mapping
-        self._np = np.array(mapping, dtype=np.int64)
+        self.np_mapping = values
         self._verify()
 
     def _verify(self):
-        m = self._np
+        m = self.np_mapping
         for oA in self.domain.ops:
             oB = self.codomain.op(oA.name)
             rhs = apply_coordinatewise([oB.np_table], [self.codomain.size], grid_args((m,), oA.arity))
@@ -661,11 +684,16 @@ class Homomorphism:
                 args = decode_code(int(wrong.argmax()), [self.domain.size] * oA.arity)
                 raise ValueError(f"not a homomorphism: fails on {oA.name} at {args}")
 
+    @cached_property
+    def mapping(self):
+        """The values as a tuple of Python ints, built on first use."""
+        return tuple(self.np_mapping.tolist())
+
     def __call__(self, x):
         return self.mapping[x]
 
     def is_surjective(self):
-        return len(set(self.mapping)) == self.codomain.size
+        return np.unique(self.np_mapping).size == self.codomain.size
 
     def kernel_congruence(self):
         return Congruence.from_class_map(self.domain.size, self.mapping)
@@ -673,54 +701,36 @@ class Homomorphism:
     def __eq__(self, other):
         return (
             isinstance(other, Homomorphism)
-            and self.mapping == other.mapping
+            and np.array_equal(self.np_mapping, other.np_mapping)
             and _same_tables(self.domain, other.domain)
             and _same_tables(self.codomain, other.codomain)
         )
 
     def __hash__(self):
-        return hash((self.domain.size, self.codomain.size, self.mapping))
+        return hash((self.domain.size, self.codomain.size, self.np_mapping.tobytes()))
 
     def __repr__(self):
         return f"Homomorphism({self.domain.name} -> {self.codomain.name}, {self.mapping})"
 
 
-def greedy_generating_set(A):
-    """A small generating set, grown greedily from the constants upward."""
-    if A.constants():
-        current = closed_product_subset([A], [])
-    else:
-        current = np.empty(0, dtype=np.int64)
-    gens = []
-    members = set(current.tolist())
-    while len(members) < A.size:
-        x = next(v for v in range(A.size) if v not in members)
-        gens.append(x)
-        current = closed_product_subset([A], [x], base=current)
-        members = set(current.tolist())
-    return tuple(gens)
-
-
 def extend_partial_map(A, B, partial):
     """Extend a partial map {a: b} on generators of A to a homomorphism.
 
-    Closes the graph inside A x B.  Returns the full mapping tuple, or None
-    when the extension is inconsistent or does not cover A.
+    Closes the graph inside A x B.  Returns the full mapping as a read-only
+    int64 array, or None when the extension is inconsistent or does not
+    cover A.
     """
-    nB = B.size
-    seed = [a * nB + b for a, b in partial.items()]
+    seed = [encode_tuple(pair, B.size) for pair in partial.items()]
     graph = closed_product_subset([A, B], seed)
-    if graph.size != A.size:
+    points, values = decode_code(graph, [A.size, B.size])
+    # the graph is sorted, so it is a map on A exactly when its points are 0..|A|-1
+    if not np.array_equal(points, np.arange(A.size)):
         return None
-    prefixes = graph // nB
-    if len(np.unique(prefixes)) != graph.size:
-        return None
-    mapping = np.zeros(A.size, dtype=np.int64)
-    mapping[prefixes] = graph % nB
-    return tuple(int(v) for v in mapping)
+    values.setflags(write=False)
+    return values
 
 
-def enumerate_homs(A, B, budget=DEFAULT_BUDGET, generators=None):
+def enumerate_homs(A, B, budget=DEFAULT_BUDGET):
     """All homomorphisms A -> B, sorted by their map tables.
 
     Backtracks over images of a generating set of A, extending each partial
@@ -729,20 +739,20 @@ def enumerate_homs(A, B, budget=DEFAULT_BUDGET, generators=None):
     _check_same_signature(A, B)
     if A.size * B.size > budget:
         raise BudgetExceededError(A.size * B.size, budget)
-    if generators is None:
-        generators = greedy_generating_set(A)
+    generators = A.generating_set
     count = B.size ** len(generators)
     if count > budget:
         raise BudgetExceededError(
-            count, budget, hint="supply a smaller generating set via generators="
+            count, budget, hint=f"{B.size}**{len(generators)} images of the generating set of {A.name}"
         )
-    homs = []
+    maps = []
     for images in itertools.product(range(B.size), repeat=len(generators)):
         mapping = extend_partial_map(A, B, dict(zip(generators, images)))
         if mapping is not None:
-            homs.append(Homomorphism(A, B, mapping))
-    homs.sort(key=lambda h: h.mapping)
-    return homs
+            maps.append(mapping)
+    # lexicographic order of the tables: lexsort's last key is the first coordinate
+    order = np.lexsort(np.array(maps).reshape(len(maps), A.size).T[::-1])
+    return [Homomorphism(A, B, maps[i]) for i in order]
 
 
 # ---------------------------------------------------------------------------

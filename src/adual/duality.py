@@ -126,8 +126,8 @@ class DualStructure:
     @cached_property
     def values(self):
         """values[i, b] = homs[i](b), an array of shape (|Hom(B, A)|, |B|)."""
-        mappings = [hom.mapping for hom in self.homs]
-        return np.array(mappings, dtype=np.int64).reshape(len(self.homs), self.algebra.size)
+        rows = [hom.np_mapping for hom in self.homs]
+        return np.array(rows, dtype=np.int64).reshape(len(self.homs), self.algebra.size)
 
 
 def hom_dual(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualStructure:

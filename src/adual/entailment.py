@@ -463,7 +463,7 @@ def reduce_to_bounded_arity(
         fac = factor_morphism(A, S, t, t_S, f, family.padded(N), budget)
         # B = g^-1(c) is the preimage of B_hat = reduced^-1(c) under the
         # projection, a homomorphism, so B is compatible exactly when B_hat is
-        b_hat = [code for code, v in enumerate(fac.g.reduced.mapping) if v == c]
+        b_hat = np.flatnonzero(fac.g.reduced.np_mapping == c)
         B_hat = Relation.from_codes(b_hat, A.size, len(fac.g.coordinates))
         if not is_compatible_relation(A, B_hat, budget):
             raise VerificationError("preimage of the point is not compatible")

@@ -1,9 +1,10 @@
 """Factor any morphism A^n -> S through A^(N+1).
 
 N is the size of a generating family of the group on {f: A^2 -> S with
-f(x,x) = f-diagonal}.  The slot morphisms f_i(x,y) = f(y,..,y,x,y,..,y)
-decompose over the generators h_j, the inner terms p_j repackage the n
-arguments into N+1, and g recombines generator values.  g depends only on
+f(x,x) = f-diagonal}.  The slot morphisms f_i(x,y) = f(y,..,y,x,y,..,y),
+gathered from f's table at once, decompose over the generators h_j, the
+inner terms p_j repackage the n arguments into N+1, and g recombines
+generator values, evaluated on all its inputs at once.  g depends only on
 the coordinates of the generators that are not neutral and on the last one,
 so it is verified as a homomorphism on that smaller power; the defining
 identity f = g(p_1, .., p_{N+1}) is verified on every input of f.
@@ -11,7 +12,6 @@ identity f = g(p_1, .., p_{N+1}) is verified on every input of f.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +33,6 @@ from .core import (
 from .affine import (
     AffineTerm,
     affine_combination_array,
-    eval_affine_combination,
     projection_term,
 )
 from .homgroups import GeneratingFamily, HkGroup
@@ -53,7 +52,7 @@ class FactorMap:
         shape = [1] * exponent
         for i in coordinates:
             shape[i] = size
-        table = np.array(reduced.mapping, dtype=np.int64).reshape(shape)
+        table = reduced.np_mapping.reshape(shape)
         self.coordinates = tuple(coordinates)
         self.reduced = reduced
         # ravel copies the broadcast view into one table of size**exponent cells
@@ -98,15 +97,12 @@ def _domain_exponent(A, f):
 def _g_values(A, t_S, k_map, generators):
     """sum_j (h_j(y_j, z) - h_j(z, z)) + k(z) over every (y_1, .., z), listed by code."""
     term = AffineTerm((1, -1) * len(generators) + (1,))
-    values = []
-    for ys in itertools.product(range(A.size), repeat=len(generators) + 1):
-        z = ys[-1]
-        args = []
-        for h, y in zip(generators, ys):
-            args += [h[y * A.size + z], h[z * A.size + z]]
-        args.append(k_map[z])
-        values.append(eval_affine_combination(term, t_S, 0, args))
-    return values
+    *ys, z = decode_code(np.arange(A.size ** (len(generators) + 1)), [A.size] * (len(generators) + 1))
+    args = []
+    for h, y in zip(generators, ys):
+        args += [h[encode_tuple((y, z), A.size)], h[encode_tuple((z, z), A.size)]]
+    args.append(k_map[z])
+    return affine_combination_array(term, t_S, 0, args).tolist()
 
 
 def _inner_maps(A, t_A, terms, f, digits):
@@ -136,8 +132,8 @@ def factor_morphism(
     if not isinstance(group, HkGroup):
         raise ValueError("family must come from a group on Hom(A^2, S)")
     square = group.square
-    k_map = tuple(f(encode_tuple((x,) * n, A.size)) for x in range(A.size))
-    if group.k.mapping != k_map:
+    k_map = f.np_mapping[encode_tuple((np.arange(A.size),) * n, A.size)]
+    if not np.array_equal(group.k.np_mapping, k_map):
         raise ValueError("family was built for a different base morphism k")
     N = family.size
 
@@ -147,37 +143,27 @@ def factor_morphism(
     domain_size = A.size ** (N + 1)
     if domain_size > budget:
         raise BudgetExceededError(domain_size, budget, hint="domain of g")
-    neutral_map = group.elements[group.neutral]
-    active = [j for j in range(N) if group.elements[family.generators[j]] != neutral_map]
+    active = [j for j in range(N) if family.generators[j] != group.neutral]
     reduced_domain = power_algebra(A, len(active) + 1, budget)
 
-    # slot morphisms f_i and their generator coordinates
-    f_slots = []
-    matrix = []
-    for i in range(n):
-        table = []
-        for c in range(square.size):
-            x, y = c // A.size, c % A.size
-            args = [y] * n
-            args[i] = x
-            table.append(f(encode_tuple(args, A.size)))
-        fi = tuple(table)
-        if fi not in group.index:
-            raise ValueError("slot morphism escapes the hom group: inputs inconsistent")
-        coeffs = family.expressions[group.index[fi]]
-        f_slots.append(fi)
-        matrix.append(tuple(int(u) for u in coeffs))
+    # slot morphisms f_i(x, y) = f(y, .., x, .., y), x in slot i, and their generator coordinates
+    x, y = decode_code(np.arange(square.size), [A.size] * 2)
+    in_slot = np.eye(n, dtype=bool)[:, :, None]  # [i, position, code]
+    f_slots = f.np_mapping[encode_tuple(np.moveaxis(np.where(in_slot, x, y), 1, 0), A.size)]
+    slot_index = group.index_of(f_slots)
+    if (slot_index < 0).any():
+        raise ValueError("slot morphism escapes the hom group: inputs inconsistent")
+    matrix = [tuple(int(u) for u in family.expressions[int(i)]) for i in slot_index]
 
     # telescoping identity: f(x) = sum_i (f_i(x_i, x_1) - f_i(x_1, x_1)) + k(x_1)
     digits = decode_code(np.arange(f.domain.size, dtype=np.int64), [A.size] * n)
     first = digits[0]
     args = []
-    for fi, x in zip(f_slots, digits):
-        fi = np.array(fi, dtype=np.int64)
-        args += [fi[x * A.size + first], fi[first * A.size + first]]
-    args.append(np.array(k_map, dtype=np.int64)[first])
+    for fi, xi in zip(f_slots, digits):
+        args += [fi[encode_tuple((xi, first), A.size)], fi[encode_tuple((first, first), A.size)]]
+    args.append(k_map[first])
     tele = affine_combination_array(AffineTerm((1, -1) * n + (1,)), t_S, 0, args)
-    wrong = np.flatnonzero(tele != np.array(f.mapping))
+    wrong = np.flatnonzero(tele != f.np_mapping)
     if wrong.size:
         raise VerificationError(f"telescoping identity failed at {int(wrong[0])}")
 
@@ -185,19 +171,19 @@ def factor_morphism(
     coefficients = tuple(tuple(row[j] for row in matrix) for j in range(N))
     terms = [AffineTerm((u[0] + 1 - sum(u),) + u[1:]) for u in coefficients]
     terms = tuple(terms) + (projection_term(n, 0),)
-    p_tables = [np.array(p.mapping, dtype=np.int64) for p in _inner_maps(A, t_A, terms, f, digits)]
+    p_tables = [p.np_mapping for p in _inner_maps(A, t_A, terms, f, digits)]
 
     # generator/term exchange identity h(p_j(x), z) = sum_i u_ij h(x_i, z) +
     # (1 - sum_i u_ij) h(x_1, z), on every input x of f and every z, in blocks
     z = np.arange(A.size)
-    step = max(1, CHUNK_CELLS // A.size)
+    step = max(1, CHUNK_CELLS // z.size)
     for j, u in enumerate(coefficients):
-        h = np.array(group.elements[family.generators[j]], dtype=np.int64)
+        h = group.elements[family.generators[j]]
         exch = AffineTerm(u + (1 - sum(u),))
         for s in range(0, f.domain.size, step):
             xs = [d[s : s + step, None] for d in digits]
-            args = [h[x * A.size + z] for x in xs + xs[:1]]
-            lhs = h[p_tables[j][s : s + step, None] * A.size + z]
+            args = [h[encode_tuple((xi, z), A.size)] for xi in xs + xs[:1]]
+            lhs = h[encode_tuple((p_tables[j][s : s + step, None], z), A.size)]
             if not np.array_equal(lhs, affine_combination_array(exch, t_S, 0, args)):
                 raise VerificationError("generator/term exchange identity failed")
 
@@ -209,7 +195,7 @@ def factor_morphism(
     g = FactorMap(N + 1, active + [N], reduced)
 
     image = encode_tuple(p_tables, A.size)
-    wrong = np.flatnonzero(g.mapping[image] != np.array(f.mapping))
+    wrong = np.flatnonzero(g.mapping[image] != f.np_mapping)
     if wrong.size:
         raise VerificationError(f"factorization identity failed at {int(wrong[0])}")
 

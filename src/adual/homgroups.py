@@ -6,9 +6,10 @@ term applied pointwise, with neutral (x,y) |-> k(y).  Their cardinalities
 obey prime-wise divisibility bounds, and small generating families of these
 groups are what make morphism factorization through bounded powers work.
 
-That group is an `HkGroup`, an `AbelianGroup` that also keeps the maps, so
-`generating_family` takes it like any other group, and the group-mode probe
-of `hom` asks `AbelianGroup` whether a binary operation is a group.
+That group is an `HkGroup`, an `AbelianGroup` that also keeps the maps as
+the rows of one int64 table, so `generating_family` takes it like any other
+group; its sums and checks are gathers of t_S's table over those rows.  The
+group-mode probe of `hom` asks `AbelianGroup` whether a binary operation is a group.
 """
 
 from __future__ import annotations
@@ -20,13 +21,17 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    CHUNK_CELLS,
     DEFAULT_BUDGET,
     Homomorphism,
     Operation,
     VerificationError,
     _same_tables,
+    decode_code,
+    encode_tuple,
     enumerate_homs,
     power_algebra,
+    sorted_member,
 )
 from .affine import AbelianGroup, find_affine_term, group_from_affine
 
@@ -159,9 +164,10 @@ def hom_divisibility_check(A, B, mode="abelian", budget=DEFAULT_BUDGET):
 class HkGroup(AbelianGroup):
     """Homomorphisms A^2 -> S agreeing with k on the diagonal, as a group.
 
-    Group element i is the map table elements[i] over the power A^2, in
-    canonical sorted order; the sum of f and g is t_S(f, kbar, g) pointwise
-    with neutral kbar(x, y) = k(y).  build_hk_group also verifies that
+    Group element i is the map table `elements[i]` over the codes of the
+    power A^2: row i of a read-only 2-D int64 array, rows in canonical
+    sorted order.  The sum of f and g is t_S(f, kbar, g) pointwise with
+    neutral kbar(x, y) = k(y).  build_hk_group also verifies that
     restriction f |-> f(a, .) embeds the group into the hom group of the
     derived group structures, and that changing the base morphism gives an
     isomorphic group.
@@ -175,12 +181,60 @@ class HkGroup(AbelianGroup):
         self.k = k
         self.square = square
         self.elements = elements
-        self.index = {m: i for i, m in enumerate(elements)}
+
+    def index_of(self, maps):
+        """The element index of each map table, a row of `maps`; -1 for a map outside the group."""
+        return _MapIndex(self.elements, self.square, self.S.size).find(maps)
 
 
-def diagonal_restriction(base_size):
-    """Codes of the diagonal (x, x) inside the power A^2."""
-    return [x * base_size + x for x in range(base_size)]
+class _MapIndex:
+    """The rows of a table of homomorphisms on `domain`, found by their values on generators.
+
+    A homomorphism is fixed by its values on a generating set of its domain,
+    so those values, read as a mixed-radix code, tell the rows apart.  A
+    query is looked up by its code with `sorted_member`, and a hit is
+    confirmed on the whole row, since a query need not be a homomorphism.
+    """
+
+    def __init__(self, rows, domain, radix):
+        self.rows = rows
+        self._code = lambda maps: np.broadcast_to(
+            encode_tuple(maps[:, list(domain.generating_set)].T, radix), len(maps)
+        )
+        codes = self._code(rows)
+        self._order = np.argsort(codes)
+        self._sorted = codes[self._order]
+
+    def find(self, maps):
+        """The row index of each map, a row of `maps`, or -1 where no row equals it."""
+        codes = self._code(maps)
+        hit = np.flatnonzero(sorted_member(self._sorted, codes))
+        rows = self._order[np.searchsorted(self._sorted, codes[hit])]
+        same = (self.rows[rows] == maps[hit]).all(axis=1)
+        found = np.full(len(maps), -1)
+        found[hit[same]] = rows[same]
+        return found
+
+
+def _map_table(homs, domain):
+    """The value tables of `homs`, homomorphisms on `domain`, as the rows of one array."""
+    return np.array([h.np_mapping for h in homs], dtype=np.int64).reshape(len(homs), domain.size)
+
+
+def _diagonal(size):
+    """Codes of the diagonal (x, x) inside the square of {0..size-1}."""
+    return encode_tuple((np.arange(size),) * 2, size)
+
+
+def _row_blocks(count, width):
+    """Slices of range(count) whose rows of `width` cells make at most CHUNK_CELLS, one row at least."""
+    step = max(1, CHUNK_CELLS // max(1, width))
+    return [slice(s, s + step) for s in range(0, count, step)]
+
+
+def _pointwise_term(t, x, y, z):
+    """t applied pointwise to map tables x, y, z that broadcast together."""
+    return t.np_table[encode_tuple((x, y, z), t.base_size)]
 
 
 def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> HkGroup:
@@ -189,30 +243,29 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
     Raises ValueError when k is not a homomorphism A -> S.  The group is
     defined as soon as one such k exists; different choices give isomorphic
     groups, which is re-verified here through the explicit isomorphisms.
+    The maps are the rows of one table, and each check gathers the table of
+    t_S over them, in blocks of at most CHUNK_CELLS cells.
     """
     if not (_same_tables(k.domain, A) and _same_tables(k.codomain, S)):
         raise ValueError("base morphism must go from A to S")
     square = power_algebra(A, 2, budget)
-    homs2 = enumerate_homs(square, S, budget)
-    diag = diagonal_restriction(A.size)
-    elements = tuple(
-        h.mapping for h in homs2 if all(h.mapping[diag[x]] == k(x) for x in range(A.size))
-    )
-    kbar = tuple(k(c % A.size) for c in range(square.size))
-    if kbar not in elements:
+    homs2 = _map_table(enumerate_homs(square, S, budget), square)
+    elements = homs2[(homs2[:, _diagonal(A.size)] == k.np_mapping).all(axis=1)]
+    elements.setflags(write=False)
+    index = _MapIndex(elements, square, S.size)
+    kbar = k.np_mapping[decode_code(np.arange(square.size), [A.size] * 2)[1]]
+    (neutral_index,) = index.find(kbar[None, :])
+    if neutral_index < 0:
         raise ValueError("the neutral candidate kbar is not a homomorphism: k is invalid")
-    neutral_index = elements.index(kbar)
-    index = {m: i for i, m in enumerate(elements)}
     m = len(elements)
-    add_table = []
-    for f in elements:
-        for g in elements:
-            s = tuple(t_S(f[u], kbar[u], g[u]) for u in range(square.size))
-            if s not in index:
-                raise ValueError("hom set not closed under the pointwise term")
-            add_table.append(index[s])
+    add_table = np.empty((m, m), dtype=np.int64)
+    for rows in _row_blocks(m, m * square.size):
+        sums = _pointwise_term(t_S, elements[rows, None], kbar, elements[None, :])
+        add_table[rows] = index.find(sums.reshape(-1, square.size)).reshape(-1, m)
+    if (add_table < 0).any():
+        raise ValueError("hom set not closed under the pointwise term")
     try:
-        group = HkGroup(A, S, t_S, k, square, elements, neutral_index, add_table)
+        group = HkGroup(A, S, t_S, k, square, elements, int(neutral_index), add_table.ravel())
     except ValueError as e:
         raise VerificationError(f"the hom set is not an Abelian group: {e}") from None
     _verify_restriction_embedding(group, t_A, budget)
@@ -226,54 +279,45 @@ def _verify_restriction_embedding(G: HkGroup, t_A, budget):
     A, S = G.A, G.S
     ga = group_from_affine(t_A, a).as_algebra(f"{A.name}+^{a}")
     gs = group_from_affine(G.t_S, G.k(a)).as_algebra(f"{S.name}+^{G.k(a)}")
-    K = {h.mapping for h in enumerate_homs(ga, gs, budget)}
-    restricted = []
-    for f in G.elements:
-        fa = tuple(f[a * A.size + x] for x in range(A.size))
-        if fa not in K:
-            raise VerificationError("restriction is not a group homomorphism")
-        restricted.append(fa)
-    if len(set(restricted)) != len(restricted):
+    K = _MapIndex(_map_table(enumerate_homs(ga, gs, budget), ga), ga, S.size)
+    restricted = G.elements[:, encode_tuple((a, np.arange(A.size)), A.size)]
+    found = K.find(restricted)
+    if (found < 0).any():
+        raise VerificationError("restriction is not a group homomorphism")
+    if np.unique(found).size != G.size:
         raise VerificationError("restriction not injective")
-    for i, fa in enumerate(restricted):
-        if fa == G.k.mapping and i != G.neutral:
-            raise VerificationError("kernel of the restriction is larger than {kbar}")
-    for i in range(G.size):
-        for j in range(G.size):
-            lhs = restricted[G.add(i, j)]
-            rhs = tuple(
-                G.t_S(restricted[i][x], G.k(x), restricted[j][x]) for x in range(A.size)
-            )
-            if lhs != rhs:
-                raise VerificationError("restriction is not additive")
+    kernel = np.flatnonzero((restricted == G.k.np_mapping).all(axis=1))
+    if (kernel != G.neutral).any():
+        raise VerificationError("kernel of the restriction is larger than {kbar}")
+    add = np.array(G.add_table).reshape(G.size, G.size)
+    for rows in _row_blocks(G.size, G.size * A.size):
+        lhs = restricted[add[rows]]
+        rhs = _pointwise_term(G.t_S, restricted[rows, None], G.k.np_mapping, restricted[None, :])
+        if not np.array_equal(lhs, rhs):
+            raise VerificationError("restriction is not additive")
 
 
 def _verify_base_change(G: HkGroup, homs2, budget):
     """For every other base hom j, f |-> t_S(f, kbar, jbar) is a group isomorphism.
 
-    `homs2` is Hom(A^2, S); the target of j is its fiber over j on the diagonal.
+    `homs2` is the table of Hom(A^2, S); the target of j is its fiber over j on the diagonal.
     """
-    A, S = G.A, G.S
+    A = G.A
+    maps = _MapIndex(homs2, G.square, G.S.size)
     kbar = G.elements[G.neutral]
-    diag = diagonal_restriction(A.size)
-    fibers = {}
-    for h in homs2:
-        fibers.setdefault(tuple(h.mapping[d] for d in diag), set()).add(h.mapping)
-    for j in enumerate_homs(A, S, budget):
-        jbar = tuple(j(c % A.size) for c in range(G.square.size))
-        other = fibers.get(j.mapping, set())
-        phi = {}
-        for f in G.elements:
-            img = tuple(G.t_S(f[u], kbar[u], jbar[u]) for u in range(G.square.size))
-            if img not in other:
-                raise VerificationError("base change leaves the target hom set")
-            phi[f] = img
-        if not (len(set(phi.values())) == len(G.elements) == len(other)):
+    y = decode_code(np.arange(G.square.size), [A.size] * 2)[1]
+    on_diagonal = homs2[:, _diagonal(A.size)]
+    for j in enumerate_homs(A, G.S, budget):
+        jbar = j.np_mapping[y]
+        in_fiber = (on_diagonal == j.np_mapping).all(axis=1)
+        images = _pointwise_term(G.t_S, G.elements, kbar, jbar)
+        found = maps.find(images)
+        if ((found < 0) | ~in_fiber[found]).any():
+            raise VerificationError("base change leaves the target hom set")
+        if not (np.unique(found).size == G.size == in_fiber.sum()):
             raise VerificationError("not bijective")
-        for f in G.elements:
-            back = tuple(G.t_S(phi[f][u], jbar[u], kbar[u]) for u in range(G.square.size))
-            if back != f:
-                raise VerificationError("base change composed with its inverse is not the identity")
+        if not np.array_equal(_pointwise_term(G.t_S, images, jbar, kbar), G.elements):
+            raise VerificationError("base change composed with its inverse is not the identity")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -160,25 +161,28 @@ class GaloisReport:
 
 
 def verify_galois(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET):
-    """Check both composites and isotonicity on everything above B and theta_B."""
+    """Check both composites and isotonicity on everything above B and theta_B.
+
+    Within one call, theta_X is computed once per carrier X and C(alpha, B)
+    once per congruence alpha.
+    """
     carriers = subuniverse_carriers(A, budget)
     bset = set(B.carrier)
     S_lat = [c for c in carriers if bset <= set(c)]
+    theta_of = lru_cache(maxsize=None)(lambda c: theta_of_subalgebra(A, t, SubalgebraWitness(A, c)))
+    c_of = lru_cache(maxsize=None)(lambda alpha: c_of_congruence(A, B, alpha))
     theta_b = theta_of_subalgebra(A, t, B)
     C_lat = [alpha for alpha in con_lattice(A) if theta_b.refines(alpha)]
     counterexample = None
 
-    def theta_of(carrier):
-        return theta_of_subalgebra(A, t, SubalgebraWitness(A, carrier))
-
     for alpha in C_lat:
-        X = c_of_congruence(A, B, alpha)
+        X = c_of(alpha)
         if theta_of(X.carrier) != alpha:
             counterexample = f"theta(C(alpha,B)) != alpha for alpha={alpha.classes()}"
             break
     if counterexample is None:
         for carrier in S_lat:
-            back = c_of_congruence(A, B, theta_of(carrier))
+            back = c_of(theta_of(carrier))
             if back.carrier != carrier:
                 counterexample = f"C(theta_X,B) != X for X={list(carrier)}"
                 break
@@ -195,9 +199,7 @@ def verify_galois(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET):
         for a1 in C_lat:
             for a2 in C_lat:
                 if a1.refines(a2):
-                    X1 = c_of_congruence(A, B, a1)
-                    X2 = c_of_congruence(A, B, a2)
-                    if not set(X1.carrier) <= set(X2.carrier):
+                    if not set(c_of(a1).carrier) <= set(c_of(a2).carrier):
                         counterexample = "C(.,B) not isotone"
                         break
             if counterexample:
@@ -248,10 +250,10 @@ def kernel_quotient(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET
         raise ValueError(f"carrier {list(B.carrier)} is the whole algebra, not meet-irreducible")
     theta = theta_of_subalgebra(A, t, B)
     S, f = quotient_algebra(A, theta)
-    c = f(B.carrier[0])
-    if any(f(b) != c for b in B.carrier):
+    c = int(f.np_mapping[B.carrier[0]])
+    if (f.np_mapping[list(B.carrier)] != c).any():
         raise VerificationError("the projection does not collapse the carrier to one point")
-    if tuple(x for x in range(A.size) if f(x) == c) != B.carrier:
+    if not np.array_equal(np.flatnonzero(f.np_mapping == c), B.carrier):
         raise VerificationError("the preimage of the point is not the carrier")
     for o in S.ops:
         if o(*([c] * o.arity)) != c:

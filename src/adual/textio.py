@@ -74,27 +74,27 @@ class _Lines:
     def error(self, message, line, token=""):
         raise ParseError(message, self.source, line, token)
 
-
-def _read_ints(lines, count, line_no, what):
-    """Collect `count` integers, consuming continuation rows as needed."""
-    out = []
-    row = lines.rows[lines.pos - 1]
-    pending = list(row[2])
-    while len(out) < count:
-        while not pending:
-            nxt = lines.peek()
-            if nxt is None:
-                lines.error(f"{what}: expected {count} values, got {len(out)}", line_no)
-            lines.next()
-            pending = list(nxt[2])
-        tok = pending.pop(0)
+    def integer(self, token, line, what):
+        """`token` as an int; otherwise a ParseError naming `what`, the line and the token."""
         try:
-            out.append(int(tok))
+            return int(token)
         except ValueError:
-            lines.error(f"{what}: not an integer", line_no, tok)
-    if pending:
-        lines.error(f"{what}: {len(pending)} surplus values", line_no, pending[0])
-    return out
+            self.error(f"{what}: not an integer", line, token)
+
+
+def _read_ints(lines, count, line_no, what, skip=0):
+    """Collect `count` integers from the current row after its first `skip`
+    tokens, consuming continuation rows as needed."""
+    tokens = list(lines.rows[lines.pos - 1][2][skip:])
+    while len(tokens) < count:
+        nxt = lines.peek()
+        if nxt is None:
+            lines.error(f"{what}: expected {count} values, got {len(tokens)}", line_no)
+        lines.next()
+        tokens.extend(nxt[2])
+    if len(tokens) > count:
+        lines.error(f"{what}: {len(tokens) - count} surplus values", line_no, tokens[count])
+    return [lines.integer(tok, line_no, what) for tok in tokens]
 
 
 def parse_document(text, source="<input>", known=None) -> Document:
@@ -143,19 +143,13 @@ def _parse_algebra(lines, doc, line_no, toks):
     row = lines.next()
     if row[2][0] != "size" or len(row[2]) != 2:
         lines.error("expected: size N", row[0], " ".join(row[2]))
-    try:
-        size = int(row[2][1])
-    except ValueError:
-        lines.error("size must be an integer", row[0], row[2][1])
+    size = lines.integer(row[2][1], row[0], "size")
     ops = []
     while lines.peek() is not None and lines.peek()[2][0] == "op":
         op_line, _, op_toks = lines.next()
         if len(op_toks) != 3:
             lines.error("expected: op NAME ARITY", op_line, " ".join(op_toks))
-        try:
-            arity = int(op_toks[2])
-        except ValueError:
-            lines.error("arity must be an integer", op_line, op_toks[2])
+        arity = lines.integer(op_toks[2], op_line, "arity")
         lines.next()  # first value row
         values = _read_ints(lines, size**arity, op_line, f"table of {op_toks[1]}")
         try:
@@ -172,20 +166,14 @@ def _parse_relation(lines, doc, line_no, toks):
     if len(toks) != 5 or toks[3] != "over":
         lines.error("expected: relation NAME ARITY over ALGEBRA", line_no, " ".join(toks))
     name = toks[1]
-    try:
-        arity = int(toks[2])
-    except ValueError:
-        lines.error("arity must be an integer", line_no, toks[2])
+    arity = lines.integer(toks[2], line_no, "arity")
     A = _algebra_for(doc, lines, toks[4], line_no)
     tuples = []
     while lines.peek() is not None and lines.peek()[2][0] == "t":
         row_line, _, row = lines.next()
         if len(row) != arity + 1:
             lines.error(f"tuple needs {arity} entries", row_line, " ".join(row[1:]))
-        try:
-            tuples.append(tuple(int(v) for v in row[1:]))
-        except ValueError:
-            lines.error("tuple entries must be integers", row_line)
+        tuples.append(tuple(lines.integer(v, row_line, "tuple entry") for v in row[1:]))
     try:
         doc.relations.append((name, toks[4], Relation(arity, A.size, tuples)))
     except ValueError as e:
@@ -199,27 +187,12 @@ def _parse_hom(lines, doc, line_no, toks):
         )
     base = _algebra_for(doc, lines, toks[3], line_no)
     cod = _algebra_for(doc, lines, toks[7], line_no)
-    try:
-        n = int(toks[5])
-    except ValueError:
-        lines.error("power must be an integer", line_no, toks[5])
+    n = lines.integer(toks[5], line_no, "power")
     domain = base if n == 1 else power_algebra(base, n)
     row = lines.next()
     if row[2][0] != "m":
         lines.error("expected a mapping row starting with m", row[0], row[2][0])
-    values = list(row[2][1:])
-    while len(values) < domain.size:
-        nxt = lines.peek()
-        if nxt is None:
-            lines.error(f"mapping: expected {domain.size} values", row[0])
-        lines.next()
-        values.extend(nxt[2])
-    if len(values) > domain.size:
-        lines.error("mapping has surplus values", row[0], values[domain.size])
-    try:
-        mapping = [int(v) for v in values]
-    except ValueError:
-        lines.error("mapping entries must be integers", row[0])
+    mapping = _read_ints(lines, domain.size, row[0], "mapping", skip=1)
     try:
         doc.homs.append((toks[1], Homomorphism(domain, cod, mapping)))
     except ValueError as e:
@@ -233,10 +206,7 @@ def _parse_cong(lines, doc, line_no, toks):
     classes = []
     while lines.peek() is not None and lines.peek()[2][0] == "class":
         row_line, _, row = lines.next()
-        try:
-            classes.append([int(v) for v in row[1:]])
-        except ValueError:
-            lines.error("class entries must be integers", row_line)
+        classes.append([lines.integer(v, row_line, "class entry") for v in row[1:]])
     try:
         doc.congruences.append((toks[1], toks[3], Congruence.from_classes(A.size, classes)))
     except ValueError as e:
@@ -256,7 +226,7 @@ def _parse_sexpr(tokens, lines, line_no):
         lines.error("expected (", line_no, tok)
     head = tokens.pop(0)
     if head == "proj":
-        idx = int(tokens.pop(0))
+        idx = lines.integer(tokens.pop(0), line_no, "proj index")
         if tokens.pop(0) != ")":
             lines.error("expected )", line_no)
         return ("proj", idx)
@@ -280,10 +250,7 @@ def _parse_cert(lines, doc, line_no, toks):
     if len(toks) != 6 or toks[2] != "over" or toks[4] != "base":
         lines.error("expected: cert NAME over ALGEBRA base N", line_no, " ".join(toks))
     name, alg_name = toks[1], toks[3]
-    try:
-        base = int(toks[5])
-    except ValueError:
-        lines.error("base must be an integer", line_no, toks[5])
+    base = lines.integer(toks[5], line_no, "base")
     term_op = None
     neutral = 0
     extra_ops = []
@@ -293,19 +260,12 @@ def _parse_cert(lines, doc, line_no, toks):
         row_line, indent, row = lines.next()
         key = row[0]
         if key == "affine-op":
-            vals = [int(v) for v in row[1:]]
-            while len(vals) < base**3:
-                nxt = lines.next()
-                vals.extend(int(v) for v in nxt[2])
-            term_op = Operation("t", 3, base, vals)
+            term_op = Operation("t", 3, base, _read_ints(lines, base**3, row_line, key, skip=1))
         elif key == "neutral":
-            neutral = int(row[1])
+            neutral = lines.integer(row[1], row_line, key)
         elif key == "extra-op":
-            op_name, arity = row[1], int(row[2])
-            vals = [int(v) for v in row[3:]]
-            while len(vals) < base**arity:
-                nxt = lines.next()
-                vals.extend(int(v) for v in nxt[2])
+            op_name, arity = row[1], lines.integer(row[2], row_line, "extra-op arity")
+            vals = _read_ints(lines, base**arity, row_line, f"extra-op {op_name}", skip=3)
             extra_ops.append(Operation(op_name, arity, base, vals))
         elif key == "conclusion":
             conclusion = _parse_cert_value(lines, row, row_line, indent, base)
@@ -328,18 +288,19 @@ def _parse_cert(lines, doc, line_no, toks):
 
 def _parse_cert_value(lines, row, row_line, indent, base):
     if row[1] == "relation":
-        arity = int(row[2])
+        arity = lines.integer(row[2], row_line, "relation arity")
         tuples = []
         while lines.peek() is not None and lines.peek()[1] > indent:
-            _, _, trow = lines.next()
-            tuples.append(tuple(int(v) for v in trow[1:]))
+            t_line, _, trow = lines.next()
+            tuples.append(tuple(lines.integer(v, t_line, "tuple entry") for v in trow[1:]))
         return Relation(arity, base, tuples)
     if row[1] == "op":
-        op_name, arity = row[2], int(row[3])
+        op_name, arity = row[2], lines.integer(row[3], row_line, "op arity")
         vals = []
         while lines.peek() is not None and lines.peek()[1] > indent:
-            _, _, trow = lines.next()
-            vals.extend(int(v) for v in trow[1:] if trow[0] == "table")
+            t_line, _, trow = lines.next()
+            if trow[0] == "table":
+                vals.extend(lines.integer(v, t_line, f"table of {op_name}") for v in trow[1:])
         return Operation(op_name, arity, base, vals)
     raise ParseError("conclusion must be a relation or an op", lines.source, row_line)
 
@@ -355,7 +316,7 @@ def _parse_cert_node(lines, indent, base):
         value = _parse_cert_value(lines, row, row_line, indent, base)
         return Premise(value)
     if head == "intersection":
-        arity = int(row[1])
+        arity = lines.integer(row[1], row_line, "intersection arity")
         children = []
         while lines.peek() is not None and lines.peek()[1] > indent:
             children.append(_parse_cert_node(lines, indent + 2, base))
@@ -368,9 +329,9 @@ def _parse_cert_node(lines, indent, base):
         ):
             t_line, _, trow = lines.next()
             if trow[0] == "term":
-                terms.append(AffineTerm(tuple(int(v) for v in trow[1:])))
+                terms.append(AffineTerm(tuple(lines.integer(v, t_line, "term coefficient") for v in trow[1:])))
             else:
-                arity = int(trow[1])
+                arity = lines.integer(trow[1], t_line, "term-tree arity")
                 expr = _parse_sexpr(list(trow[2:]), lines, t_line)
                 terms.append(TermTree(arity, expr))
         child = _parse_cert_node(lines, indent + 2, base)

@@ -1,0 +1,268 @@
+"""The hom group on Hom(A^2, S) as one table, against the tuple loop it replaced.
+
+`build_hk_group` keeps the maps f: A^2 -> S with f(x, x) = k(x) as the rows
+of one int64 array, and its addition table, restriction embedding and base
+change checks are gathers of t_S's table over those rows.  The oracle below
+is the map-by-map tuple loop it ran before; both must give the same group
+and fail on the same corrupted t_S with the same error.  `Homomorphism`
+keeps its values once, as a read-only int64 array.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from adual import affine, core, homgroups, zoo
+
+# ---------------------------------------------------------------------------
+# Oracle: the tuple loop build_hk_group ran before
+# ---------------------------------------------------------------------------
+
+
+def oracle_hk(A, S, t_A, t_S, k, budget=core.DEFAULT_BUDGET):
+    """(elements as tuples, neutral index, flat add table), checked map by map."""
+    if not (core._same_tables(k.domain, A) and core._same_tables(k.codomain, S)):
+        raise ValueError("base morphism must go from A to S")
+    square = core.power_algebra(A, 2, budget)
+    homs2 = core.enumerate_homs(square, S, budget)
+    diag = [x * A.size + x for x in range(A.size)]
+    elements = tuple(
+        h.mapping for h in homs2 if all(h.mapping[diag[x]] == k(x) for x in range(A.size))
+    )
+    kbar = tuple(k(c % A.size) for c in range(square.size))
+    if kbar not in elements:
+        raise ValueError("the neutral candidate kbar is not a homomorphism: k is invalid")
+    neutral = elements.index(kbar)
+    index = {m: i for i, m in enumerate(elements)}
+    add_table = []
+    for f in elements:
+        for g in elements:
+            s = tuple(t_S(f[u], kbar[u], g[u]) for u in range(square.size))
+            if s not in index:
+                raise ValueError("hom set not closed under the pointwise term")
+            add_table.append(index[s])
+    try:
+        G = affine.AbelianGroup(len(elements), neutral, add_table)
+    except ValueError as e:
+        raise core.VerificationError(f"the hom set is not an Abelian group: {e}") from None
+
+    # restriction f |-> f(a, .) into Hom((A,+^a), (S,+^{k(a)}))
+    a = 0
+    ga = affine.group_from_affine(t_A, a).as_algebra(f"{A.name}+^{a}")
+    gs = affine.group_from_affine(t_S, k(a)).as_algebra(f"{S.name}+^{k(a)}")
+    K = {h.mapping for h in core.enumerate_homs(ga, gs, budget)}
+    restricted = []
+    for f in elements:
+        fa = tuple(f[a * A.size + x] for x in range(A.size))
+        if fa not in K:
+            raise core.VerificationError("restriction is not a group homomorphism")
+        restricted.append(fa)
+    if len(set(restricted)) != len(restricted):
+        raise core.VerificationError("restriction not injective")
+    for i, fa in enumerate(restricted):
+        if fa == k.mapping and i != neutral:
+            raise core.VerificationError("kernel of the restriction is larger than {kbar}")
+    for i in range(G.size):
+        for j in range(G.size):
+            rhs = tuple(t_S(restricted[i][x], k(x), restricted[j][x]) for x in range(A.size))
+            if restricted[G.add(i, j)] != rhs:
+                raise core.VerificationError("restriction is not additive")
+
+    # base change f |-> t_S(f, kbar, jbar) onto the fiber of every j
+    fibers = {}
+    for h in homs2:
+        fibers.setdefault(tuple(h.mapping[d] for d in diag), set()).add(h.mapping)
+    for j in core.enumerate_homs(A, S, budget):
+        jbar = tuple(j(c % A.size) for c in range(square.size))
+        other = fibers.get(j.mapping, set())
+        phi = {}
+        for f in elements:
+            img = tuple(t_S(f[u], kbar[u], jbar[u]) for u in range(square.size))
+            if img not in other:
+                raise core.VerificationError("base change leaves the target hom set")
+            phi[f] = img
+        if not (len(set(phi.values())) == len(elements) == len(other)):
+            raise core.VerificationError("not bijective")
+        for f in elements:
+            back = tuple(t_S(phi[f][u], jbar[u], kbar[u]) for u in range(square.size))
+            if back != f:
+                raise core.VerificationError("base change composed with its inverse is not the identity")
+    return elements, neutral, tuple(add_table)
+
+
+def outcome(build, A, S, t_A, t_S, k):
+    """The group as (elements, neutral, add table), or the type and message of its error."""
+    try:
+        result = build(A, S, t_A, t_S, k)
+    except (ValueError, core.VerificationError) as e:
+        return type(e), str(e)
+    if isinstance(result, homgroups.HkGroup):
+        assert result.elements.dtype == np.int64 and not result.elements.flags.writeable
+        return tuple(map(tuple, result.elements.tolist())), result.neutral, result.add_table
+    return result
+
+
+ALGEBRAS = {A.name: A for A in (zoo.cyclic_group(n) for n in (2, 3, 4, 6))}
+ALGEBRAS["v4"] = zoo.klein_group()
+TERMS = {name: affine.find_affine_term(A) for name, A in ALGEBRAS.items()}
+
+
+@pytest.mark.parametrize("a", list(ALGEBRAS))
+@pytest.mark.parametrize("s", list(ALGEBRAS))
+def test_hk_group_matches_the_tuple_loop(a, s):
+    A, S = ALGEBRAS[a], ALGEBRAS[s]
+    homs = core.enumerate_homs(A, S)
+    for k in {homs[0], homs[-1]}:
+        args = (A, S, TERMS[a], TERMS[s], k)
+        expected = outcome(oracle_hk, *args)
+        assert outcome(homgroups.build_hk_group, *args) == expected
+        assert isinstance(expected[1], int)  # a group, not an error
+
+
+SMALL = [("z2", "z2"), ("z2", "z4"), ("z3", "z3"), ("z4", "z2"), ("z4", "z4"), ("v4", "z2"), ("z2", "v4")]
+
+
+@st.composite
+def corrupted_cases(draw):
+    """(A, S, t_A, t_S with 1-3 cells changed, k)."""
+    a, s = draw(st.sampled_from(SMALL))
+    A, S = ALGEBRAS[a], ALGEBRAS[s]
+    k = draw(st.sampled_from(core.enumerate_homs(A, S)))
+    table = list(TERMS[s].table)
+    for _ in range(draw(st.integers(1, 3))):
+        table[draw(st.integers(0, len(table) - 1))] = draw(st.integers(0, S.size - 1))
+    return A, S, TERMS[a], core.Operation("t", 3, S.size, table), k
+
+
+@given(corrupted_cases())
+@settings(max_examples=150)
+def test_hk_group_fails_on_a_corrupted_term_like_the_tuple_loop(case):
+    assert outcome(homgroups.build_hk_group, *case) == outcome(oracle_hk, *case)
+
+
+def test_index_of_finds_elements_and_rejects_other_maps(v4):
+    t = affine.find_affine_term(v4)
+    H = homgroups.build_hk_group(v4, v4, t, t, core.enumerate_homs(v4, v4)[1])
+    assert H.index_of(H.elements).tolist() == list(range(H.size))
+    # equal to an element on the generators of v4^2, but not elsewhere
+    cell = max(set(range(H.square.size)) - set(H.square.generating_set))
+    outside = H.elements[[0]].copy()
+    outside[0, cell] = (outside[0, cell] + 1) % 4
+    assert H.index_of(outside).tolist() == [-1]
+
+
+# ---------------------------------------------------------------------------
+# Homomorphism: one read-only int64 array
+# ---------------------------------------------------------------------------
+
+
+def _build(domain, codomain, values):
+    try:
+        h = core.Homomorphism(domain, codomain, values)
+    except ValueError as e:
+        return type(e), str(e)
+    assert h.np_mapping.dtype == np.int64 and not h.np_mapping.flags.writeable
+    return h.mapping, h.np_mapping.tolist(), hash(h), h
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (0, 3, 2, 1),  # a homomorphism
+        (0, 1, 2),  # too short
+        (0, 1, 2, 4),  # outside the codomain
+        (0, 1, 2, 2),  # not a homomorphism
+        (0, 1, 2, 10**20),  # beyond int64
+        (0, 1, 2, -(10**20)),
+    ],
+)
+def test_homomorphism_from_list_tuple_or_array_agree(z4, values):
+    built = [_build(z4, z4, kind(values)) for kind in (list, tuple, np.array)]
+    assert built[0] == built[1] == built[2]
+    if isinstance(built[0][0], tuple):
+        assert built[0][0] == values and all(type(v) is int for v in built[0][0])
+    else:
+        assert built[0][0] is ValueError
+
+
+def test_homomorphism_keeps_no_tuple_until_it_is_read(z4):
+    h = core.Homomorphism(z4, z4, (0, 3, 2, 1))
+    assert "mapping" not in vars(h) and not hasattr(h, "_np")
+    assert h(1) == 3 and h.mapping == (0, 3, 2, 1)
+
+
+def test_read_only_owning_arrays_are_shared_and_others_copied(z4):
+    owned = np.array([0, 3, 2, 1])
+    owned.setflags(write=False)
+    writable = np.array([0, 3, 2, 1])
+    view = np.array([0, 3, 2, 1, 0])[:4]
+    view.setflags(write=False)
+    assert np.shares_memory(core.Homomorphism(z4, z4, owned).np_mapping, owned)
+    for other in (writable, view):
+        assert not np.shares_memory(core.Homomorphism(z4, z4, other).np_mapping, other)
+
+    add = z4.op("add").np_table.copy()
+    add.setflags(write=False)
+    assert np.shares_memory(core.Operation("add", 2, 4, add).np_table, add)
+    writable, view = add.copy(), np.concatenate([add, add])[:16]
+    view.setflags(write=False)
+    for other in (writable, view):
+        assert not np.shares_memory(core.Operation("add", 2, 4, other).np_table, other)
+
+
+def test_extend_partial_map_hands_over_a_read_only_array(z4):
+    values = core.extend_partial_map(z4, z4, {1: 3})
+    assert values.tolist() == [0, 3, 2, 1] and not values.flags.writeable
+    assert np.shares_memory(core.Homomorphism(z4, z4, values).np_mapping, values)
+
+
+# ---------------------------------------------------------------------------
+# The new gathers under python -O
+# ---------------------------------------------------------------------------
+
+_UNDER_OPTIMIZE = """
+import sys
+
+from adual import affine, core, homgroups, zoo
+
+if __debug__ or not sys.flags.optimize:
+    sys.exit("not running under -O")
+A = zoo.cyclic_group(int(sys.argv[1]))
+t = affine.find_affine_term(A)
+table = list(t.table)
+cell, value = int(sys.argv[3]), int(sys.argv[4])
+table[cell] = value
+k = core.enumerate_homs(A, A)[int(sys.argv[2])]
+try:
+    homgroups.build_hk_group(A, A, t, core.Operation("t", 3, A.size, table), k)
+except (core.VerificationError, ValueError) as e:
+    print(f"{type(e).__name__}: {e}")
+"""
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        # t(0, 0, 0) = 1 on Z4: the pointwise sums leave the hom set
+        (("4", "3", "0", "1"), "ValueError: hom set not closed under the pointwise term"),
+        # t(1, 1, 0) = 1 on Z2, over k = 0: the base change back misses the identity
+        (("2", "0", "6", "1"), "VerificationError: base change composed with its inverse"),
+    ],
+)
+def test_hk_gathers_fail_under_optimize(case, message):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE, *case],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(message), done.stdout

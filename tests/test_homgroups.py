@@ -96,8 +96,8 @@ def _hk(A, S, terms_by_name, k_mapping):
 def test_hk_group_z2_identity(z2, terms):
     H = _hk(z2, z2, terms, (0, 1))
     # maps f(x,y) = ax + by with a + b = 1: the two projections
-    assert sorted(H.elements) == [(0, 0, 1, 1), (0, 1, 0, 1)]
-    assert H.elements[H.neutral] == (0, 1, 0, 1)  # kbar(x,y) = y
+    assert sorted(H.elements.tolist()) == [[0, 0, 1, 1], [0, 1, 0, 1]]
+    assert H.elements[H.neutral].tolist() == [0, 1, 0, 1]  # kbar(x,y) = y
     assert H.size == 2
 
 

@@ -119,6 +119,24 @@ def test_galois_klein(v4, terms):
     assert report.subalgebras_above == 5 and report.congruences_above == 5
 
 
+def test_galois_computes_each_theta_and_c_once(v4, z6, terms, monkeypatch):
+    # theta_B once, and then theta_X once per carrier X and C(alpha, B) once per alpha
+    for A in (v4, z6):
+        B = subcong.SubalgebraWitness(A, (0,))
+        expected = subcong.verify_galois(A, terms[A.name], B)
+        calls = {"theta": [], "c": []}
+        for name, key in (("theta_of_subalgebra", "theta"), ("c_of_congruence", "c")):
+            real = getattr(subcong, name)
+            monkeypatch.setattr(
+                subcong, name, lambda *a, real=real, key=key: calls[key].append(a[-1]) or real(*a)
+            )
+        assert subcong.verify_galois(A, terms[A.name], B) == expected
+        carriers = [w.carrier for w in calls["theta"][1:]]
+        assert len(carriers) == len(set(carriers)) == len(core.subuniverse_carriers(A))
+        assert len(calls["c"]) == len(set(calls["c"])) <= len(core.con_lattice(A))
+        monkeypatch.undo()
+
+
 def test_galois_monotonicity(z6, terms):
     t = terms["z6"]
     carriers = core.subuniverse_carriers(z6)

@@ -1,6 +1,6 @@
 import pytest
 
-from adual import affine, core, entailment as ent, textio, zoo
+from adual import affine, cli, core, entailment as ent, textio, zoo
 
 
 def test_algebra_round_trip(z4, z6, s3, semilattice):
@@ -144,3 +144,30 @@ def test_parse_errors_cite_line_and_token():
 def test_unknown_size_token():
     with pytest.raises(core.ParseError):
         textio.parse_document("algebra x\nsize two\n")
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("  affine-op 0 1 1 0 1 0 0 1", "  affine-op 0 1 1 0 1 0 x 1"),
+        ("  neutral 0", "  neutral zero"),
+        ("  conclusion relation 3", "  conclusion relation three"),
+        ("    t 1 1 1", "    t 1 l 1"),
+        ("    intersection 3", "    intersection 3.0"),
+        ("        term 0 1 0", "        term 0 1 O"),
+    ],
+)
+def test_certificate_integers_are_read_with_their_location(z2, terms, tmp_path, capsys, field, bad):
+    res = ent.reduce_to_bounded_arity(z2, terms["z2"], core.diagonal_relation(2, 3), 3)
+    text = textio.serialize_certificate(res.certificate, "diag3", "z2")
+    lines = text.splitlines()
+    at = lines.index(field)
+    lines[at] = bad
+    path = tmp_path / "bad.cert"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(core.ParseError) as e:
+        textio.parse_document(path.read_text(), source=str(path))
+    assert e.value.source == str(path)
+    assert e.value.line == at + 1 and e.value.token in bad.split()
+    assert cli.main(["replay", str(path)]) == 2
+    assert f"{path}:{e.value.line}:" in capsys.readouterr().err
