@@ -129,7 +129,7 @@ def grid_blocks(digits, arity):
     """
     args = grid_args(digits, arity)
     rows = len(digits[0]) if arity else 1
-    step = max(1, CHUNK_CELLS // len(digits[0]) ** max(0, arity - 1))
+    step = max(1, CHUNK_CELLS // max(1, len(digits[0])) ** max(0, arity - 1))
     for s in range(0, rows, step):
         yield [tuple(d[s : s + step] for d in a) for a in args[:1]] + args[1:]
 
@@ -237,21 +237,38 @@ class FiniteAlgebra:
         self.power_of = power_of
         self._ops_by_name = {o.name: o for o in ops}
 
-    @cached_property
+    @property
     def generating_set(self):
         """A small generating set, grown greedily from the constants upward; computed once."""
-        if self.constants():
-            current = closed_product_subset([self], [])
-        else:
-            current = np.empty(0, dtype=np.int64)
-        gens = []
-        members = set(current.tolist())
-        while len(members) < self.size:
-            x = next(v for v in range(self.size) if v not in members)
-            gens.append(x)
-            current = closed_product_subset([self], [x], base=current)
-            members = set(current.tolist())
-        return tuple(gens)
+        return self._generation[0]
+
+    @cached_property
+    def _generation(self):
+        """The greedy generators, and the steps (op name, elements, args) that reach every
+        other element: `elements` are the op applied to `args`, one array per argument.
+
+        Each round applies every operation to all elements reached before it, in grid
+        blocks; a round that reaches nothing new adds the least unreached element.
+        """
+        reached, gens, steps = np.zeros(self.size, dtype=bool), [], []
+        while not reached.all():
+            current, seen = np.flatnonzero(reached), reached.copy()
+            for o in self.ops:
+                start = 0
+                for args in grid_blocks((current,), o.arity):
+                    values = np.ravel(apply_coordinatewise([o.np_table], [self.size], args))
+                    cells = np.flatnonzero(~seen[values])
+                    elements, first = np.unique(values[cells], return_index=True)
+                    if elements.size:
+                        where = decode_code(start + cells[first], [current.size] * o.arity)
+                        steps.append((o.name, elements, tuple(current[d] for d in where)))
+                        seen[elements] = True
+                    start += values.size
+            if (seen == reached).all():
+                gens.append(int(seen.argmin()))
+                seen[gens[-1]] = True
+            reached = seen
+        return tuple(gens), tuple(steps)
 
     def op(self, name):
         return self._ops_by_name[name]
@@ -285,7 +302,7 @@ def _check_same_signature(A, B):
 # All subuniverse generation runs through one routine that closes a set of
 # integer codes under the operations of a product of algebras, applied
 # coordinatewise by `apply_coordinatewise`.  Factors may repeat (powers) or
-# differ (used for graphs of partial maps inside A x B).
+# differ; they need only share a signature.
 # ---------------------------------------------------------------------------
 
 
@@ -714,27 +731,32 @@ class Homomorphism:
 
 
 def extend_partial_map(A, B, partial):
-    """Extend a partial map {a: b} on generators of A to a homomorphism.
+    """Extend a map {a: b} on exactly `A.generating_set` to a homomorphism A -> B.
 
-    Closes the graph inside A x B.  Returns the full mapping as a read-only
-    int64 array, or None when the extension is inconsistent or does not
-    cover A.
+    Fills the table along the generator steps with B's operations; returns it as a
+    read-only int64 array if the `Homomorphism` constructor accepts it, else None.
     """
-    seed = [encode_tuple(pair, B.size) for pair in partial.items()]
-    graph = closed_product_subset([A, B], seed)
-    points, values = decode_code(graph, [A.size, B.size])
-    # the graph is sorted, so it is a map on A exactly when its points are 0..|A|-1
-    if not np.array_equal(points, np.arange(A.size)):
-        return None
+    _check_same_signature(A, B)
+    gens, steps = A._generation
+    if set(partial) != set(gens):
+        raise ValueError(f"partial map keys {sorted(partial)} are not the generating set {gens} of {A.name}")
+    values = np.zeros(A.size, dtype=np.int64)
+    values[list(partial)] = list(partial.values())
+    for name, elements, args in steps:
+        values[elements] = apply_coordinatewise([B.op(name).np_table], [B.size], [(values[a],) for a in args])
     values.setflags(write=False)
+    try:
+        Homomorphism(A, B, values)
+    except ValueError:
+        return None
     return values
 
 
 def enumerate_homs(A, B, budget=DEFAULT_BUDGET):
     """All homomorphisms A -> B, sorted by their map tables.
 
-    Backtracks over images of a generating set of A, extending each partial
-    assignment through the graph closure in A x B.
+    Tries every image of the generating set of A, filling each candidate
+    table along the generator steps.
     """
     _check_same_signature(A, B)
     if A.size * B.size > budget:

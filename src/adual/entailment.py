@@ -409,7 +409,6 @@ def reduce_to_bounded_arity(
     R: Relation,
     N: int,
     budget=DEFAULT_BUDGET,
-    trivial_when_bounded=False,
 ) -> ReductionResult:
     """Certify R from (N+1)-ary compatible relations plus the affine operation.
 
@@ -419,21 +418,12 @@ def reduce_to_bounded_arity(
     A^(N+1), turning the component into a term preimage of an (N+1)-ary
     compatible relation.  N must be at least the generating-family size of
     every hom group met along the way; families are padded up to exactly N.
-
-    With trivial_when_bounded=True a relation that already has arity at most
-    N+1 is returned as its own one-node certificate instead.
     """
     if R.base_size != A.size:
         raise ValueError("relation base does not match the algebra")
     if not is_compatible_relation(A, R, budget):
         raise ValueError("input relation is not compatible")
     n = R.arity
-    if trivial_when_bounded and n <= N + 1:
-        cert = EntailmentCertificate(
-            conclusion=R, premises=(R,), derivation=Premise(R), term_op=t
-        )
-        return ReductionResult(input=R, bounded_premises=(R,), certificate=cert)
-
     P = power_algebra(A, n, budget)
     t_P = lift_term_to_power(t, n, budget)
     r_codes = R.codes()

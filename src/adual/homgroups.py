@@ -31,7 +31,6 @@ from .core import (
     encode_tuple,
     enumerate_homs,
     power_algebra,
-    sorted_member,
 )
 from .affine import AbelianGroup, find_affine_term, group_from_affine
 
@@ -184,36 +183,16 @@ class HkGroup(AbelianGroup):
 
     def index_of(self, maps):
         """The element index of each map table, a row of `maps`; -1 for a map outside the group."""
-        return _MapIndex(self.elements, self.square, self.S.size).find(maps)
+        return _find_rows(self.elements, maps)
 
 
-class _MapIndex:
-    """The rows of a table of homomorphisms on `domain`, found by their values on generators.
-
-    A homomorphism is fixed by its values on a generating set of its domain,
-    so those values, read as a mixed-radix code, tell the rows apart.  A
-    query is looked up by its code with `sorted_member`, and a hit is
-    confirmed on the whole row, since a query need not be a homomorphism.
-    """
-
-    def __init__(self, rows, domain, radix):
-        self.rows = rows
-        self._code = lambda maps: np.broadcast_to(
-            encode_tuple(maps[:, list(domain.generating_set)].T, radix), len(maps)
-        )
-        codes = self._code(rows)
-        self._order = np.argsort(codes)
-        self._sorted = codes[self._order]
-
-    def find(self, maps):
-        """The row index of each map, a row of `maps`, or -1 where no row equals it."""
-        codes = self._code(maps)
-        hit = np.flatnonzero(sorted_member(self._sorted, codes))
-        rows = self._order[np.searchsorted(self._sorted, codes[hit])]
-        same = (self.rows[rows] == maps[hit]).all(axis=1)
-        found = np.full(len(maps), -1)
-        found[hit[same]] = rows[same]
-        return found
+def _find_rows(rows, queries):
+    """The index of each query, a row of `queries`, among the distinct `rows`; -1 where none equals it."""
+    _, labels = np.unique(np.concatenate([rows, queries]), axis=0, return_inverse=True)
+    labels = labels.reshape(-1)
+    position = np.full(len(rows) + len(queries), -1)
+    position[labels[: len(rows)]] = np.arange(len(rows))
+    return position[labels[len(rows) :]]
 
 
 def _map_table(homs, domain):
@@ -252,16 +231,15 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
     homs2 = _map_table(enumerate_homs(square, S, budget), square)
     elements = homs2[(homs2[:, _diagonal(A.size)] == k.np_mapping).all(axis=1)]
     elements.setflags(write=False)
-    index = _MapIndex(elements, square, S.size)
     kbar = k.np_mapping[decode_code(np.arange(square.size), [A.size] * 2)[1]]
-    (neutral_index,) = index.find(kbar[None, :])
+    (neutral_index,) = _find_rows(elements, kbar[None, :])
     if neutral_index < 0:
         raise ValueError("the neutral candidate kbar is not a homomorphism: k is invalid")
     m = len(elements)
     add_table = np.empty((m, m), dtype=np.int64)
     for rows in _row_blocks(m, m * square.size):
         sums = _pointwise_term(t_S, elements[rows, None], kbar, elements[None, :])
-        add_table[rows] = index.find(sums.reshape(-1, square.size)).reshape(-1, m)
+        add_table[rows] = _find_rows(elements, sums.reshape(-1, square.size)).reshape(-1, m)
     if (add_table < 0).any():
         raise ValueError("hom set not closed under the pointwise term")
     try:
@@ -279,9 +257,9 @@ def _verify_restriction_embedding(G: HkGroup, t_A, budget):
     A, S = G.A, G.S
     ga = group_from_affine(t_A, a).as_algebra(f"{A.name}+^{a}")
     gs = group_from_affine(G.t_S, G.k(a)).as_algebra(f"{S.name}+^{G.k(a)}")
-    K = _MapIndex(_map_table(enumerate_homs(ga, gs, budget), ga), ga, S.size)
+    K = _map_table(enumerate_homs(ga, gs, budget), ga)
     restricted = G.elements[:, encode_tuple((a, np.arange(A.size)), A.size)]
-    found = K.find(restricted)
+    found = _find_rows(K, restricted)
     if (found < 0).any():
         raise VerificationError("restriction is not a group homomorphism")
     if np.unique(found).size != G.size:
@@ -297,27 +275,36 @@ def _verify_restriction_embedding(G: HkGroup, t_A, budget):
             raise VerificationError("restriction is not additive")
 
 
+_BASE_CHANGE_FAILURES = (
+    "base change leaves the target hom set",
+    "not bijective",
+    "base change composed with its inverse is not the identity",
+)
+
+
 def _verify_base_change(G: HkGroup, homs2, budget):
-    """For every other base hom j, f |-> t_S(f, kbar, jbar) is a group isomorphism.
+    """For every base hom j, f |-> t_S(f, kbar, jbar) is a group isomorphism.
 
     `homs2` is the table of Hom(A^2, S); the target of j is its fiber over j on the diagonal.
+    All j are checked in blocks of CHUNK_CELLS cells; the first j that fails raises.
     """
-    A = G.A
-    maps = _MapIndex(homs2, G.square, G.S.size)
+    A, m, width = G.A, G.size, G.square.size
     kbar = G.elements[G.neutral]
-    y = decode_code(np.arange(G.square.size), [A.size] * 2)[1]
-    on_diagonal = homs2[:, _diagonal(A.size)]
-    for j in enumerate_homs(A, G.S, budget):
-        jbar = j.np_mapping[y]
-        in_fiber = (on_diagonal == j.np_mapping).all(axis=1)
-        images = _pointwise_term(G.t_S, G.elements, kbar, jbar)
-        found = maps.find(images)
-        if ((found < 0) | ~in_fiber[found]).any():
-            raise VerificationError("base change leaves the target hom set")
-        if not (np.unique(found).size == G.size == in_fiber.sum()):
-            raise VerificationError("not bijective")
-        if not np.array_equal(_pointwise_term(G.t_S, images, jbar, kbar), G.elements):
-            raise VerificationError("base change composed with its inverse is not the identity")
+    js = _map_table(enumerate_homs(A, G.S, budget), A)
+    jbars = js[:, None, decode_code(np.arange(width), [A.size] * 2)[1]]
+    base_of = _find_rows(js, homs2[:, _diagonal(A.size)])  # the j each map lies over, or -1
+    fiber_size = np.bincount(base_of[base_of >= 0], minlength=len(js))
+    for rows in _row_blocks(len(js), m * width):
+        images = _pointwise_term(G.t_S, G.elements, kbar, jbars[rows])
+        found = _find_rows(homs2, images.reshape(-1, width)).reshape(-1, m)
+        distinct = 1 + (np.diff(np.sort(found, axis=1), axis=1) != 0).sum(axis=1)
+        stays = ((found >= 0) & (base_of[found] == np.arange(len(js))[rows, None])).all(axis=1)
+        onto = (distinct == m) & (fiber_size[rows] == m)
+        back = (_pointwise_term(G.t_S, images, jbars[rows], kbar) == G.elements).all(axis=(1, 2))
+        failed = ~np.array([stays, onto, back])  # [check, j]
+        if failed.any():
+            check = failed[:, failed.any(axis=0).argmax()].argmax()
+            raise VerificationError(_BASE_CHANGE_FAILURES[check])
 
 
 # ---------------------------------------------------------------------------

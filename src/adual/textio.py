@@ -74,6 +74,16 @@ class _Lines:
     def error(self, message, line, token=""):
         raise ParseError(message, self.source, line, token)
 
+    def token(self, row, i, line, what):
+        """Token `i` of `row`; otherwise a ParseError naming `what`, the line and the row's last token."""
+        if i >= len(row):
+            self.error(f"{what}: missing", line, row[-1])
+        return row[i]
+
+    def int_at(self, row, i, line, what):
+        """Token `i` of `row` as an int, located like `token` and `integer`."""
+        return self.integer(self.token(row, i, line, what), line, what)
+
     def integer(self, token, line, what):
         """`token` as an int; otherwise a ParseError naming `what`, the line and the token."""
         try:
@@ -218,22 +228,28 @@ def _parse_cong(lines, doc, line_no, toks):
 # ---------------------------------------------------------------------------
 
 
-def _parse_sexpr(tokens, lines, line_no):
-    if not tokens:
-        lines.error("empty term expression", line_no)
-    tok = tokens.pop(0)
+def _parse_sexpr(tokens, lines, line_no, before):
+    """One term expression taken off the front of `tokens`; `before` is the token read last."""
+
+    def take(after):
+        if not tokens:
+            lines.error("term expression ends early", line_no, after)
+        return tokens.pop(0)
+
+    tok = take(before)
     if tok != "(":
         lines.error("expected (", line_no, tok)
-    head = tokens.pop(0)
+    head = take(tok)
     if head == "proj":
-        idx = lines.integer(tokens.pop(0), line_no, "proj index")
-        if tokens.pop(0) != ")":
+        index = take(head)
+        idx = lines.integer(index, line_no, "proj index")
+        if take(index) != ")":
             lines.error("expected )", line_no)
         return ("proj", idx)
     children = []
     while tokens and tokens[0] == "(":
-        children.append(_parse_sexpr(tokens, lines, line_no))
-    if not tokens or tokens.pop(0) != ")":
+        children.append(_parse_sexpr(tokens, lines, line_no, head))
+    if take(head) != ")":
         lines.error("expected )", line_no)
     return (head, tuple(children))
 
@@ -262,9 +278,10 @@ def _parse_cert(lines, doc, line_no, toks):
         if key == "affine-op":
             term_op = Operation("t", 3, base, _read_ints(lines, base**3, row_line, key, skip=1))
         elif key == "neutral":
-            neutral = lines.integer(row[1], row_line, key)
+            neutral = lines.int_at(row, 1, row_line, key)
         elif key == "extra-op":
-            op_name, arity = row[1], lines.integer(row[2], row_line, "extra-op arity")
+            op_name = lines.token(row, 1, row_line, "extra-op name")
+            arity = lines.int_at(row, 2, row_line, "extra-op arity")
             vals = _read_ints(lines, base**arity, row_line, f"extra-op {op_name}", skip=3)
             extra_ops.append(Operation(op_name, arity, base, vals))
         elif key == "conclusion":
@@ -287,36 +304,36 @@ def _parse_cert(lines, doc, line_no, toks):
 
 
 def _parse_cert_value(lines, row, row_line, indent, base):
-    if row[1] == "relation":
-        arity = lines.integer(row[2], row_line, "relation arity")
+    kind = lines.token(row, 1, row_line, f"{row[0]} kind")
+    if kind == "relation":
+        arity = lines.int_at(row, 2, row_line, "relation arity")
         tuples = []
         while lines.peek() is not None and lines.peek()[1] > indent:
             t_line, _, trow = lines.next()
             tuples.append(tuple(lines.integer(v, t_line, "tuple entry") for v in trow[1:]))
         return Relation(arity, base, tuples)
-    if row[1] == "op":
-        op_name, arity = row[2], lines.integer(row[3], row_line, "op arity")
+    if kind == "op":
+        op_name = lines.token(row, 2, row_line, "op name")
+        arity = lines.int_at(row, 3, row_line, "op arity")
         vals = []
         while lines.peek() is not None and lines.peek()[1] > indent:
             t_line, _, trow = lines.next()
             if trow[0] == "table":
                 vals.extend(lines.integer(v, t_line, f"table of {op_name}") for v in trow[1:])
         return Operation(op_name, arity, base, vals)
-    raise ParseError("conclusion must be a relation or an op", lines.source, row_line)
+    lines.error("expected a relation or an op", row_line, kind)
 
 
 def _parse_cert_node(lines, indent, base):
     row_line, row_indent, row = lines.next()
     if row_indent != indent:
-        raise ParseError(
-            f"expected node at indent {indent}", lines.source, row_line, row[0]
-        )
+        lines.error(f"expected node at indent {indent}", row_line, row[0])
     head = row[0]
     if head == "premise":
         value = _parse_cert_value(lines, row, row_line, indent, base)
         return Premise(value)
     if head == "intersection":
-        arity = lines.integer(row[1], row_line, "intersection arity")
+        arity = lines.int_at(row, 1, row_line, "intersection arity")
         children = []
         while lines.peek() is not None and lines.peek()[1] > indent:
             children.append(_parse_cert_node(lines, indent + 2, base))
@@ -331,8 +348,8 @@ def _parse_cert_node(lines, indent, base):
             if trow[0] == "term":
                 terms.append(AffineTerm(tuple(lines.integer(v, t_line, "term coefficient") for v in trow[1:])))
             else:
-                arity = lines.integer(trow[1], t_line, "term-tree arity")
-                expr = _parse_sexpr(list(trow[2:]), lines, t_line)
+                arity = lines.int_at(trow, 1, t_line, "term-tree arity")
+                expr = _parse_sexpr(list(trow[2:]), lines, t_line, trow[1])
                 terms.append(TermTree(arity, expr))
         child = _parse_cert_node(lines, indent + 2, base)
         return TermPreimage(tuple(terms), child)
@@ -341,7 +358,7 @@ def _parse_cert_node(lines, indent, base):
     if head == "graph-to-op":
         op_name = row[1] if len(row) > 1 else "t"
         return GraphToOperation(_parse_cert_node(lines, indent + 2, base), name=op_name)
-    raise ParseError("unknown derivation node", lines.source, row_line, head)
+    lines.error("unknown derivation node", row_line, head)
 
 
 # ---------------------------------------------------------------------------

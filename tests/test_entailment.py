@@ -202,15 +202,6 @@ def test_reduce_diagonal_z2_cube(z2, terms, exhaustive_oracles):
     assert ent.verify_certificate(res.certificate)
 
 
-def test_reduce_trivial_flag(z2, terms, exhaustive_oracles):
-    r = core.Relation(2, 2, [(0, 0), (1, 1)])
-    res = ent.reduce_to_bounded_arity(z2, terms["z2"], r, 3, trivial_when_bounded=True)
-    assert exhaustive_oracles(z2, res) == 1
-    assert res.bounded_premises == (r,)
-    assert isinstance(res.certificate.derivation, ent.Premise)
-    assert ent.verify_certificate(res.certificate)
-
-
 def test_reduce_full_relation_has_no_components(z2, terms, exhaustive_oracles):
     full = core.full_relation(2, 2)
     res = ent.reduce_to_bounded_arity(z2, terms["z2"], full, 3)

@@ -145,6 +145,31 @@ def test_hk_group_fails_on_a_corrupted_term_like_the_tuple_loop(case):
     assert outcome(homgroups.build_hk_group, *case) == outcome(oracle_hk, *case)
 
 
+def test_base_change_names_a_missing_or_surplus_target_map(v4):
+    t = TERMS["v4"]
+    G = homgroups.build_hk_group(v4, v4, t, t, core.enumerate_homs(v4, v4)[0])
+    homs2 = homgroups._map_table(core.enumerate_homs(G.square, v4), G.square)
+    with pytest.raises(core.VerificationError, match="leaves the target hom set"):
+        homgroups._verify_base_change(G, homs2[:-1], core.DEFAULT_BUDGET)
+    surplus = homs2[-1].copy()
+    surplus[1] = (surplus[1] + 1) % 4  # off the diagonal, so in the same fiber
+    with pytest.raises(core.VerificationError, match="not bijective"):
+        homgroups._verify_base_change(G, np.vstack([homs2, surplus]), core.DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize("a, s", [("v4", "v4"), ("z4", "z2"), ("z2", "z6")])
+def test_index_of_matches_a_dict_of_rows(a, s):
+    A, S = ALGEBRAS[a], ALGEBRAS[s]
+    H = homgroups.build_hk_group(A, S, TERMS[a], TERMS[s], core.enumerate_homs(A, S)[-1])
+    rng = np.random.default_rng(7)
+    changed = H.elements[rng.integers(0, H.size, 40)].copy()
+    cells = rng.integers(0, H.square.size, 40)
+    changed[np.arange(40), cells] = (changed[np.arange(40), cells] + rng.integers(0, 2, 40)) % S.size
+    maps = np.concatenate([H.elements[::-1], changed, rng.integers(0, S.size, (20, H.square.size))])
+    oracle = {tuple(row): i for i, row in enumerate(H.elements.tolist())}
+    assert H.index_of(maps).tolist() == [oracle.get(tuple(row), -1) for row in maps.tolist()]
+
+
 def test_index_of_finds_elements_and_rejects_other_maps(v4):
     t = affine.find_affine_term(v4)
     H = homgroups.build_hk_group(v4, v4, t, t, core.enumerate_homs(v4, v4)[1])
@@ -221,6 +246,13 @@ def test_extend_partial_map_hands_over_a_read_only_array(z4):
     assert np.shares_memory(core.Homomorphism(z4, z4, values).np_mapping, values)
 
 
+@pytest.mark.parametrize("partial", [{2: 1}, {}, {1: 3, 2: 2}])
+def test_extend_partial_map_takes_exactly_the_generating_set(z4, partial):
+    assert z4.generating_set == (1,)
+    with pytest.raises(ValueError, match=r"not the generating set \(1,\) of z4"):
+        core.extend_partial_map(z4, z4, partial)
+
+
 # ---------------------------------------------------------------------------
 # The new gathers under python -O
 # ---------------------------------------------------------------------------
@@ -266,3 +298,30 @@ def test_hk_gathers_fail_under_optimize(case, message):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(message), done.stdout
+
+
+_CANDIDATES_UNDER_OPTIMIZE = """
+import sys
+
+from adual import core, zoo
+
+if __debug__ or not sys.flags.optimize:
+    sys.exit("not running under -O")
+z2, z4 = zoo.cyclic_group(2), zoo.cyclic_group(4)
+# 1 -> 1 fills the table [0, 1], which breaks 1 + 1 = 0
+print(core.extend_partial_map(z2, z4, {1: 1}), [h.mapping for h in core.enumerate_homs(z2, z4)])
+"""
+
+
+def test_non_hom_candidates_are_rejected_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CANDIDATES_UNDER_OPTIMIZE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "None [(0, 0), (0, 2)]\n"

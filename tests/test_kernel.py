@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adual import affine, core, textio, zoo
-from test_core import brute_force_subuniverses
+from test_core import brute_force_homs, brute_force_subuniverses
 
 Z4AFF = Path(__file__).resolve().parents[1] / "data" / "z4aff.alg"
 
@@ -288,6 +288,70 @@ def test_homomorphisms_match_oracle(signature, m, n, data):
                 with pytest.raises(ValueError, match="not a homomorphism"):
                     core.Homomorphism(A, B, mapping)
         assert [h.mapping for h in core.enumerate_homs(A, B)] == homs
+
+
+def oracle_generators(A):
+    """The greedy generating set by closures: close the constants, then add the least unreached element."""
+    reached = core.closed_product_subset([A], []).tolist() if A.constants() else []
+    gens = []
+    while len(reached) < A.size:
+        gens.append(min(set(range(A.size)) - set(reached)))
+        reached = core.closed_product_subset([A], gens + reached).tolist()
+    return tuple(gens)
+
+
+@given(algebras())
+@settings(max_examples=60)
+def test_generating_steps_match_the_closure_oracle(A):
+    for (C,) in reducts(A):
+        assert C.generating_set == oracle_generators(C)
+        # the steps fill the identity map, a homomorphism, back in full
+        identity = core.extend_partial_map(C, C, {g: g for g in C.generating_set})
+        assert identity.tolist() == list(range(C.size))
+
+
+def oracle_homs(A, B):
+    """Every hom A -> B: the maps on 0..x, extended one element x at a time and
+    kept when they satisfy every equation whose elements are all assigned."""
+    checks = [[] for _ in range(A.size)]  # by the largest element an equation holds
+    for o in A.ops:
+        args = core.decode_code(np.arange(A.size**o.arity), [A.size] * o.arity)
+        level = np.maximum.reduce([o.np_table, *args])
+        for x in np.unique(level).tolist():
+            at = level == x
+            checks[x].append((B.op(o.name).np_table, [a[at] for a in args], o.np_table[at]))
+    maps = np.zeros((1, 0), dtype=np.int64)
+    for x in range(A.size):
+        values = np.tile(np.arange(B.size), len(maps))
+        maps = np.column_stack([np.repeat(maps, B.size, axis=0), values])
+        for table, args, result in checks[x]:
+            images = table[core.encode_tuple([maps[:, a] for a in args], B.size)]
+            maps = maps[(images == maps[:, result]).all(axis=1)]
+    return [tuple(m) for m in maps.tolist()]
+
+
+def test_homs_of_a_large_power_are_the_parities():
+    """Hom(Z2^9, Z2): 9 generators, and the last round of steps spans two grid blocks."""
+    z2 = zoo.cyclic_group(2)
+    P = core.power_algebra(z2, 9)
+    assert len(P.generating_set) == 9 and 257**2 > core.CHUNK_CELLS
+    parities = sorted(tuple(bin(x & m).count("1") % 2 for x in range(P.size)) for m in range(P.size))
+    assert [h.mapping for h in core.enumerate_homs(P, z2)] == parities
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        (zoo.cyclic_group(1), zoo.cyclic_group(3)),  # no generators: one candidate
+        (core.power_algebra(load_z4aff(), 2), load_z4aff()),  # ternary, no constants
+        (core.power_algebra(zoo.cyclic_group(2), 3), zoo.klein_group()),
+    ],
+)
+def test_enumerate_homs_matches_the_equation_oracle(A, B):
+    homs = [h.mapping for h in core.enumerate_homs(A, B)]
+    assert homs == oracle_homs(A, B)
+    if B.size**A.size <= 4096:
+        assert homs == [h.mapping for h in brute_force_homs(A, B)]
 
 
 @given(algebras())

@@ -171,3 +171,36 @@ def test_certificate_integers_are_read_with_their_location(z2, terms, tmp_path, 
     assert e.value.line == at + 1 and e.value.token in bad.split()
     assert cli.main(["replay", str(path)]) == 2
     assert f"{path}:{e.value.line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, short",
+    [
+        ("  neutral 0", "  neutral"),
+        ("  conclusion relation 3", "  conclusion relation"),
+        ("  conclusion relation 3", "  conclusion"),
+        ("    intersection 3", "    intersection"),
+        ("  extra-op add 2 0 1 2 3 1 2 3 0 2 3 0 1 3 0 1 2", "  extra-op add"),
+        ("  extra-op add 2 0 1 2 3 1 2 3 0 2 3 0 1 3 0 1 2", "  extra-op"),
+        ("      premise relation 1", "      premise"),
+        ("      term-tree 2 ( add ( proj 0 ) ( proj 1 ) )", "      term-tree 2 ("),
+        ("      term-tree 2 ( add ( proj 0 ) ( proj 1 ) )", "      term-tree 2 ( add ( proj"),
+        ("      term-tree 2 ( add ( proj 0 ) ( proj 1 ) )", "      term-tree 2"),
+    ],
+)
+def test_certificate_rows_missing_a_token_are_located(z2, z4, terms, tmp_path, capsys, field, short):
+    res = ent.reduce_to_bounded_arity(z2, terms["z2"], core.diagonal_relation(2, 3), 3)
+    tree = ent.TermTree(2, ("add", (("proj", 0), ("proj", 1))))
+    _, cert = ent.derive(z4, "term-preimage", [core.Relation(1, 4, [(0,)])], terms=[tree], extra_ops=[z4.op("add")])
+    text = textio.serialize_certificate(res.certificate, "diag3", "z2") + textio.serialize_certificate(cert, "tree", "z4")
+    lines = text.splitlines()
+    at = lines.index(field)
+    lines[at] = short
+    path = tmp_path / "short.cert"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(core.ParseError) as e:
+        textio.parse_document(path.read_text(), source=str(path))
+    assert e.value.source == str(path)
+    assert e.value.line == at + 1 and e.value.token == short.split()[-1]
+    assert cli.main(["replay", str(path)]) == 2
+    assert f"{path}:{e.value.line}:" in capsys.readouterr().err
