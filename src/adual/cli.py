@@ -256,16 +256,20 @@ def cmd_duality(args):
     A = _first_algebra(doc, args.files[0])
     _header(args)
     N = args.arity if args.arity else duality.arity_bound(A)
-    if args.max_power >= 3:
-        print(
-            f"# cost estimate: enumerating Sub({A.name}^{args.max_power}) over "
-            f"{A.size ** args.max_power} elements and {A.size ** N} alter-ego codes",
-            file=sys.stderr,
-        )
     relations = None
     if args.partial_relations:
         extra = _load([args.partial_relations])
         relations = [r for _, _, r in extra.relations]
+    if args.max_power >= 3:
+        if relations is None and duality.subgroup_formula(A, args.budget) is not None:
+            ego_cost = "the alter ego counted by the subgroup formula"
+        else:
+            ego_cost = f"{A.size ** N} alter-ego codes"
+        print(
+            f"# cost estimate: enumerating Sub({A.name}^{args.max_power}) over "
+            f"{A.size ** args.max_power} elements and {ego_cost}",
+            file=sys.stderr,
+        )
     start = time.monotonic()
     ego = duality.build_alter_ego(A, N, args.budget, relations=relations)
     reports = duality.verify_duality(A, args.max_power, args.budget, ego=ego)
@@ -277,7 +281,7 @@ def cmd_duality(args):
     verdict = "PASS" if all(r.bijective for r in reports) else "FAIL"
     mode = "" if ego.complete else " partial"
     print(
-        f"DUALITY {verdict} k_max={args.max_power} relations={len(ego.relations)}"
+        f"DUALITY {verdict} k_max={args.max_power} relations={ego.count}"
         f"{mode} time={elapsed:.2f}s"
     )
     return EXIT_PASS if verdict == "PASS" else EXIT_FAIL

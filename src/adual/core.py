@@ -733,8 +733,8 @@ class Homomorphism:
 def extend_partial_map(A, B, partial):
     """Extend a map {a: b} on exactly `A.generating_set` to a homomorphism A -> B.
 
-    Fills the table along the generator steps with B's operations; returns it as a
-    read-only int64 array if the `Homomorphism` constructor accepts it, else None.
+    Fills the table along the generator steps with B's operations; returns the
+    `Homomorphism` on it if the constructor's check accepts the table, else None.
     """
     _check_same_signature(A, B)
     gens, steps = A._generation
@@ -746,10 +746,9 @@ def extend_partial_map(A, B, partial):
         values[elements] = apply_coordinatewise([B.op(name).np_table], [B.size], [(values[a],) for a in args])
     values.setflags(write=False)
     try:
-        Homomorphism(A, B, values)
+        return Homomorphism(A, B, values)
     except ValueError:
         return None
-    return values
 
 
 def enumerate_homs(A, B, budget=DEFAULT_BUDGET):
@@ -767,14 +766,14 @@ def enumerate_homs(A, B, budget=DEFAULT_BUDGET):
         raise BudgetExceededError(
             count, budget, hint=f"{B.size}**{len(generators)} images of the generating set of {A.name}"
         )
-    maps = []
+    homs = []
     for images in itertools.product(range(B.size), repeat=len(generators)):
-        mapping = extend_partial_map(A, B, dict(zip(generators, images)))
-        if mapping is not None:
-            maps.append(mapping)
+        hom = extend_partial_map(A, B, dict(zip(generators, images)))
+        if hom is not None:
+            homs.append(hom)
     # lexicographic order of the tables: lexsort's last key is the first coordinate
-    order = np.lexsort(np.array(maps).reshape(len(maps), A.size).T[::-1])
-    return [Homomorphism(A, B, maps[i]) for i in order]
+    tables = np.array([h.np_mapping for h in homs]).reshape(len(homs), A.size)
+    return [homs[i] for i in np.lexsort(tables.T[::-1])]
 
 
 # ---------------------------------------------------------------------------

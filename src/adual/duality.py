@@ -18,8 +18,10 @@ restricted to S lies in pr_S e(B), the projection of the evaluation image
 (the interpolation condition of Clark and Davey, "Natural Dualities for the
 Working Algebraist", 1998).  pr_S e(B) is a compatible relation whose lift
 holds S, and every relation whose lift holds S contains it.  So complete
-mode reads its constraints off the table of hom values, and the relations
-of the alter ego serve only the count the summary reports.
+mode reads its constraints off the table of hom values and lists no
+relation: the alter ego carries only their number, |Sub(A^N)|, which
+`relation_count` reads off the subgroup formula when A is affine over an
+Abelian group in the way it states, and counts by enumeration otherwise.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
-from math import comb
+from math import comb, gcd
 from typing import Optional
 
 import numpy as np
 
+from .affine import AbelianGroup, find_affine_term, group_from_affine
 from .core import (
     CHUNK_CELLS,
     BudgetExceededError,
@@ -40,7 +43,6 @@ from .core import (
     VerificationError,
     encode_tuple,
     enumerate_homs,
-    enumerate_subuniverses,
     is_compatible_relation,
     power_algebra,
     sorted_member,
@@ -67,16 +69,22 @@ class AlterEgo:
 
     The topology on a finite set is discrete and carried implicitly.
     `complete` records whether the relations are all compatible relations of
-    the stated arity or a caller-supplied subset ("partial" mode).
+    the stated arity or a caller-supplied subset ("partial" mode).  `count`
+    is the number of relations of the alter ego: `len(relations)` unless
+    given.  `build_alter_ego` gives the complete alter ego no relations and
+    its count only, since complete mode reads none of them.
     """
 
     base: FiniteAlgebra
     relations: tuple
     arity: int
     complete: bool = True
+    count: Optional[int] = None
     budget: InitVar[int] = DEFAULT_BUDGET
 
     def __post_init__(self, budget):
+        if self.count is None:
+            self.count = len(self.relations)
         for r in self.relations:
             if r.arity != self.arity:
                 raise ValueError(f"alter-ego relation has arity {r.arity}, expected {self.arity}")
@@ -95,16 +103,145 @@ class AlterEgo:
 
 
 def build_alter_ego(A, N, budget=DEFAULT_BUDGET, relations=None) -> AlterEgo:
-    """All N-ary compatible relations of A, or a supplied subset (partial mode)."""
+    """The complete alter ego of arity N, counted, or a supplied subset (partial mode)."""
     if relations is not None:
         return AlterEgo(A, tuple(relations), N, complete=False, budget=budget)
+    return AlterEgo(A, (), N, count=relation_count(A, N, budget))
+
+
+def affine_gcd(A, budget=DEFAULT_BUDGET):
+    """(G, g) when every basic operation of A is an integer combination in G, else None.
+
+    G is the group x + y = t(x, e, y) of the affine term t, with e the value
+    of A's constants, or 0 if A has none.  Each basic operation f must be
+    sum(m_i * x_i) in G for integers m_i: m_i is read off the unary part
+    f(e, .., x, .., e) and checked over the whole table of f.  With s_f the
+    sum of the m_i (0 for a constant), g = gcd(exp G, s_f - 1 over every f).
+    None for no affine term, constants of two values, a failed coefficient
+    check, or a term search the budget refuses.
+    """
+    try:
+        t = find_affine_term(A, budget)
+    except BudgetExceededError:
+        return None
+    constants = set(A.constants())
+    if t is None or len(constants) > 1:
+        return None
+    e = constants.pop() if constants else 0
+    G = group_from_affine(t, e)
+    n, exponent = A.size, G.exponent
+    add = np.array(G.add_table, dtype=np.int64).reshape(n, n)
+    multiples = np.full((exponent, n), e, dtype=np.int64)  # multiples[m, x] = m * x
+    for m in range(1, exponent):
+        multiples[m] = add[multiples[m - 1], np.arange(n)]
+    g = exponent
+    for f in A.ops:
+        table = f.np_table.reshape((n,) * f.arity)
+        combination = np.int64(e)  # sum(m_i * x_i) over the grid of arguments
+        coefficients = 0
+        for i in range(f.arity):
+            unary = table[(e,) * i + (slice(None),) + (e,) * (f.arity - i - 1)]
+            m = np.flatnonzero((multiples == unary).all(axis=1))
+            if not m.size:
+                return None
+            coefficients += int(m[0])
+            axis = [1] * f.arity
+            axis[i] = n
+            combination = add[combination, multiples[m[0]].reshape(axis)]
+        if not (combination == table).all():
+            return None
+        g = gcd(g, coefficients - 1)
+    return G, g
+
+
+def subgroup_formula(A, budget=DEFAULT_BUDGET):
+    """(G, cosets) when `relation_count` counts Sub(A^N) by formula, else None.
+
+    With (G, g) from `affine_gcd`, the formula counts the subgroups of G^N
+    when g = 1 and their cosets when g = exp G; `cosets` says which.  It
+    does not apply for 1 < g < exp G.
+    """
+    found = affine_gcd(A, budget)
+    if found is None or found[1] not in (1, found[0].exponent):
+        return None
+    G, g = found
+    return G, g != 1
+
+
+def relation_count(A, N, budget=DEFAULT_BUDGET) -> int:
+    """The number of N-ary compatible relations of A, that is |Sub(A^N)|.
+
+    Where `subgroup_formula` applies, no power of A is built.  The affine
+    term t is a term, so a nonempty subuniverse S of A^N is closed under
+    t(x, y, z) = x - y + z, computed coordinatewise in G^N: for a in S,
+    S - a is a subgroup H.  So S is a coset a + H.  An operation
+    f = sum(m_i * x_i) maps (a + h_1, .., a + h_k) to s_f * a + sum(m_i * h_i),
+    and the sum ranges over H.  Hence a + H is closed under f iff
+    (s_f - 1) * a lies in H, and it is a subuniverse iff g * a lies in H,
+    since the k with k * a in H form a subgroup of Z holding exp G.  With
+    g = 1 that is a in H: one subuniverse per subgroup.  With g = exp G it
+    always holds: one per coset, |G^N : H| per subgroup.  Both sums are
+    computed prime by prime (`_subgroup_sum`).  Every other algebra gets
+    the nonempty subuniverses of A^N enumerated and counted.
+    """
+    formula = subgroup_formula(A, budget)
+    if formula is not None:
+        return _subgroup_sum(*formula, N)
     try:
         P = power_algebra(A, N, budget)
     except BudgetExceededError as e:
         raise BudgetExceededError(
             e.count, budget, hint="supply a relation subset via relations= (partial mode)"
         ) from None
-    return AlterEgo(A, tuple(enumerate_subuniverses(P, budget)), N, budget=budget)
+    return len(subuniverse_carriers(P, budget))
+
+
+def _subgroup_sum(G: AbelianGroup, cosets, N) -> int:
+    """The sum over the subgroups H of G^N of 1, or of |G^N : H| with `cosets`.
+
+    G^N and each H are the direct sums of their p-parts, so the sum is a
+    product over the primes p of |G|.  Describe a p-group by the conjugate
+    lam' of its type lam: lam'_i = log_p |G[p^i] : G[p^(i-1)]|, and G^N has
+    N times the lam' of G.  The group of type lam has
+    alpha(mu) = prod_i p^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1), mu'_i - mu'_(i+1)]_p
+    subgroups of type mu, each of index p^(|lam| - |mu|), for every mu inside
+    lam (L. M. Butler, "Subgroup Lattices and Symmetric Functions", Mem. AMS
+    539, 1994).  Each factor ties only the columns mu'_i and mu'_(i+1), so
+    the sum over mu runs column by column from the last.
+    """
+    total = 1
+    for p, _ in prime_signature(G.size).factorization:
+        logs = [0]  # log_p |G[p^i]| for i = 0, 1, .. until it stops growing
+        while True:
+            size = sum(G.multiple(x, p ** len(logs)) == G.neutral for x in range(G.size))
+            log = dict(prime_signature(size).factorization).get(p, 0)
+            if log == logs[-1]:
+                break
+            logs.append(log)
+        conjugate = [N * (b - a) for a, b in zip(logs, logs[1:])]
+        tail = {0: 1}  # mu'_(i+1) -> the sum over the columns after i
+        for lam in reversed(conjugate):
+            tail = {
+                mu: sum(
+                    s
+                    * p ** (m * (lam - mu) + (lam - mu if cosets else 0))
+                    * _gaussian_binomial(lam - m, mu - m, p)
+                    for m, s in tail.items()
+                    if m <= mu
+                )
+                for mu in range(lam + 1)
+            }
+        total *= sum(tail.values())
+    return total
+
+
+def _gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of GF(q)^n, for 0 <= k <= n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
 @dataclass
@@ -144,7 +281,11 @@ def dual_of(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualS
     point b of B the tuple (h_i1(b)..h_ij(b)) is the prefix of a tuple of
     the relation.  All relations extend together, each prefix code tagged
     with its relation's position, and rows stay in lexicographic order.
+    An alter ego that lists fewer relations than it counts, as the complete
+    one built by `build_alter_ego` does, is refused.
     """
+    if len(ego.relations) != ego.count:
+        raise ValueError(f"the alter ego lists {len(ego.relations)} of its {ego.count} relations")
     D = hom_dual(B, ego, budget)
     values = D.values
     h, width = values.shape

@@ -74,6 +74,13 @@ class _Lines:
     def error(self, message, line, token=""):
         raise ParseError(message, self.source, line, token)
 
+    def build(self, line, make, *args):
+        """`make(*args)`, with its ValueError raised again as a ParseError at `line`."""
+        try:
+            return make(*args)
+        except ValueError as e:
+            self.error(str(e), line)
+
     def token(self, row, i, line, what):
         """Token `i` of `row`; otherwise a ParseError naming `what`, the line and the row's last token."""
         if i >= len(row):
@@ -162,14 +169,8 @@ def _parse_algebra(lines, doc, line_no, toks):
         arity = lines.integer(op_toks[2], op_line, "arity")
         lines.next()  # first value row
         values = _read_ints(lines, size**arity, op_line, f"table of {op_toks[1]}")
-        try:
-            ops.append(Operation(op_toks[1], arity, size, values))
-        except ValueError as e:
-            lines.error(str(e), op_line)
-    try:
-        doc.algebras[name] = FiniteAlgebra(name, size, ops)
-    except ValueError as e:
-        lines.error(str(e), line_no)
+        ops.append(lines.build(op_line, Operation, op_toks[1], arity, size, values))
+    doc.algebras[name] = lines.build(line_no, FiniteAlgebra, name, size, ops)
 
 
 def _parse_relation(lines, doc, line_no, toks):
@@ -184,10 +185,7 @@ def _parse_relation(lines, doc, line_no, toks):
         if len(row) != arity + 1:
             lines.error(f"tuple needs {arity} entries", row_line, " ".join(row[1:]))
         tuples.append(tuple(lines.integer(v, row_line, "tuple entry") for v in row[1:]))
-    try:
-        doc.relations.append((name, toks[4], Relation(arity, A.size, tuples)))
-    except ValueError as e:
-        lines.error(str(e), line_no)
+    doc.relations.append((name, toks[4], lines.build(line_no, Relation, arity, A.size, tuples)))
 
 
 def _parse_hom(lines, doc, line_no, toks):
@@ -203,10 +201,7 @@ def _parse_hom(lines, doc, line_no, toks):
     if row[2][0] != "m":
         lines.error("expected a mapping row starting with m", row[0], row[2][0])
     mapping = _read_ints(lines, domain.size, row[0], "mapping", skip=1)
-    try:
-        doc.homs.append((toks[1], Homomorphism(domain, cod, mapping)))
-    except ValueError as e:
-        lines.error(str(e), line_no)
+    doc.homs.append((toks[1], lines.build(line_no, Homomorphism, domain, cod, mapping)))
 
 
 def _parse_cong(lines, doc, line_no, toks):
@@ -217,10 +212,8 @@ def _parse_cong(lines, doc, line_no, toks):
     while lines.peek() is not None and lines.peek()[2][0] == "class":
         row_line, _, row = lines.next()
         classes.append([lines.integer(v, row_line, "class entry") for v in row[1:]])
-    try:
-        doc.congruences.append((toks[1], toks[3], Congruence.from_classes(A.size, classes)))
-    except ValueError as e:
-        lines.error(str(e), line_no)
+    partition = lines.build(line_no, Congruence.from_classes, A.size, classes)
+    doc.congruences.append((toks[1], toks[3], partition))
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +269,15 @@ def _parse_cert(lines, doc, line_no, toks):
         row_line, indent, row = lines.next()
         key = row[0]
         if key == "affine-op":
-            term_op = Operation("t", 3, base, _read_ints(lines, base**3, row_line, key, skip=1))
+            vals = _read_ints(lines, base**3, row_line, key, skip=1)
+            term_op = lines.build(row_line, Operation, "t", 3, base, vals)
         elif key == "neutral":
             neutral = lines.int_at(row, 1, row_line, key)
         elif key == "extra-op":
             op_name = lines.token(row, 1, row_line, "extra-op name")
             arity = lines.int_at(row, 2, row_line, "extra-op arity")
             vals = _read_ints(lines, base**arity, row_line, f"extra-op {op_name}", skip=3)
-            extra_ops.append(Operation(op_name, arity, base, vals))
+            extra_ops.append(lines.build(row_line, Operation, op_name, arity, base, vals))
         elif key == "conclusion":
             conclusion = _parse_cert_value(lines, row, row_line, indent, base)
         elif key == "derivation":
@@ -311,7 +305,7 @@ def _parse_cert_value(lines, row, row_line, indent, base):
         while lines.peek() is not None and lines.peek()[1] > indent:
             t_line, _, trow = lines.next()
             tuples.append(tuple(lines.integer(v, t_line, "tuple entry") for v in trow[1:]))
-        return Relation(arity, base, tuples)
+        return lines.build(row_line, Relation, arity, base, tuples)
     if kind == "op":
         op_name = lines.token(row, 2, row_line, "op name")
         arity = lines.int_at(row, 3, row_line, "op arity")
@@ -320,7 +314,7 @@ def _parse_cert_value(lines, row, row_line, indent, base):
             t_line, _, trow = lines.next()
             if trow[0] == "table":
                 vals.extend(lines.integer(v, t_line, f"table of {op_name}") for v in trow[1:])
-        return Operation(op_name, arity, base, vals)
+        return lines.build(row_line, Operation, op_name, arity, base, vals)
     lines.error("expected a relation or an op", row_line, kind)
 
 

@@ -165,9 +165,9 @@ def test_criterion_4_factorization():
 def test_criterion_5_entailment_pipeline():
     z2 = ALGEBRAS["z2"]
     t = affine.find_affine_term(z2)
-    ego = duality.build_alter_ego(z2, 4)
-    premise_pool = set(ego.relations)
-    assert len(premise_pool) == 67
+    relations = core.enumerate_subuniverses(core.power_algebra(z2, 4))
+    premise_pool = set(relations)
+    assert len(premise_pool) == 67 == duality.build_alter_ego(z2, 4).count
 
     certified = []
     for arity in (1, 2, 3):
@@ -185,7 +185,7 @@ def test_criterion_5_entailment_pipeline():
     assert t_cert.premises[0] in premise_pool
     assert entailment.verify_certificate(t_cert)
 
-    premises = list(ego.relations) + [t]
+    premises = list(relations) + [t]
     for R in certified:
         outcome = entailment.refute_entailment(z2, premises, R, 2)
         assert not outcome.refuted, R
@@ -202,7 +202,8 @@ def test_criterion_6_duality_desk_scale():
         A = ALGEBRAS[name]
         assert duality.arity_bound(A) == 4
         ego = duality.build_alter_ego(A, 4)
-        assert len(ego.relations) == expected
+        assert ego.count == expected
+        assert len(core.enumerate_subuniverses(core.power_algebra(A, 4))) == expected
         reports = duality.verify_duality(A, k_max=2, ego=ego)
         for r in reports:
             assert r.bijective, (name, r.carrier, r.double_dual_size, r.b_size)

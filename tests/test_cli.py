@@ -178,6 +178,29 @@ def test_duality_passes_where_k_reaches_n(capsys):
         assert "NOT surjective" not in out
 
 
+@pytest.mark.parametrize(
+    "name, k, relations",
+    [
+        ("z4", 2, 22719469960557),
+        ("v4", 1, 17741753171749626840952685),
+        ("z6", 1, 14204),
+        ("z4aff", 1, 16309103878554003),
+    ],
+)
+def test_duality_counts_the_alter_ego_by_formula(capsys, name, k, relations):
+    # k < N for all four, so these checks cannot fail; they show the pairs are reached
+    code, out, _ = run(capsys, ["duality", str(DATA / f"{name}.alg"), "--max-power", str(k)])
+    assert code == 0
+    assert re.search(rf"^DUALITY PASS k_max={k} relations={relations} time=", out, re.M)
+    assert "NOT surjective" not in out
+
+
+def test_duality_z4aff_power_two_is_refused(capsys):
+    code, out, err = run(capsys, ["duality", str(DATA / "z4aff.alg"), "--max-power", "2"])
+    assert code == 3 and "DUALITY" not in out
+    assert "refused to materialize 1007760 elements" in err and "projection codes" in err
+
+
 def test_factorize_prints_g_and_refuses_what_it_cannot_verify(capsys, tmp_path):
     z2 = zoo.cyclic_group(2)
     P3 = core.power_algebra(z2, 3)
@@ -234,4 +257,10 @@ def test_duality_power_three_prints_cost_estimate(files, capsys):
     )
     assert code == 0
     assert "cost estimate" in err
+    assert "subgroup formula" in err and "alter-ego codes" not in err
     assert "DUALITY PASS k_max=3" in out
+    # meet2 has no affine term: its alter ego is enumerated over 2**2 codes
+    code, out, err = run(
+        capsys, ["duality", paths["meet2"], "--max-power", "3", "--arity", "2"]
+    )
+    assert "# cost estimate: enumerating Sub(meet2^3) over 8 elements and 4 alter-ego codes" in err

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from adual import core, duality as du, zoo
+from adual import affine, core, duality as du, textio, zoo
 from adual.subcong import SubalgebraWitness
 
 
@@ -104,6 +104,15 @@ def assert_matches_brute_force(B, ego):
     return fast
 
 
+def listed_ego(A, N):
+    """The complete alter ego with its relations listed: Sub(A^N), enumerated.
+
+    `build_alter_ego` only counts them, so the oracles that read relations
+    use this one.
+    """
+    return du.AlterEgo(A, tuple(core.enumerate_subuniverses(core.power_algebra(A, N))), N)
+
+
 def every_subalgebra(A, k_max):
     for k in range(1, k_max + 1):
         P = A if k == 1 else core.power_algebra(A, k)
@@ -114,7 +123,7 @@ def every_subalgebra(A, k_max):
 @pytest.mark.parametrize("n, k_max", [(2, 3), (3, 2)])
 def test_prefix_join_matches_brute_force_on_every_subalgebra(n, k_max):
     A = zoo.cyclic_group(n)
-    ego = du.build_alter_ego(A, 4)
+    ego = listed_ego(A, 4)
     for B in every_subalgebra(A, k_max):
         assert_matches_brute_force(B, ego)
 
@@ -139,7 +148,7 @@ def test_prefix_join_with_an_empty_lifted_relation():
 
 
 def test_prefix_join_on_one_element_subalgebra(z3):
-    ego = du.build_alter_ego(z3, 4)
+    ego = listed_ego(z3, 4)
     D = assert_matches_brute_force(SubalgebraWitness(core.power_algebra(z3, 2), (0,)), ego)
     assert [t.tolist() for t in D.lifted[:1]] == [[[0, 0, 0, 0]]]
 
@@ -150,7 +159,7 @@ def test_prefix_join_with_no_relations(z2):
     assert len(du.double_dual(D)) == 2**4
 
 
-_Z2_EGO = du.build_alter_ego(zoo.cyclic_group(2), 4)
+_Z2_EGO = listed_ego(zoo.cyclic_group(2), 4)
 _Z2_SUBALGEBRAS = list(every_subalgebra(zoo.cyclic_group(2), 3))
 
 
@@ -173,7 +182,7 @@ def _needs(B, ego):
 
 def test_budget_never_refuses_what_brute_force_finishes(z2, z3):
     for A, k_max in ((z2, 3), (z3, 2)):
-        ego = du.build_alter_ego(A, 4)
+        ego = listed_ego(A, 4)
         for B in every_subalgebra(A, k_max):
             budget = _needs(B, ego)
             slow = brute_double_dual(brute_dual_of(B, ego, budget), budget)
@@ -261,7 +270,7 @@ def assert_interpolation_matches(B, ego):
 )
 def test_interpolation_matches_lifted_relations_on_every_subalgebra(name, k_max, N):
     A = ALGEBRAS[name]
-    ego = du.build_alter_ego(A, N)
+    ego = listed_ego(A, N)
     unhit = 0
     for B in every_subalgebra(A, k_max):
         fast = assert_interpolation_matches(B, ego)
@@ -273,7 +282,7 @@ def test_interpolation_matches_lifted_relations_on_every_subalgebra(name, k_max,
 def test_interpolation_with_fewer_homs_than_n(z2, z3):
     # with h = |Hom(B, A)| < N the one set of all h homs pins phi to e(B)
     for A in (z2, z3):
-        ego = du.build_alter_ego(A, 4)
+        ego = listed_ego(A, 4)
         for B in (
             SubalgebraWitness(A, (0,)),
             SubalgebraWitness(A, tuple(range(A.size))),
@@ -340,7 +349,9 @@ else:  # keep only the zero hom, so both points of B evaluate alike
 z2 = zoo.cyclic_group(2)
 ego = du.build_alter_ego(z2, 4)
 if mode == "partial":
-    ego = du.build_alter_ego(z2, 4, relations=ego.relations)
+    ego = du.build_alter_ego(z2, 4, relations=core.enumerate_subuniverses(core.power_algebra(z2, 4)))
+    if len(ego.relations) != 67:
+        sys.exit("partial mode lists the wrong relations")
 try:
     du.evaluate_subalgebra(SubalgebraWitness(z2, (0, 1)), ego, 1)
 except core.VerificationError as e:
@@ -384,14 +395,16 @@ def test_arity_bound_values(z2, z4):
 
 
 def test_alter_ego_counts(z2, z3):
-    assert len(du.build_alter_ego(z2, 4).relations) == 67
-    assert len(du.build_alter_ego(z3, 4).relations) == 212
-    assert len(du.build_alter_ego(z2, 1).relations) == 2
+    for A, N, count in ((z2, 4, 67), (z3, 4, 212), (z2, 1, 2)):
+        ego = du.build_alter_ego(A, N)
+        assert ego.complete and ego.relations == () and ego.count == count
+        assert len(core.enumerate_subuniverses(core.power_algebra(A, N))) == count
 
 
 def test_alter_ego_relations_all_compatible(z2):
-    ego = du.build_alter_ego(z2, 4)
-    assert all(core.is_compatible_relation(z2, r) for r in ego.relations)
+    relations = core.enumerate_subuniverses(core.power_algebra(z2, 4))
+    assert len(relations) == 67
+    assert all(core.is_compatible_relation(z2, r) for r in relations)
 
 
 def test_alter_ego_checks_compatibility_within_the_callers_budget(z2):
@@ -419,21 +432,21 @@ def test_incompatible_alter_ego_relation_rejected(z2):
 
 
 def test_dual_of_whole_algebra(z2):
-    ego = du.build_alter_ego(z2, 4)
+    ego = listed_ego(z2, 4)
     D = du.dual_of(SubalgebraWitness(z2, (0, 1)), ego)
     assert sorted(h.mapping for h in D.homs) == [(0, 0), (0, 1)]
     assert len(du.double_dual(D)) == 2
 
 
 def test_dual_of_singleton(z2):
-    ego = du.build_alter_ego(z2, 4)
+    ego = listed_ego(z2, 4)
     D = du.dual_of(SubalgebraWitness(z2, (0,)), ego)
     assert len(D.homs) == 1
     assert len(du.double_dual(D)) == 1
 
 
 def test_dual_of_square(z2):
-    ego = du.build_alter_ego(z2, 4)
+    ego = listed_ego(z2, 4)
     P = core.power_algebra(z2, 2)
     D = du.dual_of(SubalgebraWitness(P, tuple(range(4))), ego)
     # the four linear functionals
@@ -462,7 +475,7 @@ def test_negative_control_diagonal_only(z2):
 
 
 def test_adding_relations_never_grows_double_dual(z2):
-    full_ego = du.build_alter_ego(z2, 4)
+    full_ego = listed_ego(z2, 4)
     small_ego = du.build_alter_ego(z2, 4, relations=[core.diagonal_relation(2, 4)])
     B = SubalgebraWitness(z2, (0, 1))
     small = len(du.double_dual(du.dual_of(B, small_ego)))
@@ -471,7 +484,7 @@ def test_adding_relations_never_grows_double_dual(z2):
 
 
 def test_one_element_subalgebra_has_singleton_double_dual(z3):
-    ego = du.build_alter_ego(z3, 4)
+    ego = listed_ego(z3, 4)
     P = core.power_algebra(z3, 2)
     D = du.dual_of(SubalgebraWitness(P, (0,)), ego)
     assert len(du.double_dual(D)) == 1
@@ -483,7 +496,7 @@ def test_consistency_with_entailment(z2, terms):
     # must pass on those powers
     from adual import entailment as ent
 
-    ego = du.build_alter_ego(z2, 4)
+    ego = listed_ego(z2, 4)
     pool = set(ego.relations)
     all_certified = True
     for k in (1, 2):
@@ -499,7 +512,7 @@ def test_consistency_with_entailment(z2, terms):
 
 
 def test_evaluation_map_injective_everywhere(z3):
-    ego = du.build_alter_ego(z3, 4)
+    ego = listed_ego(z3, 4)
     for k in (1, 2):
         P = core.power_algebra(z3, k)
         for carrier in core.subuniverse_carriers(P):
@@ -508,3 +521,98 @@ def test_evaluation_map_injective_everywhere(z3):
             for x in range(D.algebra.size):
                 images.add(tuple(h(x) for h in D.homs))
             assert len(images) == len(carrier)
+
+
+# ---------------------------------------------------------------------------
+# The complete alter ego is counted, by the subgroup formula where it
+# applies; FCbO on the power algebra is the oracle.
+# ---------------------------------------------------------------------------
+
+
+def _from_data(name):
+    text = (Path(__file__).resolve().parents[1] / "data" / f"{name}.alg").read_text()
+    return next(iter(textio.parse_document(text).algebras.values()))
+
+
+def _z4_with_triple():
+    # t and x -> 3x: g = gcd(4, s_t - 1, 3 - 1) = gcd(4, 0, 2) = 2
+    z4 = zoo.cyclic_group(4)
+    t = core.Operation("t", 3, 4, affine.find_affine_term(z4).table)
+    return core.FiniteAlgebra("z4t3", 4, [t, core.Operation("triple", 1, 4, [0, 3, 2, 1])])
+
+
+def _v4_with_rotation():
+    # the automorphism (1 2 3) of V4 is no integer multiple: the coefficient check fails
+    v4 = zoo.klein_group()
+    return core.FiniteAlgebra("v4rot", 4, [*v4.ops, core.Operation("rot", 1, 4, [0, 2, 3, 1])])
+
+
+def enumerated_count(A, N):
+    return len(core.subuniverse_carriers(core.power_algebra(A, N)))
+
+
+@pytest.mark.parametrize(
+    "A, powers, cosets",
+    [
+        (zoo.cyclic_group(2), (1, 2, 3, 4), False),
+        (zoo.cyclic_group(3), (1, 2, 3, 4), False),
+        (zoo.cyclic_group(4), (1, 2, 3), False),
+        (zoo.klein_group(), (1, 2), False),
+        (zoo.cyclic_group(6), (1, 2), False),
+        (_from_data("z4aff"), (1, 2), True),
+    ],
+    ids=["z2", "z3", "z4", "v4", "z6", "z4aff"],
+)
+def test_subgroup_formula_matches_fcbo(A, powers, cosets, monkeypatch):
+    G, flag = du.subgroup_formula(A)
+    assert G.size == A.size and flag == cosets
+    expected = {N: enumerated_count(A, N) for N in powers}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the formula enumerated a power")
+
+    monkeypatch.setattr(du, "power_algebra", refuse)
+    monkeypatch.setattr(du, "subuniverse_carriers", refuse)
+    assert {N: du.relation_count(A, N) for N in powers} == expected
+    assert {N: du.build_alter_ego(A, N).count for N in powers} == expected
+
+
+@pytest.mark.parametrize(
+    "A, powers, found",
+    [
+        (zoo.two_element_semilattice(), (1, 2, 3, 4), None),
+        (zoo.symmetric_group_3(), (1, 2), None),
+        (_z4_with_triple(), (1, 2, 3), 2),
+        (_v4_with_rotation(), (1, 2), None),
+    ],
+    ids=["meet2", "s3", "z4-triple", "v4-rotation"],
+)
+def test_relation_count_falls_back_to_enumeration(A, powers, found, monkeypatch):
+    structure = du.affine_gcd(A)
+    assert (None if structure is None else structure[1]) == found
+    assert du.subgroup_formula(A) is None
+    calls = []
+    monkeypatch.setattr(du, "subuniverse_carriers", lambda *a: calls.append(a) or core.subuniverse_carriers(*a))
+    for N in powers:
+        assert du.relation_count(A, N) == enumerated_count(A, N)
+    assert len(calls) == len(powers)
+
+
+def test_affine_gcd_checks_every_cell(z4, monkeypatch):
+    # f(0, y) = 3y and f(x, 0) = 3x, so both unary parts pass, but f(1, 1) = 1 is not 3 + 3
+    f = core.Operation("f", 2, 4, [3 * (x + y) % 4 if 0 in (x, y) else 1 for x in range(4) for y in range(4)])
+    bent = core.FiniteAlgebra("z4f", 4, [*z4.ops, f])
+    assert affine.find_affine_term(bent) is None
+    # only a wrong term search could pass such an f on: the table check still stops it
+    monkeypatch.setattr(du, "find_affine_term", lambda A, budget: affine.find_affine_term(z4))
+    assert du.affine_gcd(z4)[1] == 1
+    assert du.affine_gcd(bent) is None
+    monkeypatch.undo()
+    two = core.FiniteAlgebra("z4c", 4, [*z4.ops, core.Operation("one", 0, 4, [1])])
+    assert du.affine_gcd(two) is None  # constants 0 and 1
+    assert du.relation_count(two, 2) == enumerated_count(two, 2)
+
+
+def test_dual_of_refuses_a_counted_ego(z2):
+    with pytest.raises(ValueError, match="lists 0 of its 67 relations"):
+        du.dual_of(SubalgebraWitness(z2, (0, 1)), du.build_alter_ego(z2, 4))

@@ -240,10 +240,11 @@ def test_read_only_owning_arrays_are_shared_and_others_copied(z4):
         assert not np.shares_memory(core.Operation("add", 2, 4, other).np_table, other)
 
 
-def test_extend_partial_map_hands_over_a_read_only_array(z4):
-    values = core.extend_partial_map(z4, z4, {1: 3})
-    assert values.tolist() == [0, 3, 2, 1] and not values.flags.writeable
-    assert np.shares_memory(core.Homomorphism(z4, z4, values).np_mapping, values)
+def test_extend_partial_map_returns_the_accepted_hom(z4, z2):
+    hom = core.extend_partial_map(z4, z4, {1: 3})
+    assert isinstance(hom, core.Homomorphism) and hom.domain is hom.codomain is z4
+    assert hom.mapping == (0, 3, 2, 1) and not hom.np_mapping.flags.writeable
+    assert core.extend_partial_map(z2, z4, {1: 1}) is None  # 1 + 1 = 0 fails
 
 
 @pytest.mark.parametrize("partial", [{2: 1}, {}, {1: 3, 2: 2}])

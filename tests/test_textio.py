@@ -173,6 +173,22 @@ def test_certificate_integers_are_read_with_their_location(z2, terms, tmp_path, 
     assert f"{path}:{e.value.line}:" in capsys.readouterr().err
 
 
+def test_certificate_values_outside_the_base_are_located(z2, terms, tmp_path, capsys):
+    res = ent.reduce_to_bounded_arity(z2, terms["z2"], core.diagonal_relation(2, 3), 3)
+    lines = textio.serialize_certificate(res.certificate, "diag3", "z2").splitlines()
+    at = lines.index("  conclusion relation 3")
+    assert lines[at + 2] == "    t 1 1 1"
+    lines[at + 2] = "    t 1 1 5"
+    path = tmp_path / "outside.cert"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(core.ParseError) as e:
+        textio.parse_document(path.read_text(), source=str(path))
+    assert (e.value.source, e.value.line) == (str(path), at + 1)
+    assert "outside universe of size 2" in str(e.value)
+    assert cli.main(["replay", str(path)]) == 2
+    assert f"{path}:{at + 1}: tuple (1, 1, 5) outside universe" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, short",
     [
