@@ -10,13 +10,15 @@ The term is a core `Operation` named t, of arity 3.  Its lift to a power and
 its image on a quotient are the core product and quotient tables of the
 one-operation algebra <A; t>.  Each group x +^c y is an `AbelianGroup`, the
 one group type of the package, whose construction is the one check of the
-Abelian group axioms.
+Abelian group axioms.  A group keeps its addition table once, as a read-only
+int64 array, and one table of multiples (row m holds m * x) that gives
+orders, the exponent and k * x, so `affine_combination_array` sums its
+terms with gathers over these two tables.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -30,6 +32,7 @@ from .core import (
     FiniteAlgebra,
     Operation,
     VerificationError,
+    _int_array,
     apply_coordinatewise,
     closed_product_subset,
     decode_code,
@@ -59,49 +62,68 @@ class TermOperation(Operation):
 class AbelianGroup:
     """An Abelian group on {0..size-1}: a neutral element and an addition table.
 
-    `add_table` is flat, x + y at index x * size + y.  Construction checks
-    every group axiom over the whole table and raises ValueError naming the
-    first that fails, so an instance is always a group.
+    The flat table, x + y at index x * size + y, is kept once as the read-only
+    int64 array `np_add_table`, shared or copied as `Operation` does; the
+    tuple `add_table` is built on first use.  Construction checks every group
+    axiom over the whole table and raises ValueError naming the first that
+    fails, so an instance is always a group.  Orders, multiples and the
+    exponent are read off one table, `multiples`.
     """
 
     def __init__(self, size, neutral, add_table):
-        self.size = size
-        self.neutral = neutral
-        self.add_table = tuple(int(v) for v in add_table)
-        failure = _group_axiom_failure(size, neutral, np.array(self.add_table, dtype=np.int64))
+        values = _int_array(add_table)
+        failure = _group_axiom_failure(size, neutral, values)
         if failure is not None:
             raise ValueError(failure)
+        values.setflags(write=False)
+        self.size = size
+        self.neutral = neutral
+        self.np_add_table = values
+
+    @cached_property
+    def add_table(self):
+        """The table as a tuple of Python ints, built on first use."""
+        return tuple(self.np_add_table.tolist())
 
     def add(self, x, y):
         return self.add_table[x * self.size + y]
 
-    def element_order(self, x):
-        acc, order = x, 1
-        while acc != self.neutral:
-            acc = self.add(acc, x)
-            order += 1
-        return order
+    @cached_property
+    def multiples(self):
+        """Row m holds m * x for every x, for 0 <= m < exp G: a read-only int64 array."""
+        add, x = self.np_add_table.reshape(self.size, self.size), np.arange(self.size)
+        rows = [np.full(self.size, self.neutral, dtype=np.int64)]
+        while ((row := add[rows[-1], x]) != self.neutral).any():
+            rows.append(row)
+        table = np.array(rows)
+        table.setflags(write=False)
+        return table
 
     @cached_property
+    def orders(self):
+        """The order of every element, as a tuple: the first m >= 1 with m * x neutral."""
+        after = np.roll(self.multiples, -1, axis=0) == self.neutral  # row m: (m + 1) * x
+        return tuple((after.argmax(axis=0) + 1).tolist())
+
+    def element_order(self, x):
+        return self.orders[x]
+
+    @property
     def exponent(self):
-        return math.lcm(*(self.element_order(x) for x in range(self.size)))
+        return len(self.multiples)
 
     def multiple(self, x, k):
         """k*x in the group, for any integer k."""
-        acc = self.neutral
-        for _ in range(k % self.exponent):
-            acc = self.add(acc, x)
-        return acc
+        return int(self.multiples[k % self.exponent, x])
 
     def as_algebra(self, name):
         n = self.size
-        neg = [self.add_table[x * n : (x + 1) * n].index(self.neutral) for x in range(n)]
         return FiniteAlgebra(
             name,
             n,
             [
-                Operation("add", 2, n, self.add_table),
-                Operation("neg", 1, n, neg),
+                Operation("add", 2, n, self.np_add_table),
+                Operation("neg", 1, n, self.multiples[-1]),
                 Operation("zero", 0, n, [self.neutral]),
             ],
         )
@@ -197,11 +219,8 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
     n = A.size
     if n**4 > budget:
         raise BudgetExceededError(n**4, budget, hint="Mal'cev graph closure space")
-    seed = set()
-    for x in range(n):
-        for y in range(n):
-            seed.add(((x * n + y) * n + y) * n + x)
-            seed.add(((y * n + y) * n + x) * n + x)
+    x, y = decode_code(np.arange(n * n), [n, n])
+    seed = np.concatenate([encode_tuple((x, y, y, x), n), encode_tuple((y, y, x, x), n)])
     graph = closed_product_subset([A] * 4, seed)
     prefixes = np.unique(graph // n)
     if prefixes.size < n**3 or graph.size != prefixes.size:
@@ -311,9 +330,9 @@ def group_from_affine(t: Operation, c: int) -> AbelianGroup:
         G = AbelianGroup(n, c, table[:, c, :].ravel())
     except ValueError as e:
         raise AffineStructureError(str(e)) from None
-    for x in range(n):
-        if G.add(x, int(table[c, x, c])) != c:
-            raise AffineStructureError(f"t({c},{x},{c}) is not the inverse of {x}")
+    wrong = np.flatnonzero(G.np_add_table[np.arange(n) * n + table[c, :, c]] != c)
+    if wrong.size:
+        raise AffineStructureError(f"t({c},{wrong[0]},{c}) is not the inverse of {wrong[0]}")
     return G
 
 
@@ -326,7 +345,8 @@ def eval_affine_combination(term: AffineTerm, t: Operation, c: int, args):
     """Evaluate sum(u_k * x_k) in the group (t, c); the result is c-independent.
 
     Coefficients are reduced modulo the group exponent first, which makes
-    negative ones nonnegative.
+    negative ones nonnegative.  Each u * x is summed by repeated `add`, so
+    this scalar form does not read the `multiples` table.
     """
     args = tuple(args)
     if len(args) != term.arity:
@@ -334,7 +354,8 @@ def eval_affine_combination(term: AffineTerm, t: Operation, c: int, args):
     G = _cached_group(t, c)
     acc = G.neutral
     for u, x in zip(term.coeffs, args):
-        acc = G.add(acc, G.multiple(x, u))
+        for _ in range(u % G.exponent):
+            acc = G.add(acc, x)
     return acc
 
 
@@ -343,11 +364,11 @@ def affine_combination_array(term: AffineTerm, t: Operation, c: int, args):
     if len(args) != term.arity:
         raise ValueError(f"expected {term.arity} arguments, got {len(args)}")
     G = _cached_group(t, c)
-    add = np.array(G.add_table, dtype=np.int64)
+    add = G.np_add_table.reshape(G.size, G.size)
     acc = np.full(np.broadcast_shapes(*(np.shape(x) for x in args)), G.neutral, dtype=np.int64)
     for u, x in zip(term.coeffs, args):
-        for _ in range(u % G.exponent):
-            acc = add[acc * G.size + x]
+        if u % G.exponent:  # one gather from the table of a + u * y
+            acc = add[:, G.multiples[u % G.exponent]].ravel()[acc * G.size + x]
     return acc
 
 

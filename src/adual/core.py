@@ -173,10 +173,7 @@ class Operation:
     def __call__(self, *args):
         if len(args) != self.arity:
             raise ValueError(f"operation {self.name} expects {self.arity} arguments")
-        idx = 0
-        for a in args:
-            idx = idx * self.base_size + a
-        return self.table[idx]
+        return self.table[encode_tuple(args, self.base_size)]
 
     def __eq__(self, other):
         return (

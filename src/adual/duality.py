@@ -129,12 +129,9 @@ def affine_gcd(A, budget=DEFAULT_BUDGET):
         return None
     e = constants.pop() if constants else 0
     G = group_from_affine(t, e)
-    n, exponent = A.size, G.exponent
-    add = np.array(G.add_table, dtype=np.int64).reshape(n, n)
-    multiples = np.full((exponent, n), e, dtype=np.int64)  # multiples[m, x] = m * x
-    for m in range(1, exponent):
-        multiples[m] = add[multiples[m - 1], np.arange(n)]
-    g = exponent
+    n, multiples = A.size, G.multiples
+    add = G.np_add_table.reshape(n, n)
+    g = G.exponent
     for f in A.ops:
         table = f.np_table.reshape((n,) * f.arity)
         combination = np.int64(e)  # sum(m_i * x_i) over the grid of arguments
@@ -213,7 +210,7 @@ def _subgroup_sum(G: AbelianGroup, cosets, N) -> int:
     for p, _ in prime_signature(G.size).factorization:
         logs = [0]  # log_p |G[p^i]| for i = 0, 1, .. until it stops growing
         while True:
-            size = sum(G.multiple(x, p ** len(logs)) == G.neutral for x in range(G.size))
+            size = int((G.multiples[p ** len(logs) % G.exponent] == G.neutral).sum())
             log = dict(prime_signature(size).factorization).get(p, 0)
             if log == logs[-1]:
                 break

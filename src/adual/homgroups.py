@@ -8,13 +8,14 @@ groups are what make morphism factorization through bounded powers work.
 
 That group is an `HkGroup`, an `AbelianGroup` that also keeps the maps as
 the rows of one int64 table, so `generating_family` takes it like any other
-group; its sums and checks are gathers of t_S's table over those rows.  The
+group; its sums and checks are gathers of t_S's table over those rows.
+`generating_family` reads spans and expressions off the group's addition
+and multiples tables, as the sums over a grid of coefficients.  The
 group-mode probe of `hom` asks `AbelianGroup` whether a binary operation is a group.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -236,14 +237,15 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
     if neutral_index < 0:
         raise ValueError("the neutral candidate kbar is not a homomorphism: k is invalid")
     m = len(elements)
-    add_table = np.empty((m, m), dtype=np.int64)
+    add_table = np.empty(m * m, dtype=np.int64)
     for rows in _row_blocks(m, m * square.size):
         sums = _pointwise_term(t_S, elements[rows, None], kbar, elements[None, :])
-        add_table[rows] = _find_rows(elements, sums.reshape(-1, square.size)).reshape(-1, m)
+        add_table.reshape(m, m)[rows] = _find_rows(elements, sums.reshape(-1, square.size)).reshape(-1, m)
     if (add_table < 0).any():
         raise ValueError("hom set not closed under the pointwise term")
+    add_table.setflags(write=False)
     try:
-        group = HkGroup(A, S, t_S, k, square, elements, int(neutral_index), add_table.ravel())
+        group = HkGroup(A, S, t_S, k, square, elements, int(neutral_index), add_table)
     except ValueError as e:
         raise VerificationError(f"the hom set is not an Abelian group: {e}") from None
     _verify_restriction_embedding(group, t_A, budget)
@@ -267,7 +269,7 @@ def _verify_restriction_embedding(G: HkGroup, t_A, budget):
     kernel = np.flatnonzero((restricted == G.k.np_mapping).all(axis=1))
     if (kernel != G.neutral).any():
         raise VerificationError("kernel of the restriction is larger than {kbar}")
-    add = np.array(G.add_table).reshape(G.size, G.size)
+    add = G.np_add_table.reshape(G.size, G.size)
     for rows in _row_blocks(G.size, G.size * A.size):
         lhs = restricted[add[rows]]
         rhs = _pointwise_term(G.t_S, restricted[rows, None], G.k.np_mapping, restricted[None, :])
@@ -340,54 +342,35 @@ class GeneratingFamily:
         return GeneratingFamily(self.group, gens, orders, exprs)
 
 
-def _span(group, gens):
-    members = {group.neutral}
-    frontier = [group.neutral]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = group.add(x, g)
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return members
-
-
 def generating_family(group: AbelianGroup) -> GeneratingFamily:
     """Greedy generators of an Abelian group: largest order outside the span first.
 
-    The family size never exceeds the largest prime exponent of |group|; a
-    violation of that bound means the input was not an Abelian group and is
-    raised as an error.
+    The span of h_1..h_j is the sums sum(u_i * h_i) over 0 <= u_i < order(h_i)
+    in lexicographic order of u; an element's expression is the first u
+    reaching it.  The family size never exceeds the largest prime exponent
+    of |group|; a violation of that bound means the input was not an Abelian
+    group and is raised as an error.
     """
-    orders = [group.element_order(x) for x in range(group.size)]
-    gens = []
-    span = _span(group, gens)
-    while len(span) < group.size:
-        best = max(
-            (x for x in range(group.size) if x not in span),
-            key=lambda x: (orders[x], -x),
-        )
+    orders = np.array(group.orders)
+    add = group.np_add_table.reshape(group.size, group.size)
+    gens, sums = [], np.array([group.neutral])
+    outside = np.arange(group.size) != group.neutral
+    while outside.any():
+        # the largest order outside the span, then the smallest element of that order
+        best = int(np.flatnonzero(outside & (orders == orders[outside].max()))[0])
         gens.append(best)
-        span = _span(group, gens)
+        sums = add[sums[:, None], group.multiples[: orders[best], best]].ravel()
+        outside[sums] = False
     bound = prime_signature(group.size).max_exponent()
     if len(gens) > bound:
         raise ValueError(
             f"greedy family has {len(gens)} generators, exceeding the bound {bound}: "
             "the input is not an Abelian group"
         )
-    gen_orders = tuple(orders[g] for g in gens)
-    expressions = {}
-    for coeffs in itertools.product(*(range(o) for o in gen_orders)):
-        x = group.neutral
-        for u, g in zip(coeffs, gens):
-            for _ in range(u):
-                x = group.add(x, g)
-        expressions.setdefault(x, tuple(coeffs))
-    if len(expressions) != group.size:
-        raise VerificationError("generators do not span the group")
+    gen_orders = tuple(int(orders[g]) for g in gens)
+    elements, first = np.unique(sums, return_index=True)
+    digits = np.array(decode_code(first, gen_orders), dtype=np.int64).T.reshape(len(first), len(gens))
+    expressions = dict(zip(elements.tolist(), map(tuple, digits.tolist())))
     return GeneratingFamily(group, tuple(gens), gen_orders, expressions)
 
 

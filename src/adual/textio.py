@@ -66,8 +66,8 @@ class _Lines:
 
     def next(self):
         row = self.peek()
-        if row is None:
-            raise ParseError("unexpected end of input", self.source, 0)
+        if row is None:  # at the end, the last line read is the last row
+            raise ParseError("unexpected end of input", self.source, self.rows[-1][0])
         self.pos += 1
         return row
 

@@ -98,6 +98,35 @@ def test_clone_budget_failure(s3):
         affine.find_affine_term(s3, budget=100)
 
 
+def _ternary(f, n):
+    """The table of the ternary map f over {0..n-1}."""
+    return tuple(f(*xyz) for xyz in itertools.product(range(n), repeat=3))
+
+
+def test_clone_search_returns_projections_and_constants_at_once(z2, z3):
+    for i in range(3):
+        target = _ternary(lambda *xyz: xyz[i], 2)
+        assert affine._clone_search(z2, target, core.DEFAULT_BUDGET) == ("proj", i)
+    # in Z3 no sum or negation of projections is constant, so zero is first
+    # met when the constants are emitted (in Z2, x + x reaches it before)
+    assert affine._clone_search(z3, (0,) * 27, core.DEFAULT_BUDGET) == ("zero", ())
+
+
+def test_clone_search_exhausts_the_clone_without_the_target(semilattice):
+    join = _ternary(lambda x, y, z: max(x, y), 2)
+    assert affine._clone_search(semilattice, join, core.DEFAULT_BUDGET) is None
+
+
+def test_ternary_clone_refused_by_the_budget(z3):
+    with pytest.raises(core.BudgetExceededError, match="ternary term clone too large"):
+        affine.ternary_term_clone(z3, budget=27 * 4)
+
+
+def test_no_affine_term_when_the_clone_misses_the_candidate(z2, monkeypatch):
+    monkeypatch.setattr(affine, "_clone_search", lambda A, target, budget: None)
+    assert affine.find_affine_term(z2) is None
+
+
 def test_group_from_affine(z4, terms):
     t = terms["z4"]
     G0 = affine.group_from_affine(t, 0)

@@ -1,8 +1,11 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
-from adual import affine, core, subcong, zoo
+from adual import affine, cli, core, subcong, zoo
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def least_congruence_collapsing(A, carrier):
@@ -207,3 +210,47 @@ def test_kernel_quotient_refuses_exactly_the_carriers_meet_irreducibles_omits(na
         assert tuple(x for x in range(A.size) if kt.projection(x) == kt.point) == carrier
     assert refused == set(core.subuniverse_carriers(A)) - irreducible
     assert irreducible and refused
+
+
+# Each verify_galois check made to fail on data/z2.alg above B = {0}, where
+# the real maps pair {0} with the identity I and {0, 1} with the total T.
+_I, _T = core.Congruence(2, (0, 1)), core.Congruence(2, (0, 0))
+_SWAP = {(0,): (0, 1), (0, 1): (0,)}
+
+
+def _theta_identity(mp):
+    mp.setattr(subcong, "theta_of_subalgebra", lambda A, t, B: _I)
+
+
+def _theta_total(mp):
+    mp.setattr(subcong, "theta_of_subalgebra", lambda A, t, B: _T)
+
+
+def _maps_swapped(mp):
+    # theta and C stay mutually inverse, but theta sends {0} <= {0, 1} to T, I
+    theta, c = subcong.theta_of_subalgebra, subcong.c_of_congruence
+    witness = lambda A, carrier: subcong.SubalgebraWitness(A, _SWAP[carrier])
+    mp.setattr(subcong, "theta_of_subalgebra", lambda A, t, B: theta(A, t, witness(A, B.carrier)))
+    mp.setattr(subcong, "c_of_congruence", lambda A, B, alpha: witness(A, c(A, B, alpha).carrier))
+
+
+def _all_refine(mp):
+    # T refines I, but C(T, B) = {0, 1} is not inside C(I, B) = {0}
+    mp.setattr(core.Congruence, "refines", lambda self, other: True)
+
+
+@pytest.mark.parametrize(
+    "patch, counterexample",
+    [
+        (_theta_identity, "theta(C(alpha,B)) != alpha for alpha=((0, 1),)"),
+        (_theta_total, "C(theta_X,B) != X for X=[0]"),
+        (_maps_swapped, "theta not isotone at [0] <= [0, 1]"),
+        (_all_refine, "C(.,B) not isotone"),
+    ],
+)
+def test_galois_reports_each_counterexample(patch, counterexample, monkeypatch, capsys):
+    patch(monkeypatch)
+    assert cli.main(["galois", str(DATA / "z2.alg"), "--carrier", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"counterexample: {counterexample}" in lines
+    assert "galois: FAIL" in lines and lines[-1] == "GALOIS FAIL"

@@ -220,3 +220,48 @@ def test_certificate_rows_missing_a_token_are_located(z2, z4, terms, tmp_path, c
     assert e.value.line == at + 1 and e.value.token == short.split()[-1]
     assert cli.main(["replay", str(path)]) == 2
     assert f"{path}:{e.value.line}:" in capsys.readouterr().err
+
+
+Z2 = "algebra z2\nsize 2\nop add 2\n0 1 1 0\n"
+CERT = "cert c over z2 base 2\n"
+
+
+# (branch, text, line, message): one malformed input per parse error branch
+MALFORMED = [
+    ("eof", "algebra z2\n", 1, "unexpected end of input"),
+    ("short", "algebra x\nsize 2\nop f 2\n0 1\n1\n", 3, "expected 4 values, got 3"),
+    ("surplus", "algebra x\nsize 2\nop f 1\n0 1 1\n", 3, "1 surplus values"),
+    ("indent", "  algebra x\n", 1, "unexpected indentation at top level"),
+    ("algebra", "algebra x y\n", 1, "expected: algebra NAME"),
+    ("size", "algebra x\nsiz 2\n", 2, "expected: size N"),
+    ("op", "algebra x\nsize 2\nop f\n", 3, "expected: op NAME ARITY"),
+    ("relation", Z2 + "relation r 2 on z2\n", 5, "expected: relation NAME ARITY over ALGEBRA"),
+    ("hom", Z2 + "hom h from z2 to z2\n", 5, "expected: hom NAME from ALGEBRA power N to ALGEBRA"),
+    ("cong", Z2 + "cong c z2\n", 5, "expected: cong NAME over ALGEBRA"),
+    ("cert", "cert c over z2\n", 1, "expected: cert NAME over ALGEBRA base N"),
+    ("t-row", Z2 + "relation r 2 over z2\nt 0 1\nt 0\n", 7, "tuple needs 2 entries"),
+    ("m-row", Z2 + "hom h from z2 power 1 to z2\nn 0 1\n", 6, "expected a mapping row starting with m"),
+    ("open", CERT + "  derivation\n    preimage\n      term-tree 2 add\n", 4, "expected ("),
+    ("close-proj", CERT + "  derivation\n    preimage\n      term-tree 1 ( proj 0 0 )\n", 4, "expected )"),
+    ("close-op", CERT + "  derivation\n    preimage\n      term-tree 1 ( f ( proj 0 ) 0 )\n", 4, "expected )"),
+    ("field", CERT + "  widget 1\n", 2, "unknown certificate field"),
+    ("incomplete", CERT + "  neutral 0\n", 1, "certificate needs a conclusion and a derivation"),
+    ("value", CERT + "  conclusion widget\n", 2, "expected a relation or an op"),
+    ("node-indent", CERT + "  derivation\n      premise relation 1\n", 3, "expected node at indent 4"),
+    ("node", CERT + "  derivation\n    widget\n", 3, "unknown derivation node"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_each_parse_error_names_file_and_line(text, line, message):
+    with pytest.raises(core.ParseError) as e:
+        textio.parse_document(text, source="bad.alg")
+    assert (e.value.source, e.value.line) == ("bad.alg", line)
+    assert str(e.value).startswith(f"bad.alg:{line}: ") and message in str(e.value)
+
+
+def test_end_of_input_names_the_last_line(tmp_path, capsys):
+    path = tmp_path / "eof.alg"
+    path.write_text("# one algebra header\n\nalgebra z2\n")
+    assert cli.main(["bound", str(path)]) == 2
+    assert f"{path}:3: unexpected end of input" in capsys.readouterr().err
