@@ -47,11 +47,37 @@ class AffineStructureError(ValueError):
     """A claimed affine term failed the group axioms it must induce."""
 
 
+@dataclass(frozen=True)
+class TermTree:
+    """A term as a composition tree over named basic operations and projections.
+
+    expr is ("proj", i) or (op_name, (child_exprs, ...)).
+    """
+
+    arity: int
+    expr: tuple
+
+    def evaluate(self, ops, args):
+        """The term at `args`, integers or integer arrays that broadcast together."""
+
+        def walk(e):
+            if e[0] == "proj":
+                return args[e[1]]
+            name, children = e
+            op = ops[name]
+            if len(children) != op.arity:
+                raise ValueError(f"operation {name} expects {op.arity} arguments")
+            return op.np_table[encode_tuple([walk(c) for c in children], op.base_size)]
+
+        return walk(self.expr)
+
+
 class TermOperation(Operation):
     """An operation of the term clone, with its derivation over the basic operations.
 
-    The provenance is a nested tuple tree: ("proj", i) for a projection or
-    (op_name, children).  It takes no part in equality or hashing.
+    The provenance is the expr of a ternary `TermTree`: ("proj", i) for a
+    projection or (op_name, children).  It takes no part in equality or
+    hashing.
     """
 
     def __init__(self, name, arity, base_size, table, provenance):
@@ -235,10 +261,10 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
     provenance = _clone_search(A, candidate.table, budget)
     if provenance is None:
         return None
-    term = TermOperation("t", 3, n, table, provenance)
-    if evaluate_provenance(provenance, A) != term.table:
+    values = TermTree(3, provenance).evaluate({o.name: o for o in A.ops}, decode_code(np.arange(n**3), [n] * 3))
+    if (values != table).any():
         raise VerificationError(f"the derivation of the affine term of {A.name} misses its table")
-    return term
+    return TermOperation("t", 3, n, table, provenance)
 
 
 def _clone_search(A, target, budget):
@@ -301,18 +327,6 @@ def _clone_search(A, target, budget):
 def ternary_term_clone(A, budget=DEFAULT_BUDGET):
     """The full ternary term clone as a dict table -> derivation tree."""
     return _clone_search(A, None, budget)
-
-
-def evaluate_provenance(expr, A):
-    """Re-evaluate a derivation tree to its ternary table."""
-    n = A.size
-    if expr[0] == "proj":
-        triples = itertools.product(range(n), repeat=3)
-        return tuple(tr[expr[1]] for tr in triples)
-    name, children = expr
-    tables = [np.array(evaluate_provenance(c, A), dtype=np.int64) for c in children]
-    values = A.op(name).np_table[encode_tuple(tables, n)]
-    return tuple(np.broadcast_to(values, n**3).tolist())
 
 
 def group_from_affine(t: Operation, c: int) -> AbelianGroup:

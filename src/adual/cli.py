@@ -15,9 +15,7 @@ import time
 from .core import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    Homomorphism,
     ParseError,
-    encode_tuple,
     enumerate_homs,
     enumerate_subuniverses,
     power_algebra,
@@ -60,6 +58,12 @@ def _need_term(A, budget):
     if t is None:
         print(f"FAIL: {A.name} has no affine term")
     return t
+
+
+def _need_terms(A, S, budget):
+    """The affine terms of A and S, searched once when S is A."""
+    t_A = _need_term(A, budget)
+    return t_A, t_A if S is A else _need_term(S, budget)
 
 
 def cmd_check_abelian(args):
@@ -150,8 +154,7 @@ def cmd_hk(args):
     doc = _load(args.files)
     A, S = _two_algebras(doc, "hk")
     _header(args)
-    t_A = _need_term(A, args.budget)
-    t_S = _need_term(S, args.budget)
+    t_A, t_S = _need_terms(A, S, args.budget)
     if t_A is None or t_S is None:
         return EXIT_FAIL
     homs = enumerate_homs(A, S, args.budget)
@@ -182,15 +185,10 @@ def cmd_factorize(args):
         A = f.domain
     S = f.codomain
     _header(args)
-    t_A = _need_term(A, args.budget)
-    t_S = _need_term(S, args.budget)
+    t_A, t_S = _need_terms(A, S, args.budget)
     if t_A is None or t_S is None:
         return EXIT_FAIL
-    n = f.domain.power_of.exponent if f.domain.power_of else 1
-    k = Homomorphism(A, S, [f(encode_tuple((x,) * n, A.size)) for x in range(A.size)])
-    group = homgroups.build_hk_group(A, S, t_A, t_S, k, args.budget)
-    family = homgroups.generating_family(group)
-    fac = factorize.factor_morphism(A, S, t_A, t_S, f, family, args.budget)
+    fac = factorize.factor_morphism(A, S, t_A, t_S, f, budget=args.budget)
     print(f"factorization of {name} through power {fac.inner_arity}")
     for j, term in enumerate(fac.terms):
         print(f"term p{j + 1}: " + " ".join(str(c) for c in term.coeffs))

@@ -453,10 +453,15 @@ def subalgebra_on(A, carrier, name=None):
     carrier = tuple(sorted(set(carrier)))
     if not carrier:
         raise ValueError("subalgebra carrier must be nonempty")
+    return subalgebra_from_tables(A, carrier, carrier_tables(A, np.array(carrier, dtype=np.int64)), name)
+
+
+def subalgebra_from_tables(A, carrier, tables, name=None):
+    """`subalgebra_on` for a sorted carrier tuple whose `carrier_tables` are given."""
     arr = np.array(carrier, dtype=np.int64)
     ops = [
         Operation(o.name, o.arity, len(carrier), np.searchsorted(arr, values))
-        for o, values in zip(A.ops, carrier_tables(A, arr))
+        for o, values in zip(A.ops, tables)
     ]
     to_sub = {x: i for i, x in enumerate(carrier)}
     name = name or f"{A.name}|{len(carrier)}"
@@ -710,7 +715,7 @@ class Homomorphism:
         return np.unique(self.np_mapping).size == self.codomain.size
 
     def kernel_congruence(self):
-        return Congruence.from_class_map(self.domain.size, self.mapping)
+        return Congruence(self.domain.size, self.mapping)
 
     def __eq__(self, other):
         return (
@@ -803,10 +808,6 @@ class Congruence:
                 relabel[c] = len(relabel)
             out.append(relabel[c])
         return tuple(out)
-
-    @classmethod
-    def from_class_map(cls, base_size, class_of):
-        return cls(base_size, tuple(class_of))
 
     @classmethod
     def from_classes(cls, base_size, classes):

@@ -21,7 +21,6 @@ from .core import (
     CHUNK_CELLS,
     DEFAULT_BUDGET,
     FiniteAlgebra,
-    Homomorphism,
     Operation,
     Relation,
     VerificationError,
@@ -36,38 +35,12 @@ from .core import (
 )
 from .affine import (
     AffineTerm,
+    TermTree,
     affine_combination_array,
     lift_term_to_power,
 )
-from .homgroups import build_hk_group, generating_family
 from .subcong import kernel_quotient, meet_irreducibles
 from .factorize import factor_morphism
-from . import affine as _affine
-
-
-@dataclass(frozen=True)
-class TermTree:
-    """A term as a composition tree over named basic operations and projections.
-
-    expr is ("proj", i) or (op_name, (child_exprs, ...)).
-    """
-
-    arity: int
-    expr: tuple
-
-    def evaluate(self, ops, args):
-        """The term at `args`, integers or integer arrays that broadcast together."""
-
-        def walk(e):
-            if e[0] == "proj":
-                return args[e[1]]
-            name, children = e
-            op = ops[name]
-            if len(children) != op.arity:
-                raise ValueError(f"operation {name} expects {op.arity} arguments")
-            return op.np_table[encode_tuple([walk(c) for c in children], op.base_size)]
-
-        return walk(self.expr)
 
 
 Term = Union[AffineTerm, TermTree]
@@ -397,10 +370,8 @@ class ReductionResult:
     certificate: EntailmentCertificate
 
     def __post_init__(self):
-        bound = max((r.arity for r in self.bounded_premises), default=0)
         if not all(isinstance(r, Relation) for r in self.bounded_premises):
             raise VerificationError("a bounded premise is not a relation")
-        self.max_premise_arity = bound
 
 
 def reduce_to_bounded_arity(
@@ -440,17 +411,8 @@ def reduce_to_bounded_arity(
     premises = []
     for w in components:
         kt = kernel_quotient(P, t_P, w, budget)
-        S, f, c = kt.quotient, kt.projection, kt.point
-        t_S = _affine.induced_term(t_P, f.kernel_congruence())
-        k = Homomorphism(A, S, [f(encode_tuple((x,) * n, A.size)) for x in range(A.size)])
-        hk = build_hk_group(A, S, t, t_S, k, budget)
-        family = generating_family(hk)
-        if family.size > N:
-            raise ValueError(
-                f"N={N} is below the generating-family size {family.size} "
-                f"needed for a quotient of {P.name}"
-            )
-        fac = factor_morphism(A, S, t, t_S, f, family.padded(N), budget)
+        c = kt.point
+        fac = factor_morphism(A, kt.quotient, t, kt.term, kt.projection, N, budget)
         # B = g^-1(c) is the preimage of B_hat = reduced^-1(c) under the
         # projection, a homomorphism, so B is compatible exactly when B_hat is
         b_hat = np.flatnonzero(fac.g.reduced.np_mapping == c)

@@ -1,13 +1,15 @@
 """Factor any morphism A^n -> S through A^(N+1).
 
-N is the size of a generating family of the group on {f: A^2 -> S with
-f(x,x) = f-diagonal}.  The slot morphisms f_i(x,y) = f(y,..,y,x,y,..,y),
-gathered from f's table at once, decompose over the generators h_j, the
-inner terms p_j repackage the n arguments into N+1, and g recombines
-generator values, evaluated on all its inputs at once.  g depends only on
-the coordinates of the generators that are not neutral and on the last one,
-so it is verified as a homomorphism on that smaller power; the defining
-identity f = g(p_1, .., p_{N+1}) is verified on every input of f.
+N is the size of a generating family of the group on {g: A^2 -> S with
+g(x,x) = k(x)}, where k(x) = f(x, .., x) is the diagonal of f; the group and
+its greedy family are built here from f.  The slot morphisms
+f_i(x,y) = f(y,..,y,x,y,..,y), gathered from f's table at once, decompose
+over the generators h_j, the inner terms p_j repackage the n arguments
+into N+1, and g recombines generator values, evaluated on all its inputs at
+once.  g depends only on the coordinates of the generators that are not
+neutral and on the last one, so it is verified as a homomorphism on that
+smaller power; the defining identity f = g(p_1, .., p_{N+1}) is verified on
+every input of f.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .affine import (
     affine_combination_array,
     projection_term,
 )
-from .homgroups import GeneratingFamily, HkGroup
+from .homgroups import GeneratingFamily, build_hk_group, generating_family
 
 
 class FactorMap:
@@ -64,7 +66,8 @@ class FactorMap:
 
 @dataclass
 class Factorization:
-    """f together with g, the inner terms p_j and the coefficient matrix u[j][i].
+    """f together with g, the inner terms p_j, the coefficient matrix u[j][i]
+    and the family of N generators that g recombines.
 
     The identity f = g(p_1..p_{N+1}) is checked on every input of f.  The
     last term is always the first projection.
@@ -74,6 +77,7 @@ class Factorization:
     g: FactorMap
     terms: tuple
     coefficient_matrix: tuple
+    family: GeneratingFamily
 
     @property
     def inner_arity(self):
@@ -110,39 +114,52 @@ def _inner_maps(A, t_A, terms, f, digits):
     return [Homomorphism(f.domain, A, affine_combination_array(term, t_A, 0, digits)) for term in terms]
 
 
+def _refuse_domain_of_g(A, N, budget):
+    """Refuse the table of g on A^(N+1) before it is made."""
+    if A.size ** (N + 1) > budget:
+        raise BudgetExceededError(A.size ** (N + 1), budget, hint="domain of g")
+
+
 def factor_morphism(
     A,
     S,
     t_A: Operation,
     t_S: Operation,
     f: Homomorphism,
-    family: GeneratingFamily,
+    generators=None,
     budget=DEFAULT_BUDGET,
 ) -> Factorization:
     """Build g and p_1..p_{N+1} with f = g(p_1, .., p_{N+1}) and verify it.
 
-    `family` must generate the group built from build_hk_group with base
-    morphism k(x) = f(x, .., x).  A failed identity is a bug in the inputs,
-    not a legitimate outcome, and raises VerificationError.  The budget
-    bounds the table of g and the operation tables of the power g is
-    verified on.
+    The family is the greedy generating family of the group built by
+    build_hk_group with base morphism k(x) = f(x, .., x), padded with neutral
+    generators up to `generators` when that is given; N is its size.  A
+    family larger than `generators` raises ValueError.  A failed identity is
+    a bug, not a legitimate outcome, and raises VerificationError.  The
+    budget bounds the hom group, the table of g and the operation tables of
+    the power g is verified on; with `generators` given, the domain of g is
+    refused before the group is built.
     """
     n = _domain_exponent(A, f)
-    group = family.group
-    if not isinstance(group, HkGroup):
-        raise ValueError("family must come from a group on Hom(A^2, S)")
-    square = group.square
+    if generators is not None:
+        _refuse_domain_of_g(A, generators, budget)
     k_map = f.np_mapping[encode_tuple((np.arange(A.size),) * n, A.size)]
-    if not np.array_equal(group.k.np_mapping, k_map):
-        raise ValueError("family was built for a different base morphism k")
+    group = build_hk_group(A, S, t_A, t_S, Homomorphism(A, S, k_map), budget)
+    family = generating_family(group)
+    if generators is not None:
+        if family.size > generators:
+            raise ValueError(
+                f"N={generators} is below the generating-family size {family.size} "
+                f"needed for a quotient of {f.domain.name}"
+            )
+        family = family.padded(generators)
+    square = group.square
     N = family.size
 
     # Generators equal to the neutral (padding) contribute nothing to g, so g
     # depends only on the active coordinates and z and is verified on that
     # power; both tables are refused here, before any other work.
-    domain_size = A.size ** (N + 1)
-    if domain_size > budget:
-        raise BudgetExceededError(domain_size, budget, hint="domain of g")
+    _refuse_domain_of_g(A, N, budget)
     active = [j for j in range(N) if family.generators[j] != group.neutral]
     reduced_domain = power_algebra(A, len(active) + 1, budget)
 
@@ -152,7 +169,7 @@ def factor_morphism(
     f_slots = f.np_mapping[encode_tuple(np.moveaxis(np.where(in_slot, x, y), 1, 0), A.size)]
     slot_index = group.index_of(f_slots)
     if (slot_index < 0).any():
-        raise ValueError("slot morphism escapes the hom group: inputs inconsistent")
+        raise VerificationError("slot morphism escapes the hom group built on its diagonal")
     matrix = [tuple(int(u) for u in family.expressions[int(i)]) for i in slot_index]
 
     # telescoping identity: f(x) = sum_i (f_i(x_i, x_1) - f_i(x_1, x_1)) + k(x_1)
@@ -204,4 +221,5 @@ def factor_morphism(
         g=g,
         terms=terms,
         coefficient_matrix=coefficients,
+        family=family,
     )

@@ -139,7 +139,7 @@ def _has_abelian_group_op(A):
 def hom_divisibility_check(A, B, mode="abelian", budget=DEFAULT_BUDGET):
     """Count Hom(A,B) and check it divides the prime-wise bound for the mode."""
     if mode == "abelian":
-        if find_affine_term(A, budget) is None or find_affine_term(B, budget) is None:
+        if find_affine_term(A, budget) is None or (B is not A and find_affine_term(B, budget) is None):
             raise ValueError("abelian mode needs affine algebras on both sides")
     elif mode == "group":
         if not (_has_abelian_group_op(A) and _has_abelian_group_op(B)):

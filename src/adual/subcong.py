@@ -11,7 +11,7 @@ preimage of a one-element subalgebra under the canonical projection.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -29,19 +29,26 @@ from .core import (
     carrier_tables,
     con_lattice,
     congruence_generated_by,
+    principal_congruence,
     quotient_algebra,
-    subalgebra_on,
+    subalgebra_from_tables,
     subuniverse_carriers,
     verify_congruence,
 )
+from .affine import induced_term
 
 
 @dataclass(frozen=True)
 class SubalgebraWitness:
-    """A verified nonempty carrier closed under all ambient operations."""
+    """A verified nonempty carrier closed under all ambient operations.
+
+    `tables` keeps the operation tables on the carrier that the closure
+    check computed, so `as_algebra` builds the subalgebra from them.
+    """
 
     ambient: FiniteAlgebra
     carrier: tuple
+    tables: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         carrier = tuple(sorted(set(int(x) for x in self.carrier)))
@@ -50,18 +57,20 @@ class SubalgebraWitness:
             raise ValueError("subalgebra carrier must be nonempty")
         if any(not 0 <= x < self.ambient.size for x in carrier):
             raise ValueError("carrier element outside the ambient universe")
-        carrier_tables(self.ambient, np.array(carrier, dtype=np.int64))
+        tables = carrier_tables(self.ambient, np.array(carrier, dtype=np.int64))
+        object.__setattr__(self, "tables", tables)
 
     def __len__(self):
         return len(self.carrier)
 
     def as_algebra(self, name=None):
-        return subalgebra_on(self.ambient, self.carrier, name=name)
+        return subalgebra_from_tables(self.ambient, self.carrier, self.tables, name=name)
 
 
 @dataclass(frozen=True)
 class KernelTriple:
-    """A subdirectly irreducible quotient S, the projection f, and the point c.
+    """A subdirectly irreducible quotient S, the projection f, the point c,
+    and the image of the affine term on S.
 
     The singleton {c} is a subalgebra of S and the preimage of c under f is
     exactly the carrier the triple was built from.
@@ -70,6 +79,7 @@ class KernelTriple:
     quotient: FiniteAlgebra
     projection: Homomorphism
     point: int
+    term: Operation
 
 
 def theta_of_subalgebra(A, t: Operation, B: SubalgebraWitness) -> Congruence:
@@ -239,12 +249,14 @@ def meet_irreducibles(A, budget=DEFAULT_BUDGET):
 def kernel_quotient(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET) -> KernelTriple:
     """Quotient A by theta_B for a completely meet-irreducible B.
 
-    Returns the subdirectly irreducible quotient S, the projection f, and
-    the point c = f(B) whose singleton is a subalgebra and whose preimage
-    is B.  Raises ValueError on a B that is not meet-irreducible.  For a
-    B below A the subuniverses above B and the congruences above theta_B
-    form isomorphic lattices, so B has one upper cover exactly when S has a
-    least nonidentity congruence, and the SI check decides it.
+    Returns the subdirectly irreducible quotient S, the projection f, the
+    point c = f(B) whose singleton is a subalgebra and whose preimage is B,
+    and t induced on S.  Raises ValueError on a B that is not
+    meet-irreducible.  For a B below A the subuniverses above B and the
+    congruences above theta_B form isomorphic lattices, so B has one upper
+    cover exactly when S has a least nonidentity congruence, and the SI
+    check decides it.  Every nonidentity congruence contains some Cg(a, b)
+    with a < b, so that least congruence is the meet of those principal ones.
     """
     if len(B.carrier) == A.size:
         raise ValueError(f"carrier {list(B.carrier)} is the whole algebra, not meet-irreducible")
@@ -259,13 +271,12 @@ def kernel_quotient(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET
         if o(*([c] * o.arity)) != c:
             raise VerificationError(f"{{c}} not closed under {o.name}")
     # S has two or more elements, as the preimage of c is not all of A
-    nontrivial = [th for th in con_lattice(S) if not th.is_identity()]
-    monolith = nontrivial[0]
-    for th in nontrivial[1:]:
-        monolith = monolith.meet(th)
+    monolith = Congruence.full(S.size)
+    for a, b in itertools.combinations(range(S.size), 2):
+        monolith = monolith.meet(principal_congruence(S, a, b))
     if monolith.is_identity():
         raise ValueError(
             f"carrier {list(B.carrier)} is not completely meet-irreducible: "
             "the quotient has no least nonidentity congruence"
         )
-    return KernelTriple(S, f, c)
+    return KernelTriple(S, f, c, induced_term(t, theta))

@@ -26,7 +26,7 @@ from .core import (
     decode_code,
     power_algebra,
 )
-from .affine import AffineTerm
+from .affine import AffineTerm, TermTree
 from .entailment import (
     EntailmentCertificate,
     GraphToOperation,
@@ -34,7 +34,6 @@ from .entailment import (
     Premise,
     StripPadding,
     TermPreimage,
-    TermTree,
     certificate_premises,
 )
 

@@ -129,8 +129,6 @@ def test_criterion_4_factorization():
     z2, z4 = ALGEBRAS["z2"], ALGEBRAS["z4"]
     t = {"z2": affine.find_affine_term(z2), "z4": affine.find_affine_term(z4)}
     rng = random.Random(0)
-    group_cache = {}
-    family_cache = {}
     total = 0
     for a, s in itertools.product(("z2", "z4"), repeat=2):
         A, S = ALGEBRAS[a], ALGEBRAS[s]
@@ -140,19 +138,7 @@ def test_criterion_4_factorization():
             if a == "z4" and len(homs) > 100:
                 homs = rng.sample(homs, 100)
             for f in homs:
-                kmap = tuple(
-                    f(core.encode_tuple((x,) * n, A.size)) for x in range(A.size)
-                )
-                key = (a, s, kmap)
-                if key not in group_cache:
-                    k = core.Homomorphism(A, S, kmap)
-                    group_cache[key] = homgroups.build_hk_group(
-                        A, S, t[a], t[s], k
-                    )
-                    family_cache[key] = homgroups.generating_family(group_cache[key])
-                fac = factorize.factor_morphism(
-                    A, S, t[a], t[s], f, family_cache[key]
-                )
+                fac = factorize.factor_morphism(A, S, t[a], t[s], f)
                 # the identity f = g(p_1, .., p_{N+1}), recomputed on every input
                 for code in range(f.domain.size):
                     xs = core.decode_code(code, [A.size] * n)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,7 +77,9 @@ def test_provenance_reproduces_table(z4, z6, terms):
     for A in (z4, z6):
         t = terms[A.name]
         assert t.provenance is not None
-        assert affine.evaluate_provenance(t.provenance, A) == t.table
+        tree = affine.TermTree(3, t.provenance)
+        values = tree.evaluate({o.name: o for o in A.ops}, core.decode_code(np.arange(A.size**3), [A.size] * 3))
+        assert tuple(np.broadcast_to(values, A.size**3).tolist()) == t.table
 
 
 def test_unique_affine_element_by_exhaustive_clone_scan(z2, z3, v4):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from adual import cli, core, textio, zoo
+from adual import affine, cli, core, textio, zoo
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -93,6 +93,26 @@ def test_hom_and_hk_verbs(files, capsys):
     code, out, _ = run(capsys, ["hk", paths["z4"]])
     assert code == 0
     assert "group order 4" in out
+
+
+def test_no_affine_term_fails_once(capsys, tmp_path):
+    code, out, _ = run(capsys, ["hk", str(DATA / "meet2.alg")])
+    assert code == 1 and out.splitlines()[1:] == ["FAIL: meet2 has no affine term"]
+    A = zoo.two_element_semilattice()
+    first = core.Homomorphism(core.power_algebra(A, 2), A, [c // 2 for c in range(4)])
+    hom_file = tmp_path / "first.hom"
+    hom_file.write_text(textio.serialize_algebra(A) + textio.serialize_hom(first, "first"))
+    code, out, _ = run(capsys, ["factorize", str(hom_file)])
+    assert code == 1 and out.splitlines()[1:] == ["FAIL: meet2 has no affine term"]
+
+
+def test_hk_on_one_algebra_searches_its_term_once(capsys, monkeypatch):
+    searched = []
+    real = affine.find_affine_term
+    monkeypatch.setattr(affine, "find_affine_term", lambda A, budget: searched.append(A.name) or real(A, budget))
+    code, out, _ = run(capsys, ["hk", str(DATA / "z4.alg")])
+    assert code == 0 and "group order 4" in out
+    assert searched == ["z4"]
 
 
 def test_factorize_entail_replay_refute(files, capsys, tmp_path):

@@ -1,18 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adual import affine, core, factorize as fz, homgroups as hg, zoo
-
-
-def family_for(A, S, t_A, t_S, f, n):
-    k = core.Homomorphism(
-        A, S, [f(core.encode_tuple((x,) * n, A.size)) for x in range(A.size)]
-    )
-    group = hg.build_hk_group(A, S, t_A, t_S, k)
-    return hg.generating_family(group)
 
 
 def g_oracle(A, t_S, f, family):
@@ -29,17 +25,22 @@ def g_oracle(A, t_S, f, family):
     return table
 
 
-def check_against_oracles(A, S, t_A, t_S, f, family, fac):
-    """g against its formula and, on A^(N+1) when that fits, as a Homomorphism;
+def check_against_oracles(A, S, t_A, t_S, f, fac):
+    """The family against the greedy family of the group on k = f(x, .., x),
+    g against its formula and, on A^(N+1) when that fits, as a Homomorphism;
     then the identity f = g(p_1, .., p_{N+1}) on every input of f."""
-    assert fac.g.mapping.tolist() == g_oracle(A, t_S, f, family)
+    n = f.domain.power_of.exponent if f.domain.power_of else 1
+    k = core.Homomorphism(A, S, [f(core.encode_tuple((x,) * n, A.size)) for x in range(A.size)])
+    family = hg.generating_family(hg.build_hk_group(A, S, t_A, t_S, k))
+    assert fac.family.generators[: family.size] == family.generators
+    assert set(fac.family.generators[family.size :]) <= {family.group.neutral}
+    assert fac.g.mapping.tolist() == g_oracle(A, t_S, f, fac.family)
     try:
         P = core.power_algebra(A, fac.inner_arity)
     except core.BudgetExceededError:
         P = None
     if P is not None:
         core.Homomorphism(P, S, fac.g.mapping)
-    n = f.domain.power_of.exponent if f.domain.power_of else 1
     for code in range(f.domain.size):
         xs = core.decode_code(code, [A.size] * n)
         image = [affine.eval_affine_combination(term, t_A, 0, xs) for term in fac.terms]
@@ -50,9 +51,8 @@ def test_sum_of_five_over_z2(z2, terms):
     t2 = terms["z2"]
     P5 = core.power_algebra(z2, 5)
     f = core.Homomorphism(P5, z2, [bin(c).count("1") % 2 for c in range(32)])
-    fam = family_for(z2, z2, t2, t2, f, 5)
-    fac = fz.factor_morphism(z2, z2, t2, t2, f, fam)
-    check_against_oracles(z2, z2, t2, t2, f, fam, fac)
+    fac = fz.factor_morphism(z2, z2, t2, t2, f)
+    check_against_oracles(z2, z2, t2, t2, f, fac)
     assert fac.inner_arity == 2
     # p1 evaluates to the full sum over Z2, p2 is the first projection
     assert tuple(c % 2 for c in fac.terms[0].coeffs) == (1, 1, 1, 1, 1)
@@ -65,8 +65,7 @@ def test_projection_over_z4(z4, terms):
     t4 = terms["z4"]
     P2 = core.power_algebra(z4, 2)
     f = core.Homomorphism(P2, z4, [c // 4 for c in range(16)])
-    fam = family_for(z4, z4, t4, t4, f, 2)
-    fac = fz.factor_morphism(z4, z4, t4, t4, f, fam)
+    fac = fz.factor_morphism(z4, z4, t4, t4, f)
     # the first slot carries the identity coordinate, the second the neutral
     assert fac.coefficient_matrix == ((1, 0),)
     for code in range(16):
@@ -81,18 +80,16 @@ def test_projection_over_z4(z4, terms):
 def test_single_variable_morphism(z4, terms):
     t4 = terms["z4"]
     f = core.Homomorphism(z4, z4, (0, 3, 2, 1))
-    fam = family_for(z4, z4, t4, t4, f, 1)
-    fac = fz.factor_morphism(z4, z4, t4, t4, f, fam)
-    assert fac.inner_arity == fam.size + 1
-    check_against_oracles(z4, z4, t4, t4, f, fam, fac)
+    fac = fz.factor_morphism(z4, z4, t4, t4, f)
+    assert fac.inner_arity == fac.family.size + 1
+    check_against_oracles(z4, z4, t4, t4, f, fac)
 
 
 def test_every_term_is_a_morphism(z2, terms):
     t2 = terms["z2"]
     P3 = core.power_algebra(z2, 3)
     for f in core.enumerate_homs(P3, z2):
-        fam = family_for(z2, z2, t2, t2, f, 3)
-        fac = fz.factor_morphism(z2, z2, t2, t2, f, fam)
+        fac = fz.factor_morphism(z2, z2, t2, t2, f)
         for term in fac.terms:
             # evaluating the term over the power gives a verified homomorphism
             table = [
@@ -106,9 +103,9 @@ def test_padded_family_and_mixed_signature(z2, z4, terms):
     t2, t4 = terms["z2"], terms["z4"]
     P3 = core.power_algebra(z4, 3)
     f = core.enumerate_homs(P3, z2)[3]
-    fam = family_for(z4, z2, t4, t2, f, 3)
-    fac = fz.factor_morphism(z4, z2, t4, t2, f, fam.padded(4))
+    fac = fz.factor_morphism(z4, z2, t4, t2, f, 4)
     assert fac.inner_arity == 5
+    check_against_oracles(z4, z2, t4, t2, f, fac)
     for code in range(64):
         image = core.encode_tuple(
             [affine.eval_affine_combination(term, t4, 0, core.decode_code(code, [4] * 3))
@@ -118,72 +115,62 @@ def test_padded_family_and_mixed_signature(z2, z4, terms):
         assert fac.g(image) == f(code)
 
 
-def test_wrong_family_rejected(z2, z4, terms):
+def test_generators_below_the_family_size_rejected(z2, z4, terms):
+    # f(x, y) = x + y from Z4^2 onto Z2 needs a family of one generator
     t2, t4 = terms["z2"], terms["z4"]
     P2 = core.power_algebra(z4, 2)
-    homs = core.enumerate_homs(P2, z4)
-    f = next(h for h in homs if h.mapping[5] != h.mapping[0])
-    other = next(
-        h
-        for h in homs
-        if h.mapping != f.mapping
-        and any(h(core.encode_tuple((x, x), 4)) != f(core.encode_tuple((x, x), 4)) for x in range(4))
-    )
-    fam = family_for(z4, z4, t4, t4, other, 2)
-    with pytest.raises(ValueError):
-        fz.factor_morphism(z4, z4, t4, t4, f, fam)
+    f = core.Homomorphism(P2, z2, [(c // 4 + c % 4) % 2 for c in range(16)])
+    assert fz.factor_morphism(z4, z2, t4, t2, f).family.size == 1
+    with pytest.raises(ValueError, match=r"N=0 is below the generating-family size 1 needed for a quotient of z4\^2"):
+        fz.factor_morphism(z4, z2, t4, t2, f, 0)
 
 
 def test_tiny_budget_refuses_before_allocating(z2, terms):
-    # g is verified on Z2^2, whose 16-cell table of add exceeds a budget of 8
+    # the hom group lives on Z2^2, whose 16-cell table of add exceeds a
+    # budget of 8, and so does g, which is verified on Z2^2 too
     t2 = terms["z2"]
     P4 = core.power_algebra(z2, 4)
     f = core.Homomorphism(P4, z2, [bin(c).count("1") % 2 for c in range(16)])
-    fam = family_for(z2, z2, t2, t2, f, 4)
-    tracemalloc.start()
-    try:
-        with pytest.raises(core.BudgetExceededError) as e:
-            fz.factor_morphism(z2, z2, t2, t2, f, fam, budget=8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert e.value.count == 16 and "table of add" in str(e.value)
-    assert peak < 64 * 1024
-    # the domain of g itself is refused first
-    with pytest.raises(core.BudgetExceededError) as e:
-        fz.factor_morphism(z2, z2, t2, t2, f, fam.padded(3), budget=8)
-    assert e.value.count == 16 and "domain of g" in str(e.value)
+    # with 3 generators, the 16-code domain of g, Z2^4, is refused before the hom group is built
+    for generators, hint in ((None, "table of add"), (3, "domain of g")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(core.BudgetExceededError) as e:
+                fz.factor_morphism(z2, z2, t2, t2, f, generators, budget=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.value.count == 16 and hint in str(e.value)
+        assert peak < 64 * 1024
 
 
 def test_domain_power_compared_by_tables_not_names(z2, terms, relabeled):
     t2 = terms["z2"]
     parity = [bin(c).count("1") % 2 for c in range(8)]
     f = core.Homomorphism(core.power_algebra(z2, 3), z2, parity)
-    fam = family_for(z2, z2, t2, t2, f, 3)
     # twin is z2 with 0 and 1 swapped, under the same name, so twin^3 claims
     # to be a power of z2; g is parity read through the swap
     twin_cube = core.power_algebra(relabeled(z2, (1, 0)), 3)
     assert twin_cube.power_of == f.domain.power_of
     g = core.Homomorphism(twin_cube, z2, [parity[7 - c] for c in range(8)])
     with pytest.raises(ValueError, match="morphism domain is not z2\\^3"):
-        fz.factor_morphism(z2, z2, t2, t2, g, fam)
-    assert fz.factor_morphism(z2, z2, t2, t2, f, fam).inner_arity == 2
+        fz.factor_morphism(z2, z2, t2, t2, g)
+    assert fz.factor_morphism(z2, z2, t2, t2, f).inner_arity == 2
 
 
 def test_bogus_g_rejected_by_the_exact_check(z2, terms, monkeypatch):
     t2 = terms["z2"]
     P3 = core.power_algebra(z2, 3)
     f = core.Homomorphism(P3, z2, [bin(c).count("1") % 2 for c in range(8)])
-    fam = family_for(z2, z2, t2, t2, f, 3)
     real = fz._g_values
     # not a homomorphism: g(0, 0) is no longer the constant
     monkeypatch.setattr(fz, "_g_values", lambda *a: [1 - real(*a)[0]] + real(*a)[1:])
     with pytest.raises(core.VerificationError, match="not a homomorphism"):
-        fz.factor_morphism(z2, z2, t2, t2, f, fam)
+        fz.factor_morphism(z2, z2, t2, t2, f)
     # a homomorphism, but the wrong one: g(y, z) = z
     monkeypatch.setattr(fz, "_g_values", lambda *a: [0, 1, 0, 1])
     with pytest.raises(core.VerificationError, match="factorization identity failed"):
-        fz.factor_morphism(z2, z2, t2, t2, f, fam)
+        fz.factor_morphism(z2, z2, t2, t2, f)
 
 
 def test_exchange_identity_checked_on_large_domains(monkeypatch):
@@ -193,9 +180,8 @@ def test_exchange_identity_checked_on_large_domains(monkeypatch):
     t = core.Operation("t", 3, 17, [(x - y + z) % 17 for x, y, z in itertools.product(range(17), repeat=3)])
     P = core.power_algebra(A, 2)
     f = core.Homomorphism(P, A, [(c // 17 + c % 17) % 17 for c in range(P.size)])
-    fam = family_for(A, A, t, t, f, 2)
-    fac = fz.factor_morphism(A, A, t, t, f, fam)
-    check_against_oracles(A, A, t, t, f, fam, fac)
+    fac = fz.factor_morphism(A, A, t, t, f)
+    check_against_oracles(A, A, t, t, f, fac)
     # the first inner term doubled: still a homomorphism, but not the term
     real = fz._inner_maps
 
@@ -206,7 +192,58 @@ def test_exchange_identity_checked_on_large_domains(monkeypatch):
 
     monkeypatch.setattr(fz, "_inner_maps", corrupted)
     with pytest.raises(core.VerificationError, match="exchange identity failed"):
-        fz.factor_morphism(A, A, t, t, f, fam)
+        fz.factor_morphism(A, A, t, t, f)
+
+
+_UNDER_OPTIMIZE = """
+import sys
+
+from adual import affine, core, factorize, zoo
+
+if __debug__ or not sys.flags.optimize:
+    sys.exit("not running under -O")
+z2 = zoo.cyclic_group(2)
+t = affine.find_affine_term(z2)
+f = core.Homomorphism(core.power_algebra(z2, 3), z2, [bin(c).count("1") % 2 for c in range(8)])
+if sys.argv[1] == "g table":  # one value of g is flipped
+    real = factorize._g_values
+    factorize._g_values = lambda *a: [1 - real(*a)[0]] + real(*a)[1:]
+elif sys.argv[1] == "wrong g":  # a homomorphism, but g(y, z) = z
+    factorize._g_values = lambda *a: [0, 1, 0, 1]
+else:  # the first inner term is the constant 0 map
+    real = factorize._inner_maps
+    def corrupted(*args):
+        maps = real(*args)
+        maps[0] = core.Homomorphism(maps[0].domain, z2, [0] * 8)
+        return maps
+    factorize._inner_maps = corrupted
+try:
+    factorize.factor_morphism(z2, z2, t, t, f)
+except core.VerificationError as e:
+    print("VerificationError:", e)
+"""
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [
+        ("g table", "not a homomorphism"),
+        ("inner map", "exchange identity failed"),
+        ("wrong g", "factorization identity failed"),
+    ],
+)
+def test_factorization_checks_run_under_optimize(corruption, message):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE, corruption],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("VerificationError:") and message in done.stdout, done.stdout
 
 
 def is_hom(domain, codomain, mapping):
