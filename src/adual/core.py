@@ -593,27 +593,39 @@ def is_compatible_relation(A, R: Relation, budget=DEFAULT_BUDGET):
     return True
 
 
-def subuniverse_carriers(A, budget=DEFAULT_BUDGET):
+def subuniverse_carriers(A, budget=DEFAULT_BUDGET, above=None):
     """All nonempty subuniverses of A as sorted carrier tuples.
 
-    Output sorted by (cardinality, lexicographic carrier).  The closed sets
-    are listed once each by Close-by-One (Kuznetsov 1993) with the pruning
-    of FCbO (Outrata & Vychodil 2012).  Its attributes are the distinct
-    1-generated subuniverses Sg(g_0), .., Sg(g_{m-1}), one generator g_k per
-    subuniverse, in order of g_k.  A subuniverse is the closure of the
-    generators it holds, so they determine it.  From a closed set S
+    Output sorted by (cardinality, lexicographic carrier).  With `above`, an
+    iterable of codes, only the subuniverses that contain it are listed: the
+    interval [Sg(above), A] of Sub(A).  The closed sets are listed once each
+    by Close-by-One (Kuznetsov 1993) with the pruning of FCbO (Outrata &
+    Vychodil 2012), starting at the root Sg(above), or at Sg({}) without
+    `above`.  Its attributes are the distinct sets Sg(root + g_0), ..,
+    Sg(root + g_{m-1}), one generator g_k outside the root per set, in order
+    of g_k.  A subuniverse above the root is the closure of the root and the
+    generators it holds, so they determine it, and the canonicity test below
+    is the same in the interval as in the whole lattice.  From a closed set S
     with start index y, each j >= y with g_j outside S gives T = Sg(S + g_j).
     T is a child of S, with start j + 1, iff it holds no g_k with k < j
     outside S; every subuniverse is thus the child of exactly one closed set.
     When T fails, such a g_k is kept as a witness for j: a descendant of S
     that lacks g_k skips j, because its closure with g_j contains T and fails
-    the same test.
+    the same test.  A code of `above` outside the universe raises ValueError.
     """
     if A.size > budget:
         raise BudgetExceededError(A.size, budget)
+    seed = sorted({int(c) for c in above}) if above is not None else []
+    bad = [c for c in seed if not 0 <= c < A.size]
+    if bad:
+        raise ValueError(f"code {bad[0]} outside the universe 0..{A.size - 1} of {A.name}")
+    # the root Sg(seed) is empty, and not listed, if the seed is and A has no constants
+    root = closed_product_subset([A], seed) if seed or A.constants() else np.zeros(0, dtype=np.int64)
+    outside_root = np.ones(A.size, dtype=bool)
+    outside_root[root] = False
     first_generator = {}
-    for x in range(A.size):
-        arr = closed_product_subset([A], [x])
+    for x in np.flatnonzero(outside_root).tolist():
+        arr = closed_product_subset([A], [x], base=root)
         first_generator.setdefault(arr.tobytes(), (x, arr))
     gens = np.array([x for x, _ in first_generator.values()], dtype=np.int64)
     singles = [arr for _, arr in first_generator.values()]
@@ -623,8 +635,6 @@ def subuniverse_carriers(A, budget=DEFAULT_BUDGET):
         member[carrier] = True
         return member[gens]
 
-    # the root Sg({}) is empty, and not listed, unless A has constants
-    root = closed_product_subset([A], []) if A.constants() else gens[:0]
     found = [root] if root.size else []
     stack = [(root, held(root), 0, np.full(len(gens), -1))]
     while stack:
@@ -634,7 +644,7 @@ def subuniverse_carriers(A, budget=DEFAULT_BUDGET):
         for j in range(start, len(gens)):
             if holds[j] or (witness[j] >= 0 and not holds[witness[j]]):
                 continue
-            # the children of the root are the 1-generated subuniverses
+            # the children of the root are the attribute sets Sg(root + g_j)
             T = singles[j] if S is root else closed_product_subset([A], [gens[j]], base=S)
             T_holds = held(T)
             added = T_holds & ~holds

@@ -384,7 +384,8 @@ def reduce_to_bounded_arity(
     """Certify R from (N+1)-ary compatible relations plus the affine operation.
 
     R is written as the intersection of the completely meet-irreducible
-    subuniverses of A^n above it; each of those is the kernel class of a
+    subuniverses of A^n above it, found in the interval [R, A^n] of Sub(A^n)
+    alone; each of those is the kernel class of a
     morphism onto a subdirectly irreducible quotient, which factors through
     A^(N+1), turning the component into a term preimage of an (N+1)-ary
     compatible relation.  N must be at least the generating-family size of
@@ -398,7 +399,7 @@ def reduce_to_bounded_arity(
     P = power_algebra(A, n, budget)
     t_P = lift_term_to_power(t, n, budget)
     r_codes = R.codes()
-    above = [w for w in meet_irreducibles(P, budget) if sorted_member(np.array(w.carrier), r_codes).all()]
+    above = meet_irreducibles(P, budget, above=r_codes)
     # an inclusion-minimal subfamily has the same intersection
     components = [w for w in above if not any(set(v.carrier) < set(w.carrier) for v in above)]
     meet = np.arange(P.size)

@@ -230,13 +230,17 @@ def verify_galois(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET):
     )
 
 
-def meet_irreducibles(A, budget=DEFAULT_BUDGET):
+def meet_irreducibles(A, budget=DEFAULT_BUDGET, above=None):
     """Subuniverses B whose strictly larger subuniverses intersect above B.
 
     In a finite lattice this is the same as completely meet-irreducible.  The
-    top subuniverse is never meet-irreducible.
+    top subuniverse is never meet-irreducible.  With `above`, an iterable of
+    codes R, only the B that contain R are listed, and only the interval
+    [Sg(R), A] is enumerated: every subuniverse strictly above such a B also
+    contains R, so B is meet-irreducible in the interval exactly when it is
+    in Sub(A).
     """
-    carriers = subuniverse_carriers(A, budget)
+    carriers = subuniverse_carriers(A, budget, above=above)
     out = []
     for c in carriers:  # sorted by (size, carrier), as the result is
         cset = set(c)

@@ -196,6 +196,63 @@ def test_subuniverse_counts_gaussian(z2, z3):
         assert len(core.subuniverse_carriers(P)) == expected
 
 
+def z4_affine():
+    """<Z4; x - y + z>: no constants and one ternary operation."""
+    table = [(x - y + z) % 4 for x, y, z in itertools.product(range(4), repeat=3)]
+    return core.FiniteAlgebra("z4aff", 4, [core.Operation("t", 3, 4, table)])
+
+
+INTERVAL_CASES = {
+    "z2^3": lambda: core.power_algebra(zoo.cyclic_group(2), 3),
+    "z3^2": lambda: core.power_algebra(zoo.cyclic_group(3), 2),
+    "z4^2": lambda: core.power_algebra(zoo.cyclic_group(4), 2),
+    "v4^2": lambda: core.power_algebra(zoo.klein_group(), 2),
+    "z4aff^2": lambda: core.power_algebra(z4_affine(), 2),
+    "z6": lambda: zoo.cyclic_group(6),
+    "meet2^2": lambda: core.power_algebra(zoo.two_element_semilattice(), 2),
+    "s3": zoo.symmetric_group_3,
+}
+
+
+@pytest.mark.parametrize("name", INTERVAL_CASES)
+def test_interval_matches_the_filtered_lattice(name):
+    A = INTERVAL_CASES[name]()
+    lattice = core.subuniverse_carriers(A)
+
+    def oracle(S):
+        return [c for c in lattice if set(S) <= set(c)]
+
+    assert core.subuniverse_carriers(A, above=()) == lattice
+    for S in lattice:
+        assert core.subuniverse_carriers(A, above=S) == oracle(S)
+    # an unclosed seed gives the interval above the subuniverse it generates
+    unclosed = 0
+    for seed in itertools.combinations(range(A.size), 2):
+        closure = core.generated_subuniverse(A, seed)
+        if closure != seed:
+            unclosed += 1
+            assert core.subuniverse_carriers(A, above=seed) == oracle(closure)
+    assert unclosed
+
+
+def test_interval_refuses_a_code_outside_the_universe_before_any_closure(monkeypatch):
+    P = core.power_algebra(zoo.cyclic_group(2), 3)
+
+    def refuse(*a, **k):
+        raise AssertionError("closure run before the code check")
+
+    monkeypatch.setattr(core, "closed_product_subset", refuse)
+    for code in (-1, 8):
+        with pytest.raises(ValueError, match=f"code {code} outside the universe 0..7"):
+            core.subuniverse_carriers(P, above=[0, code])
+
+
+def test_interval_budget_refusal_comes_before_the_code_check():
+    P = core.power_algebra(zoo.cyclic_group(2), 3)
+    with pytest.raises(core.BudgetExceededError, match="refused to materialize 8 elements"):
+        core.subuniverse_carriers(P, budget=7, above=[8])
+
+
 def test_every_enumerated_subuniverse_is_closed(z4):
     P = core.power_algebra(z4, 2)
     for carrier in core.subuniverse_carriers(P):

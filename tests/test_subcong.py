@@ -163,6 +163,15 @@ def test_meet_irreducibles_examples(z2, z4):
     ]
 
 
+@pytest.mark.parametrize("base, n", [(2, 3), (4, 2)])
+def test_meet_irreducibles_above_match_the_filtered_list(base, n):
+    P = core.power_algebra(zoo.cyclic_group(base), n)
+    full = [w.carrier for w in subcong.meet_irreducibles(P)]
+    for R in core.subuniverse_carriers(P):  # every compatible relation of arity n
+        got = [w.carrier for w in subcong.meet_irreducibles(P, above=R)]
+        assert got == [c for c in full if set(R) <= set(c)]
+
+
 def test_kernel_quotient_examples(z4, v4, terms):
     kt = subcong.kernel_quotient(z4, terms["z4"], subcong.SubalgebraWitness(z4, (0, 2)))
     assert kt.quotient.size == 2
