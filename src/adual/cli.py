@@ -4,6 +4,7 @@ Reports go to standard output, diagnostics to standard error.  Exit codes:
 0 for PASS/INFO, 1 for FAIL, 2 for input errors, 3 for a refused budget.
 Output is deterministic for fixed inputs, seed and budget, except for the
 time field in the duality summary line.
+All input files of a job, option files included, are parsed in order into one document.
 """
 
 from __future__ import annotations
@@ -29,17 +30,12 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _load(paths):
-    doc = textio.Document()
+def _load(paths, budget, doc=None):
+    """Parse the files at `paths`, in order, into `doc` (a new Document if None)."""
+    doc = textio.Document() if doc is None else doc
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        sub = textio.parse_document(text, source=path, known=doc.algebras)
-        doc.algebras.update(sub.algebras)
-        doc.relations.extend(sub.relations)
-        doc.homs.extend(sub.homs)
-        doc.congruences.extend(sub.congruences)
-        doc.certificates.extend(sub.certificates)
+            textio.parse_document(fh.read(), source=path, doc=doc, budget=budget)
     return doc
 
 
@@ -47,6 +43,23 @@ def _first_algebra(doc, path):
     if not doc.algebras:
         raise ValueError(f"no algebra block found in {path}")
     return next(iter(doc.algebras.values()))
+
+
+def _relations_over(doc, A, start=0):
+    """The relations of `doc` from index `start` on; each must name the algebra A."""
+    entries = doc.relations[start:]
+    for (name, alg_name, _), (source, line) in zip(entries, doc.relation_lines[start:]):
+        if alg_name != A.name:
+            raise ParseError(f"relation {name} is not over {A.name}", source, line, alg_name)
+    return [R for _, _, R in entries]
+
+
+def _at_least_one(args, *options):
+    """Refuse, as an input error, a value below 1 given to any of `options`."""
+    for option in options:
+        value = getattr(args, option)
+        if value is not None and value < 1:
+            raise ValueError(f"--{option.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _header(args):
@@ -67,7 +80,7 @@ def _need_terms(A, S, budget):
 
 
 def cmd_check_abelian(args):
-    doc = _load(args.files)
+    doc = _load(args.files, args.budget)
     A = _first_algebra(doc, args.files[0])
     _header(args)
     t = _need_term(A, args.budget)
@@ -79,7 +92,7 @@ def cmd_check_abelian(args):
 
 
 def cmd_bound(args):
-    doc = _load(args.files)
+    doc = _load(args.files, args.budget)
     A = _first_algebra(doc, args.files[0])
     _header(args)
     print(f"N = {duality.arity_bound(A)}")
@@ -87,7 +100,8 @@ def cmd_bound(args):
 
 
 def cmd_sub(args):
-    doc = _load(args.files)
+    _at_least_one(args, "max_power")
+    doc = _load(args.files, args.budget)
     A = _first_algebra(doc, args.files[0])
     _header(args)
     P = A if args.max_power == 1 else power_algebra(A, args.max_power, args.budget)
@@ -99,7 +113,7 @@ def cmd_sub(args):
 
 
 def cmd_galois(args):
-    doc = _load(args.files)
+    doc = _load(args.files, args.budget)
     A = _first_algebra(doc, args.files[0])
     _header(args)
     t = _need_term(A, args.budget)
@@ -130,7 +144,7 @@ def _two_algebras(doc, what):
 
 
 def cmd_hom(args):
-    doc = _load(args.files)
+    doc = _load(args.files, args.budget)
     A, B = _two_algebras(doc, "hom")
     _header(args)
     homs = enumerate_homs(A, B, args.budget)
@@ -151,7 +165,7 @@ def cmd_hom(args):
 
 
 def cmd_hk(args):
-    doc = _load(args.files)
+    doc = _load(args.files, args.budget)
     A, S = _two_algebras(doc, "hk")
     _header(args)
     t_A, t_S = _need_terms(A, S, args.budget)
@@ -175,7 +189,7 @@ def cmd_hk(args):
 
 
 def cmd_factorize(args):
-    doc = _load(args.files)
+    doc = _load(args.files, args.budget)
     if not doc.homs:
         raise ValueError("no hom block found")
     name, f = doc.homs[0]
@@ -201,16 +215,17 @@ def cmd_factorize(args):
 
 
 def cmd_entail(args):
-    doc = _load(args.files)
-    A = _first_algebra(doc, args.files[0])
+    _at_least_one(args, "arity")
+    doc = _load(args.files, args.budget)
     if not doc.relations:
         raise ValueError("no relation block found")
-    rel_name, _, R = doc.relations[0]
+    rel_name, alg_name, R = doc.relations[0]
+    A = doc.algebras[alg_name]
     _header(args)
     t = _need_term(A, args.budget)
     if t is None:
         return EXIT_FAIL
-    N = args.arity if args.arity else duality.arity_bound(A) - 1
+    N = duality.arity_bound(A) - 1 if args.arity is None else args.arity
     result = entailment.reduce_to_bounded_arity(A, t, R, N, args.budget)
     print(textio.serialize_certificate(result.certificate, f"{rel_name}-cert", A.name), end="")
     print(f"premises {len(result.bounded_premises)} of arity <= {N + 1}")
@@ -219,14 +234,14 @@ def cmd_entail(args):
 
 
 def cmd_refute(args):
-    doc = _load(args.files + [args.premises, args.target])
-    A = _first_algebra(doc, args.files[0])
-    _header(args)
+    _at_least_one(args, "arity")
+    doc = _load(args.files + [args.premises, args.target], args.budget)
     if not doc.relations:
         raise ValueError("need premise and target relations")
-    target = doc.relations[-1][2]
-    premises = [r for _, _, r in doc.relations[:-1]]
-    outcome = entailment.refute_entailment(A, premises, target, args.arity or 2, args.budget)
+    A = doc.algebras[doc.relations[-1][1]]
+    *premises, target = _relations_over(doc, A)
+    _header(args)
+    outcome = entailment.refute_entailment(A, premises, target, args.arity, args.budget)
     print(outcome.message())
     if outcome.refuted:
         print("witness table: " + " ".join(str(v) for v in outcome.witness.table))
@@ -237,7 +252,7 @@ def cmd_refute(args):
 
 
 def cmd_replay(args):
-    doc = _load(args.files)
+    doc = _load(args.files, args.budget)
     if not doc.certificates:
         raise ValueError("no cert block found")
     _header(args)
@@ -250,14 +265,16 @@ def cmd_replay(args):
 
 
 def cmd_duality(args):
-    doc = _load(args.files)
+    _at_least_one(args, "max_power", "arity")
+    doc = _load(args.files, args.budget)
     A = _first_algebra(doc, args.files[0])
-    _header(args)
-    N = args.arity if args.arity else duality.arity_bound(A)
     relations = None
     if args.partial_relations:
-        extra = _load([args.partial_relations])
-        relations = [r for _, _, r in extra.relations]
+        start = len(doc.relations)
+        _load([args.partial_relations], args.budget, doc)
+        relations = _relations_over(doc, A, start)
+    _header(args)
+    N = duality.arity_bound(A) if args.arity is None else args.arity
     if args.max_power >= 3:
         if relations is None and duality.subgroup_formula(A, args.budget) is not None:
             ego_cost = "the alter ego counted by the subgroup formula"

@@ -444,30 +444,6 @@ def carrier_tables(A, carrier):
     return tables
 
 
-def subalgebra_on(A, carrier, name=None):
-    """Materialize the subalgebra of A on `carrier` with a re-indexed universe.
-
-    Returns (algebra, to_sub, from_sub): to_sub maps ambient elements to
-    sub-indices, from_sub is the sorted carrier tuple.
-    """
-    carrier = tuple(sorted(set(carrier)))
-    if not carrier:
-        raise ValueError("subalgebra carrier must be nonempty")
-    return subalgebra_from_tables(A, carrier, carrier_tables(A, np.array(carrier, dtype=np.int64)), name)
-
-
-def subalgebra_from_tables(A, carrier, tables, name=None):
-    """`subalgebra_on` for a sorted carrier tuple whose `carrier_tables` are given."""
-    arr = np.array(carrier, dtype=np.int64)
-    ops = [
-        Operation(o.name, o.arity, len(carrier), np.searchsorted(arr, values))
-        for o, values in zip(A.ops, tables)
-    ]
-    to_sub = {x: i for i, x in enumerate(carrier)}
-    name = name or f"{A.name}|{len(carrier)}"
-    return FiniteAlgebra(name, len(carrier), ops), to_sub, carrier
-
-
 # ---------------------------------------------------------------------------
 # Relations
 # ---------------------------------------------------------------------------
@@ -994,7 +970,7 @@ def con_lattice(A):
     return out
 
 
-def quotient_algebra(A, theta: Congruence, name=None):
+def quotient_algebra(A, theta: Congruence):
     """A/theta with universe the (canonical) class ids, plus the projection.
 
     Well-definedness of every induced operation is checked exhaustively; a
@@ -1005,6 +981,6 @@ def quotient_algebra(A, theta: Congruence, name=None):
         Operation(o.name, o.arity, m, table)
         for o, table in zip(A.ops, quotient_tables(A, theta))
     ]
-    Q = FiniteAlgebra(name or f"{A.name}/~{m}", m, ops)
+    Q = FiniteAlgebra(f"{A.name}/~{m}", m, ops)
     projection = Homomorphism(A, Q, theta.class_of)
     return Q, projection

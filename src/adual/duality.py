@@ -266,7 +266,7 @@ class DualStructure:
 
 def hom_dual(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualStructure:
     """The dual of B with no lifted relations, as the complete alter ego uses it."""
-    B_alg, _, _ = B.as_algebra()
+    B_alg = B.as_algebra()
     return DualStructure(B, B_alg, tuple(enumerate_homs(B_alg, ego.base, budget)), ego)
 
 
@@ -480,6 +480,8 @@ def verify_duality(A, k_max=2, budget=DEFAULT_BUDGET, ego: Optional[AlterEgo] = 
     evaluation map is injective always, so bijectivity is a cardinality
     comparison.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if ego is None:
         ego = build_alter_ego(A, arity_bound(A), budget)
     reports = []

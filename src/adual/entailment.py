@@ -365,7 +365,6 @@ def refute_entailment(A, premises, target, max_arity, budget=DEFAULT_BUDGET):
 class ReductionResult:
     """A compatible relation rewritten over premises of arity at most N+1."""
 
-    input: Relation
     bounded_premises: tuple
     certificate: EntailmentCertificate
 
@@ -435,7 +434,7 @@ def reduce_to_bounded_arity(
     )
     if replay_certificate(cert, budget) != R:
         raise VerificationError("reduction pipeline did not reproduce the input relation")
-    return ReductionResult(input=R, bounded_premises=tuple(premises), certificate=cert)
+    return ReductionResult(bounded_premises=tuple(premises), certificate=cert)
 
 
 def pad_relation(R: Relation, arity: int) -> Relation:

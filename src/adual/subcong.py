@@ -31,7 +31,6 @@ from .core import (
     congruence_generated_by,
     principal_congruence,
     quotient_algebra,
-    subalgebra_from_tables,
     subuniverse_carriers,
     verify_congruence,
 )
@@ -63,8 +62,14 @@ class SubalgebraWitness:
     def __len__(self):
         return len(self.carrier)
 
-    def as_algebra(self, name=None):
-        return subalgebra_from_tables(self.ambient, self.carrier, self.tables, name=name)
+    def as_algebra(self):
+        """The subalgebra on the carrier, its elements numbered in carrier order."""
+        arr = np.array(self.carrier, dtype=np.int64)
+        ops = [
+            Operation(o.name, o.arity, len(arr), np.searchsorted(arr, values))
+            for o, values in zip(self.ambient.ops, self.tables)
+        ]
+        return FiniteAlgebra(f"{self.ambient.name}|{len(arr)}", len(arr), ops)
 
 
 @dataclass(frozen=True)

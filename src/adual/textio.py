@@ -7,6 +7,7 @@ parser reads tokens until the expected count is reached.  Every serializer
 output re-parses to an equal value.  The summary lines `adual entail` prints
 after its certificate are skipped once a certificate has been read, so its
 whole standard output replays; anywhere else they are unknown blocks.
+Blocks are taken over the algebras they name; every value row carries its tag.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DEFAULT_BUDGET,
     Congruence,
     FiniteAlgebra,
     Homomorphism,
@@ -40,18 +42,20 @@ from .entailment import (
 
 @dataclass
 class Document:
-    """Everything parsed from one text input, in order of appearance."""
+    """Everything parsed from the inputs of one job, in order of appearance."""
 
     algebras: dict = field(default_factory=dict)
     relations: list = field(default_factory=list)  # (name, algebra_name, Relation)
+    relation_lines: list = field(default_factory=list)  # (source, line) of each relation header
     homs: list = field(default_factory=list)  # (name, Homomorphism)
     congruences: list = field(default_factory=list)  # (name, algebra_name, Congruence)
     certificates: list = field(default_factory=list)  # (name, algebra_name, cert)
 
 
 class _Lines:
-    def __init__(self, text, source):
+    def __init__(self, text, source, budget):
         self.source = source
+        self.budget = budget
         self.rows = []
         for i, raw in enumerate(text.splitlines(), start=1):
             stripped = raw.split("#", 1)[0].rstrip()
@@ -80,6 +84,13 @@ class _Lines:
         except ValueError as e:
             self.error(str(e), line)
 
+    def header(self, line, toks, shape):
+        """The upper-case fields of `shape` read off `toks`; its lower-case words are literal."""
+        words = shape.split()
+        if len(toks) != len(words) or any(w.islower() and w != t for w, t in zip(words, toks)):
+            self.error(f"expected: {shape}", line, " ".join(toks))
+        return [t for w, t in zip(words, toks) if not w.islower()]
+
     def token(self, row, i, line, what):
         """Token `i` of `row`; otherwise a ParseError naming `what`, the line and the row's last token."""
         if i >= len(row):
@@ -97,6 +108,22 @@ class _Lines:
         except ValueError:
             self.error(f"{what}: not an integer", line, token)
 
+    def tagged_rows(self, tag, what, indent=None, width=None):
+        """The integer rows tagged `tag` that come next, untagged and `width` long if given:
+        at the top level (`indent` None) while rows carry the tag, and under a
+        certificate field at `indent` while rows are deeper, each with the tag."""
+        rows = []
+        while (nxt := self.peek()) is not None and (
+            nxt[2][0] == tag if indent is None else nxt[1] > indent
+        ):
+            line, _, row = self.next()
+            if row[0] != tag:
+                self.error(f"expected a row starting with {tag}", line, row[0])
+            if width is not None and len(row) != width + 1:
+                self.error(f"tuple needs {width} entries", line, " ".join(row[1:]))
+            rows.append([self.integer(v, line, what) for v in row[1:]])
+        return rows
+
 
 def _read_ints(lines, count, line_no, what, skip=0):
     """Collect `count` integers from the current row after its first `skip`
@@ -113,28 +140,19 @@ def _read_ints(lines, count, line_no, what, skip=0):
     return [lines.integer(tok, line_no, what) for tok in tokens]
 
 
-def parse_document(text, source="<input>", known=None) -> Document:
-    """Parse a multi-block document; `known` supplies already-loaded algebras."""
-    doc = Document()
-    if known:
-        doc.algebras.update(known)
-    lines = _Lines(text, source)
+def parse_document(text, source="<input>", doc=None, budget=DEFAULT_BUDGET) -> Document:
+    """Parse a multi-block text into `doc` (a new Document if None), hom powers under `budget`."""
+    doc = Document() if doc is None else doc
+    certificates_before = len(doc.certificates)
+    lines = _Lines(text, source, budget)
     while lines.peek() is not None:
         line_no, indent, toks = lines.next()
         if indent != 0:
             lines.error("unexpected indentation at top level", line_no, toks[0])
         head = toks[0]
-        if head == "algebra":
-            _parse_algebra(lines, doc, line_no, toks)
-        elif head == "relation":
-            _parse_relation(lines, doc, line_no, toks)
-        elif head == "hom":
-            _parse_hom(lines, doc, line_no, toks)
-        elif head == "cong":
-            _parse_cong(lines, doc, line_no, toks)
-        elif head == "cert":
-            _parse_cert(lines, doc, line_no, toks)
-        elif doc.certificates and _is_entail_summary(toks):
+        if head in _BLOCKS:
+            _BLOCKS[head](lines, doc, line_no, toks)
+        elif len(doc.certificates) > certificates_before and _is_entail_summary(toks):
             continue
         else:
             lines.error("unknown block", line_no, head)
@@ -153,66 +171,49 @@ def _algebra_for(doc, lines, name, line_no):
 
 
 def _parse_algebra(lines, doc, line_no, toks):
-    if len(toks) != 2:
-        lines.error("expected: algebra NAME", line_no, " ".join(toks))
-    name = toks[1]
-    row = lines.next()
-    if row[2][0] != "size" or len(row[2]) != 2:
-        lines.error("expected: size N", row[0], " ".join(row[2]))
-    size = lines.integer(row[2][1], row[0], "size")
+    (name,) = lines.header(line_no, toks, "algebra NAME")
+    size_line, _, size_toks = lines.next()
+    (size,) = lines.header(size_line, size_toks, "size N")
+    size = lines.integer(size, size_line, "size")
     ops = []
     while lines.peek() is not None and lines.peek()[2][0] == "op":
         op_line, _, op_toks = lines.next()
-        if len(op_toks) != 3:
-            lines.error("expected: op NAME ARITY", op_line, " ".join(op_toks))
-        arity = lines.integer(op_toks[2], op_line, "arity")
+        op_name, arity = lines.header(op_line, op_toks, "op NAME ARITY")
+        arity = lines.integer(arity, op_line, "arity")
         lines.next()  # first value row
-        values = _read_ints(lines, size**arity, op_line, f"table of {op_toks[1]}")
-        ops.append(lines.build(op_line, Operation, op_toks[1], arity, size, values))
+        values = _read_ints(lines, size**arity, op_line, f"table of {op_name}")
+        ops.append(lines.build(op_line, Operation, op_name, arity, size, values))
     doc.algebras[name] = lines.build(line_no, FiniteAlgebra, name, size, ops)
 
 
 def _parse_relation(lines, doc, line_no, toks):
-    if len(toks) != 5 or toks[3] != "over":
-        lines.error("expected: relation NAME ARITY over ALGEBRA", line_no, " ".join(toks))
-    name = toks[1]
-    arity = lines.integer(toks[2], line_no, "arity")
-    A = _algebra_for(doc, lines, toks[4], line_no)
-    tuples = []
-    while lines.peek() is not None and lines.peek()[2][0] == "t":
-        row_line, _, row = lines.next()
-        if len(row) != arity + 1:
-            lines.error(f"tuple needs {arity} entries", row_line, " ".join(row[1:]))
-        tuples.append(tuple(lines.integer(v, row_line, "tuple entry") for v in row[1:]))
-    doc.relations.append((name, toks[4], lines.build(line_no, Relation, arity, A.size, tuples)))
+    name, arity, alg_name = lines.header(line_no, toks, "relation NAME ARITY over ALGEBRA")
+    arity = lines.integer(arity, line_no, "arity")
+    A = _algebra_for(doc, lines, alg_name, line_no)
+    tuples = lines.tagged_rows("t", "tuple entry", width=arity)
+    doc.relations.append((name, alg_name, lines.build(line_no, Relation, arity, A.size, tuples)))
+    doc.relation_lines.append((lines.source, line_no))
 
 
 def _parse_hom(lines, doc, line_no, toks):
-    if len(toks) != 8 or toks[2] != "from" or toks[4] != "power" or toks[6] != "to":
-        lines.error(
-            "expected: hom NAME from ALGEBRA power N to ALGEBRA", line_no, " ".join(toks)
-        )
-    base = _algebra_for(doc, lines, toks[3], line_no)
-    cod = _algebra_for(doc, lines, toks[7], line_no)
-    n = lines.integer(toks[5], line_no, "power")
-    domain = base if n == 1 else power_algebra(base, n)
+    name, base_name, n, cod_name = lines.header(line_no, toks, "hom NAME from ALGEBRA power N to ALGEBRA")
+    base = _algebra_for(doc, lines, base_name, line_no)
+    cod = _algebra_for(doc, lines, cod_name, line_no)
+    n = lines.integer(n, line_no, "power")
+    domain = base if n == 1 else lines.build(line_no, power_algebra, base, n, lines.budget)
     row = lines.next()
     if row[2][0] != "m":
         lines.error("expected a mapping row starting with m", row[0], row[2][0])
     mapping = _read_ints(lines, domain.size, row[0], "mapping", skip=1)
-    doc.homs.append((toks[1], lines.build(line_no, Homomorphism, domain, cod, mapping)))
+    doc.homs.append((name, lines.build(line_no, Homomorphism, domain, cod, mapping)))
 
 
 def _parse_cong(lines, doc, line_no, toks):
-    if len(toks) != 4 or toks[2] != "over":
-        lines.error("expected: cong NAME over ALGEBRA", line_no, " ".join(toks))
-    A = _algebra_for(doc, lines, toks[3], line_no)
-    classes = []
-    while lines.peek() is not None and lines.peek()[2][0] == "class":
-        row_line, _, row = lines.next()
-        classes.append([lines.integer(v, row_line, "class entry") for v in row[1:]])
+    name, alg_name = lines.header(line_no, toks, "cong NAME over ALGEBRA")
+    A = _algebra_for(doc, lines, alg_name, line_no)
+    classes = lines.tagged_rows("class", "class entry")
     partition = lines.build(line_no, Congruence.from_classes, A.size, classes)
-    doc.congruences.append((toks[1], toks[3], partition))
+    doc.congruences.append((name, alg_name, partition))
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +256,8 @@ def _serialize_sexpr(expr):
 
 
 def _parse_cert(lines, doc, line_no, toks):
-    if len(toks) != 6 or toks[2] != "over" or toks[4] != "base":
-        lines.error("expected: cert NAME over ALGEBRA base N", line_no, " ".join(toks))
-    name, alg_name = toks[1], toks[3]
-    base = lines.integer(toks[5], line_no, "base")
+    name, alg_name, base = lines.header(line_no, toks, "cert NAME over ALGEBRA base N")
+    base = lines.integer(base, line_no, "base")
     term_op = None
     neutral = 0
     extra_ops = []
@@ -300,20 +299,13 @@ def _parse_cert_value(lines, row, row_line, indent, base):
     kind = lines.token(row, 1, row_line, f"{row[0]} kind")
     if kind == "relation":
         arity = lines.int_at(row, 2, row_line, "relation arity")
-        tuples = []
-        while lines.peek() is not None and lines.peek()[1] > indent:
-            t_line, _, trow = lines.next()
-            tuples.append(tuple(lines.integer(v, t_line, "tuple entry") for v in trow[1:]))
+        tuples = lines.tagged_rows("t", "tuple entry", indent=indent, width=arity)
         return lines.build(row_line, Relation, arity, base, tuples)
     if kind == "op":
         op_name = lines.token(row, 2, row_line, "op name")
         arity = lines.int_at(row, 3, row_line, "op arity")
-        vals = []
-        while lines.peek() is not None and lines.peek()[1] > indent:
-            t_line, _, trow = lines.next()
-            if trow[0] == "table":
-                vals.extend(lines.integer(v, t_line, f"table of {op_name}") for v in trow[1:])
-        return lines.build(row_line, Operation, op_name, arity, base, vals)
+        rows = lines.tagged_rows("table", f"table of {op_name}", indent=indent)
+        return lines.build(row_line, Operation, op_name, arity, base, [v for r in rows for v in r])
     lines.error("expected a relation or an op", row_line, kind)
 
 
@@ -352,6 +344,15 @@ def _parse_cert_node(lines, indent, base):
         op_name = row[1] if len(row) > 1 else "t"
         return GraphToOperation(_parse_cert_node(lines, indent + 2, base), name=op_name)
     lines.error("unknown derivation node", row_line, head)
+
+
+_BLOCKS = {
+    "algebra": _parse_algebra,
+    "relation": _parse_relation,
+    "hom": _parse_hom,
+    "cong": _parse_cong,
+    "cert": _parse_cert,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ def test_parsers_reject_values_beyond_int64(capsys, tmp_path):
     rel = tmp_path / "big.rel"
     rel.write_text("relation r 2 over z2\nt 0 100000000000000000000\n")
     with pytest.raises(core.ParseError, match=r"tuple \(0, 100000000000000000000\) outside universe"):
-        textio.parse_document(rel.read_text(), known={"z2": zoo.cyclic_group(2)})
+        textio.parse_document(rel.read_text(), doc=textio.Document(algebras={"z2": zoo.cyclic_group(2)}))
     assert cli.main(["entail", data("z2"), str(rel)]) == 2
     assert "outside universe" in capsys.readouterr().err
 

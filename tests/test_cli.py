@@ -284,3 +284,84 @@ def test_duality_power_three_prints_cost_estimate(files, capsys):
         capsys, ["duality", paths["meet2"], "--max-power", "3", "--arity", "2"]
     )
     assert "# cost estimate: enumerating Sub(meet2^3) over 8 elements and 4 alter-ego codes" in err
+
+
+def test_partial_relations_file_needs_only_relation_blocks(capsys, tmp_path):
+    rel = "relation d 4 over z2\nt 0 0 0 0\nt 1 1 1 1\n"
+    alone, with_algebra = tmp_path / "d.rel", tmp_path / "d-alg.rel"
+    alone.write_text(rel)
+    with_algebra.write_text((DATA / "z2.alg").read_text() + rel)
+    runs = []
+    for path in (alone, with_algebra):
+        argv = ["duality", str(DATA / "z2.alg"), "--max-power", "1", "--partial-relations", str(path)]
+        code, out, err = run(capsys, argv)
+        runs.append((code, re.sub(r"time=\S+", "time=_", out), err))
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == 1 and out.endswith("DUALITY FAIL k_max=1 relations=1 partial time=_\n")
+
+
+def _over_v4(tmp_path):
+    rel = tmp_path / "r.rel"
+    rel.write_text("relation r 1 over v4\nt 0\nt 1\n")
+    return str(rel)
+
+
+def test_entail_takes_the_relation_over_the_algebra_it_names(capsys, tmp_path):
+    rel = _over_v4(tmp_path)
+    code, both, err = run(capsys, ["entail", str(DATA / "z4.alg"), str(DATA / "v4.alg"), rel, "--arity", "3"])
+    assert code == 0, err
+    code, alone, _ = run(capsys, ["entail", str(DATA / "v4.alg"), rel, "--arity", "3"])
+    assert code == 0 and both == alone
+    assert "cert r-cert over v4 base 4" in both
+
+
+@pytest.mark.parametrize("verb", ["duality", "refute"])
+def test_relations_over_another_algebra_are_located_input_errors(capsys, tmp_path, verb):
+    rel = _over_v4(tmp_path)
+    target = tmp_path / "target.rel"
+    target.write_text("relation d 2 over z2\nt 0 0\nt 1 1\n")
+    files = [str(DATA / "z2.alg"), str(DATA / "v4.alg")]
+    if verb == "duality":
+        argv = ["duality", *files, "--max-power", "1", "--partial-relations", rel]
+    else:
+        argv = ["refute", *files, "--premises", rel, "--target", str(target)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"input error: {rel}:1: relation r is not over z2 (near 'v4')" in err
+
+
+@pytest.mark.parametrize(
+    "verb, flags",
+    [
+        ("duality", ["--max-power", "0"]),
+        ("duality", ["--max-power", "-3"]),
+        ("duality", ["--arity", "0"]),
+        ("entail", ["--arity", "0"]),
+        ("refute", ["--arity", "0"]),
+        ("sub", ["--max-power", "0"]),
+    ],
+)
+def test_flag_values_below_one_are_input_errors(capsys, tmp_path, verb, flags):
+    rel = tmp_path / "diag3.rel"
+    rel.write_text(textio.serialize_relation(core.diagonal_relation(2, 3), "diag3", "z2"))
+    inputs = {
+        "duality": [str(DATA / "z2.alg")],
+        "sub": [str(DATA / "z2.alg")],
+        "entail": [str(DATA / "z2.alg"), str(rel)],
+        "refute": [str(DATA / "z2.alg"), "--premises", str(rel), "--target", str(rel)],
+    }[verb]
+    code, out, err = run(capsys, [verb, *inputs, *flags])
+    assert code == 2 and out == ""
+    assert err == f"input error: {flags[0]} must be >= 1, got {flags[1]}\n"
+
+
+def test_hom_power_domain_is_built_under_the_job_budget(capsys, tmp_path):
+    # the table of add on Z2^10 has 1,048,576 cells, over the default budget
+    mapping = " ".join(str(c >> 9) for c in range(1024))
+    hom_file = tmp_path / "first.hom"
+    hom_file.write_text((DATA / "z2.alg").read_text() + f"hom first from z2 power 10 to z2\nm {mapping}\n")
+    code, _, err = run(capsys, ["factorize", str(hom_file)])
+    assert code == 3 and "(budget 1000000); table of add on the power" in err
+    code, out, err = run(capsys, ["factorize", str(hom_file), "--budget", "2000000"])
+    assert code == 0 and out.endswith("FACTORIZE PASS\n"), err

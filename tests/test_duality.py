@@ -32,7 +32,7 @@ def relation_codes(rel, size):
 
 
 def brute_dual_of(B, ego, budget=core.DEFAULT_BUDGET):
-    B_alg, _, _ = B.as_algebra()
+    B_alg = B.as_algebra()
     homs = tuple(core.enumerate_homs(B_alg, ego.base, budget))
     h = len(homs)
     size = ego.base.size
@@ -176,7 +176,7 @@ def test_prefix_join_matches_brute_force_on_random_relation_subsets(picks, which
 
 def _needs(B, ego):
     """The largest grid the brute-force method lists on B."""
-    h = len(core.enumerate_homs(B.as_algebra()[0], ego.base))
+    h = len(core.enumerate_homs(B.as_algebra(), ego.base))
     return max(h**ego.arity, ego.base.size**h, len(B.carrier) * ego.base.size)
 
 
@@ -616,3 +616,9 @@ def test_affine_gcd_checks_every_cell(z4, monkeypatch):
 def test_dual_of_refuses_a_counted_ego(z2):
     with pytest.raises(ValueError, match="lists 0 of its 67 relations"):
         du.dual_of(SubalgebraWitness(z2, (0, 1)), du.build_alter_ego(z2, 4))
+
+
+def test_verify_duality_refuses_k_max_below_one(z2):
+    for k_max in (0, -3):
+        with pytest.raises(ValueError, match=f"k_max must be >= 1, got {k_max}"):
+            du.verify_duality(z2, k_max)

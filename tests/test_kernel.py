@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adual import affine, core, textio, zoo
+from adual import affine, core, subcong, textio, zoo
 from test_core import brute_force_homs, brute_force_subuniverses
 
 Z4AFF = Path(__file__).resolve().parents[1] / "data" / "z4aff.alg"
@@ -445,10 +445,11 @@ def test_lifted_term_tables_are_built_in_blocks(z4):
 
 def test_carrier_checks_on_ternary_algebra():
     A = load_z4aff()
-    sub, _, carrier = core.subalgebra_on(A, (0, 2))
+    witness = subcong.SubalgebraWitness(A, (0, 2))
+    sub, carrier = witness.as_algebra(), witness.carrier
     assert carrier == (0, 2) and sub.op("t").table == tuple((x - y + z) % 2 for x, y, z in itertools.product(range(2), repeat=3))
     with pytest.raises(ValueError, match="carrier not closed"):
-        core.subalgebra_on(A, (0, 1, 2))
+        subcong.SubalgebraWitness(A, (0, 1, 2))
     assert len(core.enumerate_homs(core.power_algebra(A, 2), A)) == 64
 
 

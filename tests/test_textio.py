@@ -222,6 +222,24 @@ def test_certificate_rows_missing_a_token_are_located(z2, z4, terms, tmp_path, c
     assert f"{path}:{e.value.line}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tag", ["t", "table"])
+def test_certificate_rows_without_their_tag_are_located(z2, z4, terms, tmp_path, capsys, tag):
+    # a premise row `q ..` is not a tuple, and a `junk` row is not part of an op table
+    if tag == "t":
+        res = ent.reduce_to_bounded_arity(z2, terms["z2"], core.diagonal_relation(2, 3), 3)
+        lines = textio.serialize_certificate(res.certificate, "diag3", "z2").splitlines()
+        at = lines.index("          t 0 0 1 0")
+        lines[at] = "          q 0 0 1 0"
+    else:
+        lines = textio.serialize_certificate(ent.eliminate_t(z4, terms["z4"], 5), "t5", "z4").splitlines()
+        at = lines.index("  conclusion op t 3") + 2
+        lines.insert(at, "    junk 5 5 5")
+    path = tmp_path / "untagged.cert"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["replay", str(path)]) == 2
+    assert f"{path}:{at + 1}: expected a row starting with {tag} (near " in capsys.readouterr().err
+
+
 Z2 = "algebra z2\nsize 2\nop add 2\n0 1 1 0\n"
 CERT = "cert c over z2 base 2\n"
 
@@ -241,6 +259,11 @@ MALFORMED = [
     ("cert", "cert c over z2\n", 1, "expected: cert NAME over ALGEBRA base N"),
     ("t-row", Z2 + "relation r 2 over z2\nt 0 1\nt 0\n", 7, "tuple needs 2 entries"),
     ("m-row", Z2 + "hom h from z2 power 1 to z2\nn 0 1\n", 6, "expected a mapping row starting with m"),
+    ("power", Z2 + "hom h from z2 power 0 to z2\nm 0\n", 5, "power exponent must be >= 1"),
+    ("class-row", Z2 + "cong c over z2\nclass 0\nclass one\n", 7, "class entry: not an integer"),
+    ("cert-t-row", CERT + "  conclusion relation 1\n    t 0\n    q 1\n", 4, "expected a row starting with t"),
+    ("cert-t-width", CERT + "  conclusion relation 2\n    t 0 0\n    t 1\n", 4, "tuple needs 2 entries"),
+    ("table-row", CERT + "  conclusion op f 1\n    table 0 1\n    junk 5 5 5\n", 4, "expected a row starting with table"),
     ("open", CERT + "  derivation\n    preimage\n      term-tree 2 add\n", 4, "expected ("),
     ("close-proj", CERT + "  derivation\n    preimage\n      term-tree 1 ( proj 0 0 )\n", 4, "expected )"),
     ("close-op", CERT + "  derivation\n    preimage\n      term-tree 1 ( f ( proj 0 ) 0 )\n", 4, "expected )"),
