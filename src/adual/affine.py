@@ -131,9 +131,6 @@ class AbelianGroup:
         after = np.roll(self.multiples, -1, axis=0) == self.neutral  # row m: (m + 1) * x
         return tuple((after.argmax(axis=0) + 1).tolist())
 
-    def element_order(self, x):
-        return self.orders[x]
-
     @property
     def exponent(self):
         return len(self.multiples)

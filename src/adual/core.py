@@ -697,12 +697,6 @@ class Homomorphism:
     def __call__(self, x):
         return self.mapping[x]
 
-    def is_surjective(self):
-        return np.unique(self.np_mapping).size == self.codomain.size
-
-    def kernel_congruence(self):
-        return Congruence(self.domain.size, self.mapping)
-
     def __eq__(self, other):
         return (
             isinstance(other, Homomorphism)
@@ -843,9 +837,6 @@ class Congruence:
 
     def is_identity(self):
         return self.num_classes == self.base_size
-
-    def is_full(self):
-        return self.num_classes == 1
 
     def meet(self, other):
         combined = tuple(

@@ -136,8 +136,13 @@ def _has_abelian_group_op(A):
     return False
 
 
-def hom_divisibility_check(A, B, mode="abelian", budget=DEFAULT_BUDGET):
-    """Count Hom(A,B) and check it divides the prime-wise bound for the mode."""
+def hom_divisibility_check(A, B, count, mode="abelian", budget=DEFAULT_BUDGET):
+    """Check that `count`, the size of Hom(A,B), divides the prime-wise bound for the mode.
+
+    The caller enumerates Hom(A, B) once and passes its size in, so the check
+    searches no homs; `budget` serves the affine-term search of abelian mode.
+    Raises ValueError where the mode does not apply or Hom(A, B) is empty.
+    """
     if mode == "abelian":
         if find_affine_term(A, budget) is None or (B is not A and find_affine_term(B, budget) is None):
             raise ValueError("abelian mode needs affine algebras on both sides")
@@ -146,7 +151,8 @@ def hom_divisibility_check(A, B, mode="abelian", budget=DEFAULT_BUDGET):
             raise ValueError("group mode needs an explicit Abelian group operation")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    count = len(enumerate_homs(A, B, budget))
+    if count == 0:
+        raise ValueError("Hom(A,B) is empty")
     bound = hom_count_bound(A.size, B.size, mode)
     return DivisibilityReport(
         claim=f"|Hom({A.name},{B.name})| divides the {mode}-mode bound",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -175,56 +174,54 @@ class GaloisReport:
         return out
 
 
-def verify_galois(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET):
-    """Check both composites and isotonicity on everything above B and theta_B.
+def verify_galois(A, t: Operation, carriers=None, budget=DEFAULT_BUDGET):
+    """Check both composites and isotonicity above each carrier B, one report per B.
 
-    Within one call, theta_X is computed once per carrier X and C(alpha, B)
-    once per congruence alpha.
+    `carriers` lists the carriers B to check, all of Sub(A) by default.  One
+    call computes Sub(A), Con(A), theta_X for every X in Sub(A) and the
+    carriers sharing one theta_X once, for every B; C(alpha, B) is computed
+    once per B and alpha.
     """
-    carriers = subuniverse_carriers(A, budget)
-    bset = set(B.carrier)
-    S_lat = [c for c in carriers if bset <= set(c)]
-    theta_of = lru_cache(maxsize=None)(lambda c: theta_of_subalgebra(A, t, SubalgebraWitness(A, c)))
-    c_of = lru_cache(maxsize=None)(lambda alpha: c_of_congruence(A, B, alpha))
-    theta_b = theta_of_subalgebra(A, t, B)
-    C_lat = [alpha for alpha in con_lattice(A) if theta_b.refines(alpha)]
-    counterexample = None
-
-    for alpha in C_lat:
-        X = c_of(alpha)
-        if theta_of(X.carrier) != alpha:
-            counterexample = f"theta(C(alpha,B)) != alpha for alpha={alpha.classes()}"
-            break
-    if counterexample is None:
-        for carrier in S_lat:
-            back = c_of(theta_of(carrier))
-            if back.carrier != carrier:
-                counterexample = f"C(theta_X,B) != X for X={list(carrier)}"
-                break
-    if counterexample is None:
-        for c1 in S_lat:
-            for c2 in S_lat:
-                if set(c1) <= set(c2):
-                    if not theta_of(c1).refines(theta_of(c2)):
-                        counterexample = f"theta not isotone at {list(c1)} <= {list(c2)}"
-                        break
-            if counterexample:
-                break
-    if counterexample is None:
-        for a1 in C_lat:
-            for a2 in C_lat:
-                if a1.refines(a2):
-                    if not set(c_of(a1).carrier) <= set(c_of(a2).carrier):
-                        counterexample = "C(.,B) not isotone"
-                        break
-            if counterexample:
-                break
+    witnesses = [SubalgebraWitness(A, c) for c in subuniverse_carriers(A, budget)]
+    checked = witnesses if carriers is None else [SubalgebraWitness(A, c) for c in carriers]
+    theta = {X.carrier: theta_of_subalgebra(A, t, X) for X in witnesses}
+    congruences = con_lattice(A)
     # expose carriers with a common induced congruence (can occur across
     # different B, never inside the lattice above one B)
     fibers = {}
-    for carrier in carriers:
-        fibers.setdefault(theta_of(carrier), []).append(carrier)
+    for carrier, theta_x in theta.items():
+        fibers.setdefault(theta_x, []).append(carrier)
     shared = tuple(tuple(v) for v in fibers.values() if len(v) > 1)
+    return [_galois_above(A, B, theta, congruences, shared) for B in checked]
+
+
+def _galois_above(A, B: SubalgebraWitness, theta, congruences, shared):
+    """The report for B, given theta_X for every X in Sub(A) and Con(A)."""
+    bset = set(B.carrier)
+    S_lat = [c for c in theta if bset <= set(c)]
+    C_lat = [alpha for alpha in congruences if theta[B.carrier].refines(alpha)]
+    c_by_alpha = {}
+
+    def c_of(alpha):
+        if alpha not in c_by_alpha:
+            c_by_alpha[alpha] = c_of_congruence(A, B, alpha)
+        return c_by_alpha[alpha]
+
+    def counterexamples():  # in the order the checks run; the first one is reported
+        for alpha in C_lat:
+            if theta[c_of(alpha).carrier] != alpha:
+                yield f"theta(C(alpha,B)) != alpha for alpha={alpha.classes()}"
+        for carrier in S_lat:
+            if c_of(theta[carrier]).carrier != carrier:
+                yield f"C(theta_X,B) != X for X={list(carrier)}"
+        for c1, c2 in itertools.product(S_lat, repeat=2):
+            if set(c1) <= set(c2) and not theta[c1].refines(theta[c2]):
+                yield f"theta not isotone at {list(c1)} <= {list(c2)}"
+        for a1, a2 in itertools.product(C_lat, repeat=2):
+            if a1.refines(a2) and not set(c_of(a1).carrier) <= set(c_of(a2).carrier):
+                yield "C(.,B) not isotone"
+
+    counterexample = next(counterexamples(), None)
     return GaloisReport(
         carrier=B.carrier,
         subalgebras_above=len(S_lat),

@@ -397,13 +397,6 @@ def serialize_map(name, base, power, codomain, mapping) -> str:
     return "\n".join(out) + "\n"
 
 
-def serialize_congruence(c: Congruence, name, algebra_name) -> str:
-    out = [f"cong {name} over {algebra_name}"]
-    for block in c.classes():
-        out.append("class " + " ".join(str(v) for v in block))
-    return "\n".join(out) + "\n"
-
-
 def serialize_term_dump(t: Operation, algebra_name) -> str:
     """The 3-dimensional table of an affine term as an op block."""
     out = [

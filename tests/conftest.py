@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import settings
@@ -65,3 +66,24 @@ def relabeled():
         return core.FiniteAlgebra(A.name, A.size, ops)
 
     return relabel
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """fn -> a list that gets the arguments of each call of fn, through any adual module."""
+
+    def install(fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "adual" or name.startswith("adual."):
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, counted)
+        return calls
+
+    return install

@@ -141,7 +141,7 @@ def test_group_from_affine(z4, terms):
     for c in range(4):
         G = affine.group_from_affine(t, c)
         assert G.neutral == c
-        assert sorted(G.element_order(x) for x in range(4)) == [1, 2, 4, 4]
+        assert sorted(G.orders) == [1, 2, 4, 4]
 
 
 def test_group_from_affine_rejects_non_affine_tables():

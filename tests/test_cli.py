@@ -1,5 +1,8 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,6 +96,67 @@ def test_hom_and_hk_verbs(files, capsys):
     code, out, _ = run(capsys, ["hk", paths["z4"]])
     assert code == 0
     assert "group order 4" in out
+
+
+def test_hom_on_an_empty_hom_set_is_not_applicable(capsys, tmp_path):
+    # s(x) = x + 1 admits no hom h: Z2 -> Z3, as h(0) = h(s(s(0))) = h(0) + 2
+    def write(name, n, ops):
+        x = range(n)
+        tables = {
+            "add 2": [(a + b) % n for a in x for b in x],
+            "neg 1": [-a % n for a in x],
+            "s 1": [(a + 1) % n for a in x],
+            "t 3": [(a - b + c) % n for a in x for b in x for c in x],
+        }
+        blocks = "".join(f"op {op}\n" + " ".join(map(str, tables[op])) + "\n" for op in ops)
+        path = tmp_path / f"{name}.alg"
+        path.write_text(f"algebra {name}\nsize {n}\n" + blocks)
+        return str(path)
+
+    empty = "not applicable (Hom(A,B) is empty)"
+    for ops, group_line in (
+        (["s 1", "t 3"], "not applicable (group mode needs an explicit Abelian group operation)"),
+        (["add 2", "neg 1", "s 1"], empty),
+    ):
+        code, out, err = run(capsys, ["hom", write("a", 2, ops), write("b", 3, ops)])
+        assert code == 0 and err == "", err
+        assert out.splitlines()[1:] == ["count 0", f"group mode: {group_line}", f"abelian mode: {empty}"]
+
+
+def test_hom_searches_hom_a_b_once(count_calls, capsys):
+    searches = count_calls(core.enumerate_homs)
+    code, out, _ = run(capsys, ["hom", str(DATA / "z2.alg"), str(DATA / "z4.alg")])
+    assert code == 0 and out.count("verdict: PASS") == 2
+    assert len(searches) == 1
+
+
+def test_main_builds_no_parser_per_call(count_calls, capsys):
+    builds = count_calls(cli.build_parser)
+    for _ in range(2):
+        assert run(capsys, ["bound", str(DATA / "z2.alg")])[0] == 0
+    assert builds == []
+
+
+def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(capsys):
+    # each stdout equals that of a fresh process, so no flag or default leaks
+    jobs = [
+        ["galois", str(DATA / "z4.alg"), "--carrier", "0,2"],
+        ["galois", str(DATA / "z4.alg")],
+        ["duality", str(DATA / "z2.alg"), "--max-power", "1", "--arity", "2"],
+        ["duality", str(DATA / "z2.alg"), "--max-power", "1"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    untimed = lambda out: re.sub(r"time=\S+", "time=", out)
+    outs = []
+    for argv in jobs:
+        outs.append(untimed(run(capsys, argv)[1]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "adual.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert outs[-1] == untimed(fresh.stdout), argv
+    # each pair differs, so a value left over from the first call would show
+    assert outs[0] != outs[1] and outs[2] != outs[3]
 
 
 def test_no_affine_term_fails_once(capsys, tmp_path):

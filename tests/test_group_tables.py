@@ -127,7 +127,7 @@ def test_multiples_orders_and_exponent_match_repeated_addition():
     for label, G in all_groups():
         orders = [loop_order(G, x) for x in range(G.size)]
         assert G.exponent == math.lcm(*orders), label
-        assert [G.element_order(x) for x in range(G.size)] == orders, label
+        assert list(G.orders) == orders, label
         assert G.multiples.shape == (G.exponent, G.size), label
         assert not G.multiples.flags.writeable
         for m in range(G.exponent):

@@ -28,19 +28,19 @@ def test_hom_count_bounds():
 
 
 def test_divisibility_examples(z2, z3, z4):
-    r = hg.hom_divisibility_check(z4, z4, "group")
+    r = hg.hom_divisibility_check(z4, z4, len(core.enumerate_homs(z4, z4)), "group")
     assert (r.computed, r.bound, r.passed) == (4, 16, True)
-    r = hg.hom_divisibility_check(z2, z4, "group")
+    r = hg.hom_divisibility_check(z2, z4, len(core.enumerate_homs(z2, z4)), "group")
     assert (r.computed, r.bound, r.passed) == (2, 4, True)
-    r = hg.hom_divisibility_check(z2, z3, "group")
+    r = hg.hom_divisibility_check(z2, z3, len(core.enumerate_homs(z2, z3)), "group")
     assert (r.computed, r.bound, r.passed) == (1, 1, True)
 
 
 def test_divisibility_mode_preconditions(semilattice, z2):
     with pytest.raises(ValueError):
-        hg.hom_divisibility_check(semilattice, z2, "abelian")
+        hg.hom_divisibility_check(semilattice, z2, 2, "abelian")
     with pytest.raises(ValueError):
-        hg.hom_divisibility_check(semilattice, z2, "group")
+        hg.hom_divisibility_check(semilattice, z2, 2, "group")
 
 
 def test_generating_family_sizes(z4, v4, terms):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from adual import affine, cli, core, subcong, zoo
+from adual import affine, cli, core, subcong, textio, zoo
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -32,7 +32,7 @@ def test_theta_examples(z4, v4, terms):
     th = subcong.theta_of_subalgebra(z4, t4, subcong.SubalgebraWitness(z4, (0, 2)))
     assert th == core.Congruence.from_classes(4, [[0, 2], [1, 3]])
     full = subcong.theta_of_subalgebra(z4, t4, subcong.SubalgebraWitness(z4, (0, 1, 2, 3)))
-    assert full.is_full()
+    assert full.num_classes == 1
     # {(0,0),(1,0)} in the Klein group: collapse by second coordinate
     tv = terms["v4"]
     thv = subcong.theta_of_subalgebra(v4, tv, subcong.SubalgebraWitness(v4, (0, 2)))
@@ -104,40 +104,42 @@ def test_c_of_congruence_precondition(z4):
 
 
 def test_galois_z4_origin(z4, terms):
-    report = subcong.verify_galois(z4, terms["z4"], subcong.SubalgebraWitness(z4, (0,)))
+    (report,) = subcong.verify_galois(z4, terms["z4"], [(0,)])
     assert report.passed
     assert report.subalgebras_above == 3
     assert report.congruences_above == 3
 
 
 def test_galois_trivial_top(z2, terms):
-    report = subcong.verify_galois(z2, terms["z2"], subcong.SubalgebraWitness(z2, (0, 1)))
+    (report,) = subcong.verify_galois(z2, terms["z2"], [(0, 1)])
     assert report.passed
     assert report.subalgebras_above == 1 and report.congruences_above == 1
 
 
 def test_galois_klein(v4, terms):
-    report = subcong.verify_galois(v4, terms["v4"], subcong.SubalgebraWitness(v4, (0,)))
+    (report,) = subcong.verify_galois(v4, terms["v4"], [(0,)])
     assert report.passed
     assert report.subalgebras_above == 5 and report.congruences_above == 5
 
 
-def test_galois_computes_each_theta_and_c_once(v4, z6, terms, monkeypatch):
-    # theta_B once, and then theta_X once per carrier X and C(alpha, B) once per alpha
-    for A in (v4, z6):
-        B = subcong.SubalgebraWitness(A, (0,))
-        expected = subcong.verify_galois(A, terms[A.name], B)
-        calls = {"theta": [], "c": []}
-        for name, key in (("theta_of_subalgebra", "theta"), ("c_of_congruence", "c")):
-            real = getattr(subcong, name)
-            monkeypatch.setattr(
-                subcong, name, lambda *a, real=real, key=key: calls[key].append(a[-1]) or real(*a)
-            )
-        assert subcong.verify_galois(A, terms[A.name], B) == expected
-        carriers = [w.carrier for w in calls["theta"][1:]]
-        assert len(carriers) == len(set(carriers)) == len(core.subuniverse_carriers(A))
-        assert len(calls["c"]) == len(set(calls["c"])) <= len(core.con_lattice(A))
-        monkeypatch.undo()
+def test_galois_computes_each_theta_and_c_once(count_calls, capsys):
+    # one job checks every carrier B against one Sub(A), one Con(A) and one
+    # theta_X per X, and computes C(alpha, B) once per B and alpha
+    fns = (core.subuniverse_carriers, core.con_lattice, subcong.theta_of_subalgebra, subcong.c_of_congruence)
+    subs = {
+        name: core.subuniverse_carriers(textio.parse_document((DATA / f"{name}.alg").read_text()).algebras[name])
+        for name in ("v4", "z6")
+    }
+    calls = {fn.__name__: count_calls(fn) for fn in fns}
+    for name in ("v4", "z6"):
+        for seen in calls.values():
+            seen.clear()
+        assert cli.main(["galois", str(DATA / f"{name}.alg")]) == 0
+        assert capsys.readouterr().out.count("galois: PASS") == len(subs[name])
+        assert len(calls["subuniverse_carriers"]) == len(calls["con_lattice"]) == 1
+        assert sorted(B.carrier for _, _, B in calls["theta_of_subalgebra"]) == sorted(subs[name])
+        pairs = [(B.carrier, alpha) for _, B, alpha in calls["c_of_congruence"]]
+        assert len(pairs) == len(set(pairs))
 
 
 def test_galois_monotonicity(z6, terms):

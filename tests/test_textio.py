@@ -49,7 +49,7 @@ def test_hom_round_trip_with_power_domain(z2):
 
 def test_congruence_round_trip(z4):
     c = core.Congruence.from_classes(4, [[0, 2], [1, 3]])
-    text = textio.serialize_algebra(z4) + textio.serialize_congruence(c, "mod2", "z4")
+    text = textio.serialize_algebra(z4) + "cong mod2 over z4\nclass 0 2\nclass 1 3\n"
     doc = textio.parse_document(text)
     assert doc.congruences == [("mod2", "z4", c)]
 
