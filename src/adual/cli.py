@@ -278,18 +278,21 @@ def cmd_duality(args):
         relations = _relations_over(doc, A, start)
     _header(args)
     N = duality.arity_bound(A) if args.arity is None else args.arity
+    formula = None if relations is not None else duality.subgroup_formula(A, args.budget)
     if args.max_power >= 3:
-        if relations is None and duality.subgroup_formula(A, args.budget) is not None:
+        ego_cost = f"{A.size ** N} alter-ego codes"
+        if formula is not None:
             ego_cost = "the alter ego counted by the subgroup formula"
-        else:
-            ego_cost = f"{A.size ** N} alter-ego codes"
         print(
             f"# cost estimate: enumerating Sub({A.name}^{args.max_power}) over "
             f"{A.size ** args.max_power} elements and {ego_cost}",
             file=sys.stderr,
         )
     start = time.monotonic()
-    ego = duality.build_alter_ego(A, N, args.budget, relations=relations)
+    if relations is None:  # counted with the formula the estimate checked
+        ego = duality.AlterEgo(A, (), N, count=duality.relation_count(A, N, formula, args.budget))
+    else:
+        ego = duality.build_alter_ego(A, N, args.budget, relations=relations)
     reports = duality.verify_duality(A, args.max_power, args.budget, ego=ego)
     elapsed = time.monotonic() - start
     for r in reports:

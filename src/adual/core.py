@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -769,38 +769,42 @@ class Congruence:
 
     `class_of` assigns each element its block id; ids are canonical, numbered
     by first appearance when scanning 0..n-1, so equal partitions compare
-    equal as dataclasses.
+    equal as dataclasses.  A `class_of` of any other length than `base_size`
+    raises ValueError.  `labels`, the read-only int64 array of each element's
+    least class member, is what meets, joins and refinement work on.
     """
 
     base_size: int
     class_of: tuple
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        canon = self._canonical(self.class_of)
-        object.__setattr__(self, "class_of", canon)
-
-    @staticmethod
-    def _canonical(class_of):
-        relabel = {}
-        out = []
-        for c in class_of:
-            if c not in relabel:
-                relabel[c] = len(relabel)
-            out.append(relabel[c])
-        return tuple(out)
+        ids = np.asarray(self.class_of, dtype=np.int64)
+        if ids.shape != (self.base_size,):
+            raise ValueError(f"class map has {ids.size} entries, expected base size {self.base_size}")
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        labels = first[inverse]
+        labels.setflags(write=False)
+        object.__setattr__(self, "class_of", tuple(rank[inverse].tolist()))
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_classes(cls, base_size, classes):
-        class_of = [None] * base_size
+        """The partition into `classes`, which hold each of 0..base_size-1 exactly once."""
+        class_of = {}
         for i, block in enumerate(classes):
             for x in block:
-                if class_of[x] is not None:
-                    raise ValueError(f"element {x} occurs in two classes")
+                if not 0 <= x < base_size:
+                    raise ValueError(f"element {x} outside the universe 0..{base_size - 1}")
+                if x in class_of:
+                    raise ValueError(f"element {x} occurs twice in the partition")
                 class_of[x] = i
-        if any(c is None for c in class_of):
-            missing = class_of.index(None)
+        if len(class_of) < base_size:
+            missing = min(set(range(base_size)) - set(class_of))
             raise ValueError(f"element {missing} missing from the partition")
-        return cls(base_size, tuple(class_of))
+        return cls(base_size, [class_of[x] for x in range(base_size)])
 
     @classmethod
     def identity(cls, base_size):
@@ -815,63 +819,44 @@ class Congruence:
         return max(self.class_of) + 1
 
     def classes(self):
-        blocks = [[] for _ in range(self.num_classes)]
-        for x, c in enumerate(self.class_of):
-            blocks[c].append(x)
-        return tuple(tuple(b) for b in blocks)
+        return tuple(tuple(np.flatnonzero(self.labels == r).tolist()) for r in np.unique(self.labels))
 
     def related(self, x, y):
         return self.class_of[x] == self.class_of[y]
 
     def refines(self, other):
         """True iff every block of self sits inside a block of other."""
-        seen = {}
-        for x in range(self.base_size):
-            c = self.class_of[x]
-            if c in seen:
-                if other.class_of[x] != seen[c]:
-                    return False
-            else:
-                seen[c] = other.class_of[x]
-        return True
+        return bool((other.labels[self.labels] == other.labels).all())
 
     def is_identity(self):
         return self.num_classes == self.base_size
 
     def meet(self, other):
-        combined = tuple(
-            self.class_of[x] * other.base_size + other.class_of[x]
-            for x in range(self.base_size)
-        )
-        return Congruence(self.base_size, combined)
+        return Congruence(self.base_size, self.labels * self.base_size + other.labels)
 
     def join(self, other):
-        uf = _UnionFind(self.base_size)
-        for part in (self, other):
-            for block in part.classes():
-                for y in block[1:]:
-                    uf.union(block[0], y)
-        return Congruence(self.base_size, tuple(uf.find(x) for x in range(self.base_size)))
+        return Congruence(self.base_size, _merged(self.labels, np.arange(self.base_size), other.labels))
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _merged(labels, left, right):
+    """`labels` with the class of each left[i] merged with that of right[i].
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
+    `labels` gives each element the least member of its class, and so does
+    the result.  Each round hooks the larger label of every pair still apart
+    onto the smaller, then follows the hooks until every element reaches the
+    least member of its class; hooks only ever point down, so none cycles.
+    """
+    while True:
+        a, b = labels[left], labels[right]
+        apart = a != b
+        if not apart.any():
+            return labels
+        a, b = a[apart], b[apart]
+        labels = labels.copy()
+        np.minimum.at(labels, a, b)
+        np.minimum.at(labels, b, a)
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
 
 
 def verify_congruence(A, part: Congruence):
@@ -880,58 +865,72 @@ def verify_congruence(A, part: Congruence):
     return part
 
 
+def _images_at_representatives(A, labels):
+    """(o, start, f(x), f(rep x)) over the grid blocks of each operation f = o of A.
+
+    x runs over every argument tuple of o, in blocks that follow the flat
+    table order from index `start`, and rep x puts labels[a] for each
+    argument a.  A partition with these labels is preserved by o exactly
+    when f(x) and f(rep x) always share a class; constants always do.
+    """
+    for o in [o for o in A.ops if o.arity]:
+        start = 0
+        for args in grid_blocks((labels,), o.arity):
+            at_reps = np.ravel(apply_coordinatewise([o.np_table], [A.size], args))
+            yield o, start, o.np_table[start : start + at_reps.size], at_reps
+            start += at_reps.size
+
+
 def quotient_tables(A, part: Congruence):
     """The flat table of each operation of A on the classes of `part`.
 
-    Each table is computed on class representatives and checked against
-    every argument tuple of A, so a partition that passes is a congruence;
-    otherwise ValueError names an argument tuple where it fails.  Both grids
-    are walked in blocks.
+    Every argument tuple of A is checked against its tuple of class
+    representatives first, so a partition that passes is a congruence;
+    otherwise ValueError names an argument tuple where it fails.  Each table
+    is then read off the representatives.  Both grids are walked in blocks.
     """
     if part.base_size != A.size:
         raise ValueError("partition base does not match algebra")
     C = np.array(part.class_of, dtype=np.int64)
-    reps = np.array([block[0] for block in part.classes()], dtype=np.int64)
-    m = part.num_classes
+    for o, start, values, at_reps in _images_at_representatives(A, part.labels):
+        wrong = C[values] != C[at_reps]
+        if wrong.any():
+            where = decode_code(start + int(wrong.argmax()), [A.size] * o.arity)
+            raise ValueError(f"partition not preserved by {o.name} at {where}")
+    reps = np.flatnonzero(part.labels == np.arange(A.size))
     tables = []
     for o in A.ops:
-        table = np.empty(m**o.arity, dtype=np.int64)
+        table = np.empty(reps.size**o.arity, dtype=np.int64)
         start = 0
         for args in grid_blocks((reps,), o.arity):
             block = np.ravel(C[apply_coordinatewise([o.np_table], [A.size], args)])
             table[start : start + block.size] = block
             start += block.size
-        # the class of each value, against the table on the classes of its arguments
-        start = 0
-        for args in grid_blocks((C,), o.arity):
-            lifted = np.ravel(apply_coordinatewise([table], [m], args))
-            wrong = C[o.np_table[start : start + lifted.size]] != lifted
-            if wrong.any():
-                where = decode_code(start + int(wrong.argmax()), [A.size] * o.arity)
-                raise ValueError(f"partition not preserved by {o.name} at {where}")
-            start += lifted.size
         tables.append(table)
     return tables
 
 
 def congruence_generated_by(A, pairs):
-    """The least congruence of A containing the given pairs."""
-    uf = _UnionFind(A.size)
-    todo = []
-    for a, b in pairs:
-        if uf.union(a, b):
-            todo.append((a, b))
-    unary_like = [(o, pos) for o in A.ops for pos in range(o.arity)]
-    while todo:
-        a, b = todo.pop()
-        for o, pos in unary_like:
-            for rest in itertools.product(range(A.size), repeat=o.arity - 1):
-                xa = rest[:pos] + (a,) + rest[pos:]
-                xb = rest[:pos] + (b,) + rest[pos:]
-                va, vb = o(*xa), o(*xb)
-                if uf.union(va, vb):
-                    todo.append((va, vb))
-    return Congruence(A.size, tuple(uf.find(x) for x in range(A.size)))
+    """The least congruence of A containing the given pairs.
+
+    A fixpoint on the labels of each element's least class member, starting
+    from the pairs merged.  Each round compares f(x) with f(rep x) for every
+    operation f and every argument tuple x, and merges every pair of values
+    in different classes at once; these pairs lie in any congruence above
+    the current partition.  When a round merges nothing, every operation
+    preserves the partition.
+    """
+    pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    labels = _merged(np.arange(A.size), pairs[:, 0], pairs[:, 1])
+    while True:
+        left, right = [], []
+        for _, _, values, at_reps in _images_at_representatives(A, labels):
+            apart = labels[values] != labels[at_reps]
+            left.append(values[apart])
+            right.append(at_reps[apart])
+        if not any(x.size for x in left):
+            return Congruence(A.size, labels)
+        labels = _merged(labels, np.concatenate(left), np.concatenate(right))
 
 
 def principal_congruence(A, a, b):
@@ -945,11 +944,8 @@ def con_lattice(A):
     first and the full congruence last.
     """
     principals = {Congruence.identity(A.size)}
-    for a in range(A.size):
-        for b in range(a + 1, A.size):
-            principals.add(principal_congruence(A, a, b))
-    found = set(principals)
-    frontier = list(principals)
+    principals.update(principal_congruence(A, a, b) for a, b in itertools.combinations(range(A.size), 2))
+    found, frontier = set(principals), list(principals)
     while frontier:
         theta = frontier.pop()
         for other in list(found):
@@ -957,8 +953,7 @@ def con_lattice(A):
             if j not in found:
                 found.add(j)
                 frontier.append(j)
-    out = sorted(found, key=lambda c: (-c.num_classes, c.class_of))
-    return out
+    return sorted(found, key=lambda c: (-c.num_classes, c.class_of))
 
 
 def quotient_algebra(A, theta: Congruence):

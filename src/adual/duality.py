@@ -106,7 +106,7 @@ def build_alter_ego(A, N, budget=DEFAULT_BUDGET, relations=None) -> AlterEgo:
     """The complete alter ego of arity N, counted, or a supplied subset (partial mode)."""
     if relations is not None:
         return AlterEgo(A, tuple(relations), N, complete=False, budget=budget)
-    return AlterEgo(A, (), N, count=relation_count(A, N, budget))
+    return AlterEgo(A, (), N, count=relation_count(A, N, subgroup_formula(A, budget), budget))
 
 
 def affine_gcd(A, budget=DEFAULT_BUDGET):
@@ -165,13 +165,14 @@ def subgroup_formula(A, budget=DEFAULT_BUDGET):
     return G, g != 1
 
 
-def relation_count(A, N, budget=DEFAULT_BUDGET) -> int:
+def relation_count(A, N, formula, budget=DEFAULT_BUDGET) -> int:
     """The number of N-ary compatible relations of A, that is |Sub(A^N)|.
 
-    Where `subgroup_formula` applies, no power of A is built.  The affine
-    term t is a term, so a nonempty subuniverse S of A^N is closed under
-    t(x, y, z) = x - y + z, computed coordinatewise in G^N: for a in S,
-    S - a is a subgroup H.  So S is a coset a + H.  An operation
+    `formula` is what `subgroup_formula(A)` returns; where it is not None,
+    no power of A is built.  The affine term t is a term, so a nonempty
+    subuniverse S of A^N is closed under t(x, y, z) = x - y + z, computed
+    coordinatewise in G^N: for a in S, S - a is a subgroup H.  So S is a
+    coset a + H.  An operation
     f = sum(m_i * x_i) maps (a + h_1, .., a + h_k) to s_f * a + sum(m_i * h_i),
     and the sum ranges over H.  Hence a + H is closed under f iff
     (s_f - 1) * a lies in H, and it is a subuniverse iff g * a lies in H,
@@ -181,7 +182,6 @@ def relation_count(A, N, budget=DEFAULT_BUDGET) -> int:
     computed prime by prime (`_subgroup_sum`).  Every other algebra gets
     the nonempty subuniverses of A^N enumerated and counted.
     """
-    formula = subgroup_formula(A, budget)
     if formula is not None:
         return _subgroup_sum(*formula, N)
     try:

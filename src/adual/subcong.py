@@ -27,7 +27,6 @@ from .core import (
     _same_tables,
     carrier_tables,
     con_lattice,
-    congruence_generated_by,
     principal_congruence,
     quotient_algebra,
     subuniverse_carriers,
@@ -118,34 +117,35 @@ def theta_of_subalgebra(A, t: Operation, B: SubalgebraWitness) -> Congruence:
     first = forall.argmax(axis=1)
     if not np.array_equal(forall, first[:, None] == first[None, :]):
         raise ValueError("collapsing relation is not transitive: t is not affine")
-    theta = Congruence(n, tuple(first.tolist()))
+    theta = Congruence(n, first)
     verify_congruence(A, theta)
     return theta
 
 
 def c_of_congruence(A, B: SubalgebraWitness, alpha: Congruence) -> SubalgebraWitness:
-    """C(alpha, B) = {x : (x,b) in alpha for all b in B}, for alpha above theta_B."""
+    """C(alpha, B) = {x : (x,b) in alpha for all b in B}, for alpha above theta_B.
+
+    theta_B is Cg(B x B), and the congruence alpha contains it exactly when
+    B lies in one alpha-class, so that is the precondition tested; no
+    congruence is generated.  Both forms of C(alpha, B), for all b and for
+    some b, are read off alpha's labels and must agree.
+    """
     if alpha.base_size != A.size:
         raise ValueError("congruence base does not match algebra")
-    theta_b = congruence_generated_by(A, itertools.combinations(B.carrier, 2))
-    if not theta_b.refines(alpha):
-        witness = next(
-            (x, y)
-            for x in range(A.size)
-            for y in range(A.size)
-            if theta_b.related(x, y) and not alpha.related(x, y)
-        )
+    carrier = np.array(B.carrier, dtype=np.int64)
+    apart = carrier[alpha.labels[carrier] != alpha.labels[carrier[0]]]
+    if apart.size:
         raise ValueError(
             f"congruence does not contain the one generated by the carrier: "
-            f"pair {witness} is collapsed by theta_B but not by alpha"
+            f"pair {(B.carrier[0], int(apart[0]))} is collapsed by theta_B but not by alpha"
         )
-    forall = [x for x in range(A.size) if all(alpha.related(x, b) for b in B.carrier)]
-    exists = [x for x in range(A.size) if any(alpha.related(x, b) for b in B.carrier)]
-    if forall != exists:
+    related = alpha.labels[:, None] == alpha.labels[carrier]
+    forall = np.flatnonzero(related.all(axis=1))
+    if not np.array_equal(forall, np.flatnonzero(related.any(axis=1))):
         raise VerificationError("universal and existential forms of C(alpha,B) disagree")
-    if not set(B.carrier) <= set(forall):
+    if not np.isin(carrier, forall).all():
         raise VerificationError("C(alpha,B) does not contain B")
-    return SubalgebraWitness(A, tuple(forall))
+    return SubalgebraWitness(A, tuple(forall.tolist()))
 
 
 @dataclass
@@ -274,7 +274,7 @@ def kernel_quotient(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET
     if not np.array_equal(np.flatnonzero(f.np_mapping == c), B.carrier):
         raise VerificationError("the preimage of the point is not the carrier")
     for o in S.ops:
-        if o(*([c] * o.arity)) != c:
+        if o.np_table.reshape((S.size,) * o.arity)[(c,) * o.arity] != c:
             raise VerificationError(f"{{c}} not closed under {o.name}")
     # S has two or more elements, as the preimage of c is not all of A
     monolith = Congruence.full(S.size)

@@ -27,6 +27,7 @@ from .core import (
     Relation,
     decode_code,
     power_algebra,
+    verify_congruence,
 )
 from .affine import AffineTerm, TermTree
 from .entailment import (
@@ -213,7 +214,7 @@ def _parse_cong(lines, doc, line_no, toks):
     A = _algebra_for(doc, lines, alg_name, line_no)
     classes = lines.tagged_rows("class", "class entry")
     partition = lines.build(line_no, Congruence.from_classes, A.size, classes)
-    doc.congruences.append((name, alg_name, partition))
+    doc.congruences.append((name, alg_name, lines.build(line_no, verify_congruence, A, partition)))
 
 
 # ---------------------------------------------------------------------------

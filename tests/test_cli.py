@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from adual import affine, cli, core, textio, zoo
+from adual import affine, cli, core, duality, textio, zoo
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -348,6 +348,13 @@ def test_duality_power_three_prints_cost_estimate(files, capsys):
         capsys, ["duality", paths["meet2"], "--max-power", "3", "--arity", "2"]
     )
     assert "# cost estimate: enumerating Sub(meet2^3) over 8 elements and 4 alter-ego codes" in err
+
+
+def test_duality_checks_the_subgroup_formula_once(count_calls, capsys):
+    calls = count_calls(duality.subgroup_formula)
+    assert cli.main(["duality", str(DATA / "z3.alg"), "--max-power", "3"]) == 0
+    assert "counted by the subgroup formula" in capsys.readouterr().err
+    assert len(calls) == 1
 
 
 def test_partial_relations_file_needs_only_relation_blocks(capsys, tmp_path):

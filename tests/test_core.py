@@ -405,8 +405,8 @@ def test_congruence_canonical_ids():
     assert c.classes() == ((0, 2), (1, 3))
 
 
-def test_con_lattice_matches_partition_filter(z4, z6, v4):
-    for A in (z4, z6, v4):
+def test_con_lattice_matches_partition_filter(z4, z6, v4, s3, semilattice):
+    for A in (z4, z6, v4, s3, semilattice):
         assert set(core.con_lattice(A)) == brute_force_congruences(A)
 
 

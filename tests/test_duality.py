@@ -573,7 +573,7 @@ def test_subgroup_formula_matches_fcbo(A, powers, cosets, monkeypatch):
 
     monkeypatch.setattr(du, "power_algebra", refuse)
     monkeypatch.setattr(du, "subuniverse_carriers", refuse)
-    assert {N: du.relation_count(A, N) for N in powers} == expected
+    assert {N: du.relation_count(A, N, (G, flag)) for N in powers} == expected
     assert {N: du.build_alter_ego(A, N).count for N in powers} == expected
 
 
@@ -594,7 +594,7 @@ def test_relation_count_falls_back_to_enumeration(A, powers, found, monkeypatch)
     calls = []
     monkeypatch.setattr(du, "subuniverse_carriers", lambda *a: calls.append(a) or core.subuniverse_carriers(*a))
     for N in powers:
-        assert du.relation_count(A, N) == enumerated_count(A, N)
+        assert du.relation_count(A, N, du.subgroup_formula(A)) == enumerated_count(A, N)
     assert len(calls) == len(powers)
 
 
@@ -610,7 +610,7 @@ def test_affine_gcd_checks_every_cell(z4, monkeypatch):
     monkeypatch.undo()
     two = core.FiniteAlgebra("z4c", 4, [*z4.ops, core.Operation("one", 0, 4, [1])])
     assert du.affine_gcd(two) is None  # constants 0 and 1
-    assert du.relation_count(two, 2) == enumerated_count(two, 2)
+    assert du.relation_count(two, 2, du.subgroup_formula(two)) == enumerated_count(two, 2)
 
 
 def test_dual_of_refuses_a_counted_ego(z2):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from adual import cli
+from adual import cli, core, textio
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,6 +31,18 @@ def _on_data_files(line):
 
 
 EXAMPLES = _examples()
+
+
+def test_text_formats_example_parses():
+    # the block's hom reads z2, which data/z2.alg defines
+    section = (ROOT / "README.md").read_text().split("## Text formats", 1)[1]
+    block = section.split("```", 2)[1]
+    doc = textio.parse_document((ROOT / "data" / "z2.alg").read_text(), source="data/z2.alg")
+    textio.parse_document(block, source="README.md", doc=doc)
+    assert list(doc.algebras) == ["z2", "z4"]
+    assert [name for name, _, _ in doc.relations] == ["diag"]
+    assert [name for name, _ in doc.homs] == ["parity"]
+    assert doc.congruences == [("mod2", "z4", core.Congruence.from_classes(4, [[0, 2], [1, 3]]))]
 
 
 def test_every_example_parses():

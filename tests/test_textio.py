@@ -241,6 +241,7 @@ def test_certificate_rows_without_their_tag_are_located(z2, z4, terms, tmp_path,
 
 
 Z2 = "algebra z2\nsize 2\nop add 2\n0 1 1 0\n"
+Z4 = "algebra z4\nsize 4\nop add 2\n0 1 2 3 1 2 3 0 2 3 0 1 3 0 1 2\n"
 CERT = "cert c over z2 base 2\n"
 
 
@@ -261,6 +262,11 @@ MALFORMED = [
     ("m-row", Z2 + "hom h from z2 power 1 to z2\nn 0 1\n", 6, "expected a mapping row starting with m"),
     ("power", Z2 + "hom h from z2 power 0 to z2\nm 0\n", 5, "power exponent must be >= 1"),
     ("class-row", Z2 + "cong c over z2\nclass 0\nclass one\n", 7, "class entry: not an integer"),
+    ("class-range", Z2 + "cong c over z2\nclass 0 1 5\n", 5, "element 5 outside the universe 0..1"),
+    ("class-negative", Z2 + "cong c over z2\nclass 0\nclass -1\n", 5, "element -1 outside the universe 0..1"),
+    ("class-twice", Z2 + "cong c over z2\nclass 0 1 1\n", 5, "element 1 occurs twice in the partition"),
+    ("class-missing", Z2 + "cong c over z2\nclass 1\n", 5, "element 0 missing from the partition"),
+    ("cong-op", Z4 + "cong bad over z4\nclass 0 1\nclass 2 3\n", 5, "partition not preserved by add at (1, 1)"),
     ("cert-t-row", CERT + "  conclusion relation 1\n    t 0\n    q 1\n", 4, "expected a row starting with t"),
     ("cert-t-width", CERT + "  conclusion relation 2\n    t 0 0\n    t 1\n", 4, "tuple needs 2 entries"),
     ("table-row", CERT + "  conclusion op f 1\n    table 0 1\n    junk 5 5 5\n", 4, "expected a row starting with table"),
@@ -281,6 +287,13 @@ def test_each_parse_error_names_file_and_line(text, line, message):
         textio.parse_document(text, source="bad.alg")
     assert (e.value.source, e.value.line) == ("bad.alg", line)
     assert str(e.value).startswith(f"bad.alg:{line}: ") and message in str(e.value)
+
+
+def test_a_partition_the_operations_break_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text(Z4 + "cong bad over z4\nclass 0 1\nclass 2 3\n")
+    assert cli.main(["bound", str(path)]) == 2
+    assert f"{path}:5: partition not preserved by add at (1, 1)" in capsys.readouterr().err
 
 
 def test_end_of_input_names_the_last_line(tmp_path, capsys):
