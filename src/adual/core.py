@@ -233,6 +233,7 @@ class FiniteAlgebra:
         self.ops = ops
         self.power_of = power_of
         self._ops_by_name = {o.name: o for o in ops}
+        self._signature = tuple((o.name, o.arity) for o in ops)
 
     @property
     def generating_set(self):
@@ -241,13 +242,16 @@ class FiniteAlgebra:
 
     @cached_property
     def _generation(self):
-        """The greedy generators, and the steps (op name, elements, args) that reach every
-        other element: `elements` are the op applied to `args`, one array per argument.
+        """The greedy generators, the steps (op name, elements, args) that reach every
+        other element, and how many steps come before the last generator is added:
+        `elements` are the op applied to `args`, one array per argument.
 
         Each round applies every operation to all elements reached before it, in grid
-        blocks; a round that reaches nothing new adds the least unreached element.
+        blocks; a round that reaches nothing new adds the least unreached element.  So
+        the steps before the last generator fill Sg(constants, g_1..g_{m-1}), on whose
+        elements alone they act.
         """
-        reached, gens, steps = np.zeros(self.size, dtype=bool), [], []
+        reached, gens, steps, split = np.zeros(self.size, dtype=bool), [], [], 0
         while not reached.all():
             current, seen = np.flatnonzero(reached), reached.copy()
             for o in self.ops:
@@ -255,8 +259,8 @@ class FiniteAlgebra:
                 for args in grid_blocks((current,), o.arity):
                     values = np.ravel(apply_coordinatewise([o.np_table], [self.size], args))
                     cells = np.flatnonzero(~seen[values])
-                    elements, first = np.unique(values[cells], return_index=True)
-                    if elements.size:
+                    if cells.size:
+                        elements, first = np.unique(values[cells], return_index=True)
                         where = decode_code(start + cells[first], [current.size] * o.arity)
                         steps.append((o.name, elements, tuple(current[d] for d in where)))
                         seen[elements] = True
@@ -264,14 +268,50 @@ class FiniteAlgebra:
             if (seen == reached).all():
                 gens.append(int(seen.argmin()))
                 seen[gens[-1]] = True
+                split = len(steps)
             reached = seen
-        return tuple(gens), tuple(steps)
+        return tuple(gens), tuple(steps), split
+
+    @cached_property
+    def _arg_grid(self):
+        """For each operation, `grid_args` over the whole universe: read-only index
+        arrays that broadcast to every argument tuple in table order.  Computed once."""
+        index = np.arange(self.size, dtype=np.int64)
+        index.setflags(write=False)
+        return tuple(tuple(a for (a,) in grid_args((index,), o.arity)) for o in self.ops)
+
+    @cached_property
+    def _prefix_plan(self):
+        """What a hom must satisfy on S = Sg(constants, g_1..g_{m-1}), m generators.
+
+        The steps that fill S from the images of g_1..g_{m-1}, and for each
+        operation of positive arity (op name, args, results): `grid_args`
+        over S, one index array per argument, and the element each argument
+        tuple gives.  Every hom
+        restricts to a hom on S, so a map on S that breaks one of these
+        equations extends to none.  A constant's value is set by its own
+        step, so its equation always holds.
+        """
+        gens, steps, split = self._generation
+        inside = np.zeros(self.size, dtype=bool)
+        inside[list(gens[:-1])] = True
+        for _, elements, _ in steps[:split]:
+            inside[elements] = True
+        S = np.flatnonzero(inside)
+        equations = []
+        for o in self.ops:
+            if o.arity:
+                args = grid_args((S,), o.arity)
+                results = apply_coordinatewise([o.np_table], [self.size], args)
+                equations.append((o.name, [a for (a,) in args], results))
+        return steps[:split], tuple(equations)
 
     def op(self, name):
         return self._ops_by_name[name]
 
     def signature(self):
-        return tuple((o.name, o.arity) for o in self.ops)
+        """The (name, arity) of each operation, in name order; built once."""
+        return self._signature
 
     def constants(self):
         """Values of all arity-0 operations."""
@@ -680,10 +720,9 @@ class Homomorphism:
         self._verify()
 
     def _verify(self):
-        m = self.np_mapping
-        for oA in self.domain.ops:
-            oB = self.codomain.op(oA.name)
-            rhs = apply_coordinatewise([oB.np_table], [self.codomain.size], grid_args((m,), oA.arity))
+        m, B = self.np_mapping, self.codomain
+        for oA, grid in zip(self.domain.ops, self.domain._arg_grid):
+            rhs = apply_coordinatewise([B.op(oA.name).np_table], [B.size], [(m[a],) for a in grid])
             wrong = m[oA.np_table] != np.ravel(rhs)
             if wrong.any():
                 args = decode_code(int(wrong.argmax()), [self.domain.size] * oA.arity)
@@ -715,11 +754,12 @@ class Homomorphism:
 def extend_partial_map(A, B, partial):
     """Extend a map {a: b} on exactly `A.generating_set` to a homomorphism A -> B.
 
-    Fills the table along the generator steps with B's operations; returns the
-    `Homomorphism` on it if the constructor's check accepts the table, else None.
+    Fills the table along all generator steps with B's operations; returns the
+    `Homomorphism` on it if the constructor's exhaustive check accepts the
+    table, else None.  This is the only way `enumerate_homs` accepts a map.
     """
     _check_same_signature(A, B)
-    gens, steps = A._generation
+    gens, steps, _ = A._generation
     if set(partial) != set(gens):
         raise ValueError(f"partial map keys {sorted(partial)} are not the generating set {gens} of {A.name}")
     values = np.zeros(A.size, dtype=np.int64)
@@ -733,11 +773,46 @@ def extend_partial_map(A, B, partial):
         return None
 
 
+def _surviving_prefixes(A, B):
+    """The images of g_1..g_{m-1} that extend to a hom on Sg(constants, g_1..g_{m-1}).
+
+    All |B|**(m-1) images are taken in mixed-radix code order and decoded
+    one block at a time.  Each image is filled along the steps of
+    `A._prefix_plan` and kept when it satisfies every equation there.  A
+    block holds at most CHUNK_CELLS cells, and at least one image.  Yields
+    the surviving images as tuples, in code order.
+    """
+    gens = A.generating_set
+    steps, equations = A._prefix_plan
+    sizes = [B.size] * (len(gens) - 1)
+    count = math.prod(sizes)
+    width = max([A.size] + [results.size for _, _, results in equations])
+    per = max(1, CHUNK_CELLS // width)  # images per block
+    for start in range(0, count, per):
+        codes = np.arange(start, min(count, start + per), dtype=np.int64)
+        # one column per image: indexing by a grid over S gives that grid for all images at once
+        values = np.zeros((A.size, codes.size), dtype=np.int64)
+        for g, digit in zip(gens, decode_code(codes, sizes)):
+            values[g] = digit
+        for name, elements, args in steps:
+            values[elements] = apply_coordinatewise([B.op(name).np_table], [B.size], [(values[a],) for a in args])
+        keep = np.ones(codes.size, dtype=bool)
+        for name, args, results in equations:
+            images = apply_coordinatewise([B.op(name).np_table], [B.size], [(values[a],) for a in args])
+            keep &= (values[results] == images).reshape(-1, codes.size).all(axis=0)
+        yield from zip(*(d.tolist() for d in decode_code(codes[keep], sizes)))
+
+
 def enumerate_homs(A, B, budget=DEFAULT_BUDGET):
     """All homomorphisms A -> B, sorted by their map tables.
 
-    Tries every image of the generating set of A, filling each candidate
-    table along the generator steps.
+    Every hom restricts to a hom on Sg(constants, g_1..g_{m-1}), where
+    g_1..g_m is the generating set of A.  With m >= 2 the images of
+    g_1..g_{m-1} are first pruned to those that satisfy every equation
+    inside that subalgebra, in one array pass (`_surviving_prefixes`); each
+    survivor is then extended by every image of g_m.  With m <= 1 every
+    image is tried.  Each assignment tried goes through `extend_partial_map`,
+    whose exhaustive check is the only way a map is accepted.
     """
     _check_same_signature(A, B)
     if A.size * B.size > budget:
@@ -748,8 +823,12 @@ def enumerate_homs(A, B, budget=DEFAULT_BUDGET):
         raise BudgetExceededError(
             count, budget, hint=f"{B.size}**{len(generators)} images of the generating set of {A.name}"
         )
+    if len(generators) < 2:
+        assignments = itertools.product(range(B.size), repeat=len(generators))
+    else:
+        assignments = ((*head, b) for head in _surviving_prefixes(A, B) for b in range(B.size))
     homs = []
-    for images in itertools.product(range(B.size), repeat=len(generators)):
+    for images in assignments:
         hom = extend_partial_map(A, B, dict(zip(generators, images)))
         if hom is not None:
             homs.append(hom)

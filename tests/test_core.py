@@ -316,6 +316,13 @@ def test_hom_verification_rejects_non_hom(z4):
         core.Homomorphism(z4, z4, (0, 1, 2, 2))
 
 
+def test_hom_signature_mismatch_names_both_signatures(z2, semilattice):
+    with pytest.raises(ValueError, match="signature mismatch") as e:
+        core.Homomorphism(z2, semilattice, (0, 1))
+    assert str(z2.signature()) in str(e.value) and str(semilattice.signature()) in str(e.value)
+    assert z2.signature() == (("add", 2), ("neg", 1), ("zero", 0))
+
+
 def test_hom_equality_compares_tables_not_names():
     # two algebras named "A" on {0, 1}: f is the identity on one, constant on the other
     identity = core.FiniteAlgebra("A", 2, [core.Operation("f", 1, 2, (0, 1))])

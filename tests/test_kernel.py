@@ -331,12 +331,33 @@ def oracle_homs(A, B):
 
 
 def test_homs_of_a_large_power_are_the_parities():
-    """Hom(Z2^9, Z2): 9 generators, and the last round of steps spans two grid blocks."""
+    """Hom(Z2^9, Z2): 9 generators, and the last round of steps spans two grid blocks.
+
+    The prefix pass checks 2**8 images of g_1..g_8, each on the 256**2
+    equations of add inside Sg(g_1..g_8), one row per block.
+    """
     z2 = zoo.cyclic_group(2)
     P = core.power_algebra(z2, 9)
     assert len(P.generating_set) == 9 and 257**2 > core.CHUNK_CELLS
+    _, equations = P._prefix_plan
+    assert max(results.size for _, _, results in equations) == 256**2 >= core.CHUNK_CELLS
     parities = sorted(tuple(bin(x & m).count("1") % 2 for x in range(P.size)) for m in range(P.size))
-    assert [h.mapping for h in core.enumerate_homs(P, z2)] == parities
+    homs = [h.mapping for h in core.enumerate_homs(P, z2)]
+    assert homs == parities
+    assert homs == oracle_homs(P, z2)
+
+
+def assert_homs_match_the_oracles(A, B):
+    homs = [h.mapping for h in core.enumerate_homs(A, B)]
+    assert homs == oracle_homs(A, B)
+    if B.size**A.size <= 4096:
+        assert homs == [h.mapping for h in brute_force_homs(A, B)]
+
+
+def subalgebras_of_power(A, k):
+    """Every subalgebra of A^k, built on its carrier."""
+    P = core.power_algebra(A, k)
+    return [subcong.SubalgebraWitness(P, c).as_algebra() for c in core.subuniverse_carriers(P)]
 
 
 @pytest.mark.parametrize(
@@ -348,10 +369,75 @@ def test_homs_of_a_large_power_are_the_parities():
     ],
 )
 def test_enumerate_homs_matches_the_equation_oracle(A, B):
-    homs = [h.mapping for h in core.enumerate_homs(A, B)]
-    assert homs == oracle_homs(A, B)
-    if B.size**A.size <= 4096:
-        assert homs == [h.mapping for h in brute_force_homs(A, B)]
+    assert_homs_match_the_oracles(A, B)
+
+
+HOM_FAMILIES = {
+    "v4^2-z6": lambda: [(core.power_algebra(zoo.klein_group(), 2), zoo.cyclic_group(6))],
+    "sub-meet2^k-meet2": lambda: [
+        (B, zoo.two_element_semilattice()) for k in (1, 2, 3) for B in subalgebras_of_power(zoo.two_element_semilattice(), k)
+    ],
+    "sub-z4aff^2-z4aff": lambda: [(B, load_z4aff()) for B in subalgebras_of_power(load_z4aff(), 2)],
+}
+
+
+@pytest.mark.parametrize("family", HOM_FAMILIES.values(), ids=HOM_FAMILIES.keys())
+def test_enumerate_homs_matches_the_equation_oracle_on_families(family):
+    """Every B <= meet2^k (k <= 3) into meet2, every B <= z4aff^2 into z4aff, and V4^2 -> Z6."""
+    for A, B in family():
+        assert_homs_match_the_oracles(A, B)
+
+
+@given(signatures, st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=40)
+def test_pruned_hom_search_matches_the_oracles(signature, m, n, data):
+    """Both directions between random algebras and every reduct, and from the square of A."""
+    A, B = draw_algebra(data.draw, signature, m, "A"), draw_algebra(data.draw, signature, n, "B")
+    for C, D in reducts(A, B):
+        pairs = [(C, D), (D, C)] + ([(core.power_algebra(C, 2), D)] if C.size <= 3 else [])
+        for X, Y in pairs:
+            assert_homs_match_the_oracles(X, Y)
+
+
+@pytest.mark.parametrize("family", HOM_FAMILIES.values(), ids=HOM_FAMILIES.keys())
+def test_the_prefix_pass_only_drops_candidates(family, monkeypatch, count_calls):
+    """With every prefix equation dropped, every image is tried, and the same homs come out."""
+    for A, B in family():
+        pruned = core.enumerate_homs(A, B)
+        steps, _ = A._prefix_plan
+        monkeypatch.setattr(A, "_prefix_plan", (steps, ()))
+        calls = count_calls(core.extend_partial_map)
+        assert core.enumerate_homs(A, B) == pruned
+        assert len(calls) == B.size ** len(A.generating_set)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "A, B, calls, homs",
+    [
+        (core.power_algebra(zoo.klein_group(), 2), zoo.cyclic_group(6), 48, 16),  # 1,296 unpruned
+        (zoo.cyclic_group(2), zoo.cyclic_group(4), 4, 2),  # one generator: no prefix pass
+        (core.power_algebra(zoo.cyclic_group(2), 4), zoo.cyclic_group(2), 16, 16),  # every prefix extends
+        (zoo.cyclic_group(1), zoo.cyclic_group(3), 1, 1),  # generated by its constant
+    ],
+)
+def test_extend_partial_map_calls_after_the_prefix_pass(A, B, calls, homs, count_calls):
+    extended = count_calls(core.extend_partial_map)
+    assert len(core.enumerate_homs(A, B)) == homs
+    assert len(extended) == calls
+
+
+def test_prefix_pass_memory_is_bounded(count_calls):
+    """Hom(Z2^4, Z3^3): 27**3 prefix images in blocks, one survivor, 27 assignments.
+
+    Without pruning the search makes 27**4 = 531,441 calls.
+    """
+    A = core.power_algebra(zoo.cyclic_group(2), 4)
+    B = core.power_algebra(zoo.cyclic_group(3), 3)
+    extended = count_calls(core.extend_partial_map)
+    homs, peak = _peak_mib(lambda: core.enumerate_homs(A, B))
+    assert len(homs) == 1 and len(extended) == 27
+    assert peak < 6 * core.CHUNK_CELLS * 8 / 2**20, f"enumerate_homs peak {peak:.2f} MiB"
 
 
 @given(algebras())

@@ -41,6 +41,8 @@ def test_text_formats_example_parses():
     textio.parse_document(block, source="README.md", doc=doc)
     assert list(doc.algebras) == ["z2", "z4"]
     assert [name for name, _, _ in doc.relations] == ["diag"]
+    for _, algebra, relation in doc.relations:
+        assert core.is_compatible_relation(doc.algebras[algebra], relation)
     assert [name for name, _ in doc.homs] == ["parity"]
     assert doc.congruences == [("mod2", "z4", core.Congruence.from_classes(4, [[0, 2], [1, 3]]))]
 
