@@ -63,7 +63,6 @@ from .factorize import Factorization, factor_morphism
 from .entailment import (
     EntailmentCertificate,
     ReductionResult,
-    derive,
     eliminate_t,
     reduce_to_bounded_arity,
     refute_entailment,

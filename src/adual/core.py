@@ -544,12 +544,12 @@ class Relation:
         columns = decode_code(self._codes, [self.base_size] * self.arity)
         return tuple(zip(*(c.tolist() for c in columns)))
 
-    @cached_property
-    def _set(self):
-        return frozenset(self.tuples)
-
     def __contains__(self, t):
-        return tuple(t) in self._set
+        # out-of-range values can encode to a member's code: (0, 2) over 2 to (1, 0)
+        t = tuple(t)
+        if len(t) != self.arity or not all(v in range(self.base_size) for v in t):
+            return False
+        return bool(sorted_member(self._codes, [encode_tuple(t, self.base_size)])[0])
 
     def __len__(self):
         return len(self._codes)

@@ -2,17 +2,19 @@
 
 Four derivation rules are supported: intersecting a family of same-arity
 relations, taking the preimage of a relation under a tuple of terms, removing
-a duplicated last coordinate, and reading an operation off its graph.  A
-certificate stores premises and intermediate relations by value, so replaying
-one needs no algebra, only the embedded term tables.  The refuter searches
-for finitary maps that preserve a premise set but break a target; a found map
-refutes an entailment, while exhaustion proves nothing and says so.
+a duplicated last coordinate, and reading an operation off its graph.  Each
+rule is a node type, and a certificate is its derivation tree: the premises
+are its leaves, stored by value, so replaying one needs no algebra, only the
+embedded term tables.  A certificate is built by nesting nodes and checked by
+replaying it.  The refuter searches for finitary maps that preserve a premise
+set but break a target; a found map refutes an entailment, while exhaustion
+proves nothing and says so.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +22,6 @@ from .core import (
     BudgetExceededError,
     CHUNK_CELLS,
     DEFAULT_BUDGET,
-    FiniteAlgebra,
     Operation,
     Relation,
     VerificationError,
@@ -41,9 +42,6 @@ from .affine import (
 )
 from .subcong import kernel_quotient, meet_irreducibles
 from .factorize import factor_morphism
-
-
-Term = Union[AffineTerm, TermTree]
 
 
 @dataclass(frozen=True)
@@ -77,19 +75,42 @@ class GraphToOperation:
 
 @dataclass(frozen=True)
 class EntailmentCertificate:
-    """A derivation of `conclusion` from `premises`, replayable by value.
+    """A derivation tree whose replay gives `conclusion`, checked by value.
 
     `term_op` and `neutral` fix how affine coefficient vectors inside
     preimage nodes are evaluated; `extra_ops` carries tables for any
-    composition-tree terms.
+    composition-tree terms.  The premises are not stored: `premises` reads
+    them off the tree.
     """
 
     conclusion: object
-    premises: tuple
     derivation: object
     term_op: Optional[Operation] = None
     neutral: int = 0
     extra_ops: tuple = ()
+
+    @property
+    def premises(self):
+        """The `Premise` values in tree order, then `term_op` when an affine term reads it.
+
+        The tree is walked once, depth first, each node before its children.
+        A preimage node with integer-coefficient terms consumes the affine
+        operation as an extra premise; composition-tree terms do not.
+        """
+        values, affine, stack = [], False, [self.derivation]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Premise):
+                values.append(node.value)
+            elif isinstance(node, Intersection):
+                stack.extend(reversed(node.children))
+            elif isinstance(node, (TermPreimage, StripPadding, GraphToOperation)):
+                if isinstance(node, TermPreimage):
+                    affine = affine or any(isinstance(t, AffineTerm) for t in node.terms)
+                stack.append(node.child)
+        if affine and self.term_op is not None:
+            values.append(self.term_op)
+        return tuple(values)
 
     def ops_by_name(self):
         return {o.name: o for o in self.extra_ops}
@@ -169,39 +190,6 @@ def _eval_term(term, cert, ops, args):
     raise TypeError(f"unknown term {term!r}")
 
 
-def certificate_premises(derivation, term_op=None):
-    """Premise leaves of a derivation, plus the affine operation when it is used.
-
-    A preimage node with integer-coefficient terms consumes the affine
-    operation as an extra premise; composition-tree terms do not.
-    """
-
-    def leaves(node):
-        if isinstance(node, Premise):
-            yield node.value
-        elif isinstance(node, Intersection):
-            for c in node.children:
-                yield from leaves(c)
-        elif isinstance(node, (TermPreimage, StripPadding, GraphToOperation)):
-            yield from leaves(node.child)
-
-    def uses_affine(node):
-        if isinstance(node, TermPreimage):
-            if any(isinstance(t, AffineTerm) for t in node.terms):
-                return True
-            return uses_affine(node.child)
-        if isinstance(node, Intersection):
-            return any(uses_affine(c) for c in node.children)
-        if isinstance(node, (StripPadding, GraphToOperation)):
-            return uses_affine(node.child)
-        return False
-
-    premises = tuple(leaves(derivation))
-    if term_op is not None and uses_affine(derivation):
-        premises = premises + (term_op,)
-    return premises
-
-
 def replay_certificate(cert: EntailmentCertificate, budget=DEFAULT_BUDGET):
     """Recompute the conclusion from the premises; equality is the soundness check."""
     return _eval_node(cert.derivation, cert, budget)
@@ -209,65 +197,6 @@ def replay_certificate(cert: EntailmentCertificate, budget=DEFAULT_BUDGET):
 
 def verify_certificate(cert: EntailmentCertificate, budget=DEFAULT_BUDGET) -> bool:
     return replay_certificate(cert, budget) == cert.conclusion
-
-
-RULES = ("intersection", "term-preimage", "strip-padding", "graph-to-operation")
-
-
-def derive(
-    A: FiniteAlgebra,
-    rule: str,
-    inputs,
-    terms=None,
-    t: Optional[Operation] = None,
-    neutral: int = 0,
-    extra_ops=(),
-    budget=DEFAULT_BUDGET,
-):
-    """Apply one derivation rule and return (result, certificate).
-
-    Rules producing relations from compatible premises must produce
-    compatible output; that is re-checked here on every application.
-    """
-    if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
-    if isinstance(inputs, (Relation, Operation)):
-        inputs = [inputs]
-    inputs = list(inputs)
-    if rule == "intersection":
-        if not inputs:
-            raise ValueError("intersection of an explicit empty family needs arity context")
-        node = Intersection(
-            inputs[0].base_size, inputs[0].arity, tuple(Premise(v) for v in inputs)
-        )
-    elif rule == "term-preimage":
-        if len(inputs) != 1 or terms is None:
-            raise ValueError("term preimage takes one relation and a tuple of terms")
-        node = TermPreimage(tuple(terms), Premise(inputs[0]))
-    elif rule == "strip-padding":
-        if len(inputs) != 1:
-            raise ValueError("strip takes one relation")
-        node = StripPadding(Premise(inputs[0]))
-    else:
-        if len(inputs) != 1:
-            raise ValueError("graph rule takes one relation")
-        node = GraphToOperation(Premise(inputs[0]))
-    cert = EntailmentCertificate(
-        conclusion=None,
-        premises=(),
-        derivation=node,
-        term_op=t,
-        neutral=neutral,
-        extra_ops=tuple(extra_ops),
-    )
-    value = _eval_node(node, cert, budget)
-    cert = replace(cert, conclusion=value, premises=certificate_premises(node, t))
-    if rule != "graph-to-operation" and all(
-        isinstance(v, Relation) and is_compatible_relation(A, v) for v in inputs
-    ):
-        if not is_compatible_relation(A, value):
-            raise VerificationError(f"rule {rule} broke compatibility; this is a bug")
-    return value, cert
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +337,6 @@ def reduce_to_bounded_arity(
         raise VerificationError("meet-irreducible decomposition failed")
 
     nodes = []
-    premises = []
     for w in components:
         kt = kernel_quotient(P, t_P, w, budget)
         c = kt.point
@@ -420,21 +348,14 @@ def reduce_to_bounded_arity(
         if not is_compatible_relation(A, B_hat, budget):
             raise VerificationError("preimage of the point is not compatible")
         B = Relation.from_codes(np.flatnonzero(fac.g.mapping == c), A.size, N + 1)
-        node = TermPreimage(fac.terms, Premise(B))
-        premises.append(B)
-        nodes.append(node)
+        nodes.append(TermPreimage(fac.terms, Premise(B)))
 
     root = Intersection(A.size, n, tuple(nodes))
-    cert = EntailmentCertificate(
-        conclusion=R,
-        premises=certificate_premises(root, t),
-        derivation=root,
-        term_op=t,
-        neutral=0,
-    )
+    cert = EntailmentCertificate(conclusion=R, derivation=root, term_op=t, neutral=0)
     if replay_certificate(cert, budget) != R:
         raise VerificationError("reduction pipeline did not reproduce the input relation")
-    return ReductionResult(bounded_premises=tuple(premises), certificate=cert)
+    bounded = tuple(node.child.value for node in nodes)
+    return ReductionResult(bounded_premises=bounded, certificate=cert)
 
 
 def pad_relation(R: Relation, arity: int) -> Relation:
@@ -463,12 +384,7 @@ def eliminate_t(A, t: Operation, N: int, budget=DEFAULT_BUDGET) -> EntailmentCer
     for _ in range(N - 4):
         node = StripPadding(node)
     node = GraphToOperation(node, name="t")
-    cert = EntailmentCertificate(
-        conclusion=t,
-        premises=(padded,),
-        derivation=node,
-        term_op=t,
-    )
+    cert = EntailmentCertificate(conclusion=t, derivation=node, term_op=t)
     if replay_certificate(cert, budget) != t:
         raise VerificationError("replay did not recover the affine operation")
     return cert

@@ -29,6 +29,7 @@ from .core import (
     con_lattice,
     principal_congruence,
     quotient_algebra,
+    sorted_member,
     subuniverse_carriers,
     verify_congruence,
 )
@@ -143,7 +144,7 @@ def c_of_congruence(A, B: SubalgebraWitness, alpha: Congruence) -> SubalgebraWit
     forall = np.flatnonzero(related.all(axis=1))
     if not np.array_equal(forall, np.flatnonzero(related.any(axis=1))):
         raise VerificationError("universal and existential forms of C(alpha,B) disagree")
-    if not np.isin(carrier, forall).all():
+    if not sorted_member(forall, carrier).all():
         raise VerificationError("C(alpha,B) does not contain B")
     return SubalgebraWitness(A, tuple(forall.tolist()))
 

@@ -37,7 +37,6 @@ from .entailment import (
     Premise,
     StripPadding,
     TermPreimage,
-    certificate_premises,
 )
 
 
@@ -287,7 +286,6 @@ def _parse_cert(lines, doc, line_no, toks):
         lines.error("certificate needs a conclusion and a derivation", line_no)
     cert = EntailmentCertificate(
         conclusion=conclusion,
-        premises=certificate_premises(derivation, term_op),
         derivation=derivation,
         term_op=term_op,
         neutral=neutral,

@@ -156,7 +156,7 @@ def test_relation_construction_matches_oracle(base, arity, data):
             assert _kind(got[1]) == _kind(expected[1])
         return
     R = got
-    assert "tuples" not in vars(R) and "_set" not in vars(R)  # nothing decoded yet
+    assert "tuples" not in vars(R)  # nothing decoded yet
     codes = R.codes()
     assert codes.dtype == np.int64 and not codes.flags.writeable
     assert codes.tolist() == [core.encode_tuple(t, base) for t in expected]
@@ -165,6 +165,14 @@ def test_relation_construction_matches_oracle(base, arity, data):
     for t in itertools.product(range(-1, base + 1), repeat=arity):
         assert (t in R) == (t in set(expected))
     assert (tuple(range(arity + 1)) in R) is False
+
+
+def test_membership_checks_arity_and_range_before_the_code():
+    R = core.Relation(2, 2, [(0, 1), (1, 0)])
+    assert (0, 2) not in R  # encodes to 2, the code of (1, 0)
+    assert (1,) not in R and (0, 0, 1) not in R  # codes 1 and 1 again, of (0, 1)
+    assert (np.int64(1), np.int64(0)) in R and np.array([0, 1]) in R
+    assert (np.int64(0), np.int64(2)) not in R
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
@@ -268,7 +276,7 @@ TERMS = {name: affine.find_affine_term(A) for name, A in AFFINE.items()}
 def certificate(A, node, extra_ops=()):
     conclusion = core.Relation(1, A.size, [(0,)])  # fixes the base of the oracle
     return ent.EntailmentCertificate(
-        conclusion=conclusion, premises=(), derivation=node, term_op=TERMS[A.name], extra_ops=A.ops + extra_ops
+        conclusion=conclusion, derivation=node, term_op=TERMS[A.name], extra_ops=A.ops + extra_ops
     )
 
 

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adual import affine, core, entailment as ent, zoo
+from adual import affine, core, entailment as ent, textio, zoo
 
 
 def preserves(table, arity, size, R):
     """Independent preservation oracle used to cross-check the refuter."""
+    members = set(R.tuples)
     for combo in itertools.product(R.tuples, repeat=arity):
         image = []
         for c in range(R.arity):
@@ -19,7 +20,7 @@ def preserves(table, arity, size, R):
             for row in combo:
                 idx = idx * size + row[c]
             image.append(table[idx])
-        if tuple(image) not in R:
+        if tuple(image) not in members:
             return False
     return True
 
@@ -78,70 +79,148 @@ def exhaustive_oracles(monkeypatch):
     return check
 
 
+def certified(conclusion, node, **fields):
+    """The certificate of `node` with the stated conclusion, checked by replay."""
+    cert = ent.EntailmentCertificate(conclusion=conclusion, derivation=node, **fields)
+    assert ent.verify_certificate(cert)
+    return cert
+
+
+def replay(node):
+    return ent.replay_certificate(ent.EntailmentCertificate(conclusion=None, derivation=node))
+
+
 def test_intersection_rule(z2):
     r1 = core.Relation(2, 2, [(0, 0), (1, 1)])
     r2 = core.Relation(2, 2, [(0, 0), (1, 1), (0, 1)])
-    value, cert = ent.derive(z2, "intersection", [r1, r2])
-    assert value == r1
-    assert ent.verify_certificate(cert)
+    cert = certified(r1, ent.Intersection(2, 2, (ent.Premise(r1), ent.Premise(r2))))
     assert cert.premises == (r1, r2)
 
 
 def test_preimage_rule_doubling(z4, terms):
     # R = graph of addition, terms (x1, x1, x2): the relation 2x = y
     graph = core.graph_relation(z4.op("add"))
-    terms_list = [
+    terms_list = (
         affine.projection_term(2, 0),
         affine.projection_term(2, 0),
         affine.projection_term(2, 1),
-    ]
-    value, cert = ent.derive(
-        z4, "term-preimage", [graph], terms=terms_list, t=terms["z4"]
     )
-    assert value == core.Relation(2, 4, [(0, 0), (1, 2), (2, 0), (3, 2)])
-    assert ent.verify_certificate(cert)
+    doubling = core.Relation(2, 4, [(0, 0), (1, 2), (2, 0), (3, 2)])
+    cert = certified(doubling, ent.TermPreimage(terms_list, ent.Premise(graph)), term_op=terms["z4"])
     # the affine operation is part of the premises
     assert any(isinstance(p, core.Operation) for p in cert.premises)
 
 
-def test_preimage_rule_with_composition_tree(z4, terms):
+def composition_tree_certificate(z4):
+    """{(x, y) : x + y = 0} over Z4, the preimage of {0} under a composition tree."""
     tree = ent.TermTree(2, ("add", (("proj", 0), ("proj", 1))))
     zero = core.Relation(1, 4, [(0,)])
-    value, cert = ent.derive(
-        z4, "term-preimage", [zero], terms=[tree], extra_ops=[z4.op("add")]
+    return certified(
+        core.Relation(2, 4, [(0, 0), (1, 3), (2, 2), (3, 1)]),
+        ent.TermPreimage((tree,), ent.Premise(zero)),
+        extra_ops=(z4.op("add"),),
     )
-    assert value == core.Relation(2, 4, [(0, 0), (1, 3), (2, 2), (3, 1)])
-    assert ent.verify_certificate(cert)
+
+
+def test_preimage_rule_with_composition_tree(z4):
+    cert = composition_tree_certificate(z4)
+    assert cert.premises == (core.Relation(1, 4, [(0,)]),)
 
 
 def test_strip_rule(z2):
     S = core.Relation(3, 2, [(0, 1, 1), (1, 0, 0)])
-    value, cert = ent.derive(z2, "strip-padding", [S])
-    assert value == core.Relation(2, 2, [(0, 1), (1, 0)])
-    assert ent.verify_certificate(cert)
+    certified(core.Relation(2, 2, [(0, 1), (1, 0)]), ent.StripPadding(ent.Premise(S)))
     with pytest.raises(ValueError):
-        ent.derive(z2, "strip-padding", [core.Relation(2, 2, [(0, 1)])])
+        replay(ent.StripPadding(ent.Premise(core.Relation(2, 2, [(0, 1)]))))
 
 
 def test_graph_rule(z2):
     graph = core.graph_relation(z2.op("add"))
-    value, cert = ent.derive(z2, "graph-to-operation", [graph])
-    assert value.table == z2.op("add").table
-    assert ent.verify_certificate(cert)
+    certified(z2.op("add"), ent.GraphToOperation(ent.Premise(graph), name="add"))
     with pytest.raises(ValueError):
-        ent.derive(z2, "graph-to-operation", [core.Relation(2, 2, [(0, 0), (0, 1)])])
+        replay(ent.GraphToOperation(ent.Premise(core.Relation(2, 2, [(0, 0), (0, 1)]))))
 
 
 def test_rules_preserve_compatibility(z2, terms):
-    # derive re-checks this on every application; run a few shapes
+    # rules applied to compatible relations give compatible relations
     d = core.diagonal_relation(2, 2)
     full = core.full_relation(2, 2)
-    value, _ = ent.derive(z2, "intersection", [d, full])
+    value = replay(ent.Intersection(2, 2, (ent.Premise(d), ent.Premise(full))))
     assert core.is_compatible_relation(z2, value)
     padded = ent.pad_relation(d, 4)
-    value, _ = ent.derive(z2, "strip-padding", [ent.pad_relation(d, 3)])
+    value = replay(ent.StripPadding(ent.Premise(ent.pad_relation(d, 3))))
     assert core.is_compatible_relation(z2, value)
     assert core.is_compatible_relation(z2, padded)
+
+
+def certificate_premises(derivation, term_op=None):
+    """Premise leaves of a derivation, plus the affine operation when it is used.
+
+    The two walkers that listed a certificate's premises before they were read
+    off its tree; the oracle of `EntailmentCertificate.premises`.
+    """
+
+    def leaves(node):
+        if isinstance(node, ent.Premise):
+            yield node.value
+        elif isinstance(node, ent.Intersection):
+            for c in node.children:
+                yield from leaves(c)
+        elif isinstance(node, (ent.TermPreimage, ent.StripPadding, ent.GraphToOperation)):
+            yield from leaves(node.child)
+
+    def uses_affine(node):
+        if isinstance(node, ent.TermPreimage):
+            if any(isinstance(t, affine.AffineTerm) for t in node.terms):
+                return True
+            return uses_affine(node.child)
+        if isinstance(node, ent.Intersection):
+            return any(uses_affine(c) for c in node.children)
+        if isinstance(node, (ent.StripPadding, ent.GraphToOperation)):
+            return uses_affine(node.child)
+        return False
+
+    premises = tuple(leaves(derivation))
+    if term_op is not None and uses_affine(derivation):
+        premises = premises + (term_op,)
+    return premises
+
+
+def test_premises_match_the_walker_oracle(z2, z3, z4, terms):
+    certs = []
+    reductions = {
+        z2: (3, [core.diagonal_relation(2, 3), core.Relation(2, 2, [(0, 0), (1, 1)]), core.full_relation(2, 2)]),
+        z3: (2, [core.diagonal_relation(3, 2), core.Relation(2, 3, [(x, 2 * x % 3) for x in range(3)])]),
+        z4: (3, [core.Relation(2, 4, [(x, 3 * x % 4) for x in range(4)]), core.Relation(1, 4, [(0,), (2,)])]),
+    }
+    for A, (N, relations) in reductions.items():
+        for R in relations:
+            cert = ent.reduce_to_bounded_arity(A, terms[A.name], R, N).certificate
+            assert cert.premises[-1:] == ((terms[A.name],) if len(R) < A.size**R.arity else ())
+            certs.append((A.name, cert))
+    for A, N in ((z2, 4), (z2, 6), (z4, 9)):
+        cert = ent.eliminate_t(A, terms[A.name], N)
+        # t is set but no preimage reads it, so it is not a premise
+        assert cert.term_op is not None and len(cert.premises) == 1
+        certs.append((A.name, cert))
+    certs.append(("z4", composition_tree_certificate(z4)))
+    # the reductions repeat one premise; here the order of distinct leaves shows
+    full, graph = core.full_relation(4, 2), core.graph_relation(z4.op("add"))
+    x, y = affine.projection_term(2, 0), affine.projection_term(2, 1)
+    doubling = core.Relation(2, 4, [(a, 2 * a % 4) for a in range(4)])
+    nested = ent.Intersection(4, 2, (
+        ent.Premise(full),
+        ent.Intersection(4, 2, (ent.TermPreimage((x, x, y), ent.Premise(graph)),)),
+        ent.Premise(doubling),
+    ))
+    cert = certified(doubling, nested, term_op=terms["z4"])
+    assert cert.premises == (full, graph, doubling, terms["z4"])
+    certs.append(("z4", cert))
+    for name, cert in certs:
+        back = textio.parse_document(textio.serialize_certificate(cert, "c", name)).certificates[0][2]
+        for c in (cert, back):
+            assert c.premises == certificate_premises(c.derivation, c.term_op)
+        assert back.premises == cert.premises
 
 
 def test_refuter_finds_first_canonical_witness(z2):

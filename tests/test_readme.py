@@ -1,4 +1,4 @@
-"""The README's command-line examples against the parser and the data files."""
+"""The README's examples: command lines against the parser and the data files, Python run as written."""
 
 import re
 import shlex
@@ -66,3 +66,10 @@ def test_examples_on_data_files_exit_as_stated(line, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert cli.main(_argv(line)) == (int(stated.group(1)) if stated else 0)
     capsys.readouterr()
+
+
+def test_every_python_block_runs():
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})

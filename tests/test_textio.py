@@ -2,6 +2,8 @@ import pytest
 
 from adual import affine, cli, core, entailment as ent, textio, zoo
 
+from test_entailment import composition_tree_certificate
+
 
 def test_algebra_round_trip(z4, z6, s3, semilattice):
     for A in (z4, z6, s3, semilattice):
@@ -100,14 +102,11 @@ def test_operation_conclusion_certificate_round_trip(z4, terms):
 
 
 def test_tree_term_certificate_round_trip(z4, terms):
-    tree = ent.TermTree(2, ("add", (("proj", 0), ("proj", 1))))
-    zero = core.Relation(1, 4, [(0,)])
-    value, cert = ent.derive(
-        z4, "term-preimage", [zero], terms=[tree], extra_ops=[z4.op("add")]
-    )
+    cert = composition_tree_certificate(z4)
+    assert ent.verify_certificate(cert)
     s = textio.serialize_certificate(cert, "tree", "z4")
     back = textio.parse_document(s).certificates[0][2]
-    assert ent.verify_certificate(back) and back.conclusion == value
+    assert ent.verify_certificate(back) and back.conclusion == cert.conclusion
 
 
 def test_entail_summary_lines_only_after_a_certificate(z2, terms):
@@ -206,8 +205,7 @@ def test_certificate_values_outside_the_base_are_located(z2, terms, tmp_path, ca
 )
 def test_certificate_rows_missing_a_token_are_located(z2, z4, terms, tmp_path, capsys, field, short):
     res = ent.reduce_to_bounded_arity(z2, terms["z2"], core.diagonal_relation(2, 3), 3)
-    tree = ent.TermTree(2, ("add", (("proj", 0), ("proj", 1))))
-    _, cert = ent.derive(z4, "term-preimage", [core.Relation(1, 4, [(0,)])], terms=[tree], extra_ops=[z4.op("add")])
+    cert = composition_tree_certificate(z4)
     text = textio.serialize_certificate(res.certificate, "diag3", "z2") + textio.serialize_certificate(cert, "tree", "z4")
     lines = text.splitlines()
     at = lines.index(field)
