@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import (
     BudgetExceededError,
-    CHUNK_CELLS,
     Congruence,
     DEFAULT_BUDGET,
     FiniteAlgebra,
@@ -40,6 +39,7 @@ from .core import (
     grid_blocks,
     product_operations,
     quotient_tables,
+    row_blocks,
 )
 
 
@@ -169,13 +169,12 @@ def _group_axiom_failure(size, neutral, add):
     wrong = table != table.T
     if wrong.any():
         return f"not commutative at {tuple(int(v) for v in np.argwhere(wrong)[0])}"
-    step = max(1, CHUNK_CELLS // size**2)
-    for s in range(0, size, step):
+    for rows in row_blocks(size, size**2):
         # (x + y) + z against x + (y + z), for the block of x
-        wrong = table[table[s : s + step]] != table[x[s : s + step, None, None], table]
+        wrong = table[table[rows]] != table[x[rows, None, None], table]
         if wrong.any():
             i, y, z = (int(v) for v in np.argwhere(wrong)[0])
-            return f"not associative at {(s + i, y, z)}"
+            return f"not associative at {(rows.start + i, y, z)}"
     return None
 
 
@@ -217,7 +216,7 @@ def commutes_with_algebra(t: Operation, A: FiniteAlgebra):
     triples = decode_code(np.arange(n**3, dtype=np.int64), [n] * 3)
     for o in A.ops:
         blocks = zip(grid_blocks(triples, o.arity), grid_blocks((tnp,), o.arity))
-        for lhs_args, rhs_args in blocks:
+        for (_, lhs_args), (_, rhs_args) in blocks:
             # o on A^3 and then t, against t on each argument triple and then o
             lhs = tnp[apply_coordinatewise([o.np_table] * 3, [n] * 3, lhs_args)]
             rhs = apply_coordinatewise([o.np_table], [n], rhs_args)

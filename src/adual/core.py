@@ -80,13 +80,24 @@ def sorted_member(sorted_codes, codes):
     codes = np.asarray(codes, dtype=np.int64)
     if sorted_codes.size == 0:
         return np.zeros(codes.shape, dtype=bool)
-    pos = np.searchsorted(sorted_codes, codes)
-    np.minimum(pos, sorted_codes.size - 1, out=pos)
+    pos = np.minimum(np.searchsorted(sorted_codes, codes), sorted_codes.size - 1)
     return sorted_codes[pos] == codes
 
 
 # Cells per temporary array in chunked array work; bounds its memory.
 CHUNK_CELLS = 1 << 16
+
+
+def row_blocks(count, width):
+    """Slices cutting range(count) into blocks of rows `width` cells wide.
+
+    Each block spans at most CHUNK_CELLS cells and holds at least one row.
+    This is the one place that decides how chunked array work is cut.
+    """
+    step = max(1, CHUNK_CELLS // max(1, width))
+    if count <= step:  # at most one block, the common case: no generator
+        return (slice(0, count),) if count else ()
+    return (slice(s, min(s + step, count)) for s in range(0, count, step))
 
 
 def apply_coordinatewise(tables, sizes, args):
@@ -122,16 +133,16 @@ def grid_args(digits, arity):
 
 
 def grid_blocks(digits, arity):
-    """`grid_args(digits, arity)` cut along the first argument into blocks.
+    """`grid_args(digits, arity)` cut along the first argument into `row_blocks`.
 
-    Each block spans at most CHUNK_CELLS cells (at least one first element),
-    and the blocks follow one another in the flat order of the grid.
+    Yields (cells, args): `cells` slices the flat grid positions the block's
+    arguments `args` span, and the blocks follow one another in that order.
     """
     args = grid_args(digits, arity)
-    rows = len(digits[0]) if arity else 1
-    step = max(1, CHUNK_CELLS // max(1, len(digits[0])) ** max(0, arity - 1))
-    for s in range(0, rows, step):
-        yield [tuple(d[s : s + step] for d in a) for a in args[:1]] + args[1:]
+    width = len(digits[0]) ** max(0, arity - 1)
+    for rows in row_blocks(len(digits[0]) if arity else 1, width):
+        cells = slice(rows.start * width, rows.stop * width)
+        yield cells, [tuple(d[rows] for d in a) for a in args[:1]] + args[1:]
 
 
 class Operation:
@@ -255,16 +266,14 @@ class FiniteAlgebra:
         while not reached.all():
             current, seen = np.flatnonzero(reached), reached.copy()
             for o in self.ops:
-                start = 0
-                for args in grid_blocks((current,), o.arity):
+                for cells, args in grid_blocks((current,), o.arity):
                     values = np.ravel(apply_coordinatewise([o.np_table], [self.size], args))
-                    cells = np.flatnonzero(~seen[values])
-                    if cells.size:
-                        elements, first = np.unique(values[cells], return_index=True)
-                        where = decode_code(start + cells[first], [current.size] * o.arity)
+                    fresh = np.flatnonzero(~seen[values])
+                    if fresh.size:
+                        elements, first = np.unique(values[fresh], return_index=True)
+                        where = decode_code(cells.start + fresh[first], [current.size] * o.arity)
                         steps.append((o.name, elements, tuple(current[d] for d in where)))
                         seen[elements] = True
-                    start += values.size
             if (seen == reached).all():
                 gens.append(int(seen.argmin()))
                 seen[gens[-1]] = True
@@ -380,9 +389,8 @@ def closed_product_subset(factors, seed, base=None):
         rest = [along_axis(digits, j, depth) for j in range(1, depth)]
         new = []
         for tables, arity in ops:
-            step = max(1, CHUNK_CELLS // current.size ** (arity - 1))
-            for s in range(0, frontier.size, step):
-                block = tuple(d[s : s + step] for d in first)
+            for rows in row_blocks(frontier.size, current.size ** (arity - 1)):
+                block = tuple(d[rows] for d in first)
                 for pos in range(arity):
                     args = rest[: arity - 1]
                     args.insert(pos, block)
@@ -453,11 +461,8 @@ def product_operations(factors):
     for o in factors[0].ops:
         tables = [F.op(o.name).np_table for F in factors]
         flat = np.empty(N**o.arity, dtype=np.int64)
-        start = 0
-        for args in grid_blocks(digits, o.arity):
-            block = np.ravel(apply_coordinatewise(tables, sizes, args))
-            flat[start : start + block.size] = block
-            start += block.size
+        for cells, args in grid_blocks(digits, o.arity):
+            flat[cells] = np.ravel(apply_coordinatewise(tables, sizes, args))
         flat.setflags(write=False)  # handed over to the Operation, not copied
         ops.append(Operation(o.name, o.arity, N, flat))
     return ops
@@ -549,7 +554,7 @@ class Relation:
         t = tuple(t)
         if len(t) != self.arity or not all(v in range(self.base_size) for v in t):
             return False
-        return bool(sorted_member(self._codes, [encode_tuple(t, self.base_size)])[0])
+        return bool(sorted_member(self._codes, encode_tuple(t, self.base_size)))
 
     def __len__(self):
         return len(self._codes)
@@ -787,9 +792,8 @@ def _surviving_prefixes(A, B):
     sizes = [B.size] * (len(gens) - 1)
     count = math.prod(sizes)
     width = max([A.size] + [results.size for _, _, results in equations])
-    per = max(1, CHUNK_CELLS // width)  # images per block
-    for start in range(0, count, per):
-        codes = np.arange(start, min(count, start + per), dtype=np.int64)
+    for rows in row_blocks(count, width):
+        codes = np.arange(rows.start, rows.stop, dtype=np.int64)
         # one column per image: indexing by a grid over S gives that grid for all images at once
         values = np.zeros((A.size, codes.size), dtype=np.int64)
         for g, digit in zip(gens, decode_code(codes, sizes)):
@@ -945,19 +949,16 @@ def verify_congruence(A, part: Congruence):
 
 
 def _images_at_representatives(A, labels):
-    """(o, start, f(x), f(rep x)) over the grid blocks of each operation f = o of A.
+    """(o, cells, f(x), f(rep x)) over the grid blocks of each operation f = o of A.
 
     x runs over every argument tuple of o, in blocks that follow the flat
-    table order from index `start`, and rep x puts labels[a] for each
+    table order over the positions `cells`, and rep x puts labels[a] for each
     argument a.  A partition with these labels is preserved by o exactly
     when f(x) and f(rep x) always share a class; constants always do.
     """
     for o in [o for o in A.ops if o.arity]:
-        start = 0
-        for args in grid_blocks((labels,), o.arity):
-            at_reps = np.ravel(apply_coordinatewise([o.np_table], [A.size], args))
-            yield o, start, o.np_table[start : start + at_reps.size], at_reps
-            start += at_reps.size
+        for cells, args in grid_blocks((labels,), o.arity):
+            yield o, cells, o.np_table[cells], np.ravel(apply_coordinatewise([o.np_table], [A.size], args))
 
 
 def quotient_tables(A, part: Congruence):
@@ -971,20 +972,17 @@ def quotient_tables(A, part: Congruence):
     if part.base_size != A.size:
         raise ValueError("partition base does not match algebra")
     C = np.array(part.class_of, dtype=np.int64)
-    for o, start, values, at_reps in _images_at_representatives(A, part.labels):
+    for o, cells, values, at_reps in _images_at_representatives(A, part.labels):
         wrong = C[values] != C[at_reps]
         if wrong.any():
-            where = decode_code(start + int(wrong.argmax()), [A.size] * o.arity)
+            where = decode_code(cells.start + int(wrong.argmax()), [A.size] * o.arity)
             raise ValueError(f"partition not preserved by {o.name} at {where}")
     reps = np.flatnonzero(part.labels == np.arange(A.size))
     tables = []
     for o in A.ops:
         table = np.empty(reps.size**o.arity, dtype=np.int64)
-        start = 0
-        for args in grid_blocks((reps,), o.arity):
-            block = np.ravel(C[apply_coordinatewise([o.np_table], [A.size], args)])
-            table[start : start + block.size] = block
-            start += block.size
+        for cells, args in grid_blocks((reps,), o.arity):
+            table[cells] = np.ravel(C[apply_coordinatewise([o.np_table], [A.size], args)])
         tables.append(table)
     return tables
 

@@ -36,7 +36,6 @@ import numpy as np
 
 from .affine import AbelianGroup, find_affine_term, group_from_affine
 from .core import (
-    CHUNK_CELLS,
     BudgetExceededError,
     DEFAULT_BUDGET,
     FiniteAlgebra,
@@ -45,6 +44,7 @@ from .core import (
     enumerate_homs,
     is_compatible_relation,
     power_algebra,
+    row_blocks,
     sorted_member,
     subuniverse_carriers,
 )
@@ -292,15 +292,14 @@ def dual_of(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualS
     # One row per surviving prefix: its relation and its indices.
     rel = np.arange(count, dtype=np.int64)
     idx = np.zeros((count, 0), dtype=np.int64)
-    step = max(1, CHUNK_CELLS // max(1, h * width))
     for j in range(1, r + 1):
         reach = np.bincount(rel, minlength=count).max(initial=0) * h
         if reach > budget:
             raise BudgetExceededError(reach, budget, hint="lifted relation tuples")
         prefixes = np.unique(full // size ** (r - j))  # tagged as rel * size**j + prefix
         rels, idxs = [rel[:0]], [np.zeros((0, j), dtype=np.int64)]
-        for s in range(0, len(rel), step):
-            block_rel, block_idx = rel[s : s + step], idx[s : s + step]
+        for rows in row_blocks(len(rel), h * width):
+            block_rel, block_idx = rel[rows], idx[rows]
             # tagged prefix code of each row at each point of B, then one more index
             prefix = encode_tuple((values[block_idx[:, c]] for c in range(j - 1)), size)
             tagged = prefix + (block_rel * size ** (j - 1))[:, None]
@@ -332,14 +331,10 @@ def _lifted_constraints(D: DualStructure):
     last = tuples.max(axis=1, initial=0)  # the index assigned last
     order = np.argsort(last, kind="stable")
     bounds = np.searchsorted(last, np.arange(h + 1), sorter=order)
-    group = max(1, CHUNK_CELLS // r)  # tuples per gather
 
     def at(j):
         rows = order[bounds[j] : bounds[j + 1]]
-        return [
-            (tuples[rows[t : t + group]], tags[rows[t : t + group]], full)
-            for t in range(0, len(rows), group)
-        ]
+        return [(tuples[rows[b]], tags[rows[b]], full) for b in row_blocks(len(rows), r)]
 
     return at
 
@@ -349,8 +344,8 @@ def _interpolation_constraints(D: DualStructure, budget):
 
     M = min(N, |Hom(B, A)|): with fewer homs than N, the one set of all homs
     already pins phi to e(B).  The C(j, M-1) sets of step j are built only
-    after the budget admits their C(j, M-1)·|B| projection codes, in blocks
-    of at most CHUNK_CELLS codes.  Within a block the codes of the k-th set
+    after the budget admits their C(j, M-1)·|B| projection codes, in
+    `row_blocks` of sets.  Within a block the codes of the k-th set
     are tagged with k·|A|^M, so one sorted array serves the block.  A set
     whose projection is all of A^M constrains nothing and is dropped.
     """
@@ -361,7 +356,6 @@ def _interpolation_constraints(D: DualStructure, budget):
     span = size**M
     if span > budget:
         raise BudgetExceededError(span, budget, hint=f"codes of A^{M}")
-    per = max(1, CHUNK_CELLS // max(width, M))  # sets per block
 
     def at(j):
         count = comb(j, M - 1)
@@ -369,8 +363,8 @@ def _interpolation_constraints(D: DualStructure, budget):
             raise BudgetExceededError(count * width, budget, hint="projection codes")
         heads = combinations(range(j), M - 1)
         blocks = []
-        for s in range(0, count, per):
-            c = min(per, count - s)
+        for rows in row_blocks(count, max(width, M)):
+            c = rows.stop - rows.start
             flat = np.fromiter(chain.from_iterable(islice(heads, c)), np.int64, c * (M - 1))
             scopes = np.column_stack((flat.reshape(c, M - 1), np.full(c, j, dtype=np.int64)))
             codes = np.sort(encode_tuple((values[col] for col in scopes.T), size), axis=1)
@@ -410,10 +404,9 @@ def double_dual(D: DualStructure, budget=DEFAULT_BUDGET):
             raise BudgetExceededError(reach, budget, hint="double dual partial maps")
         blocks = constraints(j)
         widest = max((scopes.size for scopes, _, _ in blocks), default=0)
-        step = max(1, CHUNK_CELLS // (size * max(j + 1, widest)))
         parts = [np.zeros((0, j + 1), dtype=np.int64)]
-        for s in range(0, len(maps), step):
-            block = maps[s : s + step]
+        for rows in row_blocks(len(maps), size * max(j + 1, widest)):
+            block = maps[rows]
             ext = np.empty((len(block) * size, j + 1), dtype=np.int64)
             ext[:, :-1] = np.repeat(block, size, axis=0)
             ext[:, -1] = np.tile(np.arange(size), len(block))

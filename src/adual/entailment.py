@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     BudgetExceededError,
-    CHUNK_CELLS,
     DEFAULT_BUDGET,
     Operation,
     Relation,
@@ -32,6 +31,7 @@ from .core import (
     grid_args,
     is_compatible_relation,
     power_algebra,
+    row_blocks,
     sorted_member,
 )
 from .affine import (
@@ -267,9 +267,8 @@ def refute_entailment(A, premises, target, max_arity, budget=DEFAULT_BUDGET):
         if grid > budget:
             raise BudgetExceededError(grid, budget, hint=f"argument tuples of arity {m}")
         *kept, broken = [_preservation_test(R, m) for R in rels]
-        step = max(1, CHUNK_CELLS // max(grid, s**m))
-        for start in range(0, count, step):
-            tables = np.stack(decode_code(np.arange(start, min(start + step, count)), [s] * s**m), axis=1)
+        for rows in row_blocks(count, max(grid, s**m)):
+            tables = np.stack(decode_code(np.arange(rows.start, rows.stop), [s] * s**m), axis=1)
             survivors = np.arange(len(tables))
             for preserves in kept:
                 survivors = survivors[preserves(tables[survivors])]

@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     BudgetExceededError,
-    CHUNK_CELLS,
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Homomorphism,
@@ -31,6 +30,7 @@ from .core import (
     encode_tuple,
     power_algebra,
     product_operations,
+    row_blocks,
 )
 from .affine import (
     AffineTerm,
@@ -193,14 +193,13 @@ def factor_morphism(
     # generator/term exchange identity h(p_j(x), z) = sum_i u_ij h(x_i, z) +
     # (1 - sum_i u_ij) h(x_1, z), on every input x of f and every z, in blocks
     z = np.arange(A.size)
-    step = max(1, CHUNK_CELLS // z.size)
     for j, u in enumerate(coefficients):
         h = group.elements[family.generators[j]]
         exch = AffineTerm(u + (1 - sum(u),))
-        for s in range(0, f.domain.size, step):
-            xs = [d[s : s + step, None] for d in digits]
+        for rows in row_blocks(f.domain.size, z.size):
+            xs = [d[rows, None] for d in digits]
             args = [h[encode_tuple((xi, z), A.size)] for xi in xs + xs[:1]]
-            lhs = h[encode_tuple((p_tables[j][s : s + step, None], z), A.size)]
+            lhs = h[encode_tuple((p_tables[j][rows, None], z), A.size)]
             if not np.array_equal(lhs, affine_combination_array(exch, t_S, 0, args)):
                 raise VerificationError("generator/term exchange identity failed")
 

@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    CHUNK_CELLS,
     DEFAULT_BUDGET,
     Homomorphism,
     Operation,
@@ -32,6 +31,7 @@ from .core import (
     encode_tuple,
     enumerate_homs,
     power_algebra,
+    row_blocks,
 )
 from .affine import AbelianGroup, find_affine_term, group_from_affine
 
@@ -212,12 +212,6 @@ def _diagonal(size):
     return encode_tuple((np.arange(size),) * 2, size)
 
 
-def _row_blocks(count, width):
-    """Slices of range(count) whose rows of `width` cells make at most CHUNK_CELLS, one row at least."""
-    step = max(1, CHUNK_CELLS // max(1, width))
-    return [slice(s, s + step) for s in range(0, count, step)]
-
-
 def _pointwise_term(t, x, y, z):
     """t applied pointwise to map tables x, y, z that broadcast together."""
     return t.np_table[encode_tuple((x, y, z), t.base_size)]
@@ -230,7 +224,7 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
     defined as soon as one such k exists; different choices give isomorphic
     groups, which is re-verified here through the explicit isomorphisms.
     The maps are the rows of one table, and each check gathers the table of
-    t_S over them, in blocks of at most CHUNK_CELLS cells.
+    t_S over them, in `row_blocks`.
     """
     if not (_same_tables(k.domain, A) and _same_tables(k.codomain, S)):
         raise ValueError("base morphism must go from A to S")
@@ -244,7 +238,7 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
         raise ValueError("the neutral candidate kbar is not a homomorphism: k is invalid")
     m = len(elements)
     add_table = np.empty(m * m, dtype=np.int64)
-    for rows in _row_blocks(m, m * square.size):
+    for rows in row_blocks(m, m * square.size):
         sums = _pointwise_term(t_S, elements[rows, None], kbar, elements[None, :])
         add_table.reshape(m, m)[rows] = _find_rows(elements, sums.reshape(-1, square.size)).reshape(-1, m)
     if (add_table < 0).any():
@@ -276,7 +270,7 @@ def _verify_restriction_embedding(G: HkGroup, t_A, budget):
     if (kernel != G.neutral).any():
         raise VerificationError("kernel of the restriction is larger than {kbar}")
     add = G.np_add_table.reshape(G.size, G.size)
-    for rows in _row_blocks(G.size, G.size * A.size):
+    for rows in row_blocks(G.size, G.size * A.size):
         lhs = restricted[add[rows]]
         rhs = _pointwise_term(G.t_S, restricted[rows, None], G.k.np_mapping, restricted[None, :])
         if not np.array_equal(lhs, rhs):
@@ -294,7 +288,7 @@ def _verify_base_change(G: HkGroup, homs2, budget):
     """For every base hom j, f |-> t_S(f, kbar, jbar) is a group isomorphism.
 
     `homs2` is the table of Hom(A^2, S); the target of j is its fiber over j on the diagonal.
-    All j are checked in blocks of CHUNK_CELLS cells; the first j that fails raises.
+    All j are checked in `row_blocks`; the first j that fails raises.
     """
     A, m, width = G.A, G.size, G.square.size
     kbar = G.elements[G.neutral]
@@ -302,7 +296,7 @@ def _verify_base_change(G: HkGroup, homs2, budget):
     jbars = js[:, None, decode_code(np.arange(width), [A.size] * 2)[1]]
     base_of = _find_rows(js, homs2[:, _diagonal(A.size)])  # the j each map lies over, or -1
     fiber_size = np.bincount(base_of[base_of >= 0], minlength=len(js))
-    for rows in _row_blocks(len(js), m * width):
+    for rows in row_blocks(len(js), m * width):
         images = _pointwise_term(G.t_S, G.elements, kbar, jbars[rows])
         found = _find_rows(homs2, images.reshape(-1, width)).reshape(-1, m)
         distinct = 1 + (np.diff(np.sort(found, axis=1), axis=1) != 0).sum(axis=1)

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    CHUNK_CELLS,
     Congruence,
     DEFAULT_BUDGET,
     FiniteAlgebra,
@@ -29,6 +28,7 @@ from .core import (
     con_lattice,
     principal_congruence,
     quotient_algebra,
+    row_blocks,
     sorted_member,
     subuniverse_carriers,
     verify_congruence,
@@ -105,11 +105,10 @@ def theta_of_subalgebra(A, t: Operation, B: SubalgebraWitness) -> Congruence:
     table = t.np_table.reshape(n, n, n)
     forall = np.empty((n, n), dtype=bool)
     exists = np.empty((n, n), dtype=bool)
-    step = max(1, CHUNK_CELLS // (n * carrier.size))
-    for s in range(0, n, step):
-        hits = member[table[s : s + step, :, carrier]]
-        forall[s : s + step] = hits.all(axis=2)
-        exists[s : s + step] = hits.any(axis=2)
+    for rows in row_blocks(n, n * carrier.size):
+        hits = member[table[rows, :, carrier]]
+        forall[rows] = hits.all(axis=2)
+        exists[rows] = hits.any(axis=2)
     if not np.array_equal(forall, exists):
         raise ValueError(
             "universal and existential forms disagree: t is not affine for this algebra"

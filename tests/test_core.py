@@ -138,6 +138,16 @@ def test_sorted_member_matches_a_set(members, queries):
     assert got.ravel().tolist() == [q in members for q in queries]
 
 
+def test_sorted_member_on_scalars_and_shapes():
+    codes = np.array([1, 3, 5])
+    assert core.sorted_member(codes, 3) and not core.sorted_member(codes, 4)
+    assert core.sorted_member(codes, 9).shape == ()
+    assert not core.sorted_member(codes[:0], 3)
+    queries = np.array([[0, 1], [5, 6], [3, 3]])
+    got = core.sorted_member(codes, queries)
+    assert got.shape == (3, 2) and got.tolist() == [[False, True], [True, False], [True, True]]
+
+
 # ---------------------------------------------------------------------------
 # generated subuniverses
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ time, with itertools.product over all tuples.  The algebras are random: 1 to
 size.
 """
 
+import ast
 import itertools
 import tracemalloc
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adual import affine, core, subcong, textio, zoo
+from adual import affine, core, duality, entailment, homgroups, subcong, textio, zoo
 from test_core import brute_force_homs, brute_force_subuniverses
 
 Z4AFF = Path(__file__).resolve().parents[1] / "data" / "z4aff.alg"
@@ -556,3 +557,92 @@ def test_induced_term_matches_oracle(size, data):
         else:
             with pytest.raises(ValueError, match="not preserved by t"):
                 affine.induced_term(t, theta)
+
+
+# ---------------------------------------------------------------------------
+# One chunking policy: every blocked loop cuts its work through row_blocks
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "adual"
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 12, 13])
+@pytest.mark.parametrize("width", [0, 1, 3, 4, 12, 100])
+def test_row_blocks_tile_the_rows(count, width, monkeypatch):
+    monkeypatch.setattr(core, "CHUNK_CELLS", 12)
+    blocks = list(core.row_blocks(count, width))
+    assert [i for rows in blocks for i in range(count)[rows]] == list(range(count))
+    step = max(1, 12 // max(1, width))  # rows per block: at most 12 cells, one row at least
+    assert [rows.stop - rows.start for rows in blocks[:-1]] == [step] * (len(blocks) - 1)
+    assert all(0 < rows.stop - rows.start <= step for rows in blocks)
+    assert blocks[-1].stop == count if count else blocks == []
+
+
+@pytest.mark.parametrize("arity", range(4))
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_grid_blocks_tile_the_grid(arity, n, monkeypatch):
+    monkeypatch.setattr(core, "CHUNK_CELLS", 7)
+    digits = (np.arange(n) * 2, np.arange(n) % 2)
+    shape = (n,) * arity
+    whole = [[np.broadcast_to(d, shape).ravel() for d in a] for a in core.grid_args(digits, arity)]
+    covered = []
+    for cells, args in core.grid_blocks(digits, arity):
+        size = cells.stop - cells.start
+        assert size <= 7 or size == n ** (arity - 1), "more than one row beyond CHUNK_CELLS"
+        block = np.broadcast_shapes(*(d.shape for a in args for d in a)) if args else ()
+        for a, w in zip(args, whole):
+            for d, full in zip(a, w):
+                assert np.array_equal(np.broadcast_to(d, block).ravel(), full[cells])
+        covered += range(n**arity)[cells]
+    assert covered == list(range(n**arity))
+
+
+def test_only_core_names_chunk_cells():
+    """Docstrings may mention CHUNK_CELLS; code outside core.py may not name it."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "CHUNK_CELLS")
+            or (isinstance(node, ast.Attribute) and node.attr == "CHUNK_CELLS")
+            or (isinstance(node, ast.alias) and node.name == "CHUNK_CELLS")
+        ]
+        assert path.name == "core.py" or not named, f"{path.name} names CHUNK_CELLS at {named}"
+
+
+def chunked_results():
+    """Results of every blocked loop, on algebras built afresh so no cache carries over."""
+    affine._cached_group.cache_clear()
+    z2, z3, z4, z6 = (zoo.cyclic_group(n) for n in (2, 3, 4, 6))
+    meet2 = zoo.two_element_semilattice()
+    graph = core.graph_relation(meet2.op("meet"))
+    P = core.power_algebra(z4, 2)
+    t2, t4, t6 = (affine.find_affine_term(A) for A in (z2, z4, z6))
+    k = core.enumerate_homs(z4, z4)[1]
+    hk = homgroups.build_hk_group(z4, z4, t4, t4, k)
+    listed = core.enumerate_subuniverses(core.power_algebra(z2, 3))
+    partial = duality.build_alter_ego(z2, 3, relations=listed)
+    return {
+        "power tables": [o.table for o in P.ops],
+        "Sub(Z4^2)": core.subuniverse_carriers(P),
+        "Con(Z4^2)": core.con_lattice(P),
+        "Hom(Z4^2, Z4)": core.enumerate_homs(P, z4),
+        "affine term of z6": t6,
+        "galois on z6": subcong.verify_galois(z6, t6),
+        "hk group on z4": (hk.elements.tolist(), hk.neutral, hk.np_add_table.tolist()),
+        "duality z3 complete": duality.verify_duality(z3, k_max=2),
+        "duality z2 partial": duality.verify_duality(z2, k_max=3, ego=partial),
+        "reduction": entailment.reduce_to_bounded_arity(z2, t2, core.diagonal_relation(2, 3), 3),
+        "refutation": entailment.refute_entailment(meet2, [core.diagonal_relation(2, 2)], graph, 2),
+        "exhaustion": entailment.refute_entailment(meet2, [graph], graph, 2),
+    }
+
+
+def test_tiny_blocks_give_the_same_results(monkeypatch):
+    """Three-cell blocks send every blocked loop through its many-block path."""
+    expected = chunked_results()
+    monkeypatch.setattr(core, "CHUNK_CELLS", 3)
+    got = chunked_results()
+    for name, value in expected.items():
+        assert got[name] == value, name
