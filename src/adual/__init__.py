@@ -32,7 +32,6 @@ from .core import (
 from .affine import (
     AbelianGroup,
     AffineTerm,
-    TermOperation,
     eval_affine_combination,
     find_affine_term,
     group_from_affine,

@@ -6,14 +6,15 @@ Abelian group structures x +^c y = t(x,c,y) derived from such a t share the
 same term map, and integer combinations sum(u_k * x_k) with sum(u_k) = 1 are
 again terms.
 
-The term is a core `Operation` named t, of arity 3.  Its lift to a power and
-its image on a quotient are the core product and quotient tables of the
-one-operation algebra <A; t>.  Each group x +^c y is an `AbelianGroup`, the
-one group type of the package, whose construction is the one check of the
-Abelian group axioms.  A group keeps its addition table once, as a read-only
-int64 array, and one table of multiples (row m holds m * x) that gives
-orders, the exponent and k * x, so `affine_combination_array` sums its
-terms with gathers over these two tables.
+The term is a core `Operation` named t, of arity 3.  An affine algebra has
+exactly one affine term, so the term of a quotient is found on the quotient
+itself, and no table of t on a power is built.  Each group x +^c y is an
+`AbelianGroup`, the one group type of the package, whose construction is
+the one check of the Abelian group axioms.  A group keeps its addition
+table once, as a read-only int64 array, and one table of multiples (row m
+holds m * x) that gives orders, the exponent and k * x, so
+`affine_combination_array` sums its terms with gathers over these two
+tables.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .core import (
     BudgetExceededError,
-    Congruence,
     DEFAULT_BUDGET,
     FiniteAlgebra,
     Operation,
@@ -37,8 +37,6 @@ from .core import (
     decode_code,
     encode_tuple,
     grid_blocks,
-    product_operations,
-    quotient_tables,
     row_blocks,
 )
 
@@ -70,19 +68,6 @@ class TermTree:
             return op.np_table[encode_tuple([walk(c) for c in children], op.base_size)]
 
         return walk(self.expr)
-
-
-class TermOperation(Operation):
-    """An operation of the term clone, with its derivation over the basic operations.
-
-    The provenance is the expr of a ternary `TermTree`: ("proj", i) for a
-    projection or (op_name, children).  It takes no part in equality or
-    hashing.
-    """
-
-    def __init__(self, name, arity, base_size, table, provenance):
-        super().__init__(name, arity, base_size, table)
-        self.provenance = provenance
 
 
 class AbelianGroup:
@@ -254,13 +239,13 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
         raise VerificationError(
             f"the Mal'cev graph closure of {A.name} is not a compatible Mal'cev operation"
         )
-    provenance = _clone_search(A, candidate.table, budget)
-    if provenance is None:
+    derivation = _clone_search(A, candidate.table, budget)
+    if derivation is None:
         return None
-    values = TermTree(3, provenance).evaluate({o.name: o for o in A.ops}, decode_code(np.arange(n**3), [n] * 3))
+    values = TermTree(3, derivation).evaluate({o.name: o for o in A.ops}, decode_code(np.arange(n**3), [n] * 3))
     if (values != table).any():
         raise VerificationError(f"the derivation of the affine term of {A.name} misses its table")
-    return TermOperation("t", 3, n, table, provenance)
+    return candidate
 
 
 def _clone_search(A, target, budget):
@@ -380,23 +365,3 @@ def affine_combination_array(term: AffineTerm, t: Operation, c: int, args):
         if u % G.exponent:  # one gather from the table of a + u * y
             acc = add[:, G.multiples[u % G.exponent]].ravel()[acc * G.size + x]
     return acc
-
-
-def _term_algebra(t: Operation):
-    """The algebra <A; t> with t as its only operation."""
-    return FiniteAlgebra(t.name, t.base_size, [t])
-
-
-def induced_term(t: Operation, theta: Congruence) -> Operation:
-    """The image of t on the quotient by theta, verified total and well-defined."""
-    (table,) = quotient_tables(_term_algebra(t), theta)
-    return Operation(t.name, 3, theta.num_classes, table)
-
-
-def lift_term_to_power(t: Operation, n: int, budget=DEFAULT_BUDGET) -> Operation:
-    """t applied coordinatewise on the n-th power, as a ternary table over codes."""
-    N = t.base_size**n
-    if N**3 > budget:
-        raise BudgetExceededError(N**3, budget, hint="lifted ternary table")
-    (lifted,) = product_operations([_term_algebra(t)] * n)
-    return lifted

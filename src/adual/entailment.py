@@ -34,12 +34,7 @@ from .core import (
     row_blocks,
     sorted_member,
 )
-from .affine import (
-    AffineTerm,
-    TermTree,
-    affine_combination_array,
-    lift_term_to_power,
-)
+from .affine import AffineTerm, TermTree, affine_combination_array, find_affine_term
 from .subcong import kernel_quotient, meet_irreducibles
 from .factorize import factor_morphism
 
@@ -312,11 +307,13 @@ def reduce_to_bounded_arity(
 
     R is written as the intersection of the completely meet-irreducible
     subuniverses of A^n above it, found in the interval [R, A^n] of Sub(A^n)
-    alone; each of those is the kernel class of a
-    morphism onto a subdirectly irreducible quotient, which factors through
-    A^(N+1), turning the component into a term preimage of an (N+1)-ary
-    compatible relation.  N must be at least the generating-family size of
-    every hom group met along the way; families are padded up to exactly N.
+    alone; each of those is the kernel class of a morphism onto a
+    subdirectly irreducible quotient S, which factors through A^(N+1),
+    turning the component into a term preimage of an (N+1)-ary compatible
+    relation.  The affine term of S is found on S itself; a quotient without
+    one raises VerificationError.  N must be at least the generating-family
+    size of every hom group met along the way; families are padded up to
+    exactly N.
     """
     if R.base_size != A.size:
         raise ValueError("relation base does not match the algebra")
@@ -324,7 +321,6 @@ def reduce_to_bounded_arity(
         raise ValueError("input relation is not compatible")
     n = R.arity
     P = power_algebra(A, n, budget)
-    t_P = lift_term_to_power(t, n, budget)
     r_codes = R.codes()
     above = meet_irreducibles(P, budget, above=r_codes)
     # an inclusion-minimal subfamily has the same intersection
@@ -337,9 +333,12 @@ def reduce_to_bounded_arity(
 
     nodes = []
     for w in components:
-        kt = kernel_quotient(P, t_P, w, budget)
+        kt = kernel_quotient(P, w, budget)
         c = kt.point
-        fac = factor_morphism(A, kt.quotient, t, kt.term, kt.projection, N, budget)
+        t_S = find_affine_term(kt.quotient, budget)
+        if t_S is None:
+            raise VerificationError(f"the quotient {kt.quotient.name} has no affine term")
+        fac = factor_morphism(A, kt.quotient, t, t_S, kt.projection, N, budget)
         # B = g^-1(c) is the preimage of B_hat = reduced^-1(c) under the
         # projection, a homomorphism, so B is compatible exactly when B_hat is
         b_hat = np.flatnonzero(fac.g.reduced.np_mapping == c)

@@ -1,11 +1,12 @@
 """The subalgebra/congruence correspondence on an affine algebra.
 
-A subalgebra B induces the congruence theta_B collapsing it; a congruence
-above theta_B recovers a subalgebra C(alpha, B).  Between the subalgebras
-containing B and the congruences containing theta_B these two maps are
-mutually inverse lattice isomorphisms, meet-irreducible subalgebras give
-subdirectly irreducible quotients, and every meet-irreducible B is the
-preimage of a one-element subalgebra under the canonical projection.
+A subalgebra B induces the congruence theta_B = Cg(B x B) collapsing it; a
+congruence above theta_B recovers a subalgebra C(alpha, B).  Between the
+subalgebras containing B and the congruences containing theta_B these two
+maps are mutually inverse lattice isomorphisms, meet-irreducible
+subalgebras give subdirectly irreducible quotients, and every
+meet-irreducible B is the preimage of a one-element subalgebra under the
+canonical projection of A/Cg(B x B), which needs no term.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     _same_tables,
     carrier_tables,
     con_lattice,
+    congruence_generated_by,
     principal_congruence,
     quotient_algebra,
     row_blocks,
@@ -33,7 +35,6 @@ from .core import (
     subuniverse_carriers,
     verify_congruence,
 )
-from .affine import induced_term
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,7 @@ class SubalgebraWitness:
 
 @dataclass(frozen=True)
 class KernelTriple:
-    """A subdirectly irreducible quotient S, the projection f, the point c,
-    and the image of the affine term on S.
+    """A subdirectly irreducible quotient S, the projection f and the point c.
 
     The singleton {c} is a subalgebra of S and the preimage of c under f is
     exactly the carrier the triple was built from.
@@ -83,7 +83,6 @@ class KernelTriple:
     quotient: FiniteAlgebra
     projection: Homomorphism
     point: int
-    term: Operation
 
 
 def theta_of_subalgebra(A, t: Operation, B: SubalgebraWitness) -> Congruence:
@@ -252,27 +251,32 @@ def meet_irreducibles(A, budget=DEFAULT_BUDGET, above=None):
     return out
 
 
-def kernel_quotient(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET) -> KernelTriple:
-    """Quotient A by theta_B for a completely meet-irreducible B.
+def kernel_quotient(A, B: SubalgebraWitness, budget=DEFAULT_BUDGET) -> KernelTriple:
+    """Quotient A by theta_B = Cg(B x B) for a completely meet-irreducible B.
 
-    Returns the subdirectly irreducible quotient S, the projection f, the
-    point c = f(B) whose singleton is a subalgebra and whose preimage is B,
-    and t induced on S.  Raises ValueError on a B that is not
-    meet-irreducible.  For a B below A the subuniverses above B and the
-    congruences above theta_B form isomorphic lattices, so B has one upper
-    cover exactly when S has a least nonidentity congruence, and the SI
-    check decides it.  Every nonidentity congruence contains some Cg(a, b)
-    with a < b, so that least congruence is the meet of those principal ones.
+    Returns the subdirectly irreducible quotient S, the projection f and the
+    point c = f(B) whose singleton is a subalgebra and whose preimage is B.
+    In an affine algebra theta_B is Cg(B x B), so no term is needed.  Raises
+    ValueError on a B that is not meet-irreducible, or that is not a whole
+    class of Cg(B x B), as can happen in a non-affine algebra.  For a
+    B below A the subuniverses above B and the congruences above theta_B
+    form isomorphic lattices, so B has one upper cover exactly when S has a
+    least nonidentity congruence, and the SI check decides it.  Every
+    nonidentity congruence contains some Cg(a, b) with a < b, so that least
+    congruence is the meet of those principal ones.
     """
     if len(B.carrier) == A.size:
         raise ValueError(f"carrier {list(B.carrier)} is the whole algebra, not meet-irreducible")
-    theta = theta_of_subalgebra(A, t, B)
+    theta = congruence_generated_by(A, [(B.carrier[0], b) for b in B.carrier])
     S, f = quotient_algebra(A, theta)
     c = int(f.np_mapping[B.carrier[0]])
     if (f.np_mapping[list(B.carrier)] != c).any():
         raise VerificationError("the projection does not collapse the carrier to one point")
     if not np.array_equal(np.flatnonzero(f.np_mapping == c), B.carrier):
-        raise VerificationError("the preimage of the point is not the carrier")
+        raise ValueError(
+            f"carrier {list(B.carrier)} is not a class of the congruence it generates: "
+            "the preimage of the point is larger"
+        )
     for o in S.ops:
         if o.np_table.reshape((S.size,) * o.arity)[(c,) * o.arity] != c:
             raise VerificationError(f"{{c}} not closed under {o.name}")
@@ -285,4 +289,4 @@ def kernel_quotient(A, t: Operation, B: SubalgebraWitness, budget=DEFAULT_BUDGET
             f"carrier {list(B.carrier)} is not completely meet-irreducible: "
             "the quotient has no least nonidentity congruence"
         )
-    return KernelTriple(S, f, c, induced_term(t, theta))
+    return KernelTriple(S, f, c)

@@ -113,9 +113,8 @@ def test_criterion_3_counting():
         bound = homgroups.cardinal_si_bound(A)
         for n in (1, 2):
             P = core.power_algebra(A, n)
-            t_P = affine.lift_term_to_power(terms[a], n)
             for w in subcong.meet_irreducibles(P):
-                kt = subcong.kernel_quotient(P, t_P, w)
+                kt = subcong.kernel_quotient(P, w)
                 assert bound % kt.quotient.size == 0, (a, n, kt.quotient.size)
                 si_checked += 1
     _report(

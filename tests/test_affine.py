@@ -73,15 +73,6 @@ def test_compatibility_with_every_basic_operation(z6, terms):
                     assert lhs == rhs
 
 
-def test_provenance_reproduces_table(z4, z6, terms):
-    for A in (z4, z6):
-        t = terms[A.name]
-        assert t.provenance is not None
-        tree = affine.TermTree(3, t.provenance)
-        values = tree.evaluate({o.name: o for o in A.ops}, core.decode_code(np.arange(A.size**3), [A.size] * 3))
-        assert tuple(np.broadcast_to(values, A.size**3).tolist()) == t.table
-
-
 def test_unique_affine_element_by_exhaustive_clone_scan(z2, z3, v4):
     # the full ternary clone is the oracle here: exactly one element passes
     # both the Mal'cev identities and compatibility, and it is the one found
@@ -189,27 +180,14 @@ def test_eval_independent_of_neutral(data, terms):
     assert len(values) == 1
 
 
-def test_induced_term_on_quotient(z4, terms):
-    mod2 = core.Congruence.from_classes(4, [[0, 2], [1, 3]])
-    ti = affine.induced_term(terms["z4"], mod2)
-    assert ti.table == modular_term_table(2)
-
-
-def test_term_table_array_is_built_once(z4, terms):
-    t = affine.lift_term_to_power(terms["z4"], 2)
+def test_term_table_array_is_built_once(z2):
+    t = affine.find_affine_term(core.power_algebra(z2, 2))
     table = t.np_table
     assert t.np_table is table and not table.flags.writeable
     assert table.tolist() == list(t.table)
     fresh = core.Operation("t", 3, t.base_size, t.table)
     assert fresh == t and hash(fresh) == hash(t)
     assert fresh.np_table is not table and fresh == t and hash(fresh) == hash(t)
-
-
-def test_lift_term_to_power(z2, terms):
-    tp = affine.lift_term_to_power(terms["z2"], 2)
-    # (0,1) - (1,1) + (1,0) = (0,0)
-    assert tp(1, 3, 2) == 0
-    assert affine.is_malcev(tp)
 
 
 _UNDER_OPTIMIZE = """

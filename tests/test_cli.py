@@ -372,6 +372,37 @@ def test_partial_relations_file_needs_only_relation_blocks(capsys, tmp_path):
     assert code == 1 and out.endswith("DUALITY FAIL k_max=1 relations=1 partial time=_\n")
 
 
+def _span(generators, modulus):
+    """The subgroup of Z_modulus^n spanned by the digit strings `generators`."""
+    vectors = [[int(d) for d in g] for g in generators]
+    n = len(vectors[0])
+    return sorted(
+        {
+            tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) % modulus for i in range(n))
+            for coeffs in itertools.product(range(modulus), repeat=len(vectors))
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "name, generators",
+    [("z2", ("1100001", "0110100", "0001110")), ("z4", ("1210", "0221")), ("z3", ("12001", "01120"))],
+    ids=["z2^7", "z4^4", "z3^5"],
+)
+def test_entail_certifies_spans_whose_power_cubed_exceeds_the_budget(capsys, tmp_path, name, generators):
+    # |A^n|^3 is 2,097,152 for Z2^7, 16,777,216 for Z4^4 and 14,348,907 for Z3^5
+    rel = tmp_path / "r.rel"
+    rows = _span(generators, int(name[1:]))
+    header = f"relation r {len(generators[0])} over {name}\n"
+    rel.write_text(header + "".join(f"t {' '.join(map(str, r))}\n" for r in rows))
+    code, out, err = run(capsys, ["entail", str(DATA / f"{name}.alg"), str(rel), "--arity", "3"])
+    assert code == 0 and out.endswith("ENTAIL PASS\n"), err
+    cert = tmp_path / "r.cert"
+    cert.write_text(out)
+    code, out, err = run(capsys, ["replay", str(cert)])
+    assert code == 0 and "cert r-cert: PASS" in out, err
+
+
 def _over_v4(tmp_path):
     rel = tmp_path / "r.rel"
     rel.write_text("relation r 1 over v4\nt 0\nt 1\n")

@@ -386,9 +386,11 @@ t = affine.find_affine_term(z2)
 if sys.argv[1] == "g table":  # one value of g is flipped
     real = factorize._g_values
     factorize._g_values = lambda *a: [1 - real(*a)[0]] + real(*a)[1:]
-else:  # only one of the three meet-irreducibles above the diagonal is listed
+elif sys.argv[1] == "meet":  # only one of the three meet-irreducibles above the diagonal is listed
     real = entailment.meet_irreducibles
     entailment.meet_irreducibles = lambda *a, **k: real(*a, **k)[:1]
+else:  # no affine term is found on the quotient
+    entailment.find_affine_term = lambda S, budget: None
 try:
     entailment.reduce_to_bounded_arity(z2, t, core.diagonal_relation(2, 3), 1)
 except core.VerificationError as e:
@@ -398,7 +400,11 @@ except core.VerificationError as e:
 
 @pytest.mark.parametrize(
     "corruption, message",
-    [("g table", "not a homomorphism"), ("meet", "meet-irreducible decomposition failed")],
+    [
+        ("g table", "not a homomorphism"),
+        ("meet", "meet-irreducible decomposition failed"),
+        ("quotient term", "has no affine term"),
+    ],
 )
 def test_reduction_checks_run_under_optimize(corruption, message):
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -488,18 +488,6 @@ def test_is_malcev_matches_oracle(size, data):
     assert affine.is_malcev(t) == expected
 
 
-@given(st.integers(1, 3), st.integers(1, 2), st.data())
-@settings(max_examples=30)
-def test_lift_term_to_power_matches_oracle(size, n, data):
-    t = data.draw(ternary_tables(size))
-    lifted = affine.lift_term_to_power(t, n)
-    sizes = [size] * n
-    for args in itertools.product(range(size**n), repeat=3):
-        digits = [digits_of(c, sizes) for c in args]
-        expected = code_of([t(*(d[i] for d in digits)) for i in range(n)], sizes)
-        assert lifted(*args) == expected
-
-
 def _peak_mib(f):
     tracemalloc.start()
     try:
@@ -542,8 +530,9 @@ def test_carrier_checks_on_ternary_algebra():
 
 @given(st.integers(1, 4), st.data())
 @settings(max_examples=30)
-def test_induced_term_matches_oracle(size, data):
+def test_quotient_tables_match_oracle(size, data):
     t = data.draw(ternary_tables(size))
+    A = core.FiniteAlgebra("t", size, [t])
     for class_of in partitions(size):
         theta = core.Congruence(size, class_of)
         quotient = {}
@@ -552,11 +541,11 @@ def test_induced_term_matches_oracle(size, data):
             key = tuple(class_of[a] for a in args)
             descends &= quotient.setdefault(key, class_of[t(*args)]) == class_of[t(*args)]
         if descends:
-            table = tuple(quotient[key] for key in itertools.product(range(theta.num_classes), repeat=3))
-            assert affine.induced_term(t, theta).table == table
+            table = [quotient[key] for key in itertools.product(range(theta.num_classes), repeat=3)]
+            assert [q.tolist() for q in core.quotient_tables(A, theta)] == [table]
         else:
             with pytest.raises(ValueError, match="not preserved by t"):
-                affine.induced_term(t, theta)
+                core.quotient_tables(A, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adual import affine, cli, core, subcong, textio, zoo
@@ -174,31 +175,30 @@ def test_meet_irreducibles_above_match_the_filtered_list(base, n):
         assert got == [c for c in full if set(R) <= set(c)]
 
 
-def test_kernel_quotient_examples(z4, v4, terms):
-    kt = subcong.kernel_quotient(z4, terms["z4"], subcong.SubalgebraWitness(z4, (0, 2)))
+def test_kernel_quotient_examples(z4, v4):
+    kt = subcong.kernel_quotient(z4, subcong.SubalgebraWitness(z4, (0, 2)))
     assert kt.quotient.size == 2
     assert kt.projection.mapping == (0, 1, 0, 1)
     assert kt.point == 0
     # B = {0}: quotient is Z4 itself, which is subdirectly irreducible
-    kt2 = subcong.kernel_quotient(z4, terms["z4"], subcong.SubalgebraWitness(z4, (0,)))
+    kt2 = subcong.kernel_quotient(z4, subcong.SubalgebraWitness(z4, (0,)))
     assert kt2.quotient.size == 4 and kt2.point == 0
     # Klein group component
-    ktv = subcong.kernel_quotient(v4, terms["v4"], subcong.SubalgebraWitness(v4, (0, 2)))
+    ktv = subcong.kernel_quotient(v4, subcong.SubalgebraWitness(v4, (0, 2)))
     assert ktv.quotient.size == 2
 
 
-def test_kernel_quotient_rejects_non_meet_irreducible(z4, v4, terms):
+def test_kernel_quotient_rejects_non_meet_irreducible(z4, v4):
     with pytest.raises(ValueError):
-        subcong.kernel_quotient(z4, terms["z4"], subcong.SubalgebraWitness(z4, (0, 1, 2, 3)))
+        subcong.kernel_quotient(z4, subcong.SubalgebraWitness(z4, (0, 1, 2, 3)))
     with pytest.raises(ValueError):
         # {0} in the Klein group is the meet of the three lines
-        subcong.kernel_quotient(v4, terms["v4"], subcong.SubalgebraWitness(v4, (0,)))
+        subcong.kernel_quotient(v4, subcong.SubalgebraWitness(v4, (0,)))
 
 
-def test_quotient_by_meet_irreducible_is_subdirectly_irreducible(z6, terms):
-    t = terms["z6"]
+def test_quotient_by_meet_irreducible_is_subdirectly_irreducible(z6):
     for w in subcong.meet_irreducibles(z6):
-        kt = subcong.kernel_quotient(z6, t, w)
+        kt = subcong.kernel_quotient(z6, w)
         nontrivial = [c for c in core.con_lattice(kt.quotient) if not c.is_identity()]
         monolith = nontrivial[0]
         for c in nontrivial[1:]:
@@ -209,18 +209,57 @@ def test_quotient_by_meet_irreducible_is_subdirectly_irreducible(z6, terms):
 @pytest.mark.parametrize("name", ["z4", "v4", "z6", "z2^2"])
 def test_kernel_quotient_refuses_exactly_the_carriers_meet_irreducibles_omits(name, z2, z4, v4, z6):
     A = {"z4": z4, "v4": v4, "z6": z6, "z2^2": core.power_algebra(z2, 2)}[name]
-    t = affine.find_affine_term(A)
     irreducible = {w.carrier for w in subcong.meet_irreducibles(A)}
     refused = set()
     for carrier in core.subuniverse_carriers(A):
         try:
-            kt = subcong.kernel_quotient(A, t, subcong.SubalgebraWitness(A, carrier))
+            kt = subcong.kernel_quotient(A, subcong.SubalgebraWitness(A, carrier))
         except ValueError:
             refused.add(carrier)
             continue
         assert tuple(x for x in range(A.size) if kt.projection(x) == kt.point) == carrier
     assert refused == set(core.subuniverse_carriers(A)) - irreducible
     assert irreducible and refused
+
+
+def _differential_algebra(name, z2, z4, v4, z6):
+    if name == "z4aff":
+        path = DATA / "z4aff.alg"
+        return textio.parse_document(path.read_text(), source=str(path)).algebras["z4aff"]
+    return {"z4": z4, "v4": v4, "z6": z6, "z2^2": core.power_algebra(z2, 2)}[name]
+
+
+@pytest.mark.parametrize("name", ["z4", "v4", "z6", "z2^2", "z4aff"])
+def test_theta_is_the_congruence_generated_by_the_carrier_square(name, z2, z4, v4, z6):
+    # kernel_quotient relies on theta_B = Cg(B x B) in an affine algebra
+    A = _differential_algebra(name, z2, z4, v4, z6)
+    t = affine.find_affine_term(A)
+    for carrier in core.subuniverse_carriers(A):
+        theta = subcong.theta_of_subalgebra(A, t, subcong.SubalgebraWitness(A, carrier))
+        assert core.congruence_generated_by(A, [(carrier[0], b) for b in carrier]) == theta
+
+
+@pytest.mark.parametrize("name", ["z4", "v4", "z6", "z2^2", "z4aff"])
+def test_the_term_of_each_quotient_is_the_image_of_the_term(name, z2, z4, v4, z6):
+    # the affine term found on S is the one t induces: f(t(x,y,z)) = t_S(fx,fy,fz)
+    A = _differential_algebra(name, z2, z4, v4, z6)
+    t = affine.find_affine_term(A)
+    x, y, z = core.decode_code(np.arange(A.size**3), [A.size] * 3)
+    for w in subcong.meet_irreducibles(A):
+        kt = subcong.kernel_quotient(A, w)
+        f, t_S = kt.projection.np_mapping, affine.find_affine_term(kt.quotient)
+        assert t_S is not None
+        assert np.array_equal(f[t.np_table], t_S.np_table[core.encode_tuple((f[x], f[y], f[z]), kt.quotient.size)])
+
+
+def test_kernel_quotient_on_s3(s3):
+    # without a term, a non-affine algebra reaches the preimage check
+    for carrier in ((0, 1), (0, 2), (0, 5)):  # the non-normal subgroups
+        with pytest.raises(ValueError, match=rf"carrier \[{carrier[0]}, {carrier[1]}\]"):
+            subcong.kernel_quotient(s3, subcong.SubalgebraWitness(s3, carrier))
+    kt = subcong.kernel_quotient(s3, subcong.SubalgebraWitness(s3, (0, 3, 4)))  # A3
+    assert (kt.quotient.size, kt.point) == (2, 0)
+    assert tuple(np.flatnonzero(kt.projection.np_mapping == 0)) == (0, 3, 4)
 
 
 # Each verify_galois check made to fail on data/z2.alg above B = {0}, where
