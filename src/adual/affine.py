@@ -6,9 +6,13 @@ Abelian group structures x +^c y = t(x,c,y) derived from such a t share the
 same term map, and integer combinations sum(u_k * x_k) with sum(u_k) = 1 are
 again terms.
 
-The term is a core `Operation` named t, of arity 3.  An affine algebra has
-exactly one affine term, so the term of a quotient is found on the quotient
-itself, and no table of t on a power is built.  Each group x +^c y is an
+The term is a core `Operation` named t, of arity 3.  `find_affine_term`
+grows the table that the Mal'cev identities force on A^3 until it is total
+or breaks, checks that it commutes with A, in O(|A|^3) plus the size of
+each operation's table where A is affine over the group it induces, and
+derives it in the ternary term clone.  An affine algebra has exactly one
+affine term, so the term of a quotient is found on the quotient itself,
+and no table of t on a power is built.  Each group x +^c y is an
 `AbelianGroup`, the one group type of the package, whose construction is
 the one check of the Abelian group axioms.  A group keeps its addition
 table once, as a read-only int64 array, and one table of multiples (row m
@@ -32,8 +36,8 @@ from .core import (
     Operation,
     VerificationError,
     _int_array,
+    along_axis,
     apply_coordinatewise,
-    closed_product_subset,
     decode_code,
     encode_tuple,
     grid_blocks,
@@ -213,32 +217,31 @@ def commutes_with_algebra(t: Operation, A: FiniteAlgebra):
 def find_affine_term(A, budget=DEFAULT_BUDGET):
     """The affine term of A as the operation t, or None if the clone has none.
 
-    The search has three exact stages.  First, the set of Mal'cev-constrained
-    triples G = {(x,y,y)} u {(y,y,x)} must generate A^3: any Mal'cev term m
-    reproduces an arbitrary triple as m((x,y,y),(y,y,y),(y,y,z)), so failure
-    here already rules out a Mal'cev term.  Second, the graph of the forced
-    values on G is closed inside A^4; the closure is functional exactly when
-    a compatible Mal'cev operation exists, and then it is the unique one.
-    Third, membership of that candidate in the ternary term clone is decided
-    by breadth-first generation from the three projections, stopping as soon
-    as the candidate appears.
+    The search has three exact stages.  First, `_malcev_table` grows the
+    values that t(x,y,y) = t(y,y,x) = x forces, through the operations of A
+    applied coordinatewise on A^3; it gives None at the first triple forced
+    to two values or when the growth stalls short of A^3, and otherwise a
+    total table T as soon as one is reached.  Second, graph(T) is closed in
+    A^4 exactly when T commutes with every operation, and then T is the
+    unique compatible Mal'cev operation; otherwise the closure of the forced
+    values strictly contains graph(T), is not functional, and A has no
+    affine term.  Compatibility is decided by `_affine_over_its_group` in
+    O(|A|^3 + sum |A|^arity) and, where that test does not apply, by the
+    exhaustive `commutes_with_algebra`.  Third, membership of T in the
+    ternary term clone is decided by breadth-first generation from the
+    three projections, stopping as soon as T appears.
     """
     n = A.size
     if n**4 > budget:
         raise BudgetExceededError(n**4, budget, hint="Mal'cev graph closure space")
-    x, y = decode_code(np.arange(n * n), [n, n])
-    seed = np.concatenate([encode_tuple((x, y, y, x), n), encode_tuple((y, y, x, x), n)])
-    graph = closed_product_subset([A] * 4, seed)
-    prefixes = np.unique(graph // n)
-    if prefixes.size < n**3 or graph.size != prefixes.size:
+    table = _malcev_table(A)
+    if table is None:
         return None
-    table = np.zeros(n**3, dtype=np.int64)
-    table[graph // n] = graph % n
     candidate = Operation("t", 3, n, table)
-    if not (is_malcev(candidate) and commutes_with_algebra(candidate, A)):
-        raise VerificationError(
-            f"the Mal'cev graph closure of {A.name} is not a compatible Mal'cev operation"
-        )
+    if not is_malcev(candidate):
+        raise VerificationError(f"the forced Mal'cev table of {A.name} breaks the Mal'cev identities")
+    if not (_affine_over_its_group(candidate, A) or commutes_with_algebra(candidate, A)):
+        return None
     derivation = _clone_search(A, candidate.table, budget)
     if derivation is None:
         return None
@@ -246,6 +249,90 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
     if (values != table).any():
         raise VerificationError(f"the derivation of the affine term of {A.name} misses its table")
     return candidate
+
+
+def _malcev_table(A):
+    """The table on A^3 codes that t(x,y,y) = t(y,y,x) = x forces, or None.
+
+    The partial table starts from the Mal'cev identities, which give
+    t(c,c,c) = c for every constant c too.  Each round applies every
+    operation of A, coordinatewise on A^4 (a triple and its value), to the
+    argument tuples that hold a triple filled in the round before at some
+    position and filled ones elsewhere, cut by `row_blocks` along the new
+    triples.
+    Returns None at the first triple that gets two values or at a round that
+    fills no triple, and the table as soon as every triple is filled.
+    """
+    n = A.size
+    x, y = decode_code(np.arange(n * n), [n, n])
+    value = np.full(n**3, -1, dtype=np.int64)
+    value[encode_tuple((x, y, y), n)] = x
+    value[encode_tuple((y, y, x), n)] = x
+    filled = np.flatnonzero(value >= 0)
+    frontier, count = filled, filled.size
+    ops = [o for o in A.ops if o.arity]  # constants are already filled
+    depth = max((o.arity for o in ops), default=0)
+    while count < n**3:
+        if not frontier.size:
+            return None
+        first = along_axis(decode_code(frontier * n + value[frontier], [n] * 4), 0, depth)
+        digits = decode_code(filled * n + value[filled], [n] * 4)
+        rest = [along_axis(digits, j, depth) for j in range(1, depth)]
+        new = []
+        for o in ops:
+            for rows in row_blocks(frontier.size, filled.size ** (o.arity - 1)):
+                block = tuple(d[rows] for d in first)
+                for pos in range(o.arity):
+                    args = rest[: o.arity - 1]
+                    args.insert(pos, block)
+                    triple, image = divmod(apply_coordinatewise([o.np_table] * 4, [n] * 4, args).ravel(), n)
+                    known = value[triple]
+                    if ((known >= 0) & (known != image)).any():
+                        return None
+                    unknown = known < 0
+                    triple, image = triple[unknown], image[unknown]
+                    value[triple] = image
+                    if (value[triple] != image).any():  # one open triple, two values
+                        return None
+                    new.append(np.unique(triple))
+                    count += new[-1].size
+                    if count == n**3:
+                        return value
+        frontier = np.concatenate(new) if new else frontier[:0]
+        filled = np.flatnonzero(value >= 0)
+    return value
+
+
+def _affine_over_its_group(t: Operation, A: FiniteAlgebra):
+    """True if t is x - y + z in the group x + y = t(x,0,y) and A is affine over it.
+
+    Affine over the group means that every operation o is
+    sum alpha_i(x_i) + o(0..0), checked over o's whole table, where each
+    alpha_i(x) = o(0,..,x,..,0) - o(0..0) is an endomorphism.  Each such o
+    commutes with x - y + z, so then t commutes with A.  The cost is
+    O(|A|^3 + sum |A|^arity); False says only that this test does not apply.
+    """
+    n = A.size
+    try:
+        G = group_from_affine(t, 0)
+    except AffineStructureError:
+        return False
+    add, neg = G.np_add_table.reshape(n, n), G.multiples[-1]
+    x, y, z = decode_code(np.arange(n**3), [n] * 3)
+    if (add[add[x, neg[y]], z] != t.np_table).any():
+        return False
+    for o in A.ops:
+        table = o.np_table.reshape((n,) * o.arity)
+        const = table[(0,) * o.arity]
+        total = const
+        for i in range(o.arity):
+            alpha = add[table[(0,) * i + (slice(None),) + (0,) * (o.arity - 1 - i)], neg[const]]
+            if (alpha[add] != add[alpha[:, None], alpha]).any():
+                return False
+            total = add[total, alpha.reshape((n,) + (1,) * (o.arity - 1 - i))]
+        if (np.broadcast_to(total, table.shape) != table).any():
+            return False
+    return True
 
 
 def _clone_search(A, target, budget):

@@ -333,7 +333,7 @@ def reduce_to_bounded_arity(
 
     nodes = []
     for w in components:
-        kt = kernel_quotient(P, w, budget)
+        kt = kernel_quotient(P, w)
         c = kt.point
         t_S = find_affine_term(kt.quotient, budget)
         if t_S is None:

@@ -251,7 +251,7 @@ def meet_irreducibles(A, budget=DEFAULT_BUDGET, above=None):
     return out
 
 
-def kernel_quotient(A, B: SubalgebraWitness, budget=DEFAULT_BUDGET) -> KernelTriple:
+def kernel_quotient(A, B: SubalgebraWitness) -> KernelTriple:
     """Quotient A by theta_B = Cg(B x B) for a completely meet-irreducible B.
 
     Returns the subdirectly irreducible quotient S, the projection f and the

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adual import affine, core, zoo
+from adual import affine, core, textio, zoo
 
 
 def modular_term_table(n):
@@ -85,6 +86,180 @@ def test_unique_affine_element_by_exhaustive_clone_scan(z2, z3, v4):
             and affine.commutes_with_algebra(core.Operation("t", 3, A.size, tab), A)
         ]
         assert hits == [affine.find_affine_term(A).table]
+
+
+BUDGETS = (10**6, 5000, 300)
+
+
+def oracle_outcomes(A):
+    """The affine term's table, None or the refused count at each of BUDGETS.
+
+    This is the three-stage search `find_affine_term` had before: the
+    Mal'cev graph is closed in A^4, checked by `commutes_with_algebra`, and
+    derived in the ternary term clone.  The closure does not read the
+    budget, so it runs once.
+    """
+    n = A.size
+    x, y = core.decode_code(np.arange(n * n), [n, n])
+    seed = np.concatenate([core.encode_tuple((x, y, y, x), n), core.encode_tuple((y, y, x, x), n)])
+    graph = core.closed_product_subset([A] * 4, seed)
+    prefixes = np.unique(graph // n)
+    candidate = None
+    if prefixes.size == n**3 and graph.size == prefixes.size:
+        table = np.zeros(n**3, dtype=np.int64)
+        table[graph // n] = graph % n
+        candidate = core.Operation("t", 3, n, table)
+        assert affine.is_malcev(candidate) and affine.commutes_with_algebra(candidate, A)
+    outcomes = []
+    for budget in BUDGETS:
+        try:
+            if n**4 > budget:
+                raise core.BudgetExceededError(n**4, budget)
+            found = candidate and affine._clone_search(A, candidate.table, budget)
+            outcomes.append(candidate.table if found else None)
+        except core.BudgetExceededError as e:
+            outcomes.append(("refused", e.count))
+    return outcomes
+
+
+def search_outcomes(A):
+    """`oracle_outcomes` for `find_affine_term`."""
+    outcomes = []
+    for budget in BUDGETS:
+        try:
+            t = affine.find_affine_term(A, budget)
+            outcomes.append(None if t is None else t.table)
+        except core.BudgetExceededError as e:
+            outcomes.append(("refused", e.count))
+    return outcomes
+
+
+def assert_search_matches_oracle(A):
+    assert search_outcomes(A) == oracle_outcomes(A), A
+
+
+@st.composite
+def small_algebras(draw):
+    """Algebras of 1-4 elements with up to three operations of arity 0-3.
+
+    Ternary operations are drawn on at most three elements: on four, the
+    oracle's closure in A^4 takes over a second per algebra.
+    """
+    n = draw(st.integers(1, 4))
+    ops = []
+    for i, arity in enumerate(draw(st.lists(st.integers(0, 3 if n < 4 else 2), max_size=3))):
+        table = draw(st.lists(st.integers(0, n - 1), min_size=n**arity, max_size=n**arity))
+        ops.append(core.Operation(f"o{i}", arity, n, table))
+    return core.FiniteAlgebra("h", n, ops)
+
+
+@settings(max_examples=60)
+@given(small_algebras())
+def test_search_matches_the_oracle_on_every_reduct(A):
+    for r in range(len(A.ops) + 1):
+        for ops in itertools.combinations(A.ops, r):
+            assert_search_matches_oracle(core.FiniteAlgebra(A.name, A.size, list(ops)))
+
+
+@st.composite
+def affine_binary_algebras(draw):
+    """Operations a*x + b*y + c over Z_n, or over Z2^2 with 2x2 matrices a and b.
+
+    Some also get one operation with a random table, which the Mal'cev
+    table need not commute with.
+    """
+    klein = draw(st.booleans())
+    n = 4 if klein else draw(st.integers(2, 5))
+    if klein:  # codes 2*u + v, vectors (u, v), addition is xor
+        vec = [(x >> 1, x & 1) for x in range(4)]
+
+        def endo():
+            m = draw(st.lists(st.integers(0, 1), min_size=4, max_size=4))
+            row = lambda i, x: (m[2 * i] * vec[x][0] + m[2 * i + 1] * vec[x][1]) % 2
+            return lambda x: 2 * row(0, x) + row(1, x)
+
+        plus = lambda x, y: x ^ y
+    else:
+
+        def endo():
+            a = draw(st.integers(0, n - 1))
+            return lambda x: a * x % n
+
+        plus = lambda x, y: (x + y) % n
+    ops = []
+    for i in range(draw(st.integers(1, 3))):
+        a, b, c = endo(), endo(), draw(st.integers(0, n - 1))
+        table = [plus(plus(a(x), b(y)), c) for x in range(n) for y in range(n)]
+        ops.append(core.Operation(f"o{i}", 2, n, table))
+    if draw(st.booleans()):
+        arity = draw(st.integers(1, 2))
+        table = draw(st.lists(st.integers(0, n - 1), min_size=n**arity, max_size=n**arity))
+        ops.append(core.Operation("r", arity, n, table))
+    return core.FiniteAlgebra("aff", n, ops)
+
+
+@settings(max_examples=60)
+@given(affine_binary_algebras())
+def test_search_matches_the_oracle_on_affine_operations(A):
+    # The clone search, the same code in both, takes seconds on some of these
+    # algebras.  Both searches reach it with the same target and budget
+    # exactly when they agree before it, so here it is recorded and answers
+    # None, and the calls are compared with the outcomes.
+    calls = []
+
+    def recorded(B, target, budget):
+        calls.append((target, budget))
+
+    with mock.patch.object(affine, "_clone_search", recorded):
+        got, got_calls = search_outcomes(A), calls[:]
+        calls.clear()
+        assert (got, got_calls) == (oracle_outcomes(A), calls), A
+
+
+def test_search_matches_the_oracle_on_zoo_and_data_algebras():
+    algebras = [zoo.cyclic_group(n) for n in range(1, 7)]
+    algebras += [zoo.klein_group(), zoo.two_element_semilattice(), zoo.symmetric_group_3()]
+    algebras += [zoo.direct_product(zoo.cyclic_group(2), zoo.cyclic_group(3))]
+    for path in sorted((Path(__file__).resolve().parents[1] / "data").glob("*.alg")):
+        algebras += textio.parse_document(path.read_text()).algebras.values()
+    for A in algebras:
+        assert_search_matches_oracle(A)
+
+
+def test_exhaustive_compatibility_check_gives_the_same_terms(monkeypatch, count_calls):
+    data = Path(__file__).resolve().parents[1] / "data"
+    algebras = [zoo.cyclic_group(n) for n in (2, 3, 4, 6)] + [zoo.klein_group()]
+    algebras += textio.parse_document((data / "z4aff.alg").read_text()).algebras.values()
+    want = [affine.find_affine_term(A).table for A in algebras]
+    monkeypatch.setattr(affine, "_affine_over_its_group", lambda t, A: False)
+    checked = count_calls(affine.commutes_with_algebra)
+    assert [affine.find_affine_term(A).table for A in algebras] == want
+    assert [A for _, A in checked] == algebras
+
+
+@pytest.fixture()
+def kernel_cells(monkeypatch):
+    """A list that gets the size of each result of the kernel as the term search calls it."""
+    cells = []
+
+    def counted(tables, sizes, args):
+        out = core.apply_coordinatewise(tables, sizes, args)
+        cells.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(affine, "apply_coordinatewise", counted)
+    return cells
+
+
+def test_a_conflict_stops_the_search_on_s3(kernel_cells, s3):
+    assert affine.find_affine_term(s3) is None
+    assert 0 < sum(kernel_cells) < 10_000  # closing the Mal'cev graph in A^4 took 596,449
+
+
+def test_the_forced_table_stops_once_total(kernel_cells, z6):
+    # the first block, add with a new triple first, fills every triple
+    assert affine._malcev_table(z6).tolist() == list(modular_term_table(6))
+    assert kernel_cells == [66 * 66]
 
 
 def test_clone_budget_failure(s3):
@@ -199,9 +374,8 @@ from adual import affine, core, zoo
 
 if __debug__ or not sys.flags.optimize:
     sys.exit("not running under -O")
-if sys.argv[1] == "Mal'cev":  # the closure returns the graph of t(x,y,z) = x
-    codes = np.arange(8)
-    affine.closed_product_subset = lambda factors, seed: 2 * codes + codes // 4
+if sys.argv[1] == "Mal'cev":  # the forced table is that of t(x,y,z) = x
+    affine._malcev_table = lambda A: np.repeat(np.arange(A.size), A.size**2)
 else:  # the clone search derives the first projection
     affine._clone_search = lambda A, target, budget: ("proj", 0)
 try:
