@@ -8,17 +8,16 @@ again terms.
 
 The term is a core `Operation` named t, of arity 3.  `find_affine_term`
 grows the table that the Mal'cev identities force on A^3 until it is total
-or breaks, checks that it commutes with A, in O(|A|^3) plus the size of
-each operation's table where A is affine over the group it induces, and
-derives it in the ternary term clone.  An affine algebra has exactly one
-affine term, so the term of a quotient is found on the quotient itself,
-and no table of t on a power is built.  Each group x +^c y is an
-`AbelianGroup`, the one group type of the package, whose construction is
-the one check of the Abelian group axioms.  A group keeps its addition
-table once, as a read-only int64 array, and one table of multiples (row m
-holds m * x) that gives orders, the exponent and k * x, so
-`affine_combination_array` sums its terms with gathers over these two
-tables.
+or breaks, checks that it commutes with itself and with A, in O(|A|^3)
+plus the size of each operation's table, and derives it in the ternary
+term clone.  An affine algebra has exactly one affine term, so the term of
+a quotient is found on the quotient itself, and no table of t on a power
+is built.  Each group x +^c y is an `AbelianGroup`, the one group type of
+the package, whose construction is the one check of the Abelian group
+axioms.  A group keeps its addition table once, as a read-only int64
+array, and one table of multiples (row m holds m * x) that gives orders,
+the exponent and k * x, so `affine_combination_array` sums its terms with
+gathers over these two tables.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from .core import (
     Operation,
     VerificationError,
     _int_array,
-    along_axis,
     apply_coordinatewise,
+    closure_blocks,
     decode_code,
     encode_tuple,
     grid_blocks,
@@ -225,11 +224,13 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
     A^4 exactly when T commutes with every operation, and then T is the
     unique compatible Mal'cev operation; otherwise the closure of the forced
     values strictly contains graph(T), is not functional, and A has no
-    affine term.  Compatibility is decided by `_affine_over_its_group` in
-    O(|A|^3 + sum |A|^arity) and, where that test does not apply, by the
-    exhaustive `commutes_with_algebra`.  Third, membership of T in the
-    ternary term clone is decided by breadth-first generation from the
-    three projections, stopping as soon as T appears.
+    affine term.  A T that commutes with A commutes with every term of A,
+    so T is no term unless it also commutes with itself.
+    `_affine_over_its_group` checks both at once, in
+    O(|A|^3 + sum |A|^arity), and A has no affine term when it fails.
+    Third, membership of T in the ternary term clone is decided by
+    breadth-first generation from the three projections, stopping as soon
+    as T appears.
     """
     n = A.size
     if n**4 > budget:
@@ -240,7 +241,7 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
     candidate = Operation("t", 3, n, table)
     if not is_malcev(candidate):
         raise VerificationError(f"the forced Mal'cev table of {A.name} breaks the Mal'cev identities")
-    if not (_affine_over_its_group(candidate, A) or commutes_with_algebra(candidate, A)):
+    if not _affine_over_its_group(candidate, A):
         return None
     derivation = _clone_search(A, candidate.table, budget)
     if derivation is None:
@@ -254,63 +255,38 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
 def _malcev_table(A):
     """The table on A^3 codes that t(x,y,y) = t(y,y,x) = x forces, or None.
 
-    The partial table starts from the Mal'cev identities, which give
-    t(c,c,c) = c for every constant c too.  Each round applies every
-    operation of A, coordinatewise on A^4 (a triple and its value), to the
-    argument tuples that hold a triple filled in the round before at some
-    position and filled ones elsewhere, cut by `row_blocks` along the new
-    triples.
-    Returns None at the first triple that gets two values or at a round that
-    fills no triple, and the table as soon as every triple is filled.
+    The graph of t in A^4 is closed by `closure_blocks` from the Mal'cev
+    identities, which give t(c,c,c) = c for every constant c too.  Returns
+    None as soon as a triple gets two values or when the closure ends short
+    of a total table, and the table as soon as every triple has a value.
     """
     n = A.size
     x, y = decode_code(np.arange(n * n), [n, n])
+    seed = np.concatenate([encode_tuple((x, y, y, x), n), encode_tuple((y, y, x, x), n)])
     value = np.full(n**3, -1, dtype=np.int64)
-    value[encode_tuple((x, y, y), n)] = x
-    value[encode_tuple((y, y, x), n)] = x
-    filled = np.flatnonzero(value >= 0)
-    frontier, count = filled, filled.size
-    ops = [o for o in A.ops if o.arity]  # constants are already filled
-    depth = max((o.arity for o in ops), default=0)
-    while count < n**3:
-        if not frontier.size:
+    value[seed // n] = seed % n
+    count = np.count_nonzero(value >= 0)
+    for codes in closure_blocks([A] * 4, np.zeros(n**4, dtype=bool), seed):
+        triple, image = divmod(codes, n)
+        if (value[triple] >= 0).any():  # a new value for a triple that has one
             return None
-        first = along_axis(decode_code(frontier * n + value[frontier], [n] * 4), 0, depth)
-        digits = decode_code(filled * n + value[filled], [n] * 4)
-        rest = [along_axis(digits, j, depth) for j in range(1, depth)]
-        new = []
-        for o in ops:
-            for rows in row_blocks(frontier.size, filled.size ** (o.arity - 1)):
-                block = tuple(d[rows] for d in first)
-                for pos in range(o.arity):
-                    args = rest[: o.arity - 1]
-                    args.insert(pos, block)
-                    triple, image = divmod(apply_coordinatewise([o.np_table] * 4, [n] * 4, args).ravel(), n)
-                    known = value[triple]
-                    if ((known >= 0) & (known != image)).any():
-                        return None
-                    unknown = known < 0
-                    triple, image = triple[unknown], image[unknown]
-                    value[triple] = image
-                    if (value[triple] != image).any():  # one open triple, two values
-                        return None
-                    new.append(np.unique(triple))
-                    count += new[-1].size
-                    if count == n**3:
-                        return value
-        frontier = np.concatenate(new) if new else frontier[:0]
-        filled = np.flatnonzero(value >= 0)
-    return value
+        value[triple] = image
+        if (value[triple] != image).any():  # two new values for one triple
+            return None
+        count += np.unique(triple).size
+        if count == n**3:
+            return value
+    return value if count == n**3 else None
 
 
 def _affine_over_its_group(t: Operation, A: FiniteAlgebra):
-    """True if t is x - y + z in the group x + y = t(x,0,y) and A is affine over it.
+    """True iff the Mal'cev operation t commutes with itself and with every operation of A.
 
-    Affine over the group means that every operation o is
-    sum alpha_i(x_i) + o(0..0), checked over o's whole table, where each
-    alpha_i(x) = o(0,..,x,..,0) - o(0..0) is an endomorphism.  Each such o
-    commutes with x - y + z, so then t commutes with A.  The cost is
-    O(|A|^3 + sum |A|^arity); False says only that this test does not apply.
+    A Mal'cev operation commutes with itself exactly when it is x - y + z
+    in the Abelian group x + y = t(x,0,y).  An operation o commutes with
+    x - y + z exactly when o is sum alpha_i(x_i) + o(0..0), checked over
+    o's whole table, where each alpha_i(x) = o(0,..,x,..,0) - o(0..0) is an
+    endomorphism.  The cost is O(|A|^3 + sum |A|^arity).
     """
     n = A.size
     try:

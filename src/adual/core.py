@@ -345,10 +345,10 @@ def _check_same_signature(A, B):
 # ---------------------------------------------------------------------------
 # The closure engine.
 #
-# All subuniverse generation runs through one routine that closes a set of
-# integer codes under the operations of a product of algebras, applied
-# coordinatewise by `apply_coordinatewise`.  Factors may repeat (powers) or
-# differ; they need only share a signature.
+# All subuniverse generation runs through one routine, `closure_blocks`,
+# that closes a set of integer codes under the operations of a product of
+# algebras, applied coordinatewise by `apply_coordinatewise`.  Factors may
+# repeat (powers) or differ; they need only share a signature.
 # ---------------------------------------------------------------------------
 
 
@@ -358,7 +358,25 @@ def closed_product_subset(factors, seed, base=None):
     `factors` is a nonempty sequence of algebras with identical signatures;
     codes are mixed-radix with the first factor most significant.  `base`,
     if given, is an already-closed member array that the seed extends.
-    Returns the sorted member codes as a numpy array.
+    Returns the sorted member codes as a numpy array.  The work is done by
+    `closure_blocks`.
+    """
+    factors = list(factors)
+    member = np.zeros(math.prod(F.size for F in factors), dtype=bool)
+    if base is not None:
+        member[np.asarray(base, dtype=np.int64)] = True
+    for _ in closure_blocks(factors, member, seed):
+        pass
+    return np.flatnonzero(member)
+
+
+def closure_blocks(factors, member, seed):
+    """Close `member`, a boolean array over the product's codes, and `seed` in place.
+
+    `factors` and the codes are as in `closed_product_subset`.  Yields, as
+    the closure goes, the codes each block adds to `member`, which may
+    repeat within a block, so a caller can stop as soon as it has seen
+    enough.  The constants and the seed join first and are not yielded.
 
     Each round applies every operation to the argument tuples that hold a
     frontier element (the newest members) at some position and current
@@ -370,9 +388,6 @@ def closed_product_subset(factors, seed, base=None):
     for F in factors[1:]:
         _check_same_signature(factors[0], F)
     sizes = [F.size for F in factors]
-    member = np.zeros(math.prod(sizes), dtype=bool)
-    if base is not None:
-        member[np.asarray(base, dtype=np.int64)] = True
     ops = [([F.op(o.name).np_table for F in factors], o.arity) for o in factors[0].ops]
     # constants join the seed once
     consts = {int(apply_coordinatewise(tables, sizes, ())) for tables, arity in ops if arity == 0}
@@ -398,8 +413,8 @@ def closed_product_subset(factors, seed, base=None):
                     fresh = codes[~member[codes]]
                     member[fresh] = True
                     new.append(fresh)
+                    yield fresh
         frontier = np.unique(np.concatenate(new)) if new else current[:0]
-    return np.flatnonzero(member)
 
 
 def generated_subuniverse(A, seed, budget=DEFAULT_BUDGET):
