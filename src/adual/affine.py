@@ -10,13 +10,15 @@ The term is a core `Operation` named t, of arity 3.  `find_affine_term`
 grows the table that the Mal'cev identities force on A^3 until it is total
 or breaks, checks that it commutes with itself and with A, in O(|A|^3)
 plus the size of each operation's table, and derives it in the ternary
-term clone.  An affine algebra has exactly one affine term, so the term of
-a quotient is found on the quotient itself, and no table of t on a power
-is built.  Each group x +^c y is an `AbelianGroup`, the one group type of
-the package, whose construction is the one check of the Abelian group
-axioms.  A group keeps its addition table once, as a read-only int64
-array, and one table of multiples (row m holds m * x) that gives orders,
-the exponent and k * x, so `affine_combination_array` sums its terms with
+term clone.  That check, `operation_parts`, also gives each operation as
+a sum of endomorphisms plus a constant, which `duality.affine_gcd` reads.
+An affine algebra has exactly one affine term, so the term of a quotient
+is found on the quotient itself, and no table of t on a power is built.
+Each group x +^c y is an `AbelianGroup`, the one group type of the
+package, whose construction is the one check of the Abelian group axioms.
+A group keeps its addition table once, as a read-only int64 array, and
+one table of multiples (row m holds m * x) that gives orders, the
+exponent and k * x, so `affine_combination_array` sums its terms with
 gathers over these two tables.
 """
 
@@ -280,23 +282,32 @@ def _malcev_table(A):
 
 
 def _affine_over_its_group(t: Operation, A: FiniteAlgebra):
-    """True iff the Mal'cev operation t commutes with itself and with every operation of A.
+    """True iff the Mal'cev operation t commutes with itself and with every operation of A."""
+    return operation_parts(t, A) is not None
 
-    A Mal'cev operation commutes with itself exactly when it is x - y + z
-    in the Abelian group x + y = t(x,0,y).  An operation o commutes with
-    x - y + z exactly when o is sum alpha_i(x_i) + o(0..0), checked over
-    o's whole table, where each alpha_i(x) = o(0,..,x,..,0) - o(0..0) is an
-    endomorphism.  The cost is O(|A|^3 + sum |A|^arity).
+
+def operation_parts(t: Operation, A: FiniteAlgebra):
+    """(G, constants, alphas) when every operation of A is affine over t, else None.
+
+    G is the Abelian group x + y = t(x,0,y), and t must be x - y + z in G:
+    a Mal'cev operation commutes with itself exactly then.  Each operation o
+    must be sum alpha_i(x_i) + o(0..0), checked over o's whole table, where
+    each alpha_i(x) = o(0,..,x,..,0) - o(0..0) is an endomorphism of G: o
+    commutes with x - y + z exactly then.  `constants` holds o(0..0) for
+    each operation in order, and `alphas` the table of each alpha_i as one
+    row, the arity of o rows per operation in order.  The cost is
+    O(|A|^3 + sum |A|^arity).
     """
     n = A.size
     try:
         G = group_from_affine(t, 0)
     except AffineStructureError:
-        return False
+        return None
     add, neg = G.np_add_table.reshape(n, n), G.multiples[-1]
     x, y, z = decode_code(np.arange(n**3), [n] * 3)
     if (add[add[x, neg[y]], z] != t.np_table).any():
-        return False
+        return None
+    constants, alphas = [], []
     for o in A.ops:
         table = o.np_table.reshape((n,) * o.arity)
         const = table[(0,) * o.arity]
@@ -304,11 +315,13 @@ def _affine_over_its_group(t: Operation, A: FiniteAlgebra):
         for i in range(o.arity):
             alpha = add[table[(0,) * i + (slice(None),) + (0,) * (o.arity - 1 - i)], neg[const]]
             if (alpha[add] != add[alpha[:, None], alpha]).any():
-                return False
+                return None
             total = add[total, alpha.reshape((n,) + (1,) * (o.arity - 1 - i))]
+            alphas.append(alpha)
         if (np.broadcast_to(total, table.shape) != table).any():
-            return False
-    return True
+            return None
+        constants.append(const)
+    return G, np.array(constants, dtype=np.int64), np.array(alphas, dtype=np.int64).reshape(-1, n)
 
 
 def _clone_search(A, target, budget):

@@ -121,13 +121,12 @@ def cmd_galois(args):
     doc = _load(args.files, args.budget)
     A = _first_algebra(doc, args.files[0])
     _header(args)
-    t = _need_term(A, args.budget)
-    if t is None:
+    if _need_term(A, args.budget) is None:  # the correspondence is checked on affine algebras
         return EXIT_FAIL
     carriers = None
     if args.carrier:
         carriers = [tuple(int(v) for v in args.carrier.replace(",", " ").split())]
-    reports = subcong.verify_galois(A, t, carriers, args.budget)
+    reports = subcong.verify_galois(A, carriers, args.budget)
     for report in reports:
         for line in report.lines():
             print(line)

@@ -852,8 +852,12 @@ def enumerate_homs(A, B, budget=DEFAULT_BUDGET):
         if hom is not None:
             homs.append(hom)
     # lexicographic order of the tables: lexsort's last key is the first coordinate
-    tables = np.array([h.np_mapping for h in homs]).reshape(len(homs), A.size)
-    return [homs[i] for i in np.lexsort(tables.T[::-1])]
+    return [homs[i] for i in np.lexsort(hom_table(homs, A.size).T[::-1])]
+
+
+def hom_table(homs, size):
+    """The value tables of `homs`, maps on a domain of `size` elements, as the rows of an int64 array."""
+    return np.array([h.np_mapping for h in homs], dtype=np.int64).reshape(len(homs), size)
 
 
 # ---------------------------------------------------------------------------

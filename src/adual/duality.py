@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .affine import AbelianGroup, find_affine_term, group_from_affine
+from .affine import AbelianGroup, find_affine_term, operation_parts
 from .core import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -42,6 +42,7 @@ from .core import (
     VerificationError,
     encode_tuple,
     enumerate_homs,
+    hom_table,
     is_compatible_relation,
     power_algebra,
     row_blocks,
@@ -112,43 +113,35 @@ def build_alter_ego(A, N, budget=DEFAULT_BUDGET, relations=None) -> AlterEgo:
 def affine_gcd(A, budget=DEFAULT_BUDGET):
     """(G, g) when every basic operation of A is an integer combination in G, else None.
 
-    G is the group x + y = t(x, e, y) of the affine term t, with e the value
-    of A's constants, or 0 if A has none.  Each basic operation f must be
-    sum(m_i * x_i) in G for integers m_i: m_i is read off the unary part
-    f(e, .., x, .., e) and checked over the whole table of f.  With s_f the
-    sum of the m_i (0 for a constant), g = gcd(exp G, s_f - 1 over every f).
-    None for no affine term, constants of two values, a failed coefficient
-    check, or a term search the budget refuses.
+    G is the group x + y = t(x, 0, y) of the affine term t, from
+    `operation_parts`, which gives each basic operation f as
+    sum(alpha_i(x_i)) + c_f.  With e the value of A's constants, or 0 if A
+    has none, f must be sum(m_i * x_i) in the group x + y = t(x, e, y) of
+    neutral e, that is sum(m_i * x_i) + (1 - s_f) * e in G with s_f the sum
+    of the m_i (0 for a constant): each alpha_i is the row m_i of
+    `G.multiples`, and c_f = (1 - s_f) * e.  Then g = gcd(exp G, s_f - 1
+    over every f).  None for no affine term, constants of two values, an
+    alpha_i that is no multiple map, a c_f that does not fit, or a term
+    search the budget refuses.
     """
     try:
         t = find_affine_term(A, budget)
     except BudgetExceededError:
         return None
     constants = set(A.constants())
-    if t is None or len(constants) > 1:
+    parts = None if t is None or len(constants) > 1 else operation_parts(t, A)
+    if parts is None:
         return None
     e = constants.pop() if constants else 0
-    G = group_from_affine(t, e)
-    n, multiples = A.size, G.multiples
-    add = G.np_add_table.reshape(n, n)
-    g = G.exponent
-    for f in A.ops:
-        table = f.np_table.reshape((n,) * f.arity)
-        combination = np.int64(e)  # sum(m_i * x_i) over the grid of arguments
-        coefficients = 0
-        for i in range(f.arity):
-            unary = table[(e,) * i + (slice(None),) + (e,) * (f.arity - i - 1)]
-            m = np.flatnonzero((multiples == unary).all(axis=1))
-            if not m.size:
-                return None
-            coefficients += int(m[0])
-            axis = [1] * f.arity
-            axis[i] = n
-            combination = add[combination, multiples[m[0]].reshape(axis)]
-        if not (combination == table).all():
-            return None
-        g = gcd(g, coefficients - 1)
-    return G, g
+    G, offsets, alphas = parts
+    hits = (alphas[:, None, :] == G.multiples).all(axis=2)  # [alpha_i, m]
+    if not hits.any(axis=1).all():
+        return None
+    owner = np.repeat(np.arange(len(A.ops)), [f.arity for f in A.ops])
+    sums = np.bincount(owner, hits.argmax(axis=1), len(A.ops)).astype(np.int64)
+    if (G.multiples[(1 - sums) % G.exponent, e] != offsets).any():
+        return None
+    return G, gcd(G.exponent, *(sums - 1).tolist())
 
 
 def subgroup_formula(A, budget=DEFAULT_BUDGET):
@@ -260,8 +253,7 @@ class DualStructure:
     @cached_property
     def values(self):
         """values[i, b] = homs[i](b), an array of shape (|Hom(B, A)|, |B|)."""
-        rows = [hom.np_mapping for hom in self.homs]
-        return np.array(rows, dtype=np.int64).reshape(len(self.homs), self.algebra.size)
+        return hom_table(self.homs, self.algebra.size)
 
 
 def hom_dual(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualStructure:

@@ -30,6 +30,7 @@ from .core import (
     decode_code,
     encode_tuple,
     enumerate_homs,
+    hom_table,
     power_algebra,
     row_blocks,
 )
@@ -202,11 +203,6 @@ def _find_rows(rows, queries):
     return position[labels[len(rows) :]]
 
 
-def _map_table(homs, domain):
-    """The value tables of `homs`, homomorphisms on `domain`, as the rows of one array."""
-    return np.array([h.np_mapping for h in homs], dtype=np.int64).reshape(len(homs), domain.size)
-
-
 def _diagonal(size):
     """Codes of the diagonal (x, x) inside the square of {0..size-1}."""
     return encode_tuple((np.arange(size),) * 2, size)
@@ -229,7 +225,7 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
     if not (_same_tables(k.domain, A) and _same_tables(k.codomain, S)):
         raise ValueError("base morphism must go from A to S")
     square = power_algebra(A, 2, budget)
-    homs2 = _map_table(enumerate_homs(square, S, budget), square)
+    homs2 = hom_table(enumerate_homs(square, S, budget), square.size)
     elements = homs2[(homs2[:, _diagonal(A.size)] == k.np_mapping).all(axis=1)]
     elements.setflags(write=False)
     kbar = k.np_mapping[decode_code(np.arange(square.size), [A.size] * 2)[1]]
@@ -259,7 +255,7 @@ def _verify_restriction_embedding(G: HkGroup, t_A, budget):
     A, S = G.A, G.S
     ga = group_from_affine(t_A, a).as_algebra(f"{A.name}+^{a}")
     gs = group_from_affine(G.t_S, G.k(a)).as_algebra(f"{S.name}+^{G.k(a)}")
-    K = _map_table(enumerate_homs(ga, gs, budget), ga)
+    K = hom_table(enumerate_homs(ga, gs, budget), ga.size)
     restricted = G.elements[:, encode_tuple((a, np.arange(A.size)), A.size)]
     found = _find_rows(K, restricted)
     if (found < 0).any():
@@ -292,7 +288,7 @@ def _verify_base_change(G: HkGroup, homs2, budget):
     """
     A, m, width = G.A, G.size, G.square.size
     kbar = G.elements[G.neutral]
-    js = _map_table(enumerate_homs(A, G.S, budget), A)
+    js = hom_table(enumerate_homs(A, G.S, budget), A.size)
     jbars = js[:, None, decode_code(np.arange(width), [A.size] * 2)[1]]
     base_of = _find_rows(js, homs2[:, _diagonal(A.size)])  # the j each map lies over, or -1
     fiber_size = np.bincount(base_of[base_of >= 0], minlength=len(js))

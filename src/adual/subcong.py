@@ -1,12 +1,12 @@
 """The subalgebra/congruence correspondence on an affine algebra.
 
-A subalgebra B induces the congruence theta_B = Cg(B x B) collapsing it; a
-congruence above theta_B recovers a subalgebra C(alpha, B).  Between the
-subalgebras containing B and the congruences containing theta_B these two
-maps are mutually inverse lattice isomorphisms, meet-irreducible
-subalgebras give subdirectly irreducible quotients, and every
-meet-irreducible B is the preimage of a one-element subalgebra under the
-canonical projection of A/Cg(B x B), which needs no term.
+A subalgebra X induces the congruence theta_X = Cg(X x X) collapsing it,
+generated from the pairs of X with no term; a congruence above theta_B
+recovers a subalgebra C(alpha, B).  Between the subalgebras containing B
+and the congruences containing theta_B these two maps are mutually inverse
+lattice isomorphisms, meet-irreducible subalgebras give subdirectly
+irreducible quotients, and every meet-irreducible B is the preimage of a
+one-element subalgebra under the canonical projection of A/theta_B.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from .core import (
     congruence_generated_by,
     principal_congruence,
     quotient_algebra,
-    row_blocks,
     sorted_member,
     subuniverse_carriers,
-    verify_congruence,
 )
 
 
@@ -85,40 +83,15 @@ class KernelTriple:
     point: int
 
 
-def theta_of_subalgebra(A, t: Operation, B: SubalgebraWitness) -> Congruence:
-    """The congruence collapsing B: pairs (x,y) with t(x,y,b) in B for all b in B.
+def theta_of_subalgebra(A, B: SubalgebraWitness) -> Congruence:
+    """theta_B = Cg(B x B), the least congruence of A collapsing the carrier of B.
 
-    The universally and existentially quantified forms agree and the result
-    is re-verified to be a congruence; both checks fail only when t is not
-    affine for A or B is not closed.  Both forms come from one gather of the
-    table of t at (x, y, b), in blocks of x.
+    In an affine algebra with term t this is {(x, y) : t(x, y, b) in B for
+    every b in B}, and Cg(B x B) needs no term.  B must be a subalgebra of A.
     """
     if not _same_tables(B.ambient, A):
         raise ValueError("witness does not live in the given algebra")
-    if t.base_size != A.size:
-        raise ValueError("term base does not match algebra")
-    n = A.size
-    carrier = np.array(B.carrier, dtype=np.int64)
-    member = np.zeros(n, dtype=bool)
-    member[carrier] = True
-    table = t.np_table.reshape(n, n, n)
-    forall = np.empty((n, n), dtype=bool)
-    exists = np.empty((n, n), dtype=bool)
-    for rows in row_blocks(n, n * carrier.size):
-        hits = member[table[rows, :, carrier]]
-        forall[rows] = hits.all(axis=2)
-        exists[rows] = hits.any(axis=2)
-    if not np.array_equal(forall, exists):
-        raise ValueError(
-            "universal and existential forms disagree: t is not affine for this algebra"
-        )
-    # an equivalence relation is the kernel of x |-> its first related element
-    first = forall.argmax(axis=1)
-    if not np.array_equal(forall, first[:, None] == first[None, :]):
-        raise ValueError("collapsing relation is not transitive: t is not affine")
-    theta = Congruence(n, first)
-    verify_congruence(A, theta)
-    return theta
+    return congruence_generated_by(A, [(B.carrier[0], b) for b in B.carrier])
 
 
 def c_of_congruence(A, B: SubalgebraWitness, alpha: Congruence) -> SubalgebraWitness:
@@ -173,17 +146,17 @@ class GaloisReport:
         return out
 
 
-def verify_galois(A, t: Operation, carriers=None, budget=DEFAULT_BUDGET):
+def verify_galois(A, carriers=None, budget=DEFAULT_BUDGET):
     """Check both composites and isotonicity above each carrier B, one report per B.
 
-    `carriers` lists the carriers B to check, all of Sub(A) by default.  One
-    call computes Sub(A), Con(A), theta_X for every X in Sub(A) and the
-    carriers sharing one theta_X once, for every B; C(alpha, B) is computed
-    once per B and alpha.
+    `carriers` lists the carriers B to check, all of Sub(A) by default;
+    every check passes when A is affine.  One call computes Sub(A), Con(A),
+    theta_X for every X in Sub(A) and the carriers sharing one theta_X
+    once, for every B; C(alpha, B) is computed once per B and alpha.
     """
     witnesses = [SubalgebraWitness(A, c) for c in subuniverse_carriers(A, budget)]
     checked = witnesses if carriers is None else [SubalgebraWitness(A, c) for c in carriers]
-    theta = {X.carrier: theta_of_subalgebra(A, t, X) for X in witnesses}
+    theta = {X.carrier: theta_of_subalgebra(A, X) for X in witnesses}
     congruences = con_lattice(A)
     # expose carriers with a common induced congruence (can occur across
     # different B, never inside the lattice above one B)
@@ -256,7 +229,7 @@ def kernel_quotient(A, B: SubalgebraWitness) -> KernelTriple:
 
     Returns the subdirectly irreducible quotient S, the projection f and the
     point c = f(B) whose singleton is a subalgebra and whose preimage is B.
-    In an affine algebra theta_B is Cg(B x B), so no term is needed.  Raises
+    theta_B comes from `theta_of_subalgebra`, so no term is needed.  Raises
     ValueError on a B that is not meet-irreducible, or that is not a whole
     class of Cg(B x B), as can happen in a non-affine algebra.  For a
     B below A the subuniverses above B and the congruences above theta_B
@@ -267,8 +240,7 @@ def kernel_quotient(A, B: SubalgebraWitness) -> KernelTriple:
     """
     if len(B.carrier) == A.size:
         raise ValueError(f"carrier {list(B.carrier)} is the whole algebra, not meet-irreducible")
-    theta = congruence_generated_by(A, [(B.carrier[0], b) for b in B.carrier])
-    S, f = quotient_algebra(A, theta)
+    S, f = quotient_algebra(A, theta_of_subalgebra(A, B))
     c = int(f.np_mapping[B.carrier[0]])
     if (f.np_mapping[list(B.carrier)] != c).any():
         raise VerificationError("the projection does not collapse the carrier to one point")

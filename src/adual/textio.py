@@ -8,6 +8,7 @@ output re-parses to an equal value.  The summary lines `adual entail` prints
 after its certificate are skipped once a certificate has been read, so its
 whole standard output replays; anywhere else they are unknown blocks.
 Blocks are taken over the algebras they name; every value row carries its tag.
+An algebra name may be defined again only with the same size and tables.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     Operation,
     ParseError,
     Relation,
+    _same_tables,
     decode_code,
     power_algebra,
     verify_congruence,
@@ -183,7 +185,11 @@ def _parse_algebra(lines, doc, line_no, toks):
         lines.next()  # first value row
         values = _read_ints(lines, size**arity, op_line, f"table of {op_name}")
         ops.append(lines.build(op_line, Operation, op_name, arity, size, values))
-    doc.algebras[name] = lines.build(line_no, FiniteAlgebra, name, size, ops)
+    A = lines.build(line_no, FiniteAlgebra, name, size, ops)
+    if name not in doc.algebras:
+        doc.algebras[name] = A
+    elif not _same_tables(doc.algebras[name], A):
+        lines.error("algebra already defined with other tables", line_no, name)
 
 
 def _parse_relation(lines, doc, line_no, toks):

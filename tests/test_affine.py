@@ -293,6 +293,22 @@ def test_no_affine_term_when_the_clone_misses_the_candidate(z2, monkeypatch):
     assert affine.find_affine_term(z2) is None
 
 
+def test_the_clone_stage_decides_on_v4_with_one_binary_operation():
+    # The forced table on <V4; o> is total, Mal'cev, and commutes with o and
+    # with itself, so only the clone search can refuse it: the ternary clone
+    # of o has 192 members, none of them x - y + z.
+    o = core.Operation("o", 2, 4, [0, 3, 2, 1, 3, 0, 1, 2, 0, 3, 2, 1, 3, 0, 1, 2])
+    A = core.FiniteAlgebra("v4o", 4, [o])
+    table = affine._malcev_table(A)
+    assert table is not None and (table >= 0).all()
+    t = core.Operation("t", 3, 4, table)
+    assert affine.is_malcev(t) and affine._affine_over_its_group(t, A)
+    assert affine.commutes_with_algebra(t, A)
+    clone = affine.ternary_term_clone(A)
+    assert len(clone) == 192 and t.table not in clone
+    assert affine.find_affine_term(A) is None
+
+
 def test_group_from_affine(z4, terms):
     t = terms["z4"]
     G0 = affine.group_from_affine(t, 0)

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adual import affine, core, duality as du, textio, zoo
 from adual.subcong import SubalgebraWitness
+from test_subcong import affine_algebras
 
 
 # ---------------------------------------------------------------------------
@@ -598,19 +599,88 @@ def test_relation_count_falls_back_to_enumeration(A, powers, found, monkeypatch)
     assert len(calls) == len(powers)
 
 
-def test_affine_gcd_checks_every_cell(z4, monkeypatch):
+def _z4_bent():
     # f(0, y) = 3y and f(x, 0) = 3x, so both unary parts pass, but f(1, 1) = 1 is not 3 + 3
+    z4 = zoo.cyclic_group(4)
     f = core.Operation("f", 2, 4, [3 * (x + y) % 4 if 0 in (x, y) else 1 for x in range(4) for y in range(4)])
-    bent = core.FiniteAlgebra("z4f", 4, [*z4.ops, f])
+    return core.FiniteAlgebra("z4f", 4, [*z4.ops, f])
+
+
+def _z4_with_one():
+    z4 = zoo.cyclic_group(4)
+    return core.FiniteAlgebra("z4c", 4, [*z4.ops, core.Operation("one", 0, 4, [1])])
+
+
+def test_affine_gcd_checks_every_cell(z4, monkeypatch):
+    bent = _z4_bent()
     assert affine.find_affine_term(bent) is None
     # only a wrong term search could pass such an f on: the table check still stops it
     monkeypatch.setattr(du, "find_affine_term", lambda A, budget: affine.find_affine_term(z4))
     assert du.affine_gcd(z4)[1] == 1
     assert du.affine_gcd(bent) is None
     monkeypatch.undo()
-    two = core.FiniteAlgebra("z4c", 4, [*z4.ops, core.Operation("one", 0, 4, [1])])
+    two = _z4_with_one()
     assert du.affine_gcd(two) is None  # constants 0 and 1
     assert du.relation_count(two, 2, du.subgroup_formula(two)) == enumerated_count(two, 2)
+
+
+def oracle_affine_gcd(A, budget=core.DEFAULT_BUDGET):
+    """Oracle for `affine_gcd` that does not read `operation_parts`.
+
+    It builds the group of neutral e, reads each m_i off the unary slice
+    f(e, .., x, .., e) and checks the combination over the whole table.
+    """
+    try:
+        t = du.find_affine_term(A, budget)
+    except core.BudgetExceededError:
+        return None
+    constants = set(A.constants())
+    if t is None or len(constants) > 1:
+        return None
+    e = constants.pop() if constants else 0
+    G = affine.group_from_affine(t, e)
+    n, multiples = A.size, G.multiples
+    add = G.np_add_table.reshape(n, n)
+    g = G.exponent
+    for f in A.ops:
+        table = f.np_table.reshape((n,) * f.arity)
+        combination = np.int64(e)
+        coefficients = 0
+        for i in range(f.arity):
+            unary = table[(e,) * i + (slice(None),) + (e,) * (f.arity - i - 1)]
+            m = np.flatnonzero((multiples == unary).all(axis=1))
+            if not m.size:
+                return None
+            coefficients += int(m[0])
+            axis = [1] * f.arity
+            axis[i] = n
+            combination = add[combination, multiples[m[0]].reshape(axis)]
+        if not (combination == table).all():
+            return None
+        g = gcd(g, coefficients - 1)
+    return G, g
+
+
+def assert_affine_gcd_matches_the_oracle(A):
+    summary = lambda found: found and (found[0].size, found[0].exponent, found[1])
+    assert summary(du.affine_gcd(A)) == summary(oracle_affine_gcd(A)), A
+
+
+@pytest.mark.parametrize(
+    "make", [_v4_with_rotation, _z4_with_triple, _z4_bent, _z4_with_one], ids=["v4-rotation", "z4-triple", "z4f", "z4c"]
+)
+def test_affine_gcd_matches_the_oracle_on_the_fixed_algebras(make, monkeypatch):
+    A = make()
+    assert_affine_gcd_matches_the_oracle(A)
+    if A.name == "z4f":  # a term search that passed f on is still stopped by the table check
+        monkeypatch.setattr(du, "find_affine_term", lambda B, budget: affine.find_affine_term(zoo.cyclic_group(4)))
+        assert du.affine_gcd(A) is None and oracle_affine_gcd(A) is None
+
+
+@settings(max_examples=80)
+@given(affine_algebras())
+def test_affine_gcd_matches_the_oracle_on_affine_and_random_operations(A):
+    assert_affine_gcd_matches_the_oracle(A)
 
 
 def test_dual_of_refuses_a_counted_ego(z2):

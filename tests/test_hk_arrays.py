@@ -148,7 +148,7 @@ def test_hk_group_fails_on_a_corrupted_term_like_the_tuple_loop(case):
 def test_base_change_names_a_missing_or_surplus_target_map(v4):
     t = TERMS["v4"]
     G = homgroups.build_hk_group(v4, v4, t, t, core.enumerate_homs(v4, v4)[0])
-    homs2 = homgroups._map_table(core.enumerate_homs(G.square, v4), G.square)
+    homs2 = core.hom_table(core.enumerate_homs(G.square, v4), G.square.size)
     with pytest.raises(core.VerificationError, match="leaves the target hom set"):
         homgroups._verify_base_change(G, homs2[:-1], core.DEFAULT_BUDGET)
     surplus = homs2[-1].copy()

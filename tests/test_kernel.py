@@ -618,7 +618,7 @@ def chunked_results():
         "Con(Z4^2)": core.con_lattice(P),
         "Hom(Z4^2, Z4)": core.enumerate_homs(P, z4),
         "affine term of z6": t6,
-        "galois on z6": subcong.verify_galois(z6, t6),
+        "galois on z6": subcong.verify_galois(z6),
         "hk group on z4": (hk.elements.tolist(), hk.neutral, hk.np_add_table.tolist()),
         "duality z3 complete": duality.verify_duality(z3, k_max=2),
         "duality z2 partial": duality.verify_duality(z2, k_max=3, ego=partial),

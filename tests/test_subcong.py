@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adual import affine, cli, core, subcong, textio, zoo
 
@@ -19,6 +21,21 @@ def least_congruence_collapsing(A, carrier):
     return best
 
 
+def term_theta(t, carrier):
+    """Oracle: {(x, y) : t(x, y, b) in X for every b in X}, for an affine term t and X = carrier.
+
+    The term formula for theta_X, with no congruence generation.  The
+    relation must be an equivalence relation: the kernel of x -> its first
+    related element.
+    """
+    n = t.base_size
+    member = np.isin(np.arange(n), carrier)
+    related = member[t.np_table.reshape(n, n, n)[:, :, list(carrier)]].all(axis=2)
+    first = related.argmax(axis=1)
+    assert np.array_equal(related, first[:, None] == first[None, :])
+    return core.Congruence(n, first)
+
+
 def test_witness_validation(z4):
     with pytest.raises(ValueError):
         subcong.SubalgebraWitness(z4, (1, 3))  # not closed (misses 0)
@@ -28,36 +45,33 @@ def test_witness_validation(z4):
     assert w.carrier == (0, 2)
 
 
-def test_theta_examples(z4, v4, terms):
-    t4 = terms["z4"]
-    th = subcong.theta_of_subalgebra(z4, t4, subcong.SubalgebraWitness(z4, (0, 2)))
+def test_theta_examples(z4, v4):
+    th = subcong.theta_of_subalgebra(z4, subcong.SubalgebraWitness(z4, (0, 2)))
     assert th == core.Congruence.from_classes(4, [[0, 2], [1, 3]])
-    full = subcong.theta_of_subalgebra(z4, t4, subcong.SubalgebraWitness(z4, (0, 1, 2, 3)))
+    full = subcong.theta_of_subalgebra(z4, subcong.SubalgebraWitness(z4, (0, 1, 2, 3)))
     assert full.num_classes == 1
     # {(0,0),(1,0)} in the Klein group: collapse by second coordinate
-    tv = terms["v4"]
-    thv = subcong.theta_of_subalgebra(v4, tv, subcong.SubalgebraWitness(v4, (0, 2)))
+    thv = subcong.theta_of_subalgebra(v4, subcong.SubalgebraWitness(v4, (0, 2)))
     assert thv == core.Congruence.from_classes(4, [[0, 2], [1, 3]])
 
 
-def test_theta_rejects_witness_of_another_algebra_under_the_same_name(z4, terms, relabeled):
+def test_theta_rejects_witness_of_another_algebra_under_the_same_name(z4, relabeled):
     # in Z4 with 0 and 1 swapped, {1} holds the zero and is closed; in Z4 it is not
     other = relabeled(z4, (1, 0, 2, 3))
     witness = subcong.SubalgebraWitness(other, (1,))
     with pytest.raises(ValueError, match="does not live"):
-        subcong.theta_of_subalgebra(z4, terms["z4"], witness)
+        subcong.theta_of_subalgebra(z4, witness)
     # the same tables under another name are the same algebra
     twin = core.FiniteAlgebra("twin", 4, z4.ops)
-    theta = subcong.theta_of_subalgebra(z4, terms["z4"], subcong.SubalgebraWitness(twin, (0,)))
+    theta = subcong.theta_of_subalgebra(z4, subcong.SubalgebraWitness(twin, (0,)))
     assert theta.is_identity()
 
 
-def test_theta_equals_least_collapsing_congruence(z4, z6, v4, terms):
-    # the formula-based congruence agrees with a full lattice scan
+def test_theta_equals_least_collapsing_congruence(z4, z6, v4):
+    # the generated congruence agrees with a full lattice scan
     for A in (z4, z6, v4):
-        t = terms[A.name]
         for carrier in core.subuniverse_carriers(A):
-            th = subcong.theta_of_subalgebra(A, t, subcong.SubalgebraWitness(A, carrier))
+            th = subcong.theta_of_subalgebra(A, subcong.SubalgebraWitness(A, carrier))
             assert th == least_congruence_collapsing(A, carrier)
 
 
@@ -74,11 +88,8 @@ def test_theta_independent_of_term_choice(z2, z3, v4):
         ]
         assert len(good) == 1
         for carrier in core.subuniverse_carriers(A):
-            thetas = {
-                subcong.theta_of_subalgebra(A, t, subcong.SubalgebraWitness(A, carrier))
-                for t in good
-            }
-            assert len(thetas) == 1
+            theta = subcong.theta_of_subalgebra(A, subcong.SubalgebraWitness(A, carrier))
+            assert {term_theta(t, carrier) for t in good} == {theta}
 
 
 def test_c_of_congruence_examples(z4):
@@ -88,12 +99,11 @@ def test_c_of_congruence_examples(z4):
     assert subcong.c_of_congruence(z4, B, core.Congruence.full(4)).carrier == (0, 1, 2, 3)
 
 
-def test_c_of_congruence_at_theta_recovers_carrier(z4, z6, terms):
+def test_c_of_congruence_at_theta_recovers_carrier(z4, z6):
     for A in (z4, z6):
-        t = terms[A.name]
         for carrier in core.subuniverse_carriers(A):
             B = subcong.SubalgebraWitness(A, carrier)
-            th = subcong.theta_of_subalgebra(A, t, B)
+            th = subcong.theta_of_subalgebra(A, B)
             assert subcong.c_of_congruence(A, B, th).carrier == carrier
 
 
@@ -104,21 +114,21 @@ def test_c_of_congruence_precondition(z4):
     assert "pair" in str(e.value)
 
 
-def test_galois_z4_origin(z4, terms):
-    (report,) = subcong.verify_galois(z4, terms["z4"], [(0,)])
+def test_galois_z4_origin(z4):
+    (report,) = subcong.verify_galois(z4, [(0,)])
     assert report.passed
     assert report.subalgebras_above == 3
     assert report.congruences_above == 3
 
 
-def test_galois_trivial_top(z2, terms):
-    (report,) = subcong.verify_galois(z2, terms["z2"], [(0, 1)])
+def test_galois_trivial_top(z2):
+    (report,) = subcong.verify_galois(z2, [(0, 1)])
     assert report.passed
     assert report.subalgebras_above == 1 and report.congruences_above == 1
 
 
-def test_galois_klein(v4, terms):
-    (report,) = subcong.verify_galois(v4, terms["v4"], [(0,)])
+def test_galois_klein(v4):
+    (report,) = subcong.verify_galois(v4, [(0,)])
     assert report.passed
     assert report.subalgebras_above == 5 and report.congruences_above == 5
 
@@ -138,19 +148,18 @@ def test_galois_computes_each_theta_and_c_once(count_calls, capsys):
         assert cli.main(["galois", str(DATA / f"{name}.alg")]) == 0
         assert capsys.readouterr().out.count("galois: PASS") == len(subs[name])
         assert len(calls["subuniverse_carriers"]) == len(calls["con_lattice"]) == 1
-        assert sorted(B.carrier for _, _, B in calls["theta_of_subalgebra"]) == sorted(subs[name])
+        assert sorted(B.carrier for _, B in calls["theta_of_subalgebra"]) == sorted(subs[name])
         pairs = [(B.carrier, alpha) for _, B, alpha in calls["c_of_congruence"]]
         assert len(pairs) == len(set(pairs))
 
 
-def test_galois_monotonicity(z6, terms):
-    t = terms["z6"]
+def test_galois_monotonicity(z6):
     carriers = core.subuniverse_carriers(z6)
     for c1 in carriers:
         for c2 in carriers:
             if set(c1) <= set(c2):
-                th1 = subcong.theta_of_subalgebra(z6, t, subcong.SubalgebraWitness(z6, c1))
-                th2 = subcong.theta_of_subalgebra(z6, t, subcong.SubalgebraWitness(z6, c2))
+                th1 = subcong.theta_of_subalgebra(z6, subcong.SubalgebraWitness(z6, c1))
+                th2 = subcong.theta_of_subalgebra(z6, subcong.SubalgebraWitness(z6, c2))
                 assert th1.refines(th2)
 
 
@@ -229,14 +238,79 @@ def _differential_algebra(name, z2, z4, v4, z6):
     return {"z4": z4, "v4": v4, "z6": z6, "z2^2": core.power_algebra(z2, 2)}[name]
 
 
+def assert_theta_matches_the_term_formula(A):
+    t = affine.find_affine_term(A)
+    assert t is not None
+    for carrier in core.subuniverse_carriers(A):
+        theta = subcong.theta_of_subalgebra(A, subcong.SubalgebraWitness(A, carrier))
+        assert theta == term_theta(t, carrier), (A, carrier)
+
+
 @pytest.mark.parametrize("name", ["z4", "v4", "z6", "z2^2", "z4aff"])
 def test_theta_is_the_congruence_generated_by_the_carrier_square(name, z2, z4, v4, z6):
-    # kernel_quotient relies on theta_B = Cg(B x B) in an affine algebra
-    A = _differential_algebra(name, z2, z4, v4, z6)
-    t = affine.find_affine_term(A)
-    for carrier in core.subuniverse_carriers(A):
-        theta = subcong.theta_of_subalgebra(A, t, subcong.SubalgebraWitness(A, carrier))
-        assert core.congruence_generated_by(A, [(carrier[0], b) for b in carrier]) == theta
+    # in an affine algebra theta_X = Cg(X x X) is the term formula's congruence
+    assert_theta_matches_the_term_formula(_differential_algebra(name, z2, z4, v4, z6))
+
+
+def test_theta_matches_the_term_formula_on_the_affine_data_files():
+    checked = 0
+    for path in sorted(DATA.glob("*.alg")):
+        for A in textio.parse_document(path.read_text()).algebras.values():
+            if affine.find_affine_term(A) is not None:
+                assert_theta_matches_the_term_formula(A)
+                checked += 1
+    assert checked == 6  # all but meet2 and s3
+
+
+@st.composite
+def affine_algebras(draw):
+    """x - y + z over Z_n or Z2^2, 0-2 constants and operations of arity 0-3.
+
+    Each operation is sum(a_i * x_i) + c with integer a_i, sum(alpha_i(x_i)) + c
+    with endomorphisms alpha_i (2x2 matrices over GF(2) on Z2^2, codes 2*u + v),
+    or, one time in five, a random table.  The ternary x - y + z keeps the
+    affine term in the clone and the clone search short, so an algebra with
+    no random table is affine.
+    """
+    klein = draw(st.booleans())
+    n = 4 if klein else draw(st.integers(2, 6))
+    plus = (lambda x, y: x ^ y) if klein else (lambda x, y: (x + y) % n)
+    minus = (lambda x, y: x ^ y) if klein else (lambda x, y: (x - y) % n)
+    times = (lambda a, x: x if a % 2 else 0) if klein else (lambda a, x: a * x % n)
+
+    def endo():
+        if not klein or draw(st.booleans()):
+            a = draw(st.integers(0, n - 1))
+            return lambda x: times(a, x)
+        m = draw(st.lists(st.integers(0, 1), min_size=4, max_size=4))
+        return lambda x: 2 * ((m[0] * (x >> 1) + m[1] * (x & 1)) % 2) + (m[2] * (x >> 1) + m[3] * (x & 1)) % 2
+
+    grid = lambda arity: itertools.product(range(n), repeat=arity)
+    ops = [core.Operation("m", 3, n, [plus(minus(x, y), z) for x, y, z in grid(3)])]
+    values = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    if draw(st.booleans()):  # often one value, so that not every pair of constants differs
+        values = values[:1] * len(values)
+    ops += [core.Operation(f"c{i}", 0, n, [v]) for i, v in enumerate(values)]
+    for i, arity in enumerate(draw(st.lists(st.integers(0, 3), max_size=3))):
+        if draw(st.integers(0, 4)) == 0:
+            table = draw(st.lists(st.integers(0, n - 1), min_size=n**arity, max_size=n**arity))
+        else:
+            parts, c = [endo() for _ in range(arity)], draw(st.integers(0, n - 1))
+            table = []
+            for args in grid(arity):
+                value = c
+                for f, x in zip(parts, args):
+                    value = plus(value, f(x))
+                table.append(value)
+        ops.append(core.Operation(f"o{i}", arity, n, table))
+    return core.FiniteAlgebra("aff", n, ops)
+
+
+@settings(max_examples=60)
+@given(affine_algebras())
+def test_theta_matches_the_term_formula_on_affine_algebras(A):
+    assume(affine.find_affine_term(A) is not None)
+    assert_theta_matches_the_term_formula(A)
 
 
 @pytest.mark.parametrize("name", ["z4", "v4", "z6", "z2^2", "z4aff"])
@@ -269,18 +343,18 @@ _SWAP = {(0,): (0, 1), (0, 1): (0,)}
 
 
 def _theta_identity(mp):
-    mp.setattr(subcong, "theta_of_subalgebra", lambda A, t, B: _I)
+    mp.setattr(subcong, "theta_of_subalgebra", lambda A, B: _I)
 
 
 def _theta_total(mp):
-    mp.setattr(subcong, "theta_of_subalgebra", lambda A, t, B: _T)
+    mp.setattr(subcong, "theta_of_subalgebra", lambda A, B: _T)
 
 
 def _maps_swapped(mp):
     # theta and C stay mutually inverse, but theta sends {0} <= {0, 1} to T, I
     theta, c = subcong.theta_of_subalgebra, subcong.c_of_congruence
     witness = lambda A, carrier: subcong.SubalgebraWitness(A, _SWAP[carrier])
-    mp.setattr(subcong, "theta_of_subalgebra", lambda A, t, B: theta(A, t, witness(A, B.carrier)))
+    mp.setattr(subcong, "theta_of_subalgebra", lambda A, B: theta(A, witness(A, B.carrier)))
     mp.setattr(subcong, "c_of_congruence", lambda A, B, alpha: witness(A, c(A, B, alpha).carrier))
 
 

@@ -299,3 +299,18 @@ def test_end_of_input_names_the_last_line(tmp_path, capsys):
     path.write_text("# one algebra header\n\nalgebra z2\n")
     assert cli.main(["bound", str(path)]) == 2
     assert f"{path}:3: unexpected end of input" in capsys.readouterr().err
+
+
+def test_an_algebra_name_defined_again_with_other_tables_exits_2(tmp_path, capsys):
+    a, b = tmp_path / "a.alg", tmp_path / "b.alg"
+    a.write_text("algebra g\nsize 2\nop add 2\n0 1 1 0\n")
+    b.write_text("# Z3 under the same name\nalgebra g\nsize 3\nop add 2\n0 1 2 1 2 0 2 0 1\n")
+    assert cli.main(["hom", str(a), str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{b}:2: algebra already defined with other tables (near 'g')" in captured.err
+    # the same size with another table is refused too, and the same tables are not
+    with pytest.raises(core.ParseError, match="other tables"):
+        textio.parse_document(Z2 + "algebra z2\nsize 2\nop add 2\n0 0 0 0\n")
+    doc = textio.parse_document(Z2 + Z2)
+    assert list(doc.algebras) == ["z2"] and doc.algebras["z2"].op("add").table == (0, 1, 1, 0)
