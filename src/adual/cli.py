@@ -195,10 +195,7 @@ def cmd_factorize(args):
     if not doc.homs:
         raise ValueError("no hom block found")
     name, f = doc.homs[0]
-    if f.domain.power_of is not None:
-        A = doc.algebras[f.domain.power_of.base_name]
-    else:
-        A = f.domain
+    A = f.domain.power_of.base if f.domain.power_of is not None else f.domain
     S = f.codomain
     _header(args)
     t_A, t_S = _need_terms(A, S, args.budget)

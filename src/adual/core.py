@@ -217,17 +217,16 @@ def _int_array(values):
 
 @dataclass(frozen=True)
 class PowerView:
-    """Records that an algebra was built as base**exponent."""
+    """An algebra's `power_of` when `power_algebra` built it as base**exponent; others have None."""
 
-    base_name: str
-    base_size: int
+    base: "FiniteAlgebra"
     exponent: int
 
 
 class FiniteAlgebra:
     """A finite algebra: a universe {0..size-1} and named operation tables."""
 
-    def __init__(self, name, size, ops, power_of: Optional[PowerView] = None):
+    def __init__(self, name, size, ops):
         if size < 1:
             raise ValueError("algebra size must be >= 1")
         ops = tuple(sorted(ops, key=lambda o: o.name))
@@ -242,7 +241,7 @@ class FiniteAlgebra:
         self.name = name
         self.size = size
         self.ops = ops
-        self.power_of = power_of
+        self.power_of: Optional[PowerView] = None
         self._ops_by_name = {o.name: o for o in ops}
         self._signature = tuple((o.name, o.arity) for o in ops)
 
@@ -455,12 +454,9 @@ def power_algebra(A, n, budget=DEFAULT_BUDGET):
             raise BudgetExceededError(
                 N**o.arity, budget, hint=f"table of {o.name} on the power"
             )
-    return FiniteAlgebra(
-        f"{A.name}^{n}",
-        N,
-        product_operations([A] * n),
-        power_of=PowerView(A.name, A.size, n),
-    )
+    P = FiniteAlgebra(f"{A.name}^{n}", N, product_operations([A] * n))
+    P.power_of = PowerView(A, n)
+    return P
 
 
 def product_operations(factors):
@@ -610,21 +606,37 @@ def graph_relation(op: Operation) -> Relation:
     return Relation.from_codes(np.arange(n**op.arity) * n + op.np_table, n, op.arity + 1)
 
 
-def is_compatible_relation(A, R: Relation, budget=DEFAULT_BUDGET):
-    """True iff R is closed under every operation of A applied coordinatewise."""
-    if R.arity < 1:
-        raise ValueError("relation arity must be >= 1")
+def _check_universe(A, R: Relation):
     if R.base_size != A.size:
         raise ValueError(
             f"relation over universe of size {R.base_size}, algebra {A.name} has size {A.size}"
         )
-    codes, r, sizes = R.codes(), len(R), [A.size] * R.arity
-    columns = decode_code(codes, sizes)
+
+
+def preserving_rows(A, R: Relation, arity, tables):
+    """One boolean per row of `tables`, each the flat table of an `arity`-ary operation on A:
+    does it map every `arity` tuples of R, coordinatewise, into R?
+
+    The argument tuples are taken in `grid_blocks`, so a temporary spans the
+    rows times one block.  The callers check first that R lies over A.
+    """
+    codes, n = R.codes(), A.size
+    preserves = np.ones(len(tables), dtype=bool)
+    for _, args in grid_blocks(decode_code(codes, [n] * R.arity), arity):
+        # the table cell each coordinate reads, for every argument tuple of the block
+        cells = [np.ravel(encode_tuple([a[c] for a in args], n)) for c in range(R.arity)]
+        images = encode_tuple([tables.take(i, axis=1) for i in cells], n)
+        preserves &= sorted_member(codes, images).all(axis=1)
+    return preserves
+
+
+def is_compatible_relation(A, R: Relation, budget=DEFAULT_BUDGET):
+    """True iff R is closed under every operation of A applied coordinatewise."""
+    _check_universe(A, R)
     for o in A.ops:
-        if r**o.arity > budget:
-            raise BudgetExceededError(r**o.arity, budget, hint="compatibility check")
-        images = apply_coordinatewise([o.np_table] * R.arity, sizes, grid_args(columns, o.arity))
-        if not sorted_member(codes, np.ravel(images)).all():
+        if len(R) ** o.arity > budget:
+            raise BudgetExceededError(len(R) ** o.arity, budget, hint="compatibility check")
+        if not preserving_rows(A, R, o.arity, o.np_table[None, :])[0]:
             return False
     return True
 
@@ -701,13 +713,9 @@ def enumerate_subuniverses(A, budget=DEFAULT_BUDGET):
     If A was built as a power B^n the carriers are decoded into n-tuples over
     B; otherwise they are unary relations over A itself.
     """
-    if A.power_of is not None:
-        base, arity = A.power_of.base_size, A.power_of.exponent
-    else:
-        base, arity = A.size, 1
-    return [
-        Relation.from_codes(c, base, arity) for c in subuniverse_carriers(A, budget)
-    ]
+    power = A.power_of
+    base, arity = (power.base.size, power.exponent) if power is not None else (A.size, 1)
+    return [Relation.from_codes(c, base, arity) for c in subuniverse_carriers(A, budget)]
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,7 @@ def affine_gcd(A, budget=DEFAULT_BUDGET):
     except BudgetExceededError:
         return None
     constants = set(A.constants())
+    # run again on purpose: it checks the found t itself, so a wrong term search cannot pass here
     parts = None if t is None or len(constants) > 1 else operation_parts(t, A)
     if parts is None:
         return None

@@ -24,13 +24,14 @@ from .core import (
     Operation,
     Relation,
     VerificationError,
+    _check_universe,
     decode_code,
     encode_tuple,
     full_relation,
     graph_relation,
-    grid_args,
     is_compatible_relation,
     power_algebra,
+    preserving_rows,
     row_blocks,
     sorted_member,
 )
@@ -230,44 +231,34 @@ def _as_relation(value):
     return graph_relation(value) if isinstance(value, Operation) else value
 
 
-def _preservation_test(R: Relation, arity):
-    """A test of which maps A^arity -> A, given by their flat tables one per row, preserve R."""
-    codes = R.codes()
-    rows = grid_args(decode_code(codes, [R.base_size] * R.arity), arity)
-    # the table index each coordinate reads, for every arity-tuple of rows
-    index = [np.ravel(encode_tuple([a[c] for a in rows], R.base_size)) for c in range(R.arity)]
-    return lambda tables: sorted_member(
-        codes, encode_tuple([tables[:, i] for i in index], R.base_size)
-    ).all(axis=1)
-
-
 def refute_entailment(A, premises, target, max_arity, budget=DEFAULT_BUDGET):
     """Search all maps A^m -> A, m <= max_arity, preserving every premise.
 
     Returns the first map in canonical order (arity, then table) violating
     the target, or the exhaustion outcome.  The maps of one arity are
     checked in blocks, each against one relation after another, and only
-    the maps that preserve every premise against the target.
+    the maps that preserve every premise against the target.  A premise or
+    target over another universe than A's raises ValueError.
     """
     premise_rels = [_as_relation(p) for p in premises]
     target_rel = _as_relation(target)
+    for R in premise_rels + [target_rel]:
+        _check_universe(A, R)
     s = A.size
     checked = 0
     for m in range(1, max_arity + 1):
         count = s ** (s**m)
         if count > budget:
             raise BudgetExceededError(count, budget, hint=f"maps of arity {m}")
-        rels = premise_rels + [target_rel]
-        grid = max(len(R) ** m for R in rels)
+        grid = max(len(R) ** m for R in premise_rels + [target_rel])
         if grid > budget:
             raise BudgetExceededError(grid, budget, hint=f"argument tuples of arity {m}")
-        *kept, broken = [_preservation_test(R, m) for R in rels]
         for rows in row_blocks(count, max(grid, s**m)):
             tables = np.stack(decode_code(np.arange(rows.start, rows.stop), [s] * s**m), axis=1)
             survivors = np.arange(len(tables))
-            for preserves in kept:
-                survivors = survivors[preserves(tables[survivors])]
-            hits = survivors[~broken(tables[survivors])]
+            for R in premise_rels:
+                survivors = survivors[preserving_rows(A, R, m, tables[survivors])]
+            hits = survivors[~preserving_rows(A, target_rel, m, tables[survivors])]
             if hits.size:
                 i = int(hits[0])
                 return RefutationOutcome(

@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    FiniteAlgebra,
     Homomorphism,
     Operation,
     VerificationError,
@@ -29,7 +28,6 @@ from .core import (
     decode_code,
     encode_tuple,
     power_algebra,
-    product_operations,
     row_blocks,
 )
 from .affine import (
@@ -50,7 +48,7 @@ class FactorMap:
     """
 
     def __init__(self, exponent, coordinates, reduced: Homomorphism):
-        size = reduced.domain.power_of.base_size
+        size = reduced.domain.power_of.base.size
         shape = [1] * exponent
         for i in coordinates:
             shape[i] = size
@@ -85,15 +83,14 @@ class Factorization:
 
 
 def _domain_exponent(A, f):
-    """The n with f.domain = A^n, compared by size and tables, not by name.
+    """The n with f.domain = A^n, compared by tables, not by name.
 
-    The tables of A^n are rebuilt at the size of f.domain, which is already
-    materialized, so no budget applies.
+    A domain built by `power_algebra` is base^n, and its base is compared
+    with A; any other domain is A^1 and compared with A itself.
     """
-    n = f.domain.power_of.exponent if f.domain.power_of is not None else 1
-    if f.domain.size != A.size**n or not _same_tables(
-        f.domain, A if n == 1 else FiniteAlgebra(A.name, f.domain.size, product_operations([A] * n))
-    ):
+    power = f.domain.power_of
+    base, n = (power.base, power.exponent) if power is not None else (f.domain, 1)
+    if not _same_tables(base, A):
         raise ValueError(f"morphism domain is not {A.name}^{n}")
     return n
 

@@ -386,11 +386,9 @@ def _tuple_lines(R: Relation, prefix):
 
 
 def serialize_hom(h: Homomorphism, name) -> str:
-    if h.domain.power_of is not None:
-        base, power = h.domain.power_of.base_name, h.domain.power_of.exponent
-    else:
-        base, power = h.domain.name, 1
-    return serialize_map(name, base, power, h.codomain.name, h.mapping)
+    power = h.domain.power_of
+    base, n = (power.base, power.exponent) if power is not None else (h.domain, 1)
+    return serialize_map(name, base.name, n, h.codomain.name, h.mapping)
 
 
 def serialize_map(name, base, power, codomain, mapping) -> str:

@@ -1,5 +1,8 @@
 import itertools
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -87,3 +90,27 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture(scope="session")
+def under_optimize():
+    """(script, *args) -> the standard output of `python -O -c script args`.
+
+    The script imports adual from this checkout's sources; a nonzero exit
+    fails the calling test with the script's standard error.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(script, *args):
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script, *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run

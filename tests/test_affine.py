@@ -1,7 +1,4 @@
 import itertools
-import os
-import subprocess
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -399,15 +396,6 @@ except core.VerificationError as e:
 
 
 @pytest.mark.parametrize("corruption", ["Mal'cev", "derivation"])
-def test_affine_term_checks_run_under_optimize(corruption):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE, corruption],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("VerificationError:") and corruption in done.stdout, done.stdout
+def test_affine_term_checks_run_under_optimize(under_optimize, corruption):
+    out = under_optimize(_UNDER_OPTIMIZE, corruption)
+    assert out.startswith("VerificationError:") and corruption in out, out

@@ -1,7 +1,4 @@
 import functools
-import os
-import subprocess
-import sys
 import tracemalloc
 from math import comb, gcd
 from pathlib import Path
@@ -369,19 +366,10 @@ print("lifted", len(lifts))
         for mode in ("complete", "partial")
     ],
 )
-def test_evaluation_checks_run_under_optimize(corruption, mode):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE, mode, corruption],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    error, lifted = done.stdout.splitlines()
-    assert error.startswith("VerificationError:") and corruption in error, done.stdout
+def test_evaluation_checks_run_under_optimize(under_optimize, corruption, mode):
+    out = under_optimize(_UNDER_OPTIMIZE, mode, corruption)
+    error, lifted = out.splitlines()
+    assert error.startswith("VerificationError:") and corruption in error, out
     # the corruptions sit in the hom list and the engine that both modes share
     assert lifted == f"lifted {int(mode == 'partial')}"
 

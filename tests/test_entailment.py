@@ -1,8 +1,4 @@
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -364,6 +360,17 @@ def test_refuter_refuses_argument_grids_over_budget(z2):
     assert e.value.count == 64
 
 
+def test_refuter_names_a_relation_over_another_universe(z2):
+    # a relation over three elements used to index past z2's tables: IndexError
+    other, diagonal = core.full_relation(3, 2), core.diagonal_relation(2, 2)
+    message = "relation over universe of size 3, algebra z2 has size 2"
+    with pytest.raises(ValueError, match=message):
+        core.is_compatible_relation(z2, other)
+    for premises, target in (([other], diagonal), ([diagonal], other), ([diagonal, other], diagonal)):
+        with pytest.raises(ValueError, match=message):
+            ent.refute_entailment(z2, premises, target, 1)
+
+
 def test_reduction_enumerates_only_the_interval_above_the_relation(z4, terms, monkeypatch):
     """z4 sum2 of the golden cases: 65 closures; listing all of Sub(Z4^3) took 800."""
     R = core.Relation(3, 4, [(x, y, (x + y) % 4) for x in range(4) for y in range(0, 4, 2)])
@@ -406,15 +413,6 @@ except core.VerificationError as e:
         ("quotient term", "has no affine term"),
     ],
 )
-def test_reduction_checks_run_under_optimize(corruption, message):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE, corruption],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("VerificationError:") and message in done.stdout, done.stdout
+def test_reduction_checks_run_under_optimize(under_optimize, corruption, message):
+    out = under_optimize(_UNDER_OPTIMIZE, corruption)
+    assert out.startswith("VerificationError:") and message in out, out

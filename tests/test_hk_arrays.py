@@ -4,14 +4,12 @@
 of one int64 array, and its addition table, restriction embedding and base
 change checks are gathers of t_S's table over those rows.  The oracle below
 is the map-by-map tuple loop it ran before; both must give the same group
-and fail on the same corrupted t_S with the same error.  `Homomorphism`
+and fail on the same corrupted t_S with the same error; each error of the
+restriction embedding is reached once.  `Homomorphism`
 keeps its values once, as a read-only int64 array.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import itertools
 
 import numpy as np
 import pytest
@@ -51,27 +49,7 @@ def oracle_hk(A, S, t_A, t_S, k, budget=core.DEFAULT_BUDGET):
     except ValueError as e:
         raise core.VerificationError(f"the hom set is not an Abelian group: {e}") from None
 
-    # restriction f |-> f(a, .) into Hom((A,+^a), (S,+^{k(a)}))
-    a = 0
-    ga = affine.group_from_affine(t_A, a).as_algebra(f"{A.name}+^{a}")
-    gs = affine.group_from_affine(t_S, k(a)).as_algebra(f"{S.name}+^{k(a)}")
-    K = {h.mapping for h in core.enumerate_homs(ga, gs, budget)}
-    restricted = []
-    for f in elements:
-        fa = tuple(f[a * A.size + x] for x in range(A.size))
-        if fa not in K:
-            raise core.VerificationError("restriction is not a group homomorphism")
-        restricted.append(fa)
-    if len(set(restricted)) != len(restricted):
-        raise core.VerificationError("restriction not injective")
-    for i, fa in enumerate(restricted):
-        if fa == k.mapping and i != neutral:
-            raise core.VerificationError("kernel of the restriction is larger than {kbar}")
-    for i in range(G.size):
-        for j in range(G.size):
-            rhs = tuple(t_S(restricted[i][x], k(x), restricted[j][x]) for x in range(A.size))
-            if restricted[G.add(i, j)] != rhs:
-                raise core.VerificationError("restriction is not additive")
+    oracle_restriction(A, t_A, t_S, k, elements, neutral, G.add, budget)
 
     # base change f |-> t_S(f, kbar, jbar) onto the fiber of every j
     fibers = {}
@@ -93,6 +71,34 @@ def oracle_hk(A, S, t_A, t_S, k, budget=core.DEFAULT_BUDGET):
             if back != f:
                 raise core.VerificationError("base change composed with its inverse is not the identity")
     return elements, neutral, tuple(add_table)
+
+
+def oracle_restriction(A, t_A, t_S, k, elements, neutral, add, budget=core.DEFAULT_BUDGET):
+    """The restriction f |-> f(a, .) into Hom((A,+^a), (S,+^{k(a)})), checked map by map.
+
+    `elements` are the group's maps as tuples, `neutral` the index of kbar
+    and `add(i, j)` the index of the sum.
+    """
+    a = 0
+    ga = affine.group_from_affine(t_A, a).as_algebra(f"{A.name}+^{a}")
+    gs = affine.group_from_affine(t_S, k(a)).as_algebra(f"{k.codomain.name}+^{k(a)}")
+    K = {h.mapping for h in core.enumerate_homs(ga, gs, budget)}
+    restricted = []
+    for f in elements:
+        fa = tuple(f[a * A.size + x] for x in range(A.size))
+        if fa not in K:
+            raise core.VerificationError("restriction is not a group homomorphism")
+        restricted.append(fa)
+    if len(set(restricted)) != len(restricted):
+        raise core.VerificationError("restriction not injective")
+    for i, fa in enumerate(restricted):
+        if fa == k.mapping and i != neutral:
+            raise core.VerificationError("kernel of the restriction is larger than {kbar}")
+    for i in range(len(elements)):
+        for j in range(len(elements)):
+            rhs = tuple(t_S(restricted[i][x], k(x), restricted[j][x]) for x in range(A.size))
+            if restricted[add(i, j)] != rhs:
+                raise core.VerificationError("restriction is not additive")
 
 
 def outcome(build, A, S, t_A, t_S, k):
@@ -179,6 +185,77 @@ def test_index_of_finds_elements_and_rejects_other_maps(v4):
     outside = H.elements[[0]].copy()
     outside[0, cell] = (outside[0, cell] + 1) % 4
     assert H.index_of(outside).tolist() == [-1]
+
+
+# ---------------------------------------------------------------------------
+# The three errors of the restriction embedding, each against the tuple loop
+# ---------------------------------------------------------------------------
+
+XOR = core.Operation("t", 3, 4, [x ^ y ^ z for x, y, z in itertools.product(range(4), repeat=3)])
+
+
+def test_restriction_from_another_group_is_no_group_hom(z4):
+    # t_A = x xor y xor z is the affine term of V4 on the universe of Z4, and
+    # the restrictions, endomorphisms of Z4, are not homs from (A, xor)
+    args = (z4, z4, XOR, TERMS["z4"], core.Homomorphism(z4, z4, range(4)))
+    expected = (core.VerificationError, "restriction is not a group homomorphism")
+    assert outcome(homgroups.build_hk_group, *args) == outcome(oracle_hk, *args) == expected
+
+
+def test_restriction_that_misses_a_cell_is_not_injective():
+    # A is a set: every map with f(x, x) = x is a hom A^2 -> A, and f(0, .) misses f(1, 0)
+    A = core.FiniteAlgebra("set2", 2, [])
+    t = core.Operation("t", 3, 2, [(x + y + z) % 2 for x, y, z in itertools.product(range(2), repeat=3)])
+    args = (A, A, t, t, core.Homomorphism(A, A, [0, 1]))
+    expected = (core.VerificationError, "restriction not injective")
+    assert outcome(homgroups.build_hk_group, *args) == outcome(oracle_hk, *args) == expected
+
+
+def test_restriction_kernel_larger_than_the_neutral(z4, monkeypatch):
+    # No term reaches this check: kbar restricts to k, so a second map in the
+    # kernel breaks injectivity first.  So the rows of kbar and of the next map
+    # are swapped in the element table once the neutral index is found.
+    t, k = TERMS["z4"], core.Homomorphism(z4, z4, range(4))
+    elements, neutral, add_table = oracle_hk(z4, z4, t, t, k)
+    m, other = len(elements), (neutral + 1) % len(elements)
+    order = list(range(m))
+    order[neutral], order[other] = other, neutral
+
+    class Swapped(homgroups.HkGroup):
+        def __init__(self, *args):
+            *head, rows, neutral_index, add = args
+            super().__init__(*head, rows[order], neutral_index, add)
+
+    monkeypatch.setattr(homgroups, "HkGroup", Swapped)
+    message = "kernel of the restriction is larger than {kbar}"
+    assert outcome(homgroups.build_hk_group, z4, z4, t, t, k) == (core.VerificationError, message)
+    swapped = [elements[i] for i in order]
+    with pytest.raises(core.VerificationError) as e:
+        oracle_restriction(z4, t, t, k, swapped, neutral, lambda i, j: add_table[i * m + j])
+    assert str(e.value) == message
+
+
+_RESTRICTION_UNDER_OPTIMIZE = """
+import itertools
+import sys
+
+from adual import affine, core, homgroups, zoo
+
+if __debug__ or not sys.flags.optimize:
+    sys.exit("not running under -O")
+z4 = zoo.cyclic_group(4)
+xor = core.Operation("t", 3, 4, [x ^ y ^ z for x, y, z in itertools.product(range(4), repeat=3)])
+t = affine.find_affine_term(z4)
+try:
+    homgroups.build_hk_group(z4, z4, xor, t, core.Homomorphism(z4, z4, range(4)))
+except core.VerificationError as e:
+    print(f"VerificationError: {e}")
+"""
+
+
+def test_restriction_from_another_group_fails_under_optimize(under_optimize):
+    out = under_optimize(_RESTRICTION_UNDER_OPTIMIZE)
+    assert out == "VerificationError: restriction is not a group homomorphism\n", out
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +364,9 @@ except (core.VerificationError, ValueError) as e:
         (("2", "0", "6", "1"), "VerificationError: base change composed with its inverse"),
     ],
 )
-def test_hk_gathers_fail_under_optimize(case, message):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE, *case],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith(message), done.stdout
+def test_hk_gathers_fail_under_optimize(under_optimize, case, message):
+    out = under_optimize(_UNDER_OPTIMIZE, *case)
+    assert out.startswith(message), out
 
 
 _CANDIDATES_UNDER_OPTIMIZE = """
@@ -314,15 +382,6 @@ print(core.extend_partial_map(z2, z4, {1: 1}), [h.mapping for h in core.enumerat
 """
 
 
-def test_non_hom_candidates_are_rejected_under_optimize():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", _CANDIDATES_UNDER_OPTIMIZE],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "None [(0, 0), (0, 2)]\n"
+def test_non_hom_candidates_are_rejected_under_optimize(under_optimize):
+    out = under_optimize(_CANDIDATES_UNDER_OPTIMIZE)
+    assert out == "None [(0, 0), (0, 2)]\n"

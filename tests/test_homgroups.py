@@ -1,8 +1,4 @@
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -231,15 +227,6 @@ except core.VerificationError as e:
 """
 
 
-def test_group_checks_run_under_optimize():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", _UNDER_OPTIMIZE],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("VerificationError:"), done.stdout
+def test_group_checks_run_under_optimize(under_optimize):
+    out = under_optimize(_UNDER_OPTIMIZE)
+    assert out.startswith("VerificationError:"), out

@@ -625,6 +625,10 @@ def chunked_results():
         "reduction": entailment.reduce_to_bounded_arity(z2, t2, core.diagonal_relation(2, 3), 3),
         "refutation": entailment.refute_entailment(meet2, [core.diagonal_relation(2, 2)], graph, 2),
         "exhaustion": entailment.refute_entailment(meet2, [graph], graph, 2),
+        "compatibility": [
+            core.is_compatible_relation(z4, core.Relation.from_codes(codes, 4, 2))
+            for codes in (range(0, 16, 5), range(0, 16, 3), range(8), range(16))
+        ],
     }
 
 
