@@ -12,6 +12,10 @@ or breaks, checks that it commutes with itself and with A, in O(|A|^3)
 plus the size of each operation's table, and derives it in the ternary
 term clone.  That check, `operation_parts`, also gives each operation as
 a sum of endomorphisms plus a constant, which `duality.affine_gcd` reads.
+The ternary term clone is generated breadth first: a level applies each
+operation to its argument tuples in `row_blocks`, gathering a block's
+argument rows from the table of members at once, and keeps the first
+derivation met for each table.
 An affine algebra has exactly one affine term, so the term of a quotient
 is found on the quotient itself, and no table of t on a power is built.
 Each group x +^c y is an `AbelianGroup`, the one group type of the
@@ -24,7 +28,7 @@ gathers over these two tables.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -330,54 +334,79 @@ def _clone_search(A, target, budget):
     Returns the derivation tree of `target` as soon as it is produced, or
     None once the clone is exhausted without meeting it.  With target=None
     the full clone is generated and the table->derivation dict returned.
+
+    The members are the rows of one int64 table, in the order they are
+    met, each keyed by its bytes in the smallest integer type that holds
+    the elements of A.  A level applies each operation, in name order, to
+    every argument tuple that holds one frontier member (one met in the
+    level before) and takes its other arguments from the members known at
+    the level's start.  The tuples are ordered by the frontier member,
+    then the others in `itertools.product` order, then the frontier
+    member's position, and are taken as codes in that order, in
+    `row_blocks` whose arrays (the gathered argument rows, their codes
+    and the results) hold at most CHUNK_CELLS cells, or of one tuple.
+    Each block is decoded, its argument rows gathered from the member
+    table, the operation's table read once, and its results walked in
+    order, so each table keeps the first derivation met.  The budget
+    refuses the first member beyond budget // |A|^3, before the member
+    table grows past that.
     """
     n = A.size
     cells = n**3
     max_elements = max(3, budget // cells)
-    triples = list(itertools.product(range(n), repeat=3))
-    projections = [tuple(tr[i] for tr in triples) for i in range(3)]
-    seen = {}
-    order = []
-    for i, p in enumerate(projections):
-        if p not in seen:
-            seen[p] = ("proj", i)
-            order.append(p)
-    if target is not None and target in seen:
-        return seen[target]
-    arrays = {p: np.array(p, dtype=np.int64) for p in order}
-    frontier = list(order)
-    while frontier:
-        current = list(order)
-        fresh = []
+    members = np.empty((min(64, max_elements), cells), dtype=np.int64)
+    trees, index = [], {}  # index: member bytes -> row of `members` and `trees`
+    dtype = np.min_scalar_type(n - 1)
+    key_type = np.dtype((np.void, cells * dtype.itemsize))
+    goal = None if target is None else np.asarray(target, dtype=dtype).tobytes()
 
-        def emit(tab, name, args):
-            if tab not in seen:
-                seen[tab] = (name, tuple(seen[x] for x in args))
-                arrays[tab] = np.array(tab, dtype=np.int64)
-                order.append(tab)
-                fresh.append(tab)
-                if len(seen) > max_elements:
-                    raise BudgetExceededError(
-                        len(seen) * cells, budget, hint="ternary term clone too large"
-                    )
-                return tab == target
-            return False
+    def emit(rows, tree_of):
+        """Adds the unseen rows in order; True as soon as the target is one."""
+        nonlocal members
+        for i, key in enumerate(rows.astype(dtype).view(key_type).ravel().tolist()):
+            if key in index:
+                continue
+            if len(trees) == max_elements:
+                raise BudgetExceededError((len(trees) + 1) * cells, budget, hint="ternary term clone too large")
+            if len(trees) == len(members):
+                bigger = np.empty((min(2 * len(members), max_elements), cells), dtype=np.int64)
+                bigger[: len(trees)] = members
+                members = bigger
+            index[key] = len(trees)
+            members[len(trees)] = rows[i]
+            trees.append(tree_of(i))
+            if key == goal:
+                return True
+        return False
 
+    if emit(np.stack(decode_code(np.arange(cells), [n] * 3)), lambda i: ("proj", i)):
+        return trees[-1]
+    start = 0
+    while start < len(trees):  # the frontier is members[start:size], the level sees members[:size]
+        size = len(trees)
         for o in A.ops:
             if o.arity == 0:
-                if emit((o.table[0],) * cells, o.name, ()):
-                    return seen[target]
+                if emit(np.full((1, cells), o.np_table[0]), lambda i: (o.name, ())):
+                    return trees[-1]
                 continue
-            for a in frontier:
-                for rest in itertools.product(current, repeat=o.arity - 1):
-                    for pos in range(o.arity):
-                        args = rest[:pos] + (a,) + rest[pos:]
-                        tab = o.np_table[encode_tuple([arrays[x] for x in args], n)]
-                        if emit(tuple(tab.tolist()), o.name, args):
-                            return seen[target]
-        frontier = fresh
+            sizes = [size - start] + [size] * (o.arity - 1) + [o.arity]
+            for block in row_blocks(math.prod(sizes), (o.arity + 2) * cells):
+                a, *rest, pos = decode_code(np.arange(block.start, block.stop, dtype=np.int64), sizes)
+                a += start
+                args = []
+                for j in range(o.arity):  # the frontier member a goes in at pos, the rest around it
+                    x = a
+                    if j < len(rest):
+                        x = np.where(pos > j, rest[j], x)
+                    if j > 0:
+                        x = np.where(pos < j, rest[j - 1], x)
+                    args.append(x)
+                rows = o.np_table[encode_tuple([members.take(x, axis=0) for x in args], n)]
+                if emit(rows, lambda i: (o.name, tuple(trees[x[i]] for x in args))):
+                    return trees[-1]
+        start = size
     if target is None:
-        return dict(seen)
+        return {tuple(row): tree for row, tree in zip(members[: len(trees)].tolist(), trees)}
     return None
 
 

@@ -294,8 +294,7 @@ def test_the_clone_stage_decides_on_v4_with_one_binary_operation():
     # The forced table on <V4; o> is total, Mal'cev, and commutes with o and
     # with itself, so only the clone search can refuse it: the ternary clone
     # of o has 192 members, none of them x - y + z.
-    o = core.Operation("o", 2, 4, [0, 3, 2, 1, 3, 0, 1, 2, 0, 3, 2, 1, 3, 0, 1, 2])
-    A = core.FiniteAlgebra("v4o", 4, [o])
+    A = v4o()
     table = affine._malcev_table(A)
     assert table is not None and (table >= 0).all()
     t = core.Operation("t", 3, 4, table)
@@ -304,6 +303,163 @@ def test_the_clone_stage_decides_on_v4_with_one_binary_operation():
     clone = affine.ternary_term_clone(A)
     assert len(clone) == 192 and t.table not in clone
     assert affine.find_affine_term(A) is None
+
+
+def oracle_clone_search(A, target, budget):
+    """`affine._clone_search` as one Python loop: one table per argument tuple.
+
+    Each level takes the members known at its start as `current`; every
+    operation, in name order, is applied to every tuple with one frontier
+    member `a` at each position and the rest from `current`, in
+    `itertools.product` order, and each table keeps the first derivation
+    met.
+    """
+    n = A.size
+    cells = n**3
+    max_elements = max(3, budget // cells)
+    triples = list(itertools.product(range(n), repeat=3))
+    projections = [tuple(tr[i] for tr in triples) for i in range(3)]
+    seen = {}
+    order = []
+    for i, p in enumerate(projections):
+        if p not in seen:
+            seen[p] = ("proj", i)
+            order.append(p)
+    if target is not None and target in seen:
+        return seen[target]
+    arrays = {p: np.array(p, dtype=np.int64) for p in order}
+    frontier = list(order)
+    while frontier:
+        current = list(order)
+        fresh = []
+
+        def emit(tab, name, args):
+            if tab not in seen:
+                seen[tab] = (name, tuple(seen[x] for x in args))
+                arrays[tab] = np.array(tab, dtype=np.int64)
+                order.append(tab)
+                fresh.append(tab)
+                if len(seen) > max_elements:
+                    raise core.BudgetExceededError(len(seen) * cells, budget, hint="ternary term clone too large")
+                return tab == target
+            return False
+
+        for o in A.ops:
+            if o.arity == 0:
+                if emit((o.table[0],) * cells, o.name, ()):
+                    return seen[target]
+                continue
+            for a in frontier:
+                for rest in itertools.product(current, repeat=o.arity - 1):
+                    for pos in range(o.arity):
+                        args = rest[:pos] + (a,) + rest[pos:]
+                        tab = o.np_table[core.encode_tuple([arrays[x] for x in args], n)]
+                        if emit(tuple(tab.tolist()), o.name, args):
+                            return seen[target]
+        frontier = fresh
+    if target is None:
+        return dict(seen)
+    return None
+
+
+def _attempt(search, A, target, budget):
+    """What `search` gives: the clone's items in order, a derivation, None or the refusal."""
+    try:
+        found = search(A, target, budget)
+    except core.BudgetExceededError as e:
+        return ("refused", e.count, str(e))
+    return list(found.items()) if isinstance(found, dict) else found
+
+
+def clone_outcomes(search, A, budgets=BUDGETS):
+    """The full clone and the derivation of each of a few targets, at each budget.
+
+    The targets are the forced Mal'cev table when it is total, the zero
+    table, and the middle and last members of the clone when it is not
+    refused, so one target is met only at the end of the search.
+    """
+    n = A.size
+    targets = [(0,) * n**3]
+    table = affine._malcev_table(A)
+    if table is not None:
+        targets.append(tuple(table.tolist()))
+    outcomes = []
+    for budget in budgets:
+        clone = _attempt(search, A, None, budget)
+        outcomes.append(clone)
+        extra = [] if clone[0] == "refused" else [clone[len(clone) // 2][0], clone[-1][0]]
+        outcomes += [_attempt(search, A, target, budget) for target in targets + extra]
+    return outcomes
+
+
+def assert_clone_search_matches_the_loop(A, budgets=BUDGETS):
+    assert clone_outcomes(affine._clone_search, A, budgets) == clone_outcomes(oracle_clone_search, A, budgets), A
+
+
+def v4o():
+    """V4 with one binary operation, whose ternary clone has 192 members."""
+    o = core.Operation("o", 2, 4, [0, 3, 2, 1, 3, 0, 1, 2, 0, 3, 2, 1, 3, 0, 1, 2])
+    return core.FiniteAlgebra("v4o", 4, [o])
+
+
+def test_clone_search_matches_the_loop_on_zoo_and_data_algebras():
+    algebras = [zoo.cyclic_group(n) for n in range(1, 7)]
+    algebras += [zoo.klein_group(), zoo.two_element_semilattice(), zoo.symmetric_group_3(), v4o()]
+    for path in sorted((Path(__file__).resolve().parents[1] / "data").glob("*.alg")):
+        algebras += textio.parse_document(path.read_text()).algebras.values()
+    for A in algebras:
+        assert_clone_search_matches_the_loop(A)
+
+
+@settings(max_examples=60)
+@given(small_algebras())
+def test_clone_search_matches_the_loop_on_small_algebras(A):
+    # Budgets of 3, 10 and 40 members, and 108 cells.  At BUDGETS the loop
+    # would take minutes on some two-element algebras with one ternary
+    # operation: the 256-member clone of (x, y, z) -> 1 - xy takes it 130 s.
+    assert_clone_search_matches_the_loop(A, [m * A.size**3 for m in (3, 10, 40)] + [108])
+
+
+@pytest.mark.parametrize("chunk", [64, 1000])
+def test_clone_blocks_bound_the_memory(monkeypatch, chunk):
+    # v4o's clone is 192 tables of 64 cells and its operation is binary, so
+    # CHUNK_CELLS = 64 makes one block per argument tuple.
+    A, cells = v4o(), 4**3
+    last = list(affine.ternary_term_clone(A))[-1]
+
+    def outcomes():
+        return [_attempt(affine._clone_search, A, target, budget) for target, budget in cases]
+
+    cases = [(None, core.DEFAULT_BUDGET), (last, core.DEFAULT_BUDGET), (None, 64 * 100)]
+    expected = outcomes()
+    blocks = []
+
+    def recorded(count, width):
+        assert width == 4 * cells  # both argument rows of a tuple, their codes and the result
+        for rows in core.row_blocks(count, width):
+            blocks.append(rows.stop - rows.start)
+            yield rows
+
+    monkeypatch.setattr(core, "CHUNK_CELLS", chunk)
+    monkeypatch.setattr(affine, "row_blocks", recorded)
+    assert outcomes() == expected
+    assert all(size * cells <= chunk or size == 1 for size in blocks)
+    assert max(blocks) == max(1, chunk // (4 * cells)) and len(blocks) > 100
+
+
+def test_the_clone_refusal_point_is_pinned():
+    # The budget holds 100 members of 64 cells, and the 101st is refused.
+    A = v4o()
+    clone = list(affine.ternary_term_clone(A))
+    assert len(clone) == 192
+    with pytest.raises(core.BudgetExceededError, match="ternary term clone too large") as refused:
+        affine.ternary_term_clone(A, budget=64 * 100)
+    assert refused.value.count == 101 * 64
+    derivation = affine._clone_search(A, clone[99], core.DEFAULT_BUDGET)
+    assert affine._clone_search(A, clone[99], 64 * 100) == derivation
+    with pytest.raises(core.BudgetExceededError) as refused:
+        affine._clone_search(A, clone[100], 64 * 100)
+    assert refused.value.count == 101 * 64
 
 
 def test_group_from_affine(z4, terms):
