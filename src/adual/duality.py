@@ -22,6 +22,13 @@ mode reads its constraints off the table of hom values and lists no
 relation: the alter ego carries only their number, |Sub(A^N)|, which
 `relation_count` reads off the subgroup formula when A is affine over an
 Abelian group in the way it states, and counts by enumeration otherwise.
+
+`verify_duality` decides each subalgebra once up to isomorphism.  The
+evaluation map is natural, so isomorphic B have the same |Hom(B, A)|,
+double dual and verdict.  A B <= A^k on which deleting a coordinate is
+injective is isomorphic to a subuniverse of A^(k-1) checked one level
+before; it takes that report when it passed, and is evaluated directly
+when it failed, so a FAIL lists B's own extra maps.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .core import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     VerificationError,
+    decode_code,
     encode_tuple,
     enumerate_homs,
     hom_table,
@@ -459,21 +467,65 @@ def evaluate_subalgebra(B: SubalgebraWitness, ego: AlterEgo, power, budget=DEFAU
     )
 
 
+def _injective_deletion(carrier, size, k):
+    """The carrier's image in A^(k-1) under the first injective coordinate deletion.
+
+    `carrier` holds codes of A^k, |A| = size.  Deleting coordinate i maps
+    A^k onto A^(k-1) as a homomorphism; where it is injective on the
+    carrier it is an isomorphism of B onto its image, returned as a sorted
+    tuple of codes.  None when no deletion is injective, or when k = 1.
+    """
+    if k < 2:
+        return None
+    digits = decode_code(np.array(carrier, dtype=np.int64), [size] * k)
+    for i in range(k):
+        image = np.unique(encode_tuple(digits[:i] + digits[i + 1 :], size))
+        if len(image) == len(carrier):
+            return tuple(image.tolist())
+    return None
+
+
 def verify_duality(A, k_max=2, budget=DEFAULT_BUDGET, ego: Optional[AlterEgo] = None):
     """Evaluation-map reports for every subalgebra of A^k, k <= k_max.
 
     The overall verdict is the conjunction of the per-B verdicts; the
     evaluation map is injective always, so bijectivity is a cardinality
     comparison.
+
+    Each B is decided once up to isomorphism.  The evaluation map is
+    natural: an isomorphism u: B -> B' gives the bijection h -> h u from
+    Hom(B', A) onto Hom(B, A), which carries every lifted relation, and so
+    the double dual, of B' onto that of B.  When deleting a coordinate is
+    injective on B <= A^k, it is such an isomorphism onto a subuniverse B'
+    of A^(k-1), which the run has already decided.  A B whose image passed
+    takes its report from the image's: the same |Hom(B, A)|, |B*+| and
+    verdict.  The image must be one of the level's carriers, or
+    VerificationError is raised.  Every other B is evaluated directly,
+    those whose image failed included, so a failing B lists its extra maps
+    in its own hom order.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if ego is None:
         ego = build_alter_ego(A, arity_bound(A), budget)
-    reports = []
+    reports, below = [], {}
     for k in range(1, k_max + 1):
         P = power_algebra(A, k, budget)
+        level = {}
         for carrier in subuniverse_carriers(P, budget):
-            B = SubalgebraWitness(P, carrier)
-            reports.append(evaluate_subalgebra(B, ego, k, budget))
+            image = _injective_deletion(carrier, A.size, k)
+            if image is not None and image not in below:
+                raise VerificationError(
+                    f"the image {list(image)} of carrier {list(carrier)} is no subuniverse of A^{k - 1}"
+                )
+            if image is not None and below[image].bijective:
+                seen = below[image]
+                report = EvaluationReport(
+                    k, carrier, len(carrier), seen.hom_count, seen.double_dual_size, True
+                )
+            else:
+                report = evaluate_subalgebra(SubalgebraWitness(P, carrier), ego, k, budget)
+            level[carrier] = report
+            reports.append(report)
+        below = level
     return reports

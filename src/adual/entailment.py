@@ -324,7 +324,7 @@ def reduce_to_bounded_arity(
 
     nodes = []
     for w in components:
-        kt = kernel_quotient(P, w)
+        kt = kernel_quotient(P, w, budget)
         c = kt.point
         t_S = find_affine_term(kt.quotient, budget)
         if t_S is None:

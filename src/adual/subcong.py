@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    BudgetExceededError,
     Congruence,
     DEFAULT_BUDGET,
     FiniteAlgebra,
@@ -224,7 +225,7 @@ def meet_irreducibles(A, budget=DEFAULT_BUDGET, above=None):
     return out
 
 
-def kernel_quotient(A, B: SubalgebraWitness) -> KernelTriple:
+def kernel_quotient(A, B: SubalgebraWitness, budget=DEFAULT_BUDGET) -> KernelTriple:
     """Quotient A by theta_B = Cg(B x B) for a completely meet-irreducible B.
 
     Returns the subdirectly irreducible quotient S, the projection f and the
@@ -236,8 +237,11 @@ def kernel_quotient(A, B: SubalgebraWitness) -> KernelTriple:
     form isomorphic lattices, so B has one upper cover exactly when S has a
     least nonidentity congruence, and the SI check decides it.  Every
     nonidentity congruence contains some Cg(a, b) with a < b, so that least
-    congruence is the meet of those principal ones.
+    congruence is the meet of those principal ones.  The |A|^2 pair codes
+    of A must fit the budget before any congruence is generated.
     """
+    if A.size**2 > budget:
+        raise BudgetExceededError(A.size**2, budget, hint="pair codes of a congruence")
     if len(B.carrier) == A.size:
         raise ValueError(f"carrier {list(B.carrier)} is the whole algebra, not meet-irreducible")
     S, f = quotient_algebra(A, theta_of_subalgebra(A, B))

@@ -365,14 +365,6 @@ _BLOCKS = {
 # ---------------------------------------------------------------------------
 
 
-def serialize_algebra(A: FiniteAlgebra) -> str:
-    out = [f"algebra {A.name}", f"size {A.size}"]
-    for o in A.ops:
-        out.append(f"op {o.name} {o.arity}")
-        out.append(" ".join(str(v) for v in o.table))
-    return "\n".join(out) + "\n"
-
-
 def serialize_relation(R: Relation, name, algebra_name) -> str:
     lines = [f"relation {name} {R.arity} over {algebra_name}", *_tuple_lines(R, "t ")]
     return "\n".join(lines) + "\n"

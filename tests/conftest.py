@@ -15,6 +15,15 @@ settings.register_profile("adual", derandomize=True, deadline=None)
 settings.load_profile("adual")
 
 
+def serialize_algebra(A):
+    """An `algebra` block of A, as `textio.parse_document` reads it."""
+    out = [f"algebra {A.name}", f"size {A.size}"]
+    for o in A.ops:
+        out.append(f"op {o.name} {o.arity}")
+        out.append(" ".join(str(v) for v in o.table))
+    return "\n".join(out) + "\n"
+
+
 @pytest.fixture(scope="session")
 def z2():
     return zoo.cyclic_group(2)

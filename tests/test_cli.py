@@ -9,6 +9,8 @@ import pytest
 
 from adual import affine, cli, core, duality, textio, zoo
 
+from conftest import serialize_algebra
+
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 
@@ -22,7 +24,7 @@ def files(tmp_path):
         zoo.two_element_semilattice(),
     ):
         p = tmp_path / f"{A.name}.alg"
-        p.write_text(textio.serialize_algebra(A))
+        p.write_text(serialize_algebra(A))
         paths[A.name] = str(p)
     return paths, tmp_path
 
@@ -165,7 +167,7 @@ def test_no_affine_term_fails_once(capsys, tmp_path):
     A = zoo.two_element_semilattice()
     first = core.Homomorphism(core.power_algebra(A, 2), A, [c // 2 for c in range(4)])
     hom_file = tmp_path / "first.hom"
-    hom_file.write_text(textio.serialize_algebra(A) + textio.serialize_hom(first, "first"))
+    hom_file.write_text(serialize_algebra(A) + textio.serialize_hom(first, "first"))
     code, out, _ = run(capsys, ["factorize", str(hom_file)])
     assert code == 1 and out.splitlines()[1:] == ["FAIL: meet2 has no affine term"]
 
@@ -185,7 +187,7 @@ def test_factorize_entail_replay_refute(files, capsys, tmp_path):
     P3 = core.power_algebra(z2, 3)
     f = core.Homomorphism(P3, z2, [bin(c).count("1") % 2 for c in range(8)])
     hom_file = tmp_path / "parity.hom"
-    hom_file.write_text(textio.serialize_algebra(z2) + textio.serialize_hom(f, "parity"))
+    hom_file.write_text(serialize_algebra(z2) + textio.serialize_hom(f, "parity"))
     code, out, _ = run(capsys, ["factorize", str(hom_file)])
     assert code == 0 and "FACTORIZE PASS" in out
 
@@ -290,7 +292,7 @@ def test_factorize_prints_g_and_refuses_what_it_cannot_verify(capsys, tmp_path):
     P3 = core.power_algebra(z2, 3)
     f = core.Homomorphism(P3, z2, [bin(c).count("1") % 2 for c in range(8)])
     hom_file = tmp_path / "parity.hom"
-    hom_file.write_text(textio.serialize_algebra(z2) + textio.serialize_hom(f, "parity"))
+    hom_file.write_text(serialize_algebra(z2) + textio.serialize_hom(f, "parity"))
     code, out, _ = run(capsys, ["factorize", str(hom_file), "--seed", "4"])
     assert code == 0
     assert out.splitlines()[1:] == [
@@ -308,7 +310,7 @@ def test_factorize_prints_g_and_refuses_what_it_cannot_verify(capsys, tmp_path):
     A, S = zoo.cyclic_group(12), zoo.klein_group()
     f = core.enumerate_homs(A, S)[-1]
     hom_file.write_text(
-        textio.serialize_algebra(A) + textio.serialize_algebra(S) + textio.serialize_hom(f, "f")
+        serialize_algebra(A) + serialize_algebra(S) + textio.serialize_hom(f, "f")
     )
     code, out, err = run(capsys, ["factorize", str(hom_file)])
     assert code == 3 and "FACTORIZE" not in out

@@ -680,3 +680,105 @@ def test_verify_duality_refuses_k_max_below_one(z2):
     for k_max in (0, -3):
         with pytest.raises(ValueError, match=f"k_max must be >= 1, got {k_max}"):
             du.verify_duality(z2, k_max)
+
+
+# ---------------------------------------------------------------------------
+# `verify_duality` decides each B once up to isomorphism; sending every B
+# through `evaluate_subalgebra` is the oracle.
+# ---------------------------------------------------------------------------
+
+
+def every_report(A, k_max, ego):
+    """The report of every B <= A^k, k <= k_max, each evaluated directly."""
+    return [
+        du.evaluate_subalgebra(SubalgebraWitness(P, carrier), ego, k)
+        for k in range(1, k_max + 1)
+        for P in [core.power_algebra(A, k)]
+        for carrier in core.subuniverse_carriers(P)
+    ]
+
+
+def deletion_image(carrier, size, k):
+    """The image of the carrier under the first coordinate deletion injective on it, or None."""
+    if k == 1:
+        return None
+    rows = []
+    for code in carrier:
+        digits = []
+        for _ in range(k):
+            code, digit = divmod(code, size)
+            digits.insert(0, digit)
+        rows.append(digits)
+    for i in range(k):
+        image = {sum(d * size**e for e, d in enumerate(reversed(r[:i] + r[i + 1 :]))) for r in rows}
+        if len(image) == len(rows):
+            return tuple(sorted(image))
+    return None
+
+
+def _ego(A, arity):
+    """The complete ego of `arity` (None: the default), or the diagonal-only partial ego."""
+    if arity == "diagonal":
+        return du.build_alter_ego(A, 4, relations=[core.diagonal_relation(A.size, 4)])
+    return du.build_alter_ego(A, du.arity_bound(A) if arity is None else arity)
+
+
+@pytest.mark.parametrize(
+    "name, arity, k_max, derived, failing_images",
+    [
+        ("z2", None, 4, 85, 0),
+        ("z3", None, 2, 5, 0),
+        ("z4", None, 2, 10, 0),
+        ("v4", None, 1, 0, 0),
+        ("z6", None, 2, 18, 0),
+        ("meet2", None, 3, 75, 0),
+        ("z4aff", 2, 2, 64, 0),
+        ("s3", 2, 2, 34, 0),
+        ("meet2", 2, 3, 63, 12),
+        ("z6", 2, 2, 18, 0),
+        ("z4", 2, 2, 10, 0),
+        ("z2", 2, 3, 12, 7),
+        ("z2", "diagonal", 2, 0, 4),
+    ],
+)
+def test_reports_match_evaluating_every_subalgebra(name, arity, k_max, derived, failing_images, count_calls):
+    A = ALGEBRAS[name] if name in ALGEBRAS else _from_data(name)
+    ego = _ego(A, arity)
+    expected = every_report(A, k_max, ego)
+    calls = count_calls(du.evaluate_subalgebra)
+    got = du.verify_duality(A, k_max, ego=ego)
+    assert [r.lines() for r in got] == [r.lines() for r in expected]
+    # the report of each B's image one power down, for the B with an injective deletion
+    by_carrier = {(r.power, r.carrier): r for r in expected}
+    images = {}
+    for r in expected:
+        image = deletion_image(r.carrier, A.size, r.power)
+        if image is not None:
+            images[r.power, r.carrier] = by_carrier[r.power - 1, image]
+    # B is evaluated directly exactly when it has no such image or its image failed
+    direct = [(k, B.carrier) for B, _, k, *_ in calls]
+    assert direct == [key for key in by_carrier if key not in images or not images[key].bijective]
+    assert len(expected) - len(direct) == derived
+    # the redundant B whose image failed, each checked directly
+    assert sum(not image.bijective for image in images.values()) == failing_images
+
+
+_EMPTY_LOOKUP = """
+import sys
+from adual import core, duality as du, zoo
+
+if __debug__ or not sys.flags.optimize:
+    sys.exit("not running under -O")
+honest = du.subuniverse_carriers
+# level 1 lists no carrier, so level 2 finds none of its images there
+du.subuniverse_carriers = lambda P, budget: [] if P.size == 2 else honest(P, budget)
+try:
+    du.verify_duality(zoo.cyclic_group(2), 2)
+except core.VerificationError as e:
+    print("VerificationError:", e)
+"""
+
+
+def test_an_image_missing_from_the_level_below_is_refused_under_optimize(under_optimize):
+    out = under_optimize(_EMPTY_LOOKUP)
+    assert out == "VerificationError: the image [0] of carrier [0] is no subuniverse of A^1\n", out

@@ -49,6 +49,15 @@ REFUTATIONS = (
     ("sum0-nand", "z2", [[(x, y, (x + y) % 2) for x in range(2) for y in range(2)]], [(0, 0), (0, 1), (1, 0)], 2),
 )
 
+# (algebra, --arity or None for the default, --max-power): the FAIL runs list
+# the extra double-dual maps of subalgebras isomorphic to one of a lower power
+DUALITY_RUNS = (
+    ("z2", None, 4),
+    ("z4aff", 2, 2),
+    ("s3", 2, 2),
+    ("meet2", 2, 3),
+)
+
 # relations of z3 for a partial-mode duality run at arity 2
 PARTIAL_Z3 = (
     [(x, x) for x in range(3)],
@@ -133,6 +142,9 @@ def more_outputs(tmp, capsys):
         run(f"refute {name}", argv)
     for a in ("z2", "meet2"):
         run(f"duality {a}", ["duality", data(a), "--max-power", "2"])
+    for a, arity, k in DUALITY_RUNS:
+        flags = (["--arity", str(arity)] if arity else []) + ["--max-power", str(k)]
+        run(" ".join(["duality", a, *flags]), ["duality", data(a), *flags])
     partial = tmp / "z3-partial.rel"
     text = (DATA / "z3.alg").read_text()
     partial.write_text(text + "".join(_relation_block(f"r{i}", "z3", r) for i, r in enumerate(PARTIAL_Z3)))
@@ -229,6 +241,10 @@ GOLDEN_MORE = {
     "refute sum0-nand": "0 240976a8d8b17aae989a93d6b3e59a84fdf447ad184a06cd6b7e1bdfa81fed26",
     "duality z2": "0 c480961affca828d481cc4b108c9d8c38fba8be36a51afbd528335c4ef05ad3e",
     "duality meet2": "0 a70d81fa5713ab90efd4ebc5a67892fac00ef6c89cd3d1b5faac76a7a50699ac",
+    "duality z2 --max-power 4": "0 f3360bd81bc9d83f93622e7b7a6ab9fa4106eb1895883641110d4837451d2e94",
+    "duality z4aff --arity 2 --max-power 2": "1 8f2f38e08fdcda4dce54878e5efa7baca4cf7faf45ee5c86126b60a0176ed45e",
+    "duality s3 --arity 2 --max-power 2": "1 3c84da40d9f6b02b574d46d9fb396e40648a7b4c6312bd11da22570408cbb611",
+    "duality meet2 --arity 2 --max-power 3": "1 4a4ffa788b5b2f4de27049105fc86f5793deea60f1885ba461ff3a4d340d6802",
     "duality z3 partial": "1 dbf70f82fe79cecaf7806faa289e38744a1abed619b90e7a15e78a01a3259e0d",
 }
 

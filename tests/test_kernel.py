@@ -612,7 +612,18 @@ def chunked_results():
     hk = homgroups.build_hk_group(z4, z4, t4, t4, k)
     listed = core.enumerate_subuniverses(core.power_algebra(z2, 3))
     partial = duality.build_alter_ego(z2, 3, relations=listed)
+    # `verify_duality` takes most reports from an isomorphic B of a lower
+    # power, so every B of these powers is also evaluated on its own
+    evaluated = {
+        f"every B of {A.name}^{k}": [
+            duality.evaluate_subalgebra(subcong.SubalgebraWitness(P_k, carrier), ego, k)
+            for P_k in [core.power_algebra(A, k)]
+            for carrier in core.subuniverse_carriers(P_k)
+        ]
+        for A, k, ego in ((z3, 2, duality.build_alter_ego(z3, 4)), (z2, 3, partial))
+    }
     return {
+        **evaluated,
         "power tables": [o.table for o in P.ops],
         "Sub(Z4^2)": core.subuniverse_carriers(P),
         "Con(Z4^2)": core.con_lattice(P),

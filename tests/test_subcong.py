@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adual import affine, cli, core, subcong, textio, zoo
+from adual import affine, cli, core, entailment, subcong, textio, zoo
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -203,6 +203,24 @@ def test_kernel_quotient_rejects_non_meet_irreducible(z4, v4):
     with pytest.raises(ValueError):
         # {0} in the Klein group is the meet of the three lines
         subcong.kernel_quotient(v4, subcong.SubalgebraWitness(v4, (0,)))
+
+
+def test_kernel_quotient_refuses_its_pair_codes_before_generating(z2, z4, monkeypatch, count_calls):
+    def refuse(*args):
+        raise AssertionError("a congruence was generated before the budget check")
+
+    B = subcong.SubalgebraWitness(z4, (0, 2))
+    for module in (core, subcong):
+        monkeypatch.setattr(module, "congruence_generated_by", refuse)
+    with pytest.raises(core.BudgetExceededError) as info:
+        subcong.kernel_quotient(z4, B, 15)
+    assert info.value.count == 16 and "pair codes" in str(info.value)
+    monkeypatch.undo()
+    assert subcong.kernel_quotient(z4, B, 16).quotient.size == 2
+    # the reduction hands its own budget down
+    calls = count_calls(subcong.kernel_quotient)
+    entailment.reduce_to_bounded_arity(z2, affine.find_affine_term(z2), core.diagonal_relation(2, 3), 3, 5000)
+    assert calls and all(budget == 5000 for *_, budget in calls)
 
 
 def test_quotient_by_meet_irreducible_is_subdirectly_irreducible(z6):

@@ -2,12 +2,13 @@ import pytest
 
 from adual import affine, cli, core, entailment as ent, textio, zoo
 
+from conftest import serialize_algebra
 from test_entailment import composition_tree_certificate
 
 
 def test_algebra_round_trip(z4, z6, s3, semilattice):
     for A in (z4, z6, s3, semilattice):
-        doc = textio.parse_document(textio.serialize_algebra(A))
+        doc = textio.parse_document(serialize_algebra(A))
         back = doc.algebras[A.name]
         assert back.size == A.size
         assert back.signature() == A.signature()
@@ -34,7 +35,7 @@ def test_comments_and_wrapped_tables(z4):
 
 def test_relation_round_trip(z4):
     R = core.Relation(2, 4, [(0, 0), (1, 3), (2, 2), (3, 1)])
-    text = textio.serialize_algebra(z4) + textio.serialize_relation(R, "inv", "z4")
+    text = serialize_algebra(z4) + textio.serialize_relation(R, "inv", "z4")
     doc = textio.parse_document(text)
     assert doc.relations == [("inv", "z4", R)]
 
@@ -42,7 +43,7 @@ def test_relation_round_trip(z4):
 def test_hom_round_trip_with_power_domain(z2):
     P = core.power_algebra(z2, 3)
     f = core.Homomorphism(P, z2, [bin(c).count("1") % 2 for c in range(8)])
-    text = textio.serialize_algebra(z2) + textio.serialize_hom(f, "parity")
+    text = serialize_algebra(z2) + textio.serialize_hom(f, "parity")
     doc = textio.parse_document(text)
     name, g = doc.homs[0]
     assert name == "parity" and g.mapping == f.mapping and g.domain.size == 8
@@ -51,7 +52,7 @@ def test_hom_round_trip_with_power_domain(z2):
 
 def test_congruence_round_trip(z4):
     c = core.Congruence.from_classes(4, [[0, 2], [1, 3]])
-    text = textio.serialize_algebra(z4) + "cong mod2 over z4\nclass 0 2\nclass 1 3\n"
+    text = serialize_algebra(z4) + "cong mod2 over z4\nclass 0 2\nclass 1 3\n"
     doc = textio.parse_document(text)
     assert doc.congruences == [("mod2", "z4", c)]
 
@@ -116,7 +117,7 @@ def test_entail_summary_lines_only_after_a_certificate(z2, terms):
     doc = textio.parse_document(cert + summary)
     assert [name for name, _, _ in doc.certificates] == ["diag3"]
 
-    alg = textio.serialize_algebra(z2)
+    alg = serialize_algebra(z2)
     rel = textio.serialize_relation(core.diagonal_relation(2, 3), "diag3", "z2")
     for text in (alg + summary, alg + rel + summary, summary + cert, "ENTAIL PASS\n" + cert):
         with pytest.raises(core.ParseError) as e:
