@@ -232,7 +232,7 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
     values strictly contains graph(T), is not functional, and A has no
     affine term.  A T that commutes with A commutes with every term of A,
     so T is no term unless it also commutes with itself.
-    `_affine_over_its_group` checks both at once, in
+    `operation_parts` checks both at once, in
     O(|A|^3 + sum |A|^arity), and A has no affine term when it fails.
     Third, membership of T in the ternary term clone is decided by
     breadth-first generation from the three projections, stopping as soon
@@ -247,7 +247,7 @@ def find_affine_term(A, budget=DEFAULT_BUDGET):
     candidate = Operation("t", 3, n, table)
     if not is_malcev(candidate):
         raise VerificationError(f"the forced Mal'cev table of {A.name} breaks the Mal'cev identities")
-    if not _affine_over_its_group(candidate, A):
+    if operation_parts(candidate, A) is None:
         return None
     derivation = _clone_search(A, candidate.table, budget)
     if derivation is None:
@@ -283,11 +283,6 @@ def _malcev_table(A):
         if count == n**3:
             return value
     return value if count == n**3 else None
-
-
-def _affine_over_its_group(t: Operation, A: FiniteAlgebra):
-    """True iff the Mal'cev operation t commutes with itself and with every operation of A."""
-    return operation_parts(t, A) is not None
 
 
 def operation_parts(t: Operation, A: FiniteAlgebra):

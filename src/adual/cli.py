@@ -178,7 +178,7 @@ def cmd_hk(args):
         print(f"INFO: no morphism {A.name} -> {S.name}; the hom group is undefined")
         return EXIT_PASS
     k = homs[0]
-    group = homgroups.build_hk_group(A, S, t_A, t_S, k, args.budget)
+    group = homgroups.build_hk_group(A, S, t_A, t_S, k, homs, args.budget)
     family = homgroups.generating_family(group)
     bound = homgroups.hom_count_bound(A.size, S.size, "group")
     print(f"base morphism k: {list(k.mapping)}")
@@ -195,7 +195,7 @@ def cmd_factorize(args):
     if not doc.homs:
         raise ValueError("no hom block found")
     name, f = doc.homs[0]
-    A = f.domain.power_of.base if f.domain.power_of is not None else f.domain
+    A = f.domain.power_of.base
     S = f.codomain
     _header(args)
     t_A, t_S = _need_terms(A, S, args.budget)

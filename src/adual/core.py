@@ -15,7 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -217,7 +216,7 @@ def _int_array(values):
 
 @dataclass(frozen=True)
 class PowerView:
-    """An algebra's `power_of` when `power_algebra` built it as base**exponent; others have None."""
+    """An algebra's `power_of`: base**exponent when `power_algebra` built it, else itself**1."""
 
     base: "FiniteAlgebra"
     exponent: int
@@ -241,7 +240,7 @@ class FiniteAlgebra:
         self.name = name
         self.size = size
         self.ops = ops
-        self.power_of: Optional[PowerView] = None
+        self.power_of = PowerView(self, 1)
         self._ops_by_name = {o.name: o for o in ops}
         self._signature = tuple((o.name, o.arity) for o in ops)
 
@@ -714,8 +713,7 @@ def enumerate_subuniverses(A, budget=DEFAULT_BUDGET):
     B; otherwise they are unary relations over A itself.
     """
     power = A.power_of
-    base, arity = (power.base.size, power.exponent) if power is not None else (A.size, 1)
-    return [Relation.from_codes(c, base, arity) for c in subuniverse_carriers(A, budget)]
+    return [Relation.from_codes(c, power.base.size, power.exponent) for c in subuniverse_carriers(A, budget)]
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,6 @@ class DualStructure:
     constraints `double_dual` reads off `values` instead.
     """
 
-    witness: SubalgebraWitness
     algebra: FiniteAlgebra
     homs: tuple
     ego: AlterEgo
@@ -268,7 +267,7 @@ class DualStructure:
 def hom_dual(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualStructure:
     """The dual of B with no lifted relations, as the complete alter ego uses it."""
     B_alg = B.as_algebra()
-    return DualStructure(B, B_alg, tuple(enumerate_homs(B_alg, ego.base, budget)), ego)
+    return DualStructure(B_alg, tuple(enumerate_homs(B_alg, ego.base, budget)), ego)
 
 
 def dual_of(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualStructure:

@@ -315,7 +315,8 @@ def reduce_to_bounded_arity(
     r_codes = R.codes()
     above = meet_irreducibles(P, budget, above=r_codes)
     # an inclusion-minimal subfamily has the same intersection
-    components = [w for w in above if not any(set(v.carrier) < set(w.carrier) for v in above)]
+    members = [frozenset(w.carrier) for w in above]
+    components = [w for w, m in zip(above, members) if not any(v < m for v in members)]
     meet = np.arange(P.size)
     for w in components:
         meet = meet[sorted_member(np.array(w.carrier), meet)]

@@ -27,6 +27,7 @@ from .core import (
     _same_tables,
     decode_code,
     encode_tuple,
+    enumerate_homs,
     power_algebra,
     row_blocks,
 )
@@ -85,25 +86,28 @@ class Factorization:
 def _domain_exponent(A, f):
     """The n with f.domain = A^n, compared by tables, not by name.
 
-    A domain built by `power_algebra` is base^n, and its base is compared
-    with A; any other domain is A^1 and compared with A itself.
+    The domain is `power_of.base` to the `power_of.exponent`, and that base
+    is compared with A.
     """
     power = f.domain.power_of
-    base, n = (power.base, power.exponent) if power is not None else (f.domain, 1)
-    if not _same_tables(base, A):
-        raise ValueError(f"morphism domain is not {A.name}^{n}")
-    return n
+    if not _same_tables(power.base, A):
+        raise ValueError(f"morphism domain is not {A.name}^{power.exponent}")
+    return power.exponent
+
+
+def _telescoping_sum(A, t_S, k_map, maps, ys, z):
+    """sum_j (h_j(y_j, z) - h_j(z, z)) + k(z) for the map tables h_j on A^2, at the digit arrays y_j and z."""
+    args = []
+    for h, y in zip(maps, ys):
+        args += [h[encode_tuple((y, z), A.size)], h[encode_tuple((z, z), A.size)]]
+    args.append(k_map[z])
+    return affine_combination_array(AffineTerm((1, -1) * len(maps) + (1,)), t_S, 0, args)
 
 
 def _g_values(A, t_S, k_map, generators):
-    """sum_j (h_j(y_j, z) - h_j(z, z)) + k(z) over every (y_1, .., z), listed by code."""
-    term = AffineTerm((1, -1) * len(generators) + (1,))
+    """The telescoping sum of the generators over every (y_1, .., z), listed by code."""
     *ys, z = decode_code(np.arange(A.size ** (len(generators) + 1)), [A.size] * (len(generators) + 1))
-    args = []
-    for h, y in zip(generators, ys):
-        args += [h[encode_tuple((y, z), A.size)], h[encode_tuple((z, z), A.size)]]
-    args.append(k_map[z])
-    return affine_combination_array(term, t_S, 0, args).tolist()
+    return _telescoping_sum(A, t_S, k_map, generators, ys, z).tolist()
 
 
 def _inner_maps(A, t_A, terms, f, digits):
@@ -141,7 +145,7 @@ def factor_morphism(
     if generators is not None:
         _refuse_domain_of_g(A, generators, budget)
     k_map = f.np_mapping[encode_tuple((np.arange(A.size),) * n, A.size)]
-    group = build_hk_group(A, S, t_A, t_S, Homomorphism(A, S, k_map), budget)
+    group = build_hk_group(A, S, t_A, t_S, Homomorphism(A, S, k_map), enumerate_homs(A, S, budget), budget)
     family = generating_family(group)
     if generators is not None:
         if family.size > generators:
@@ -171,12 +175,7 @@ def factor_morphism(
 
     # telescoping identity: f(x) = sum_i (f_i(x_i, x_1) - f_i(x_1, x_1)) + k(x_1)
     digits = decode_code(np.arange(f.domain.size, dtype=np.int64), [A.size] * n)
-    first = digits[0]
-    args = []
-    for fi, xi in zip(f_slots, digits):
-        args += [fi[encode_tuple((xi, first), A.size)], fi[encode_tuple((first, first), A.size)]]
-    args.append(k_map[first])
-    tele = affine_combination_array(AffineTerm((1, -1) * n + (1,)), t_S, 0, args)
+    tele = _telescoping_sum(A, t_S, k_map, f_slots, digits, digits[0])
     wrong = np.flatnonzero(tele != f.np_mapping)
     if wrong.size:
         raise VerificationError(f"telescoping identity failed at {int(wrong[0])}")

@@ -213,13 +213,14 @@ def _pointwise_term(t, x, y, z):
     return t.np_table[encode_tuple((x, y, z), t.base_size)]
 
 
-def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> HkGroup:
+def build_hk_group(A, S, t_A, t_S, k: Homomorphism, homs, budget=DEFAULT_BUDGET) -> HkGroup:
     """Collect {f: A^2 -> S : f(x,x) = k(x)} and its group structure.
 
     Raises ValueError when k is not a homomorphism A -> S.  The group is
     defined as soon as one such k exists; different choices give isomorphic
-    groups, which is re-verified here through the explicit isomorphisms.
-    The maps are the rows of one table, and each check gathers the table of
+    groups, which is re-verified here through the explicit isomorphisms, one
+    for each base hom in `homs`, Hom(A, S) as the caller searched it.  The
+    maps are the rows of one table, and each check gathers the table of
     t_S over them, in `row_blocks`.
     """
     if not (_same_tables(k.domain, A) and _same_tables(k.codomain, S)):
@@ -245,7 +246,7 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, budget=DEFAULT_BUDGET) -> Hk
     except ValueError as e:
         raise VerificationError(f"the hom set is not an Abelian group: {e}") from None
     _verify_restriction_embedding(group, t_A)
-    _verify_base_change(group, homs2, budget)
+    _verify_base_change(group, homs2, hom_table(homs, A.size))
     return group
 
 
@@ -284,18 +285,20 @@ _BASE_CHANGE_FAILURES = (
 )
 
 
-def _verify_base_change(G: HkGroup, homs2, budget):
+def _verify_base_change(G: HkGroup, homs2, js):
     """For every base hom j, f |-> t_S(f, kbar, jbar) is a group isomorphism.
 
-    `homs2` is the table of Hom(A^2, S); the target of j is its fiber over j on the diagonal.
-    All j are checked in `row_blocks`; the first j that fails raises.
+    `homs2` and `js` are the tables of Hom(A^2, S) and Hom(A, S); the target of j is the
+    fiber of `homs2` over j on the diagonal, and a map over no j raises.  All j are checked
+    in `row_blocks`; the first j that fails raises.
     """
     A, m, width = G.A, G.size, G.square.size
     kbar = G.elements[G.neutral]
-    js = hom_table(enumerate_homs(A, G.S, budget), A.size)
     jbars = js[:, None, decode_code(np.arange(width), [A.size] * 2)[1]]
     base_of = _find_rows(js, homs2[:, _diagonal(A.size)])  # the j each map lies over, or -1
-    fiber_size = np.bincount(base_of[base_of >= 0], minlength=len(js))
+    if (base_of < 0).any():
+        raise VerificationError("a map of Hom(A^2, S) has a diagonal outside Hom(A, S)")
+    fiber_size = np.bincount(base_of, minlength=len(js))
     for rows in row_blocks(len(js), m * width):
         images = _pointwise_term(G.t_S, G.elements, kbar, jbars[rows])
         found = _find_rows(homs2, images.reshape(-1, width)).reshape(-1, m)

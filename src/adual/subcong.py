@@ -152,12 +152,13 @@ def verify_galois(A, carriers=None, budget=DEFAULT_BUDGET):
 
     `carriers` lists the carriers B to check, all of Sub(A) by default;
     every check passes when A is affine.  One call computes Sub(A), Con(A),
-    theta_X for every X in Sub(A) and the carriers sharing one theta_X
-    once, for every B; C(alpha, B) is computed once per B and alpha.
+    theta_X and the member set of each X in Sub(A) and the carriers sharing
+    one theta_X once, for every B; C(alpha, B) once per B and alpha.
     """
     witnesses = [SubalgebraWitness(A, c) for c in subuniverse_carriers(A, budget)]
     checked = witnesses if carriers is None else [SubalgebraWitness(A, c) for c in carriers]
     theta = {X.carrier: theta_of_subalgebra(A, X) for X in witnesses}
+    members = {X.carrier: frozenset(X.carrier) for X in witnesses}
     congruences = con_lattice(A)
     # expose carriers with a common induced congruence (can occur across
     # different B, never inside the lattice above one B)
@@ -165,13 +166,12 @@ def verify_galois(A, carriers=None, budget=DEFAULT_BUDGET):
     for carrier, theta_x in theta.items():
         fibers.setdefault(theta_x, []).append(carrier)
     shared = tuple(tuple(v) for v in fibers.values() if len(v) > 1)
-    return [_galois_above(A, B, theta, congruences, shared) for B in checked]
+    return [_galois_above(A, B, theta, members, congruences, shared) for B in checked]
 
 
-def _galois_above(A, B: SubalgebraWitness, theta, congruences, shared):
-    """The report for B, given theta_X for every X in Sub(A) and Con(A)."""
-    bset = set(B.carrier)
-    S_lat = [c for c in theta if bset <= set(c)]
+def _galois_above(A, B: SubalgebraWitness, theta, members, congruences, shared):
+    """The report for B, given theta_X and the member set of every X in Sub(A), and Con(A)."""
+    S_lat = [c for c in theta if members[B.carrier] <= members[c]]
     C_lat = [alpha for alpha in congruences if theta[B.carrier].refines(alpha)]
     c_by_alpha = {}
 
@@ -188,10 +188,10 @@ def _galois_above(A, B: SubalgebraWitness, theta, congruences, shared):
             if c_of(theta[carrier]).carrier != carrier:
                 yield f"C(theta_X,B) != X for X={list(carrier)}"
         for c1, c2 in itertools.product(S_lat, repeat=2):
-            if set(c1) <= set(c2) and not theta[c1].refines(theta[c2]):
+            if members[c1] <= members[c2] and not theta[c1].refines(theta[c2]):
                 yield f"theta not isotone at {list(c1)} <= {list(c2)}"
         for a1, a2 in itertools.product(C_lat, repeat=2):
-            if a1.refines(a2) and not set(c_of(a1).carrier) <= set(c_of(a2).carrier):
+            if a1.refines(a2) and not members[c_of(a1).carrier] <= members[c_of(a2).carrier]:
                 yield "C(.,B) not isotone"
 
     counterexample = next(counterexamples(), None)
@@ -216,11 +216,19 @@ def meet_irreducibles(A, budget=DEFAULT_BUDGET, above=None):
     in Sub(A).
     """
     carriers = subuniverse_carriers(A, budget, above=above)
+    members = [frozenset(c) for c in carriers]
     out = []
-    for c in carriers:  # sorted by (size, carrier), as the result is
-        cset = set(c)
-        above = [set(d) for d in carriers if cset < set(d)]
-        if above and set.intersection(*above) > cset:
+    # sorted by (size, carrier), as the result is: every strict superset of a
+    # carrier comes after it, and the last carrier, A itself, is above all
+    # others; the meet of the strict supersets stops once it reaches the carrier
+    for i, c in enumerate(carriers[:-1]):
+        below, meet = members[i], members[-1]
+        for d in members[i + 1 :]:
+            if below < d:
+                meet &= d
+                if meet == below:
+                    break
+        else:  # the strict supersets meet strictly above B
             out.append(SubalgebraWitness(A, c))
     return out
 

@@ -379,8 +379,7 @@ def _tuple_lines(R: Relation, prefix):
 
 def serialize_hom(h: Homomorphism, name) -> str:
     power = h.domain.power_of
-    base, n = (power.base, power.exponent) if power is not None else (h.domain, 1)
-    return serialize_map(name, base.name, n, h.codomain.name, h.mapping)
+    return serialize_map(name, power.base.name, power.exponent, h.codomain.name, h.mapping)
 
 
 def serialize_map(name, base, power, codomain, mapping) -> str:

@@ -91,7 +91,7 @@ def test_criterion_3_counting():
             homs = core.enumerate_homs(A, S)
             if not homs:
                 continue
-            H = homgroups.build_hk_group(A, S, terms[a], terms[s], homs[0])
+            H = homgroups.build_hk_group(A, S, terms[a], terms[s], homs[0], homs)
             bound = homgroups.hom_count_bound(A.size, S.size, "group")
             assert bound % H.size == 0, (a, s)
             fam = homgroups.generating_family(H)

@@ -298,7 +298,7 @@ def test_the_clone_stage_decides_on_v4_with_one_binary_operation():
     table = affine._malcev_table(A)
     assert table is not None and (table >= 0).all()
     t = core.Operation("t", 3, 4, table)
-    assert affine.is_malcev(t) and affine._affine_over_its_group(t, A)
+    assert affine.is_malcev(t) and affine.operation_parts(t, A) is not None
     assert affine.commutes_with_algebra(t, A)
     clone = affine.ternary_term_clone(A)
     assert len(clone) == 192 and t.table not in clone

@@ -132,6 +132,17 @@ def test_hom_searches_hom_a_b_once(count_calls, capsys):
     assert len(searches) == 1
 
 
+@pytest.mark.parametrize("a, s", [("z2", "z4"), ("v4", "z6"), ("z6", "z6"), ("z4", "v4")])
+def test_hk_searches_hom_a_s_and_hom_a2_s_once(a, s, count_calls, capsys):
+    # build_hk_group takes the Hom(A, S) that cmd_hk searched and searches only Hom(A^2, S)
+    searches = count_calls(core.enumerate_homs)
+    files = [str(DATA / f"{a}.alg")] + ([str(DATA / f"{s}.alg")] if s != a else [])
+    code, out, _ = run(capsys, ["hk", *files])
+    assert code == 0 and "generating family size" in out
+    searched = [(D.power_of.base.name, D.power_of.exponent, C.name) for D, C, *_ in searches]
+    assert searched == [(a, 1, s), (a, 2, s)]
+
+
 def test_main_builds_no_parser_per_call(count_calls, capsys):
     builds = count_calls(cli.build_parser)
     for _ in range(2):

@@ -52,7 +52,7 @@ def brute_dual_of(B, ego, budget=core.DEFAULT_BUDGET):
         rel_codes = relation_codes(rel, size)
         pos = np.minimum(np.searchsorted(rel_codes, codes), rel_codes.size - 1)
         lifted.append(tuples_idx[(rel_codes[pos] == codes).all(axis=1)])
-    return du.DualStructure(B, B_alg, homs, ego, tuple(lifted))
+    return du.DualStructure(B_alg, homs, ego, tuple(lifted))
 
 
 def brute_double_dual(D, budget=core.DEFAULT_BUDGET):
@@ -246,7 +246,7 @@ def outcome(call):
 def assert_interpolation_matches(B, ego):
     """The complete-mode double dual of B against the brute-force lifts; returns it."""
     slow = brute_dual_of(B, ego)
-    D = du.DualStructure(B, slow.algebra, slow.homs, ego)  # no lifts: interpolation
+    D = du.DualStructure(slow.algebra, slow.homs, ego)  # no lifts: interpolation
     fast = outcome(lambda: du.double_dual(D))
     assert fast == outcome(lambda: lifted_double_dual(slow)), B.carrier
     return fast

@@ -9,7 +9,7 @@ from adual import affine, core, factorize as fz, homgroups as hg, zoo
 
 def g_oracle(A, t_S, f, family):
     """g by its defining formula over all N generators, padding included."""
-    n = f.domain.power_of.exponent if f.domain.power_of else 1
+    n = f.domain.power_of.exponent
     k_map = [f(core.encode_tuple((x,) * n, A.size)) for x in range(A.size)]
     gens = [family.group.elements[g] for g in family.generators]
     term = affine.AffineTerm((1, -1) * len(gens) + (1,))
@@ -25,9 +25,9 @@ def check_against_oracles(A, S, t_A, t_S, f, fac):
     """The family against the greedy family of the group on k = f(x, .., x),
     g against its formula and, on A^(N+1) when that fits, as a Homomorphism;
     then the identity f = g(p_1, .., p_{N+1}) on every input of f."""
-    n = f.domain.power_of.exponent if f.domain.power_of else 1
+    n = f.domain.power_of.exponent
     k = core.Homomorphism(A, S, [f(core.encode_tuple((x,) * n, A.size)) for x in range(A.size)])
-    family = hg.generating_family(hg.build_hk_group(A, S, t_A, t_S, k))
+    family = hg.generating_family(hg.build_hk_group(A, S, t_A, t_S, k, core.enumerate_homs(A, S)))
     assert fac.family.generators[: family.size] == family.generators
     assert set(fac.family.generators[family.size :]) <= {family.group.neutral}
     assert fac.g.mapping.tolist() == g_oracle(A, t_S, f, fac.family)
@@ -272,3 +272,14 @@ def test_factor_map_is_a_homomorphism_exactly_when_its_reduction_is(size, coordi
     b_hat = core.Relation.from_codes([x for x, v in enumerate(values) if v == c], size, len(coordinates))
     B = core.Relation.from_codes([x for x, v in enumerate(lifted) if v == c], size, 3)
     assert core.is_compatible_relation(A, B) == core.is_compatible_relation(A, b_hat)
+
+
+def test_factor_morphism_searches_hom_a_s_and_hom_a2_s_once(z2, count_calls):
+    t = affine.find_affine_term(z2)
+    cube = core.power_algebra(z2, 3)
+    f = core.Homomorphism(cube, z2, [bin(x).count("1") % 2 for x in range(8)])  # parity
+    searches = count_calls(core.enumerate_homs)
+    fac = fz.factor_morphism(z2, z2, t, t, f)
+    assert fac.inner_arity == 2
+    searched = [(D.power_of.base.name, D.power_of.exponent, C.name) for D, C, *_ in searches]
+    assert searched == [("z2", 1, "z2"), ("z2", 2, "z2")]

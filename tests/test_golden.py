@@ -36,6 +36,7 @@ RELATIONS = (
     ("diag3", "z3", [(x, x, x) for x in range(3)], 2),
     ("even", "z4", [(x, y) for x in range(4) for y in range(4) if (x - y) % 2 == 0], 1),
     ("sum2", "z4", [(x, y, (x + y) % 4) for x in range(4) for y in range(0, 4, 2)], 2),
+    ("diag7", "z2", [(x,) * 7 for x in range(2)], 3),
 )
 
 
@@ -213,6 +214,8 @@ GOLDEN = {
     "replay z4 even": "0 de47482a96ffb8c7281339953e5cc19c0262aa0482c604f21df9bd6f28d82087",
     "entail z4 sum2": "0 e8fcbcf5c9e9a2eb5468fa378d1c590bf0c62386be744d57388d53ae53ae75a5",
     "replay z4 sum2": "0 44e09c482bad413cdb34cdff9a84d9e1c7562d50617710aa15a21b29821c7c51",
+    "entail z2 diag7": "0 dac5d4f84295079952a1741634e67963c4ac221f945980224e39cf678c837277",
+    "replay z2 diag7": "0 5a9489930281fe7472ed604be26937b84deff31330cfbc9c217183c7d0224ac2",
 }
 
 

@@ -148,7 +148,7 @@ def test_hk_group_fails_exactly_with_the_loop(case):
         mp.setattr(homgroups, "HkGroup", Replaced)
         mp.setattr(homgroups, "_verify_restriction_embedding", lambda *args: None)
         mp.setattr(homgroups, "_verify_base_change", lambda *args: None)
-        build = lambda: homgroups.build_hk_group(A, S, t_A, t_S, core.Homomorphism(A, S, k))
+        build = lambda: homgroups.build_hk_group(A, S, t_A, t_S, core.Homomorphism(A, S, k), core.enumerate_homs(A, S))
         if loop_failure(n, e, table) is None:
             assert build().add_table == tuple(table)
         else:

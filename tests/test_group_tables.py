@@ -101,7 +101,7 @@ def hk_groups():
     for (a, A), (s, S) in itertools.product(ALGEBRAS.items(), repeat=2):
         homs = core.enumerate_homs(A, S)
         for i in sorted({0, len(homs) - 1}):
-            group = homgroups.build_hk_group(A, S, terms[a], terms[s], homs[i])
+            group = homgroups.build_hk_group(A, S, terms[a], terms[s], homs[i], homs)
             out.append((f"hk({a},{s},h{i})", group))
     return tuple(out)
 

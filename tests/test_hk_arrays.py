@@ -5,8 +5,9 @@ of one int64 array, and its addition table, restriction embedding and base
 change checks are gathers of t_S's table over those rows.  The oracle below
 is the map-by-map tuple loop it ran before; both must give the same group
 and fail on the same corrupted t_S with the same error; each error of the
-restriction embedding is reached once.  `Homomorphism`
-keeps its values once, as a read-only int64 array.
+restriction embedding is reached once.  Both take Hom(A, S) from the
+caller and refuse one that misses the diagonal of a map of Hom(A^2, S).
+`Homomorphism` keeps its values once, as a read-only int64 array.
 """
 
 import itertools
@@ -22,8 +23,8 @@ from adual import affine, core, homgroups, zoo
 # ---------------------------------------------------------------------------
 
 
-def oracle_hk(A, S, t_A, t_S, k, budget=core.DEFAULT_BUDGET):
-    """(elements as tuples, neutral index, flat add table), checked map by map."""
+def oracle_hk(A, S, t_A, t_S, k, homs, budget=core.DEFAULT_BUDGET):
+    """(elements as tuples, neutral index, flat add table), checked map by map; `homs` is Hom(A, S)."""
     if not (core._same_tables(k.domain, A) and core._same_tables(k.codomain, S)):
         raise ValueError("base morphism must go from A to S")
     square = core.power_algebra(A, 2, budget)
@@ -55,7 +56,9 @@ def oracle_hk(A, S, t_A, t_S, k, budget=core.DEFAULT_BUDGET):
     fibers = {}
     for h in homs2:
         fibers.setdefault(tuple(h.mapping[d] for d in diag), set()).add(h.mapping)
-    for j in core.enumerate_homs(A, S, budget):
+    if not set(fibers) <= {j.mapping for j in homs}:
+        raise core.VerificationError("a map of Hom(A^2, S) has a diagonal outside Hom(A, S)")
+    for j in homs:
         jbar = tuple(j(c % A.size) for c in range(square.size))
         other = fibers.get(j.mapping, set())
         phi = {}
@@ -101,10 +104,13 @@ def oracle_restriction(A, t_A, t_S, k, elements, neutral, add, budget=core.DEFAU
                 raise core.VerificationError("restriction is not additive")
 
 
-def outcome(build, A, S, t_A, t_S, k):
-    """The group as (elements, neutral, add table), or the type and message of its error."""
+def outcome(build, A, S, t_A, t_S, k, homs=None):
+    """The group as (elements, neutral, add table), or the type and message of its error.
+
+    `homs` is the Hom(A, S) handed to `build`, the searched one by default.
+    """
     try:
-        result = build(A, S, t_A, t_S, k)
+        result = build(A, S, t_A, t_S, k, core.enumerate_homs(A, S) if homs is None else homs)
     except (ValueError, core.VerificationError) as e:
         return type(e), str(e)
     if isinstance(result, homgroups.HkGroup):
@@ -153,20 +159,34 @@ def test_hk_group_fails_on_a_corrupted_term_like_the_tuple_loop(case):
 
 def test_base_change_names_a_missing_or_surplus_target_map(v4):
     t = TERMS["v4"]
-    G = homgroups.build_hk_group(v4, v4, t, t, core.enumerate_homs(v4, v4)[0])
+    homs = core.enumerate_homs(v4, v4)
+    G = homgroups.build_hk_group(v4, v4, t, t, homs[0], homs)
     homs2 = core.hom_table(core.enumerate_homs(G.square, v4), G.square.size)
+    js = core.hom_table(homs, v4.size)
     with pytest.raises(core.VerificationError, match="leaves the target hom set"):
-        homgroups._verify_base_change(G, homs2[:-1], core.DEFAULT_BUDGET)
+        homgroups._verify_base_change(G, homs2[:-1], js)
     surplus = homs2[-1].copy()
     surplus[1] = (surplus[1] + 1) % 4  # off the diagonal, so in the same fiber
     with pytest.raises(core.VerificationError, match="not bijective"):
-        homgroups._verify_base_change(G, np.vstack([homs2, surplus]), core.DEFAULT_BUDGET)
+        homgroups._verify_base_change(G, np.vstack([homs2, surplus]), js)
+
+
+@pytest.mark.parametrize("a, s", [("v4", "v4"), ("z4", "z2"), ("z2", "z6"), ("z6", "z6")])
+def test_hom_a_s_with_one_hom_missing_is_refused_like_the_tuple_loop(a, s):
+    A, S = ALGEBRAS[a], ALGEBRAS[s]
+    homs = core.enumerate_homs(A, S)
+    expected = (core.VerificationError, "a map of Hom(A^2, S) has a diagonal outside Hom(A, S)")
+    for missing in range(len(homs)):
+        given = homs[:missing] + homs[missing + 1 :]
+        args = (A, S, TERMS[a], TERMS[s], homs[0])
+        assert outcome(homgroups.build_hk_group, *args, given) == outcome(oracle_hk, *args, given) == expected
 
 
 @pytest.mark.parametrize("a, s", [("v4", "v4"), ("z4", "z2"), ("z2", "z6")])
 def test_index_of_matches_a_dict_of_rows(a, s):
     A, S = ALGEBRAS[a], ALGEBRAS[s]
-    H = homgroups.build_hk_group(A, S, TERMS[a], TERMS[s], core.enumerate_homs(A, S)[-1])
+    homs = core.enumerate_homs(A, S)
+    H = homgroups.build_hk_group(A, S, TERMS[a], TERMS[s], homs[-1], homs)
     rng = np.random.default_rng(7)
     changed = H.elements[rng.integers(0, H.size, 40)].copy()
     cells = rng.integers(0, H.square.size, 40)
@@ -178,7 +198,8 @@ def test_index_of_matches_a_dict_of_rows(a, s):
 
 def test_index_of_finds_elements_and_rejects_other_maps(v4):
     t = affine.find_affine_term(v4)
-    H = homgroups.build_hk_group(v4, v4, t, t, core.enumerate_homs(v4, v4)[1])
+    homs = core.enumerate_homs(v4, v4)
+    H = homgroups.build_hk_group(v4, v4, t, t, homs[1], homs)
     assert H.index_of(H.elements).tolist() == list(range(H.size))
     # equal to an element on the generators of v4^2, but not elsewhere
     cell = max(set(range(H.square.size)) - set(H.square.generating_set))
@@ -216,7 +237,7 @@ def test_restriction_kernel_larger_than_the_neutral(z4, monkeypatch):
     # kernel breaks injectivity first.  So the rows of kbar and of the next map
     # are swapped in the element table once the neutral index is found.
     t, k = TERMS["z4"], core.Homomorphism(z4, z4, range(4))
-    elements, neutral, add_table = oracle_hk(z4, z4, t, t, k)
+    elements, neutral, add_table = oracle_hk(z4, z4, t, t, k, core.enumerate_homs(z4, z4))
     m, other = len(elements), (neutral + 1) % len(elements)
     order = list(range(m))
     order[neutral], order[other] = other, neutral
@@ -247,7 +268,7 @@ z4 = zoo.cyclic_group(4)
 xor = core.Operation("t", 3, 4, [x ^ y ^ z for x, y, z in itertools.product(range(4), repeat=3)])
 t = affine.find_affine_term(z4)
 try:
-    homgroups.build_hk_group(z4, z4, xor, t, core.Homomorphism(z4, z4, range(4)))
+    homgroups.build_hk_group(z4, z4, xor, t, core.Homomorphism(z4, z4, range(4)), core.enumerate_homs(z4, z4))
 except core.VerificationError as e:
     print(f"VerificationError: {e}")
 """
@@ -256,6 +277,28 @@ except core.VerificationError as e:
 def test_restriction_from_another_group_fails_under_optimize(under_optimize):
     out = under_optimize(_RESTRICTION_UNDER_OPTIMIZE)
     assert out == "VerificationError: restriction is not a group homomorphism\n", out
+
+
+_MISSING_HOM_UNDER_OPTIMIZE = """
+import sys
+
+from adual import affine, core, homgroups, zoo
+
+if __debug__ or not sys.flags.optimize:
+    sys.exit("not running under -O")
+v4 = zoo.klein_group()
+t = affine.find_affine_term(v4)
+homs = core.enumerate_homs(v4, v4)
+try:
+    homgroups.build_hk_group(v4, v4, t, t, homs[0], homs[:-1])
+except core.VerificationError as e:
+    print(f"VerificationError: {e}")
+"""
+
+
+def test_hom_a_s_with_one_hom_missing_is_refused_under_optimize(under_optimize):
+    out = under_optimize(_MISSING_HOM_UNDER_OPTIMIZE)
+    assert out == "VerificationError: a map of Hom(A^2, S) has a diagonal outside Hom(A, S)\n", out
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +390,9 @@ t = affine.find_affine_term(A)
 table = list(t.table)
 cell, value = int(sys.argv[3]), int(sys.argv[4])
 table[cell] = value
-k = core.enumerate_homs(A, A)[int(sys.argv[2])]
+homs = core.enumerate_homs(A, A)
 try:
-    homgroups.build_hk_group(A, A, t, core.Operation("t", 3, A.size, table), k)
+    homgroups.build_hk_group(A, A, t, core.Operation("t", 3, A.size, table), homs[int(sys.argv[2])], homs)
 except (core.VerificationError, ValueError) as e:
     print(f"{type(e).__name__}: {e}")
 """

@@ -85,7 +85,7 @@ def test_decompose_in_group(z4, terms):
 def _hk(A, S, terms_by_name, k_mapping):
     k = core.Homomorphism(A, S, k_mapping)
     return hg.build_hk_group(
-        A, S, terms_by_name[A.name], terms_by_name[S.name], k
+        A, S, terms_by_name[A.name], terms_by_name[S.name], k, core.enumerate_homs(A, S)
     )
 
 
@@ -124,14 +124,16 @@ def test_hk_base_change_isomorphism(z4, terms):
     # groups over different base morphisms have equal order; the explicit
     # base-change maps are verified inside the constructor, compare sizes here
     sizes = set()
-    for k in core.enumerate_homs(z4, z4):
-        H = hg.build_hk_group(z4, z4, terms["z4"], terms["z4"], k)
+    homs = core.enumerate_homs(z4, z4)
+    for k in homs:
+        H = hg.build_hk_group(z4, z4, terms["z4"], terms["z4"], k, homs)
         sizes.add(H.size)
     assert sizes == {4}
 
 
 def test_hk_group_enumerates_homs_on_the_square_once(v4, terms, monkeypatch):
-    # the base-change check takes each j's fiber from the one list of Hom(A^2, S)
+    # the base-change check takes Hom(A, S) from its caller and each j's
+    # fiber from the one list of Hom(A^2, S)
     real = hg.enumerate_homs
     domains = []
 
@@ -140,10 +142,10 @@ def test_hk_group_enumerates_homs_on_the_square_once(v4, terms, monkeypatch):
         return real(A, B, *args, **kwargs)
 
     monkeypatch.setattr(hg, "enumerate_homs", counting)
-    k = real(v4, v4)[1]
-    H = hg.build_hk_group(v4, v4, terms["v4"], terms["v4"], k)
+    homs = real(v4, v4)
+    H = hg.build_hk_group(v4, v4, terms["v4"], terms["v4"], homs[1], homs)
     assert H.size == 16
-    assert domains.count("v4^2") == 1 and domains.count("v4") == 1
+    assert domains == ["v4^2"]
 
 
 def test_hk_invalid_base_morphism(z4, terms):
@@ -156,8 +158,8 @@ def test_hk_base_morphism_compared_by_tables_not_names(z4, terms, relabeled):
     assert twin.name == z4.name and twin.ops != z4.ops
     k = core.Homomorphism(twin, z4, (1, 0, 2, 3))  # the isomorphism back to z4
     with pytest.raises(ValueError, match="base morphism"):
-        hg.build_hk_group(z4, z4, terms["z4"], terms["z4"], k)
-    hg.build_hk_group(twin, z4, affine.find_affine_term(twin), terms["z4"], k)
+        hg.build_hk_group(z4, z4, terms["z4"], terms["z4"], k, core.enumerate_homs(z4, z4))
+    hg.build_hk_group(twin, z4, affine.find_affine_term(twin), terms["z4"], k, core.enumerate_homs(twin, z4))
 
 
 def test_cardinal_has_bound_and_family(z2, z3, z4, z6, v4, terms):
@@ -167,7 +169,7 @@ def test_cardinal_has_bound_and_family(z2, z3, z4, z6, v4, terms):
             homs = core.enumerate_homs(A, S)
             if not homs:
                 continue
-            H = hg.build_hk_group(A, S, terms[A.name], terms[S.name], homs[0])
+            H = hg.build_hk_group(A, S, terms[A.name], terms[S.name], homs[0], homs)
             bound = hg.hom_count_bound(A.size, S.size, "group")
             assert bound % H.size == 0, (A.name, S.name)
             fam = hg.generating_family(H)
@@ -221,7 +223,7 @@ homgroups.HkGroup = Corrupted
 z4 = zoo.cyclic_group(4)
 t = affine.find_affine_term(z4)
 try:
-    homgroups.build_hk_group(z4, z4, t, t, core.Homomorphism(z4, z4, range(4)))
+    homgroups.build_hk_group(z4, z4, t, t, core.Homomorphism(z4, z4, range(4)), core.enumerate_homs(z4, z4))
 except core.VerificationError as e:
     print("VerificationError:", e)
 """

@@ -608,8 +608,8 @@ def chunked_results():
     graph = core.graph_relation(meet2.op("meet"))
     P = core.power_algebra(z4, 2)
     t2, t4, t6 = (affine.find_affine_term(A) for A in (z2, z4, z6))
-    k = core.enumerate_homs(z4, z4)[1]
-    hk = homgroups.build_hk_group(z4, z4, t4, t4, k)
+    homs = core.enumerate_homs(z4, z4)
+    hk = homgroups.build_hk_group(z4, z4, t4, t4, homs[1], homs)
     listed = core.enumerate_subuniverses(core.power_algebra(z2, 3))
     partial = duality.build_alter_ego(z2, 3, relations=listed)
     # `verify_duality` takes most reports from an isomorphic B of a lower
