@@ -207,13 +207,15 @@ def commutes_with_algebra(t: Operation, A: FiniteAlgebra):
         raise ValueError("term and algebra sizes differ")
     n = A.size
     tnp = t.np_table
-    triples = decode_code(np.arange(n**3, dtype=np.int64), [n] * 3)
+    triples = np.array(decode_code(np.arange(n**3, dtype=np.int64), [n] * 3))
     for o in A.ops:
-        blocks = zip(grid_blocks(triples, o.arity), grid_blocks((tnp,), o.arity))
+        blocks = zip(grid_blocks(triples, o.arity), grid_blocks(tnp, o.arity))
         for (_, lhs_args), (_, rhs_args) in blocks:
-            # o on A^3 and then t, against t on each argument triple and then o
-            lhs = tnp[apply_coordinatewise([o.np_table] * 3, [n] * 3, lhs_args)]
-            rhs = apply_coordinatewise([o.np_table], [n], rhs_args)
+            # o on A^3 and then t, against t on each argument triple and then o;
+            # a constant's image on A^3 holds its value at every coordinate
+            image = apply_coordinatewise(o.np_table, n, lhs_args) if o.arity else [o.np_table[0]] * 3
+            lhs = apply_coordinatewise(tnp, n, image)
+            rhs = apply_coordinatewise(o.np_table, n, rhs_args)
             if not np.array_equal(lhs, rhs):
                 return False
     return True
@@ -272,7 +274,7 @@ def _malcev_table(A):
     value = np.full(n**3, -1, dtype=np.int64)
     value[seed // n] = seed % n
     count = np.count_nonzero(value >= 0)
-    for codes in closure_blocks([A] * 4, np.zeros(n**4, dtype=bool), seed):
+    for codes in closure_blocks(A, 4, np.zeros(n**4, dtype=bool), seed):
         triple, image = divmod(codes, n)
         if (value[triple] >= 0).any():  # a new value for a triple that has one
             return None

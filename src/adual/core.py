@@ -99,35 +99,31 @@ def row_blocks(count, width):
     return (slice(s, min(s + step, count)) for s in range(0, count, step))
 
 
-def apply_coordinatewise(tables, sizes, args):
-    """An operation applied coordinatewise on a product of algebras, as codes.
+def apply_coordinatewise(table, size, args):
+    """An operation applied coordinatewise: one gather from its flat table.
 
-    `tables[i]` is the operation's flat table (an integer array) on the i-th
-    factor, whose universe has `sizes[i]` elements.  `args` holds one entry
-    per argument, any number of them: the digits of that argument, one
-    integer array per factor, as `decode_code` gives them.  All digit arrays
-    broadcast together, and the result has their common shape.  Codes are
-    mixed radix with the first factor most significant.
+    `table` is the operation's table on a universe of `size` elements, and
+    `args` holds one integer array per argument, all broadcasting together.
+    On a power A^k an argument is its digit array, with the factor on a
+    leading axis of length k, and the result is the k digits of the image;
+    a constant, with no argument, gives its one value.  A trailing axis of
+    `table` gives one result per column, which evaluates many tables at once.
     """
-    code = None
-    for i, (table, size) in enumerate(zip(tables, sizes)):
-        value = table[encode_tuple([a[i] for a in args], size)]
-        code = value if code is None else code * size + value
-    return code
+    return table[encode_tuple(args, size)]
 
 
 def along_axis(digits, axis, depth):
-    """`digits` reshaped to run along `axis` of a `depth`-dimensional grid.
+    """`digits`, whose element axis is last, laid along `axis` of a `depth`-dimensional grid.
 
-    Every axis before `axis` is left to broadcasting, so arguments laid
-    along different axes span the grid of all their combinations.
+    Leading axes pass through, and arguments laid along different axes span
+    the grid of all their combinations by broadcasting.
     """
-    shape = (-1,) + (1,) * (depth - 1 - axis)
-    return tuple([d.reshape(shape) for d in digits])
+    lead = digits.shape[:-1]
+    return digits.reshape(lead + (1,) * axis + (-1,) + (1,) * (depth - 1 - axis))
 
 
 def grid_args(digits, arity):
-    """Kernel arguments spanning every `arity`-tuple of the elements `digits`."""
+    """Kernel arguments spanning every `arity`-tuple of the elements `digits`, element axis last."""
     return [along_axis(digits, j, arity) for j in range(arity)]
 
 
@@ -138,10 +134,11 @@ def grid_blocks(digits, arity):
     arguments `args` span, and the blocks follow one another in that order.
     """
     args = grid_args(digits, arity)
-    width = len(digits[0]) ** max(0, arity - 1)
-    for rows in row_blocks(len(digits[0]) if arity else 1, width):
+    count = digits.shape[-1]
+    width = count ** max(0, arity - 1)
+    for rows in row_blocks(count if arity else 1, width):
         cells = slice(rows.start * width, rows.stop * width)
-        yield cells, [tuple(d[rows] for d in a) for a in args[:1]] + args[1:]
+        yield cells, ([along_axis(digits[..., rows], 0, arity)] if arity else []) + args[1:]
 
 
 class Operation:
@@ -264,8 +261,8 @@ class FiniteAlgebra:
         while not reached.all():
             current, seen = np.flatnonzero(reached), reached.copy()
             for o in self.ops:
-                for cells, args in grid_blocks((current,), o.arity):
-                    values = np.ravel(apply_coordinatewise([o.np_table], [self.size], args))
+                for cells, args in grid_blocks(current, o.arity):
+                    values = np.ravel(apply_coordinatewise(o.np_table, self.size, args))
                     fresh = np.flatnonzero(~seen[values])
                     if fresh.size:
                         elements, first = np.unique(values[fresh], return_index=True)
@@ -285,7 +282,7 @@ class FiniteAlgebra:
         arrays that broadcast to every argument tuple in table order.  Computed once."""
         index = np.arange(self.size, dtype=np.int64)
         index.setflags(write=False)
-        return tuple(tuple(a for (a,) in grid_args((index,), o.arity)) for o in self.ops)
+        return tuple(tuple(grid_args(index, o.arity)) for o in self.ops)
 
     @cached_property
     def _prefix_plan(self):
@@ -308,9 +305,8 @@ class FiniteAlgebra:
         equations = []
         for o in self.ops:
             if o.arity:
-                args = grid_args((S,), o.arity)
-                results = apply_coordinatewise([o.np_table], [self.size], args)
-                equations.append((o.name, [a for (a,) in args], results))
+                args = grid_args(S, o.arity)
+                equations.append((o.name, args, apply_coordinatewise(o.np_table, self.size, args)))
         return steps[:split], tuple(equations)
 
     def op(self, name):
@@ -344,70 +340,65 @@ def _check_same_signature(A, B):
 # The closure engine.
 #
 # All subuniverse generation runs through one routine, `closure_blocks`,
-# that closes a set of integer codes under the operations of a product of
-# algebras, applied coordinatewise by `apply_coordinatewise`.  Factors may
-# repeat (powers) or differ; they need only share a signature.
+# that closes a set of integer codes of a power A^k under the operations of
+# A.  Each round decodes the codes to stacked digits, the factor on a leading
+# axis, so each operation acts on all k factors in one `apply_coordinatewise`
+# gather from its table on A.
 # ---------------------------------------------------------------------------
 
 
-def closed_product_subset(factors, seed, base=None):
-    """Close `seed` (iterable of codes) under the factor operations, coordinatewise.
+def closed_product_subset(A, k, seed, base=None):
+    """Close `seed` (iterable of codes of A^k) under the operations of A, coordinatewise.
 
-    `factors` is a nonempty sequence of algebras with identical signatures;
-    codes are mixed-radix with the first factor most significant.  `base`,
+    Codes are mixed radix with the first factor most significant.  `base`,
     if given, is an already-closed member array that the seed extends.
     Returns the sorted member codes as a numpy array.  The work is done by
     `closure_blocks`.
     """
-    factors = list(factors)
-    member = np.zeros(math.prod(F.size for F in factors), dtype=bool)
+    member = np.zeros(A.size**k, dtype=bool)
     if base is not None:
         member[np.asarray(base, dtype=np.int64)] = True
-    for _ in closure_blocks(factors, member, seed):
+    for _ in closure_blocks(A, k, member, seed):
         pass
     return np.flatnonzero(member)
 
 
-def closure_blocks(factors, member, seed):
-    """Close `member`, a boolean array over the product's codes, and `seed` in place.
+def closure_blocks(A, k, member, seed):
+    """Close `member`, a boolean array over the codes of A^k, and `seed` in place.
 
-    `factors` and the codes are as in `closed_product_subset`.  Yields, as
-    the closure goes, the codes each block adds to `member`, which may
-    repeat within a block, so a caller can stop as soon as it has seen
-    enough.  The constants and the seed join first and are not yielded.
+    The codes are as in `closed_product_subset`.  Yields, as the closure
+    goes, the codes each block adds to `member`, which may repeat within a
+    block, so a caller can stop as soon as it has seen enough.  The
+    constants and the seed join first and are not yielded.
 
     Each round applies every operation to the argument tuples that hold a
     frontier element (the newest members) at some position and current
     members elsewhere.  The frontier runs along the first grid axis and is
-    cut into blocks, so no temporary exceeds CHUNK_CELLS cells unless one
-    frontier element alone spans more.
+    cut into blocks, so no temporary exceeds k * CHUNK_CELLS cells unless
+    one frontier element alone spans more.
     """
-    factors = list(factors)
-    for F in factors[1:]:
-        _check_same_signature(factors[0], F)
-    sizes = [F.size for F in factors]
-    ops = [([F.op(o.name).np_table for F in factors], o.arity) for o in factors[0].ops]
+    n, sizes = A.size, [A.size] * k
     # constants join the seed once
-    consts = {int(apply_coordinatewise(tables, sizes, ())) for tables, arity in ops if arity == 0}
+    consts = {int(encode_tuple([o.np_table[0]] * k, n)) for o in A.ops if o.arity == 0}
     seed_arr = np.array(sorted(consts.union(int(c) for c in seed)), dtype=np.int64)
     frontier = seed_arr[~member[seed_arr]]
     member[frontier] = True
-    ops = [(tables, arity) for tables, arity in ops if arity]
-    depth = max((arity for _, arity in ops), default=0)
+    ops = [o for o in A.ops if o.arity]
+    depth = max((o.arity for o in ops), default=0)
 
     while frontier.size:
         current = np.flatnonzero(member)
-        first = along_axis(decode_code(frontier, sizes), 0, depth)
-        digits = decode_code(current, sizes)
+        first = along_axis(np.array(decode_code(frontier, sizes)), 0, depth)
+        digits = np.array(decode_code(current, sizes))
         rest = [along_axis(digits, j, depth) for j in range(1, depth)]
         new = []
-        for tables, arity in ops:
-            for rows in row_blocks(frontier.size, current.size ** (arity - 1)):
-                block = tuple(d[rows] for d in first)
-                for pos in range(arity):
-                    args = rest[: arity - 1]
+        for o in ops:
+            for rows in row_blocks(frontier.size, current.size ** (o.arity - 1)):
+                block = first[:, rows]
+                for pos in range(o.arity):
+                    args = rest[: o.arity - 1]
                     args.insert(pos, block)
-                    codes = apply_coordinatewise(tables, sizes, args).ravel()
+                    codes = encode_tuple(apply_coordinatewise(o.np_table, n, args), n).ravel()
                     fresh = codes[~member[codes]]
                     member[fresh] = True
                     new.append(fresh)
@@ -428,7 +419,7 @@ def generated_subuniverse(A, seed, budget=DEFAULT_BUDGET):
         raise ValueError(f"empty seed and {A.name} has no constants: closure is empty")
     if A.size > budget:
         raise BudgetExceededError(A.size, budget)
-    return tuple(int(x) for x in closed_product_subset([A], seed))
+    return tuple(int(x) for x in closed_product_subset(A, 1, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +454,19 @@ def product_operations(factors):
 
     Codes are mixed radix with the first factor most significant.  Each
     table is computed in grid blocks, so no temporary spans the whole grid.
+    Factors may differ, so each block reads each factor's own table.
     """
     sizes = [F.size for F in factors]
     N = math.prod(sizes)
-    digits = decode_code(np.arange(N, dtype=np.int64), sizes)
+    digits = np.array(decode_code(np.arange(N, dtype=np.int64), sizes))
     ops = []
     for o in factors[0].ops:
-        tables = [F.op(o.name).np_table for F in factors]
         flat = np.empty(N**o.arity, dtype=np.int64)
         for cells, args in grid_blocks(digits, o.arity):
-            flat[cells] = np.ravel(apply_coordinatewise(tables, sizes, args))
+            code = 0
+            for i, F in enumerate(factors):  # the one loop over factors: their tables differ
+                code = code * F.size + apply_coordinatewise(F.op(o.name).np_table, F.size, [a[i] for a in args])
+            flat[cells] = np.ravel(code)
         flat.setflags(write=False)  # handed over to the Operation, not copied
         ops.append(Operation(o.name, o.arity, N, flat))
     return ops
@@ -487,7 +481,7 @@ def carrier_tables(A, carrier):
     """
     tables = []
     for o in A.ops:
-        values = np.ravel(apply_coordinatewise([o.np_table], [A.size], grid_args((carrier,), o.arity)))
+        values = np.ravel(apply_coordinatewise(o.np_table, A.size, grid_args(carrier, o.arity)))
         escapes = ~sorted_member(carrier, values)
         if escapes.any():
             i = int(np.flatnonzero(escapes)[0])
@@ -621,11 +615,13 @@ def preserving_rows(A, R: Relation, arity, tables):
     """
     codes, n = R.codes(), A.size
     preserves = np.ones(len(tables), dtype=bool)
-    for _, args in grid_blocks(decode_code(codes, [n] * R.arity), arity):
-        # the table cell each coordinate reads, for every argument tuple of the block
-        cells = [np.ravel(encode_tuple([a[c] for a in args], n)) for c in range(R.arity)]
-        images = encode_tuple([tables.take(i, axis=1) for i in cells], n)
-        preserves &= sorted_member(codes, images).all(axis=1)
+    for _, args in grid_blocks(np.array(decode_code(codes, [n] * R.arity)), arity):
+        # the code of each image under every table, the tables on the last axis; a
+        # constant's image holds its value at every coordinate.  Its digits are a
+        # temporary, freed before the membership test allocates.
+        images = encode_tuple(apply_coordinatewise(tables.T, n, args) if arity else [tables[:, 0]] * R.arity, n)
+        inside = sorted_member(codes, images)
+        preserves &= inside.all(axis=tuple(range(inside.ndim - 1)))
     return preserves
 
 
@@ -667,12 +663,12 @@ def subuniverse_carriers(A, budget=DEFAULT_BUDGET, above=None):
     if bad:
         raise ValueError(f"code {bad[0]} outside the universe 0..{A.size - 1} of {A.name}")
     # the root Sg(seed) is empty, and not listed, if the seed is and A has no constants
-    root = closed_product_subset([A], seed) if seed or A.constants() else np.zeros(0, dtype=np.int64)
+    root = closed_product_subset(A, 1, seed) if seed or A.constants() else np.zeros(0, dtype=np.int64)
     outside_root = np.ones(A.size, dtype=bool)
     outside_root[root] = False
     first_generator = {}
     for x in np.flatnonzero(outside_root).tolist():
-        arr = closed_product_subset([A], [x], base=root)
+        arr = closed_product_subset(A, 1, [x], base=root)
         first_generator.setdefault(arr.tobytes(), (x, arr))
     gens = np.array([x for x, _ in first_generator.values()], dtype=np.int64)
     singles = [arr for _, arr in first_generator.values()]
@@ -692,7 +688,7 @@ def subuniverse_carriers(A, budget=DEFAULT_BUDGET, above=None):
             if holds[j] or (witness[j] >= 0 and not holds[witness[j]]):
                 continue
             # the children of the root are the attribute sets Sg(root + g_j)
-            T = singles[j] if S is root else closed_product_subset([A], [gens[j]], base=S)
+            T = singles[j] if S is root else closed_product_subset(A, 1, [gens[j]], base=S)
             T_holds = held(T)
             added = T_holds & ~holds
             if added[:j].any():
@@ -748,7 +744,7 @@ class Homomorphism:
     def _verify(self):
         m, B = self.np_mapping, self.codomain
         for oA, grid in zip(self.domain.ops, self.domain._arg_grid):
-            rhs = apply_coordinatewise([B.op(oA.name).np_table], [B.size], [(m[a],) for a in grid])
+            rhs = apply_coordinatewise(B.op(oA.name).np_table, B.size, [m[a] for a in grid])
             wrong = m[oA.np_table] != np.ravel(rhs)
             if wrong.any():
                 args = decode_code(int(wrong.argmax()), [self.domain.size] * oA.arity)
@@ -791,7 +787,7 @@ def extend_partial_map(A, B, partial):
     values = np.zeros(A.size, dtype=np.int64)
     values[list(partial)] = list(partial.values())
     for name, elements, args in steps:
-        values[elements] = apply_coordinatewise([B.op(name).np_table], [B.size], [(values[a],) for a in args])
+        values[elements] = apply_coordinatewise(B.op(name).np_table, B.size, [values[a] for a in args])
     values.setflags(write=False)
     try:
         return Homomorphism(A, B, values)
@@ -820,10 +816,10 @@ def _surviving_prefixes(A, B):
         for g, digit in zip(gens, decode_code(codes, sizes)):
             values[g] = digit
         for name, elements, args in steps:
-            values[elements] = apply_coordinatewise([B.op(name).np_table], [B.size], [(values[a],) for a in args])
+            values[elements] = apply_coordinatewise(B.op(name).np_table, B.size, [values[a] for a in args])
         keep = np.ones(codes.size, dtype=bool)
         for name, args, results in equations:
-            images = apply_coordinatewise([B.op(name).np_table], [B.size], [(values[a],) for a in args])
+            images = apply_coordinatewise(B.op(name).np_table, B.size, [values[a] for a in args])
             keep &= (values[results] == images).reshape(-1, codes.size).all(axis=0)
         yield from zip(*(d.tolist() for d in decode_code(codes[keep], sizes)))
 
@@ -982,8 +978,8 @@ def _images_at_representatives(A, labels):
     when f(x) and f(rep x) always share a class; constants always do.
     """
     for o in [o for o in A.ops if o.arity]:
-        for cells, args in grid_blocks((labels,), o.arity):
-            yield o, cells, o.np_table[cells], np.ravel(apply_coordinatewise([o.np_table], [A.size], args))
+        for cells, args in grid_blocks(labels, o.arity):
+            yield o, cells, o.np_table[cells], np.ravel(apply_coordinatewise(o.np_table, A.size, args))
 
 
 def quotient_tables(A, part: Congruence):
@@ -1006,8 +1002,8 @@ def quotient_tables(A, part: Congruence):
     tables = []
     for o in A.ops:
         table = np.empty(reps.size**o.arity, dtype=np.int64)
-        for cells, args in grid_blocks((reps,), o.arity):
-            table[cells] = np.ravel(C[apply_coordinatewise([o.np_table], [A.size], args)])
+        for cells, args in grid_blocks(reps, o.arity):
+            table[cells] = np.ravel(C[apply_coordinatewise(o.np_table, A.size, args)])
         tables.append(table)
     return tables
 

@@ -25,6 +25,7 @@ from .core import (
     Relation,
     VerificationError,
     _check_universe,
+    _same_tables,
     decode_code,
     encode_tuple,
     full_relation,
@@ -301,10 +302,10 @@ def reduce_to_bounded_arity(
     alone; each of those is the kernel class of a morphism onto a
     subdirectly irreducible quotient S, which factors through A^(N+1),
     turning the component into a term preimage of an (N+1)-ary compatible
-    relation.  The affine term of S is found on S itself; a quotient without
-    one raises VerificationError.  N must be at least the generating-family
-    size of every hom group met along the way; families are padded up to
-    exactly N.
+    relation.  The affine term of S is found on S itself, and reused for a
+    later quotient with the same tables; a quotient without one raises
+    VerificationError.  N must be at least the generating-family size of
+    every hom group met along the way; families are padded up to exactly N.
     """
     if R.base_size != A.size:
         raise ValueError("relation base does not match the algebra")
@@ -323,13 +324,16 @@ def reduce_to_bounded_arity(
     if not np.array_equal(meet, r_codes):
         raise VerificationError("meet-irreducible decomposition failed")
 
-    nodes = []
+    nodes, terms = [], []  # terms: (quotient, its affine term), one per distinct quotient
     for w in components:
         kt = kernel_quotient(P, w, budget)
         c = kt.point
-        t_S = find_affine_term(kt.quotient, budget)
+        t_S = next((t_Q for Q, t_Q in terms if _same_tables(Q, kt.quotient)), None)
         if t_S is None:
-            raise VerificationError(f"the quotient {kt.quotient.name} has no affine term")
+            t_S = find_affine_term(kt.quotient, budget)
+            if t_S is None:
+                raise VerificationError(f"the quotient {kt.quotient.name} has no affine term")
+            terms.append((kt.quotient, t_S))
         fac = factor_morphism(A, kt.quotient, t, t_S, kt.projection, N, budget)
         # B = g^-1(c) is the preimage of B_hat = reduced^-1(c) under the
         # projection, a homomorphism, so B is compatible exactly when B_hat is

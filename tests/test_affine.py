@@ -102,7 +102,7 @@ def oracle_outcomes(A):
     n = A.size
     x, y = core.decode_code(np.arange(n * n), [n, n])
     seed = np.concatenate([core.encode_tuple((x, y, y, x), n), core.encode_tuple((y, y, x, x), n)])
-    graph = core.closed_product_subset([A] * 4, seed)
+    graph = core.closed_product_subset(A, 4, seed)
     prefixes = np.unique(graph // n)
     candidate = None
     if prefixes.size == n**3 and graph.size == prefixes.size:
@@ -230,13 +230,16 @@ def test_search_matches_the_oracle_on_zoo_and_data_algebras():
 
 @pytest.fixture()
 def kernel_cells(monkeypatch):
-    """A list that gets the size of each result of the kernel as the closure calls it."""
+    """A list that gets the number of A^4 elements each kernel call of the closure gives.
+
+    The closure calls the kernel on stacked digits, four per element of A^4.
+    """
     cells = []
     kernel = core.apply_coordinatewise
 
-    def counted(tables, sizes, args):
-        out = kernel(tables, sizes, args)
-        cells.append(np.size(out))
+    def counted(table, size, args):
+        out = kernel(table, size, args)
+        cells.append(np.size(out) // 4)
         return out
 
     monkeypatch.setattr(core, "apply_coordinatewise", counted)

@@ -782,3 +782,61 @@ except core.VerificationError as e:
 def test_an_image_missing_from_the_level_below_is_refused_under_optimize(under_optimize):
     out = under_optimize(_EMPTY_LOOKUP)
     assert out == "VerificationError: the image [0] of carrier [0] is no subuniverse of A^1\n", out
+
+
+# ---------------------------------------------------------------------------
+# The lower-arity FAILs, pinned exactly, with one extra map checked apart from
+# `duality`: against every binary compatible relation lifted over Hom(B, A)
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+def failing_reports(name, capsys):
+    """Exit code and the (carrier, first extra map) of each NOT surjective B of
+    `adual duality NAME --arity 2 --max-power 2`, read off its stdout."""
+    from adual import cli
+
+    code = cli.main(["duality", str(DATA / f"{name}.alg"), "--arity", "2", "--max-power", "2"])
+    failing = []
+    for block in capsys.readouterr().out.split("\n\n"):  # one block per B
+        if "evaluation map: NOT surjective" in block:
+            carrier = block.split("carrier [")[1].split("]")[0]
+            phi = block.split("extra double-dual map not hit: (")[1].split(")")[0]
+            failing.append((tuple(map(int, carrier.split(", "))), tuple(map(int, phi.split(", ")))))
+    return code, failing
+
+
+def check_extra_map(A, carrier, phi):
+    """phi preserves every binary compatible relation lifted over Hom(B, A) and is no evaluation."""
+    P = core.power_algebra(A, 2)
+    B = SubalgebraWitness(P, carrier).as_algebra()
+    homs = core.hom_table(core.enumerate_homs(B, A), B.size)  # row i: the values of hom i on B
+    phi = np.array(phi)
+    assert phi.shape == (len(homs),)
+    assert not (homs.T == phi).all(axis=1).any(), "phi is an evaluation"
+    for R in core.enumerate_subuniverses(P):
+        inside = np.zeros(A.size**2, dtype=bool)
+        inside[R.codes()] = True
+        # (h_i, h_j) lies in the lift of R iff (h_i(b), h_j(b)) is in R for every b of B
+        lifted = inside[homs[:, None, :] * A.size + homs[None, :, :]].all(axis=2)
+        assert inside[phi[:, None] * A.size + phi[None, :]][lifted].all(), f"phi breaks the lift of {R}"
+
+
+@pytest.mark.parametrize(
+    "name, failing_count, first_extra",
+    [("z2", 1, (0, 0, 0, 1)), ("z4", 5, (0, 0, 0, 2)), ("z4aff", 11, None)],
+)
+def test_lower_arity_fails_are_pinned(name, failing_count, first_extra, capsys):
+    code, failing = failing_reports(name, capsys)
+    assert code == 1
+    assert len(failing) == failing_count
+    if first_extra is not None:
+        carrier, phi = failing[0]
+        assert phi == first_extra
+        A = textio.parse_document((DATA / f"{name}.alg").read_text()).algebras[name]
+        check_extra_map(A, carrier, phi)
+        with pytest.raises(AssertionError, match="is an evaluation"):
+            check_extra_map(A, carrier, (0,) * len(phi))  # evaluation at the neutral element
+        with pytest.raises(AssertionError, match="breaks the lift"):
+            check_extra_map(A, carrier, (1,) + (0,) * (len(phi) - 1))  # moves only where hom 0 sits

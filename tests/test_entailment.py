@@ -381,6 +381,31 @@ def test_reduction_enumerates_only_the_interval_above_the_relation(z4, terms, mo
     assert len(calls) == 65
 
 
+@pytest.mark.parametrize("n, components", [(3, 3), (4, 7), (5, 15)])
+def test_reduction_searches_each_quotient_term_once(n, components, z2, terms, count_calls):
+    """All components of the n-ary diagonal over z2 quotient to Z2, so one term search serves them."""
+    calls = count_calls(affine.find_affine_term)
+    res = ent.reduce_to_bounded_arity(z2, terms["z2"], core.diagonal_relation(2, n), 2)
+    assert len(res.bounded_premises) == components
+    assert len(calls) == 1 and calls[0][0].size == 2
+    assert ent.verify_certificate(res.certificate)
+
+
+def test_reduction_searches_distinct_quotients_apart(z4, terms, count_calls, monkeypatch):
+    """z4 sum2 of the golden cases: one term search per distinct quotient of the components."""
+    R = core.Relation(3, 4, [(x, y, (x + y) % 4) for x in range(4) for y in range(0, 4, 2)])
+    quotients, real = [], ent.kernel_quotient
+    monkeypatch.setattr(ent, "kernel_quotient", lambda *a: quotients.append(real(*a)) or quotients[-1])
+    searched = count_calls(affine.find_affine_term)
+    ent.reduce_to_bounded_arity(z4, terms["z4"], R, 2)
+    distinct = []
+    for kt in quotients:
+        if not any(core._same_tables(kt.quotient, Q) for Q in distinct):
+            distinct.append(kt.quotient)
+    assert len(distinct) < len(quotients)
+    assert [S for S, *_ in searched] == distinct
+
+
 _UNDER_OPTIMIZE = """
 import sys
 

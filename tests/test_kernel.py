@@ -3,8 +3,8 @@
 `core.apply_coordinatewise` and every function built on it are checked
 against plain oracles that apply an operation to one argument tuple at a
 time, with itertools.product over all tuples.  The algebras are random: 1 to
-4 elements, operations of arity 0 to 3, and products whose factors differ in
-size.
+4 elements, operations of arity 0 to 3, their small powers, and products
+whose factors differ in size.
 """
 
 import ast
@@ -140,36 +140,76 @@ def ternary_tables(draw, size):
 # ---------------------------------------------------------------------------
 
 
-@given(products(), st.data())
+@st.composite
+def powers(draw, max_cells=16):
+    """A random algebra A and an exponent k with |A|**k small."""
+    A = draw(algebras())
+    return A, draw(st.integers(1, 3).filter(lambda k: A.size**k <= max_cells))
+
+
+def image_codes(A, k, o, args):
+    """The codes on A^k of the operation `o` of A at stacked-digit `args`, through the kernel."""
+    digits = core.apply_coordinatewise(o.np_table, A.size, args) if o.arity else [o.np_table[0]] * k
+    return core.encode_tuple(digits, A.size)
+
+
+@given(powers(), st.data())
 @settings(max_examples=80)
-def test_kernel_matches_oracle(factors, data):
-    sizes = [F.size for F in factors]
-    total = int(np.prod(sizes))
-    elements = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=5))
-    digits = core.decode_code(np.array(elements, dtype=np.int64), sizes)
-    for o in factors[0].ops:
-        tables = [F.op(o.name).np_table for F in factors]
-        codes = core.apply_coordinatewise(tables, sizes, core.grid_args(digits, o.arity))
+def test_kernel_matches_oracle(power, data):
+    """Stacked digits on A^k against the oracle and against the table of A^k from `product_operations`."""
+    A, k = power
+    sizes = [A.size] * k
+    elements = data.draw(st.lists(st.integers(0, A.size**k - 1), min_size=1, max_size=5))
+    digits = np.stack(core.decode_code(np.array(elements, dtype=np.int64), sizes))
+    for o, product in zip(A.ops, core.product_operations([A] * k)):
+        codes = image_codes(A, k, o, core.grid_args(digits, o.arity))
         assert np.shape(codes) == (len(elements),) * o.arity
-        expected = [oracle_apply(factors, o.name, args) for args in itertools.product(elements, repeat=o.arity)]
+        expected = [oracle_apply([A] * k, o.name, args) for args in itertools.product(elements, repeat=o.arity)]
         assert np.ravel(codes).tolist() == expected
-        # integer digits give one integer code
+        grid = core.grid_args(np.array(elements, dtype=np.int64), o.arity)
+        assert np.ravel(product.np_table[core.encode_tuple(grid, A.size**k)]).tolist() == expected
+        # the digits of one element each give the digits of one image
         args = data.draw(st.lists(st.sampled_from(elements), min_size=o.arity, max_size=o.arity))
-        one = core.apply_coordinatewise(tables, sizes, [core.decode_code(a, sizes) for a in args])
-        assert int(one) == oracle_apply(factors, o.name, args)
+        one = image_codes(A, k, o, [np.array(core.decode_code(a, sizes)) for a in args])
+        assert int(one) == oracle_apply([A] * k, o.name, args)
+
+
+@given(powers(), st.data())
+@settings(max_examples=80)
+def test_closure_matches_oracle(power, data):
+    """The closure on A^k against the oracle, and against the closure on the table algebra A^k."""
+    A, k = power
+    P = core.power_algebra(A, k)
+    codes = st.lists(st.integers(0, P.size - 1), max_size=3)
+    seed = data.draw(codes)
+    got = core.closed_product_subset(A, k, seed).tolist()
+    assert got == oracle_closure([A] * k, seed) == core.closed_product_subset(P, 1, seed).tolist()
+    base = oracle_closure([A] * k, data.draw(codes))
+    extra = data.draw(codes)
+    got = core.closed_product_subset(A, k, extra, base=np.array(base, dtype=np.int64))
+    assert got.tolist() == oracle_closure([A] * k, base + extra)
 
 
 @given(products(), st.data())
-@settings(max_examples=80)
-def test_closure_matches_oracle(factors, data):
-    total = int(np.prod([F.size for F in factors]))
-    codes = st.lists(st.integers(0, total - 1), max_size=3)
-    seed = data.draw(codes)
-    assert core.closed_product_subset(factors, seed).tolist() == oracle_closure(factors, seed)
-    base = oracle_closure(factors, data.draw(codes))
-    extra = data.draw(codes)
-    got = core.closed_product_subset(factors, extra, base=np.array(base, dtype=np.int64))
-    assert got.tolist() == oracle_closure(factors, base + extra)
+@settings(max_examples=40)
+def test_closure_of_a_mixed_product_matches_oracle(factors, data):
+    """A product of differing factors is closed on its table algebra, at k = 1."""
+    P = core.FiniteAlgebra("P", int(np.prod([F.size for F in factors])), core.product_operations(factors))
+    seed = data.draw(st.lists(st.integers(0, P.size - 1), max_size=3))
+    assert core.closed_product_subset(P, 1, seed).tolist() == oracle_closure(factors, seed)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ternary_and_constant_operations_on_powers(k, z4):
+    """z4aff's ternary operation and z4's constant, on stacked digits of every element of A^k."""
+    for A in (load_z4aff(), z4):
+        P = core.power_algebra(A, k)
+        digits = np.stack(core.decode_code(np.arange(P.size), [A.size] * k))
+        for o, product in zip(A.ops, P.ops):
+            codes = image_codes(A, k, o, core.grid_args(digits, o.arity))
+            assert np.ravel(codes).tolist() == list(product.table)
+        seed = [1, P.size - 1]
+        assert core.closed_product_subset(A, k, seed).tolist() == core.closed_product_subset(P, 1, seed).tolist()
 
 
 def extension_oracle(A):
@@ -181,14 +221,14 @@ def extension_oracle(A):
     found = {}
     queue = []
     for x in range(A.size):
-        arr = core.closed_product_subset([A], [x])
+        arr = core.closed_product_subset(A, 1, [x])
         if arr.tobytes() not in found:
             found[arr.tobytes()] = arr
             queue.append(arr)
     while queue:
         arr = queue.pop()
         for x in sorted(set(range(A.size)) - set(arr.tolist())):
-            ext = core.closed_product_subset([A], [x], base=arr)
+            ext = core.closed_product_subset(A, 1, [x], base=arr)
             if ext.tobytes() not in found:
                 found[ext.tobytes()] = ext
                 queue.append(ext)
@@ -232,7 +272,7 @@ def test_ternary_closure_memory_is_bounded():
     seed = [0] + [4**i for i in range(4)]  # 0 and the unit vectors
     tracemalloc.start()
     try:
-        members = core.closed_product_subset([A] * 4, seed)
+        members = core.closed_product_subset(A, 4, seed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -293,11 +333,11 @@ def test_homomorphisms_match_oracle(signature, m, n, data):
 
 def oracle_generators(A):
     """The greedy generating set by closures: close the constants, then add the least unreached element."""
-    reached = core.closed_product_subset([A], []).tolist() if A.constants() else []
+    reached = core.closed_product_subset(A, 1, []).tolist() if A.constants() else []
     gens = []
     while len(reached) < A.size:
         gens.append(min(set(range(A.size)) - set(reached)))
-        reached = core.closed_product_subset([A], gens + reached).tolist()
+        reached = core.closed_product_subset(A, 1, gens + reached).tolist()
     return tuple(gens)
 
 
@@ -570,20 +610,21 @@ def test_row_blocks_tile_the_rows(count, width, monkeypatch):
 @pytest.mark.parametrize("arity", range(4))
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
 def test_grid_blocks_tile_the_grid(arity, n, monkeypatch):
+    """Over one digit array, and over two stacked on a leading axis that passes through."""
     monkeypatch.setattr(core, "CHUNK_CELLS", 7)
-    digits = (np.arange(n) * 2, np.arange(n) % 2)
-    shape = (n,) * arity
-    whole = [[np.broadcast_to(d, shape).ravel() for d in a] for a in core.grid_args(digits, arity)]
-    covered = []
-    for cells, args in core.grid_blocks(digits, arity):
-        size = cells.stop - cells.start
-        assert size <= 7 or size == n ** (arity - 1), "more than one row beyond CHUNK_CELLS"
-        block = np.broadcast_shapes(*(d.shape for a in args for d in a)) if args else ()
-        for a, w in zip(args, whole):
-            for d, full in zip(a, w):
-                assert np.array_equal(np.broadcast_to(d, block).ravel(), full[cells])
-        covered += range(n**arity)[cells]
-    assert covered == list(range(n**arity))
+    for digits in (np.arange(n) * 2, np.stack((np.arange(n) * 2, np.arange(n) % 2))):
+        lead = digits.shape[:-1]
+        whole = [np.broadcast_to(a, lead + (n,) * arity).reshape(lead + (-1,)) for a in core.grid_args(digits, arity)]
+        covered = []
+        for cells, args in core.grid_blocks(digits, arity):
+            size = cells.stop - cells.start
+            assert size <= 7 or size == n ** (arity - 1), "more than one row beyond CHUNK_CELLS"
+            block = np.broadcast_shapes(*(a.shape for a in args)) if args else ()
+            for a, full in zip(args, whole):
+                assert a.shape[: len(lead)] == lead
+                assert np.array_equal(np.broadcast_to(a, block).reshape(lead + (-1,)), full[..., cells])
+            covered += range(n**arity)[cells]
+        assert covered == list(range(n**arity))
 
 
 def test_only_core_names_chunk_cells():
