@@ -22,15 +22,16 @@ Each group x +^c y is an `AbelianGroup`, the one group type of the
 package, whose construction is the one check of the Abelian group axioms.
 A group keeps its addition table once, as a read-only int64 array, and
 one table of multiples (row m holds m * x) that gives orders, the
-exponent and k * x, so `affine_combination_array` sums its terms with
-gathers over these two tables.
+exponent and k * x.  `affine_combination_array` sums its terms with
+gathers over these two tables, in a group its caller builds; no group is
+cached.  Tables are read at encoded arguments by `core.apply_coordinatewise`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class TermTree:
             op = ops[name]
             if len(children) != op.arity:
                 raise ValueError(f"operation {name} expects {op.arity} arguments")
-            return op.np_table[encode_tuple([walk(c) for c in children], op.base_size)]
+            return apply_coordinatewise(op.np_table, op.base_size, [walk(c) for c in children])
 
         return walk(self.expr)
 
@@ -398,7 +399,7 @@ def _clone_search(A, target, budget):
                     if j > 0:
                         x = np.where(pos < j, rest[j - 1], x)
                     args.append(x)
-                rows = o.np_table[encode_tuple([members.take(x, axis=0) for x in args], n)]
+                rows = apply_coordinatewise(o.np_table, n, [members.take(x, axis=0) for x in args])
                 if emit(rows, lambda i: (o.name, tuple(trees[x[i]] for x in args))):
                     return trees[-1]
         start = size
@@ -433,22 +434,18 @@ def group_from_affine(t: Operation, c: int) -> AbelianGroup:
     return G
 
 
-@lru_cache(maxsize=None)
-def _cached_group(t: Operation, c: int) -> AbelianGroup:
-    return group_from_affine(t, c)
-
-
 def eval_affine_combination(term: AffineTerm, t: Operation, c: int, args):
     """Evaluate sum(u_k * x_k) in the group (t, c); the result is c-independent.
 
-    Coefficients are reduced modulo the group exponent first, which makes
-    negative ones nonnegative.  Each u * x is summed by repeated `add`, so
-    this scalar form does not read the `multiples` table.
+    The group is built on each call.  Coefficients are reduced modulo the
+    group exponent first, which makes negative ones nonnegative.  Each
+    u * x is summed by repeated `add`, so this scalar form does not read
+    the `multiples` table.
     """
     args = tuple(args)
     if len(args) != term.arity:
         raise ValueError(f"expected {term.arity} arguments, got {len(args)}")
-    G = _cached_group(t, c)
+    G = group_from_affine(t, c)
     acc = G.neutral
     for u, x in zip(term.coeffs, args):
         for _ in range(u % G.exponent):
@@ -456,14 +453,14 @@ def eval_affine_combination(term: AffineTerm, t: Operation, c: int, args):
     return acc
 
 
-def affine_combination_array(term: AffineTerm, t: Operation, c: int, args):
-    """`eval_affine_combination` elementwise on integer arrays that broadcast together."""
+def affine_combination_array(term: AffineTerm, G: AbelianGroup, args):
+    """`eval_affine_combination(term, t, c, args)` elementwise on integer arrays that broadcast
+    together, where the caller builds G = `group_from_affine(t, c)`."""
     if len(args) != term.arity:
         raise ValueError(f"expected {term.arity} arguments, got {len(args)}")
-    G = _cached_group(t, c)
     add = G.np_add_table.reshape(G.size, G.size)
     acc = np.full(np.broadcast_shapes(*(np.shape(x) for x in args)), G.neutral, dtype=np.int64)
     for u, x in zip(term.coeffs, args):
         if u % G.exponent:  # one gather from the table of a + u * y
-            acc = add[:, G.multiples[u % G.exponent]].ravel()[acc * G.size + x]
+            acc = apply_coordinatewise(add[:, G.multiples[u % G.exponent]].ravel(), G.size, (acc, x))
     return acc

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -180,7 +180,7 @@ class Operation:
     def __call__(self, *args):
         if len(args) != self.arity:
             raise ValueError(f"operation {self.name} expects {self.arity} arguments")
-        return self.table[encode_tuple(args, self.base_size)]
+        return apply_coordinatewise(self.table, self.base_size, args)
 
     def __eq__(self, other):
         return (
@@ -867,32 +867,22 @@ def hom_table(homs, size):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Congruence:
     """A partition of {0..base_size-1} preserved by all operations.
 
-    `class_of` assigns each element its block id; ids are canonical, numbered
-    by first appearance when scanning 0..n-1, so equal partitions compare
-    equal as dataclasses.  A `class_of` of any other length than `base_size`
-    raises ValueError.  `labels`, the read-only int64 array of each element's
-    least class member, is what meets, joins and refinement work on.
+    It is kept once, as `labels`, the read-only int64 array of each element's
+    least class member, which meets, joins, refinement, equality and hashing
+    read.  Block ids `class_of` of any other length than `base_size` raise
+    ValueError; the canonical ids and `num_classes` are built on first use.
     """
 
-    base_size: int
-    class_of: tuple
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ids = np.asarray(self.class_of, dtype=np.int64)
-        if ids.shape != (self.base_size,):
-            raise ValueError(f"class map has {ids.size} entries, expected base size {self.base_size}")
+    def __init__(self, base_size, class_of):
+        ids = np.asarray(class_of, dtype=np.int64)
+        if ids.shape != (base_size,):
+            raise ValueError(f"class map has {ids.size} entries, expected base size {base_size}")
         _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-        rank = np.empty_like(first)
-        rank[np.argsort(first)] = np.arange(first.size)
-        labels = first[inverse]
-        labels.setflags(write=False)
-        object.__setattr__(self, "class_of", tuple(rank[inverse].tolist()))
-        object.__setattr__(self, "labels", labels)
+        self.base_size, self.labels = base_size, first[inverse]
+        self.labels.setflags(write=False)
 
     @classmethod
     def from_classes(cls, base_size, classes):
@@ -918,15 +908,20 @@ class Congruence:
     def full(cls, base_size):
         return cls(base_size, (0,) * base_size)
 
-    @property
+    @cached_property
+    def class_of(self):
+        """The canonical block ids as a tuple: a label's id counts the least members below it."""
+        return tuple((np.cumsum(self.labels == np.arange(self.base_size)) - 1)[self.labels].tolist())
+
+    @cached_property
     def num_classes(self):
-        return max(self.class_of) + 1
+        return int(np.count_nonzero(self.labels == np.arange(self.base_size)))
 
     def classes(self):
         return tuple(tuple(np.flatnonzero(self.labels == r).tolist()) for r in np.unique(self.labels))
 
     def related(self, x, y):
-        return self.class_of[x] == self.class_of[y]
+        return bool(self.labels[x] == self.labels[y])
 
     def refines(self, other):
         """True iff every block of self sits inside a block of other."""
@@ -940,6 +935,12 @@ class Congruence:
 
     def join(self, other):
         return Congruence(self.base_size, _merged(self.labels, np.arange(self.base_size), other.labels))
+
+    def __eq__(self, other):
+        return isinstance(other, Congruence) and np.array_equal(self.labels, other.labels)
+
+    def __hash__(self):
+        return hash((self.base_size, self.labels.tobytes()))
 
 
 def _merged(labels, left, right):
@@ -1061,10 +1062,7 @@ def quotient_algebra(A, theta: Congruence):
     violation means theta was not a congruence and raises ValueError.
     """
     m = theta.num_classes
-    ops = [
-        Operation(o.name, o.arity, m, table)
-        for o, table in zip(A.ops, quotient_tables(A, theta))
-    ]
+    ops = [Operation(o.name, o.arity, m, table) for o, table in zip(A.ops, quotient_tables(A, theta))]
     Q = FiniteAlgebra(f"{A.name}/~{m}", m, ops)
     projection = Homomorphism(A, Q, theta.class_of)
     return Q, projection

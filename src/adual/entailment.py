@@ -14,6 +14,7 @@ proves nothing and says so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -36,7 +37,7 @@ from .core import (
     row_blocks,
     sorted_member,
 )
-from .affine import AffineTerm, TermTree, affine_combination_array, find_affine_term
+from .affine import AffineTerm, TermTree, affine_combination_array, find_affine_term, group_from_affine
 from .subcong import kernel_quotient, meet_irreducibles
 from .factorize import factor_morphism
 
@@ -112,6 +113,13 @@ class EntailmentCertificate:
     def ops_by_name(self):
         return {o.name: o for o in self.extra_ops}
 
+    @cached_property
+    def group(self):
+        """The group x + y = t(x, neutral, y) of `term_op` that affine terms are summed in, built on first use."""
+        if self.term_op is None:
+            raise ValueError("certificate carries no affine operation table")
+        return group_from_affine(self.term_op, self.neutral)
+
 
 def _eval_node(node, cert: EntailmentCertificate, budget=DEFAULT_BUDGET):
     if isinstance(node, Premise):
@@ -179,9 +187,7 @@ def _eval_node(node, cert: EntailmentCertificate, budget=DEFAULT_BUDGET):
 def _eval_term(term, cert, ops, args):
     """The term at `args`, integer arrays that broadcast together."""
     if isinstance(term, AffineTerm):
-        if cert.term_op is None:
-            raise ValueError("certificate carries no affine operation table")
-        return affine_combination_array(term, cert.term_op, cert.neutral, args)
+        return affine_combination_array(term, cert.group, args)
     if isinstance(term, TermTree):
         return term.evaluate(ops, args)
     raise TypeError(f"unknown term {term!r}")

@@ -25,8 +25,8 @@ from .core import (
     Operation,
     VerificationError,
     _same_tables,
+    apply_coordinatewise,
     decode_code,
-    encode_tuple,
     enumerate_homs,
     power_algebra,
     row_blocks,
@@ -34,6 +34,7 @@ from .core import (
 from .affine import (
     AffineTerm,
     affine_combination_array,
+    group_from_affine,
     projection_term,
 )
 from .homgroups import GeneratingFamily, build_hk_group, generating_family
@@ -95,24 +96,24 @@ def _domain_exponent(A, f):
     return power.exponent
 
 
-def _telescoping_sum(A, t_S, k_map, maps, ys, z):
-    """sum_j (h_j(y_j, z) - h_j(z, z)) + k(z) for the map tables h_j on A^2, at the digit arrays y_j and z."""
+def _telescoping_sum(A, G_S, k_map, maps, ys, z):
+    """sum_j (h_j(y_j, z) - h_j(z, z)) + k(z) in G_S, for the map tables h_j on A^2 at the digits y_j, z."""
     args = []
     for h, y in zip(maps, ys):
-        args += [h[encode_tuple((y, z), A.size)], h[encode_tuple((z, z), A.size)]]
+        args += [apply_coordinatewise(h, A.size, (y, z)), apply_coordinatewise(h, A.size, (z, z))]
     args.append(k_map[z])
-    return affine_combination_array(AffineTerm((1, -1) * len(maps) + (1,)), t_S, 0, args)
+    return affine_combination_array(AffineTerm((1, -1) * len(maps) + (1,)), G_S, args)
 
 
-def _g_values(A, t_S, k_map, generators):
+def _g_values(A, G_S, k_map, generators):
     """The telescoping sum of the generators over every (y_1, .., z), listed by code."""
     *ys, z = decode_code(np.arange(A.size ** (len(generators) + 1)), [A.size] * (len(generators) + 1))
-    return _telescoping_sum(A, t_S, k_map, generators, ys, z).tolist()
+    return _telescoping_sum(A, G_S, k_map, generators, ys, z).tolist()
 
 
-def _inner_maps(A, t_A, terms, f, digits):
-    """Each inner term on every input of f, whose digits are `digits`, as a map into A."""
-    return [Homomorphism(f.domain, A, affine_combination_array(term, t_A, 0, digits)) for term in terms]
+def _inner_maps(A, G_A, terms, f, digits):
+    """Each inner term, summed in G_A on every input of f, whose digits are `digits`, as a map into A."""
+    return [Homomorphism(f.domain, A, affine_combination_array(term, G_A, digits)) for term in terms]
 
 
 def _refuse_domain_of_g(A, N, budget):
@@ -144,7 +145,7 @@ def factor_morphism(
     n = _domain_exponent(A, f)
     if generators is not None:
         _refuse_domain_of_g(A, generators, budget)
-    k_map = f.np_mapping[encode_tuple((np.arange(A.size),) * n, A.size)]
+    k_map = apply_coordinatewise(f.np_mapping, A.size, (np.arange(A.size),) * n)
     group = build_hk_group(A, S, t_A, t_S, Homomorphism(A, S, k_map), enumerate_homs(A, S, budget), budget)
     family = generating_family(group)
     if generators is not None:
@@ -167,15 +168,17 @@ def factor_morphism(
     # slot morphisms f_i(x, y) = f(y, .., x, .., y), x in slot i, and their generator coordinates
     x, y = decode_code(np.arange(square.size), [A.size] * 2)
     in_slot = np.eye(n, dtype=bool)[:, :, None]  # [i, position, code]
-    f_slots = f.np_mapping[encode_tuple(np.moveaxis(np.where(in_slot, x, y), 1, 0), A.size)]
+    f_slots = apply_coordinatewise(f.np_mapping, A.size, np.moveaxis(np.where(in_slot, x, y), 1, 0))
     slot_index = group.index_of(f_slots)
     if (slot_index < 0).any():
         raise VerificationError("slot morphism escapes the hom group built on its diagonal")
     matrix = [tuple(int(u) for u in family.expressions[int(i)]) for i in slot_index]
 
     # telescoping identity: f(x) = sum_i (f_i(x_i, x_1) - f_i(x_1, x_1)) + k(x_1)
+    # sums in S are taken in the group x + y = t_S(x, 0, y), built once for all of them
+    G_S = group_from_affine(t_S, 0)
     digits = decode_code(np.arange(f.domain.size, dtype=np.int64), [A.size] * n)
-    tele = _telescoping_sum(A, t_S, k_map, f_slots, digits, digits[0])
+    tele = _telescoping_sum(A, G_S, k_map, f_slots, digits, digits[0])
     wrong = np.flatnonzero(tele != f.np_mapping)
     if wrong.size:
         raise VerificationError(f"telescoping identity failed at {int(wrong[0])}")
@@ -184,7 +187,7 @@ def factor_morphism(
     coefficients = tuple(tuple(row[j] for row in matrix) for j in range(N))
     terms = [AffineTerm((u[0] + 1 - sum(u),) + u[1:]) for u in coefficients]
     terms = tuple(terms) + (projection_term(n, 0),)
-    p_tables = [p.np_mapping for p in _inner_maps(A, t_A, terms, f, digits)]
+    p_tables = [p.np_mapping for p in _inner_maps(A, group_from_affine(t_A, 0), terms, f, digits)]
 
     # generator/term exchange identity h(p_j(x), z) = sum_i u_ij h(x_i, z) +
     # (1 - sum_i u_ij) h(x_1, z), on every input x of f and every z, in blocks
@@ -194,20 +197,19 @@ def factor_morphism(
         exch = AffineTerm(u + (1 - sum(u),))
         for rows in row_blocks(f.domain.size, z.size):
             xs = [d[rows, None] for d in digits]
-            args = [h[encode_tuple((xi, z), A.size)] for xi in xs + xs[:1]]
-            lhs = h[encode_tuple((p_tables[j][rows, None], z), A.size)]
-            if not np.array_equal(lhs, affine_combination_array(exch, t_S, 0, args)):
+            args = [apply_coordinatewise(h, A.size, (xi, z)) for xi in xs + xs[:1]]
+            lhs = apply_coordinatewise(h, A.size, (p_tables[j][rows, None], z))
+            if not np.array_equal(lhs, affine_combination_array(exch, G_S, args)):
                 raise VerificationError("generator/term exchange identity failed")
 
     generators = [group.elements[family.generators[j]] for j in active]
     try:
-        reduced = Homomorphism(reduced_domain, S, _g_values(A, t_S, k_map, generators))
+        reduced = Homomorphism(reduced_domain, S, _g_values(A, G_S, k_map, generators))
     except ValueError as e:
         raise VerificationError(f"g: {e}") from None
     g = FactorMap(N + 1, active + [N], reduced)
 
-    image = encode_tuple(p_tables, A.size)
-    wrong = np.flatnonzero(g.mapping[image] != f.np_mapping)
+    wrong = np.flatnonzero(apply_coordinatewise(g.mapping, A.size, p_tables) != f.np_mapping)
     if wrong.size:
         raise VerificationError(f"factorization identity failed at {int(wrong[0])}")
 

@@ -27,8 +27,8 @@ from .core import (
     Operation,
     VerificationError,
     _same_tables,
+    apply_coordinatewise,
     decode_code,
-    encode_tuple,
     enumerate_homs,
     hom_table,
     power_algebra,
@@ -203,14 +203,9 @@ def _find_rows(rows, queries):
     return position[labels[len(rows) :]]
 
 
-def _diagonal(size):
-    """Codes of the diagonal (x, x) inside the square of {0..size-1}."""
-    return encode_tuple((np.arange(size),) * 2, size)
-
-
-def _pointwise_term(t, x, y, z):
-    """t applied pointwise to map tables x, y, z that broadcast together."""
-    return t.np_table[encode_tuple((x, y, z), t.base_size)]
+def _on_diagonal(maps, size):
+    """The value at each (x, x) of every map table on the square of {0..size-1}, a row of `maps`."""
+    return apply_coordinatewise(maps.T, size, (np.arange(size),) * 2).T
 
 
 def build_hk_group(A, S, t_A, t_S, k: Homomorphism, homs, budget=DEFAULT_BUDGET) -> HkGroup:
@@ -227,7 +222,7 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, homs, budget=DEFAULT_BUDGET)
         raise ValueError("base morphism must go from A to S")
     square = power_algebra(A, 2, budget)
     homs2 = hom_table(enumerate_homs(square, S, budget), square.size)
-    elements = homs2[(homs2[:, _diagonal(A.size)] == k.np_mapping).all(axis=1)]
+    elements = homs2[(_on_diagonal(homs2, A.size) == k.np_mapping).all(axis=1)]
     elements.setflags(write=False)
     kbar = k.np_mapping[decode_code(np.arange(square.size), [A.size] * 2)[1]]
     (neutral_index,) = _find_rows(elements, kbar[None, :])
@@ -236,7 +231,7 @@ def build_hk_group(A, S, t_A, t_S, k: Homomorphism, homs, budget=DEFAULT_BUDGET)
     m = len(elements)
     add_table = np.empty(m * m, dtype=np.int64)
     for rows in row_blocks(m, m * square.size):
-        sums = _pointwise_term(t_S, elements[rows, None], kbar, elements[None, :])
+        sums = apply_coordinatewise(t_S.np_table, S.size, (elements[rows, None], kbar, elements[None, :]))
         add_table.reshape(m, m)[rows] = _find_rows(elements, sums.reshape(-1, square.size)).reshape(-1, m)
     if (add_table < 0).any():
         raise ValueError("hom set not closed under the pointwise term")
@@ -259,21 +254,21 @@ def _verify_restriction_embedding(G: HkGroup, t_A):
     A, S = G.A, G.S
     add_A = group_from_affine(t_A, a).np_add_table
     add_S = group_from_affine(G.t_S, G.k(a)).np_add_table
-    restricted = G.elements[:, encode_tuple((a, np.arange(A.size)), A.size)]
+    restricted = apply_coordinatewise(G.elements.T, A.size, (a, np.arange(A.size))).T
     for rows in row_blocks(G.size, A.size**2):
         r = restricted[rows]
-        sums = encode_tuple((r[:, :, None], r[:, None, :]), S.size).reshape(len(r), -1)
-        if (r[:, add_A] != add_S[sums]).any():
+        sums = apply_coordinatewise(add_S, S.size, (r[:, :, None], r[:, None, :])).reshape(len(r), -1)
+        if (r[:, add_A] != sums).any():
             raise VerificationError("restriction is not a group homomorphism")
     if len(np.unique(restricted, axis=0)) != G.size:
         raise VerificationError("restriction not injective")
     kernel = np.flatnonzero((restricted == G.k.np_mapping).all(axis=1))
     if (kernel != G.neutral).any():
         raise VerificationError("kernel of the restriction is larger than {kbar}")
-    add = G.np_add_table.reshape(G.size, G.size)
+    add, t_S = G.np_add_table.reshape(G.size, G.size), G.t_S.np_table
     for rows in row_blocks(G.size, G.size * A.size):
         lhs = restricted[add[rows]]
-        rhs = _pointwise_term(G.t_S, restricted[rows, None], G.k.np_mapping, restricted[None, :])
+        rhs = apply_coordinatewise(t_S, S.size, (restricted[rows, None], G.k.np_mapping, restricted[None, :]))
         if not np.array_equal(lhs, rhs):
             raise VerificationError("restriction is not additive")
 
@@ -293,19 +288,20 @@ def _verify_base_change(G: HkGroup, homs2, js):
     in `row_blocks`; the first j that fails raises.
     """
     A, m, width = G.A, G.size, G.square.size
+    t_S, s = G.t_S.np_table, G.S.size
     kbar = G.elements[G.neutral]
     jbars = js[:, None, decode_code(np.arange(width), [A.size] * 2)[1]]
-    base_of = _find_rows(js, homs2[:, _diagonal(A.size)])  # the j each map lies over, or -1
+    base_of = _find_rows(js, _on_diagonal(homs2, A.size))  # the j each map lies over, or -1
     if (base_of < 0).any():
         raise VerificationError("a map of Hom(A^2, S) has a diagonal outside Hom(A, S)")
     fiber_size = np.bincount(base_of, minlength=len(js))
     for rows in row_blocks(len(js), m * width):
-        images = _pointwise_term(G.t_S, G.elements, kbar, jbars[rows])
+        images = apply_coordinatewise(t_S, s, (G.elements, kbar, jbars[rows]))
         found = _find_rows(homs2, images.reshape(-1, width)).reshape(-1, m)
         distinct = 1 + (np.diff(np.sort(found, axis=1), axis=1) != 0).sum(axis=1)
         stays = ((found >= 0) & (base_of[found] == np.arange(len(js))[rows, None])).all(axis=1)
         onto = (distinct == m) & (fiber_size[rows] == m)
-        back = (_pointwise_term(G.t_S, images, jbars[rows], kbar) == G.elements).all(axis=(1, 2))
+        back = (apply_coordinatewise(t_S, s, (images, jbars[rows], kbar)) == G.elements).all(axis=(1, 2))
         failed = ~np.array([stays, onto, back])  # [check, j]
         if failed.any():
             check = failed[:, failed.any(axis=0).argmax()].argmax()

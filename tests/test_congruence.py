@@ -2,18 +2,23 @@
 
 The label-array code in `core` is checked against oracles that work one
 argument tuple at a time: a union-find that merges one pair at a time and
-applies each operation to one argument tuple per step.  `c_of_congruence`
-is checked against the precondition it replaced, alpha refining the
-congruence generated by B x B.
+applies each operation to one argument tuple per step.  `Congruence`, which
+stores only its labels, is checked against the dataclass it replaced, which
+stored the canonical ids next to them.  `c_of_congruence` is checked against
+the precondition it replaced, alpha refining the congruence generated by
+B x B.
 """
 
 import itertools
+from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adual import core, subcong, zoo
 from test_kernel import algebras, reducts
+from test_subcong import ZOO
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +147,133 @@ def test_congruence_checks_its_length(z4):
         core.Congruence(2, (0, 1, 1, 0))
     with pytest.raises(ValueError, match="class map has 2 entries, expected base size 4"):
         core.verify_congruence(z4, core.Congruence(4, (0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Congruence against the dataclass that stored both forms
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StoredCongruence:
+    """The former `core.Congruence`: the canonical ids as a tuple, with the labels beside them."""
+
+    base_size: int
+    class_of: tuple
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ids = np.asarray(self.class_of, dtype=np.int64)
+        if ids.shape != (self.base_size,):
+            raise ValueError(f"class map has {ids.size} entries, expected base size {self.base_size}")
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        labels = first[inverse]
+        labels.setflags(write=False)
+        object.__setattr__(self, "class_of", tuple(rank[inverse].tolist()))
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def num_classes(self):
+        return max(self.class_of) + 1
+
+    def classes(self):
+        return tuple(tuple(np.flatnonzero(self.labels == r).tolist()) for r in np.unique(self.labels))
+
+    def related(self, x, y):
+        return self.class_of[x] == self.class_of[y]
+
+    def refines(self, other):
+        return bool((other.labels[self.labels] == other.labels).all())
+
+    def is_identity(self):
+        return self.num_classes == self.base_size
+
+    def meet(self, other):
+        return StoredCongruence(self.base_size, self.labels * self.base_size + other.labels)
+
+    def join(self, other):
+        return StoredCongruence(self.base_size, core._merged(self.labels, np.arange(self.base_size), other.labels))
+
+
+def assert_same_partition(got, expected):
+    """`got`, a Congruence, reads as the oracle `expected` through every accessor."""
+    n = expected.base_size
+    assert got.base_size == n
+    assert got.labels.tolist() == expected.labels.tolist()
+    assert not got.labels.flags.writeable
+    assert got.class_of == expected.class_of
+    assert got.num_classes == expected.num_classes
+    assert got.classes() == expected.classes()
+    assert got.is_identity() == expected.is_identity()
+    for x, y in itertools.product(range(n), repeat=2):
+        assert got.related(x, y) is expected.related(x, y)
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=150)
+def test_congruence_matches_the_stored_dataclass(n, data):
+    """Raw ids, not canonical and possibly negative, and the meet's ids labels * n + labels."""
+    ids = st.lists(st.integers(-3, 3 * n), min_size=n, max_size=n)
+    x, y = data.draw(ids), data.draw(ids)
+    X, Y = core.Congruence(n, x), core.Congruence(n, y)
+    OX, OY = StoredCongruence(n, x), StoredCongruence(n, y)
+    meet_ids = X.labels * n + Y.labels
+    pairs = [
+        (X, OX),
+        (Y, OY),
+        (core.Congruence(n, meet_ids), StoredCongruence(n, meet_ids)),
+        (X.meet(Y), OX.meet(OY)),
+        (X.join(Y), OX.join(OY)),
+        (core.Congruence(n, X.class_of), StoredCongruence(n, OX.class_of)),
+    ]
+    for got, expected in pairs:
+        assert_same_partition(got, expected)
+    for (a, oa), (b, ob) in itertools.product(pairs, repeat=2):
+        assert (a == b) == (oa == ob)
+        assert a.refines(b) == oa.refines(ob)
+        if a == b:
+            assert hash(a) == hash(b)
+    assert X != OX and X != x  # compares only with congruences
+
+
+def stored_con_lattice(A):
+    """`core.con_lattice` as it ran on the stored dataclass: its joins, sets and sort key."""
+    principals = {StoredCongruence(A.size, tuple(range(A.size)))}
+    principals.update(
+        StoredCongruence(A.size, core.principal_congruence(A, a, b).labels)
+        for a, b in itertools.combinations(range(A.size), 2)
+    )
+    found, frontier = set(principals), list(principals)
+    while frontier:
+        theta = frontier.pop()
+        for other in list(found):
+            j = theta.join(other)
+            if j not in found:
+                found.add(j)
+                frontier.append(j)
+    return sorted(found, key=lambda c: (-c.num_classes, c.class_of))
+
+
+@pytest.mark.parametrize("name", list(ZOO))
+def test_con_lattice_order_matches_the_stored_dataclass(name):
+    A = ZOO[name]
+    got, expected = core.con_lattice(A), stored_con_lattice(A)
+    assert len(got) == len(expected)
+    for theta, oracle in zip(got, expected):
+        assert_same_partition(theta, oracle)
+
+
+def test_a_congruence_stores_only_its_labels():
+    """One stored array; the canonical ids and the class count are built when asked for."""
+    theta = core.Congruence(4, (7, 3, 7, 3))
+    for fresh in (theta, theta.meet(theta), theta.join(theta), core.Congruence.from_classes(4, [[0, 2], [1, 3]])):
+        arrays = [name for name, value in vars(fresh).items() if isinstance(value, np.ndarray)]
+        assert arrays == ["labels"]
+        assert "class_of" not in vars(fresh) and "num_classes" not in vars(fresh)
+    assert theta.class_of == (0, 1, 0, 1)
+    assert vars(theta)["class_of"] == (0, 1, 0, 1)
 
 
 # ---------------------------------------------------------------------------

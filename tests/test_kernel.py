@@ -8,6 +8,7 @@ whose factors differ in size.
 """
 
 import ast
+import importlib
 import itertools
 import tracemalloc
 from pathlib import Path
@@ -641,9 +642,35 @@ def test_only_core_names_chunk_cells():
         assert path.name == "core.py" or not named, f"{path.name} names CHUNK_CELLS at {named}"
 
 
+def test_only_the_kernel_gathers_at_encoded_arguments():
+    """No subscript outside `core.apply_coordinatewise` is indexed by a call to `encode_tuple`."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        kernel = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "apply_coordinatewise"]
+        inside = {id(node) for k in kernel for node in ast.walk(k)}
+        gathers = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and id(node) not in inside
+            and any(
+                isinstance(c, ast.Call) and "encode_tuple" in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+                for c in ast.walk(node.slice)
+            )
+        ]
+        assert not gathers, f"{path.name} gathers at encoded arguments by hand at {gathers}"
+
+
+def test_no_module_level_function_is_cached():
+    """No process-wide state: no function of an `adual` module carries a functools cache."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"adual.{path.stem}" if path.stem != "__init__" else "adual")
+        cached = [name for name, value in vars(module).items() if callable(getattr(value, "cache_clear", None))]
+        assert not cached, f"{path.name} caches {cached}"
+
+
 def chunked_results():
     """Results of every blocked loop, on algebras built afresh so no cache carries over."""
-    affine._cached_group.cache_clear()
     z2, z3, z4, z6 = (zoo.cyclic_group(n) for n in (2, 3, 4, 6))
     meet2 = zoo.two_element_semilattice()
     graph = core.graph_relation(meet2.op("meet"))
