@@ -49,7 +49,6 @@ from .subcong import (
 from .homgroups import (
     GeneratingFamily,
     HkGroup,
-    PrimeSignature,
     build_hk_group,
     cardinal_si_bound,
     decompose_in_group,

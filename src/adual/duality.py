@@ -66,10 +66,7 @@ def arity_bound(A) -> int:
 
     A one-element algebra has no prime exponents; it gets 4 by convention.
     """
-    exponents = [a for _, a in prime_signature(A.size).factorization]
-    if not exponents:
-        return 4
-    return max(4, 1 + max(a**3 for a in exponents))
+    return max(4, 1 + max(prime_signature(A.size).values(), default=0) ** 3)
 
 
 @dataclass
@@ -77,28 +74,35 @@ class AlterEgo:
     """The base algebra plus a family of compatible relations.
 
     The topology on a finite set is discrete and carried implicitly.
-    `complete` records whether the relations are all compatible relations of
-    the stated arity or a caller-supplied subset ("partial" mode).  `count`
-    is the number of relations of the alter ego: `len(relations)` unless
-    given.  `build_alter_ego` gives the complete alter ego no relations and
-    its count only, since complete mode reads none of them.
+    `count` is the number of relations of the alter ego: `len(relations)`
+    unless given.  An ego lists all its relations or none of them.  One that
+    lists them is lifted (partial mode, a caller-supplied subset); one that
+    only counts them is the complete alter ego of `build_alter_ego`, every
+    compatible relation of the arity, decided by interpolation.  Listing
+    some but not all of the count is refused.
     """
 
     base: FiniteAlgebra
     relations: tuple
     arity: int
-    complete: bool = True
     count: Optional[int] = None
     budget: InitVar[int] = DEFAULT_BUDGET
 
     def __post_init__(self, budget):
         if self.count is None:
             self.count = len(self.relations)
+        if self.relations and len(self.relations) != self.count:
+            raise ValueError(f"the alter ego lists {len(self.relations)} of its {self.count} relations")
         for r in self.relations:
             if r.arity != self.arity:
                 raise ValueError(f"alter-ego relation has arity {r.arity}, expected {self.arity}")
             if not is_compatible_relation(self.base, r, budget):
                 raise ValueError("alter-ego relation is not compatible with the base algebra")
+
+    @property
+    def complete(self):
+        """True for the counted ego, which lists fewer relations than its count."""
+        return len(self.relations) < self.count
 
     @cached_property
     def tagged_codes(self):
@@ -114,7 +118,7 @@ class AlterEgo:
 def build_alter_ego(A, N, budget=DEFAULT_BUDGET, relations=None) -> AlterEgo:
     """The complete alter ego of arity N, counted, or a supplied subset (partial mode)."""
     if relations is not None:
-        return AlterEgo(A, tuple(relations), N, complete=False, budget=budget)
+        return AlterEgo(A, tuple(relations), N, budget=budget)
     return AlterEgo(A, (), N, count=relation_count(A, N, subgroup_formula(A, budget), budget))
 
 
@@ -209,11 +213,11 @@ def _subgroup_sum(G: AbelianGroup, cosets, N) -> int:
     the sum over mu runs column by column from the last.
     """
     total = 1
-    for p, _ in prime_signature(G.size).factorization:
+    for p in prime_signature(G.size):
         logs = [0]  # log_p |G[p^i]| for i = 0, 1, .. until it stops growing
         while True:
             size = int((G.multiples[p ** len(logs) % G.exponent] == G.neutral).sum())
-            log = dict(prime_signature(size).factorization).get(p, 0)
+            log = prime_signature(size).get(p, 0)
             if log == logs[-1]:
                 break
             logs.append(log)
@@ -245,29 +249,23 @@ def _gaussian_binomial(n, k, q):
 
 @dataclass
 class DualStructure:
-    """Hom(B, A), with each alter-ego relation lifted pointwise in partial mode.
+    """Hom(B, A), with each listed alter-ego relation lifted pointwise.
 
     lifted[i] is an integer array of shape (count, arity) holding, in
     lexicographic order, the index tuples into `homs` that satisfy relation
-    i at every point of B.  It is None for the complete alter ego, whose
-    constraints `double_dual` reads off `values` instead.
+    i at every point of B.  The complete alter ego lists no relation, so it
+    lifts nothing; `double_dual` reads its constraints off `values`.
     """
 
     algebra: FiniteAlgebra
     homs: tuple
     ego: AlterEgo
-    lifted: Optional[tuple] = None
+    lifted: tuple = ()
 
     @cached_property
     def values(self):
         """values[i, b] = homs[i](b), an array of shape (|Hom(B, A)|, |B|)."""
         return hom_table(self.homs, self.algebra.size)
-
-
-def hom_dual(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualStructure:
-    """The dual of B with no lifted relations, as the complete alter ego uses it."""
-    B_alg = B.as_algebra()
-    return DualStructure(B_alg, tuple(enumerate_homs(B_alg, ego.base, budget)), ego)
 
 
 def dual_of(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualStructure:
@@ -278,12 +276,10 @@ def dual_of(B: SubalgebraWitness, ego: AlterEgo, budget=DEFAULT_BUDGET) -> DualS
     point b of B the tuple (h_i1(b)..h_ij(b)) is the prefix of a tuple of
     the relation.  All relations extend together, each prefix code tagged
     with its relation's position, and rows stay in lexicographic order.
-    An alter ego that lists fewer relations than it counts, as the complete
-    one built by `build_alter_ego` does, is refused.
+    The complete alter ego lists no relation and lifts nothing.
     """
-    if len(ego.relations) != ego.count:
-        raise ValueError(f"the alter ego lists {len(ego.relations)} of its {ego.count} relations")
-    D = hom_dual(B, ego, budget)
+    B_alg = B.as_algebra()
+    D = DualStructure(B_alg, tuple(enumerate_homs(B_alg, ego.base, budget)), ego)
     values = D.values
     h, width = values.shape
     size, r = ego.base.size, ego.arity
@@ -393,7 +389,7 @@ def double_dual(D: DualStructure, budget=DEFAULT_BUDGET):
     codes, must fit the budget.
     """
     h, size = len(D.homs), D.ego.base.size
-    if D.lifted is None:
+    if D.ego.complete:
         constraints = _interpolation_constraints(D, budget)
     else:
         constraints = _lifted_constraints(D)
@@ -425,11 +421,18 @@ class EvaluationReport:
 
     power: int
     carrier: tuple
-    b_size: int
     hom_count: int
     double_dual_size: int
-    bijective: bool
     missing: tuple = ()
+
+    @property
+    def b_size(self):
+        return len(self.carrier)
+
+    @property
+    def bijective(self):
+        """The evaluation map is injective, so it is onto exactly when |B*+| = |B|."""
+        return self.double_dual_size == self.b_size
 
     def lines(self):
         out = [
@@ -445,7 +448,7 @@ class EvaluationReport:
 
 def evaluate_subalgebra(B: SubalgebraWitness, ego: AlterEgo, power, budget=DEFAULT_BUDGET):
     """Check the evaluation map on one B: embed, then compare cardinalities."""
-    D = (hom_dual if ego.complete else dual_of)(B, ego, budget)
+    D = dual_of(B, ego, budget)
     images = [tuple(column) for column in D.values.T.tolist()]
     image_set = set(images)
     if len(image_set) != len(images):
@@ -458,10 +461,8 @@ def evaluate_subalgebra(B: SubalgebraWitness, ego: AlterEgo, power, budget=DEFAU
     return EvaluationReport(
         power=power,
         carrier=B.carrier,
-        b_size=len(B.carrier),
         hom_count=len(D.homs),
         double_dual_size=len(dd),
-        bijective=len(dd) == D.algebra.size,
         missing=missing[:4],
     )
 
@@ -519,9 +520,7 @@ def verify_duality(A, k_max=2, budget=DEFAULT_BUDGET, ego: Optional[AlterEgo] = 
                 )
             if image is not None and below[image].bijective:
                 seen = below[image]
-                report = EvaluationReport(
-                    k, carrier, len(carrier), seen.hom_count, seen.double_dual_size, True
-                )
+                report = EvaluationReport(k, carrier, seen.hom_count, seen.double_dual_size)
             else:
                 report = evaluate_subalgebra(SubalgebraWitness(P, carrier), ego, k, budget)
             level[carrier] = report

@@ -37,41 +37,11 @@ from .core import (
 from .affine import AbelianGroup, find_affine_term, group_from_affine
 
 
-@dataclass(frozen=True)
-class PrimeSignature:
-    """The prime factorization of a positive integer as ((p, exponent), ...)."""
-
-    factorization: tuple
-
-    def __post_init__(self):
-        primes = [p for p, _ in self.factorization]
-        if len(set(primes)) != len(primes):
-            raise ValueError("repeated primes in factorization")
-        if any(a < 1 for _, a in self.factorization):
-            raise ValueError("exponents must be >= 1")
-
-    @property
-    def value(self):
-        out = 1
-        for p, a in self.factorization:
-            out *= p**a
-        return out
-
-    def exponent_of(self, p):
-        for q, a in self.factorization:
-            if q == p:
-                return a
-        return 0
-
-    def max_exponent(self):
-        return max((a for _, a in self.factorization), default=0)
-
-
-def prime_signature(n: int) -> PrimeSignature:
-    """Trial-division factorization of n >= 1; 1 has the empty signature."""
+def prime_signature(n: int) -> dict:
+    """Trial-division factorization of n >= 1 as {p: exponent}, primes increasing; 1 gives {}."""
     if n < 1:
         raise ValueError("prime signature needs n >= 1")
-    factors = []
+    factors = {}
     p = 2
     while p * p <= n:
         if n % p == 0:
@@ -79,11 +49,11 @@ def prime_signature(n: int) -> PrimeSignature:
             while n % p == 0:
                 n //= p
                 a += 1
-            factors.append((p, a))
+            factors[p] = a
         p += 1
     if n > 1:
-        factors.append((n, 1))
-    return PrimeSignature(tuple(factors))
+        factors[n] = 1
+    return factors
 
 
 @dataclass
@@ -91,7 +61,10 @@ class DivisibilityReport:
     claim: str
     computed: int
     bound: int
-    passed: bool
+
+    @property
+    def passed(self):
+        return self.bound % self.computed == 0
 
     def lines(self):
         return [
@@ -104,10 +77,9 @@ class DivisibilityReport:
 
 def _shared_prime_bound(size_a, size_b, exponent_rule):
     sig_a, sig_b = prime_signature(size_a), prime_signature(size_b)
-    primes = sorted({p for p, _ in sig_a.factorization} | {p for p, _ in sig_b.factorization})
     bound = 1
-    for p in primes:
-        bound *= p ** exponent_rule(sig_a.exponent_of(p), sig_b.exponent_of(p))
+    for p in sig_a.keys() | sig_b.keys():
+        bound *= p ** exponent_rule(sig_a.get(p, 0), sig_b.get(p, 0))
     return bound
 
 
@@ -159,7 +131,6 @@ def hom_divisibility_check(A, B, count, mode="abelian", budget=DEFAULT_BUDGET):
         claim=f"|Hom({A.name},{B.name})| divides the {mode}-mode bound",
         computed=count,
         bound=bound,
-        passed=bound % count == 0,
     )
 
 
@@ -360,7 +331,7 @@ def generating_family(group: AbelianGroup) -> GeneratingFamily:
         gens.append(best)
         sums = add[sums[:, None], group.multiples[: orders[best], best]].ravel()
         outside[sums] = False
-    bound = prime_signature(group.size).max_exponent()
+    bound = max(prime_signature(group.size).values(), default=0)
     if len(gens) > bound:
         raise ValueError(
             f"greedy family has {len(gens)} generators, exceeding the bound {bound}: "
@@ -388,7 +359,7 @@ def decompose_in_group(family: GeneratingFamily, element) -> tuple:
 def cardinal_si_bound(A) -> int:
     """prod p_i**(a_i**2) over the prime signature of |A|."""
     bound = 1
-    for p, a in prime_signature(A.size).factorization:
+    for p, a in prime_signature(A.size).items():
         bound *= p ** (a * a)
     return bound
 
@@ -407,5 +378,4 @@ def kearnes_divisibility_check(
         claim=f"|{S.name}| divides |Hom(({A.name},+),({A.name},+))|",
         computed=S.size,
         bound=count,
-        passed=count % S.size == 0,
     )

@@ -128,9 +128,12 @@ class GaloisReport:
     carrier: tuple
     subalgebras_above: int
     congruences_above: int
-    passed: bool
     counterexample: Optional[str] = None
     shared_theta: tuple = ()
+
+    @property
+    def passed(self):
+        return self.counterexample is None
 
     def lines(self):
         out = [
@@ -199,7 +202,6 @@ def _galois_above(A, B: SubalgebraWitness, theta, members, congruences, shared):
         carrier=B.carrier,
         subalgebras_above=len(S_lat),
         congruences_above=len(C_lat),
-        passed=counterexample is None,
         counterexample=counterexample,
         shared_theta=shared,
     )

@@ -1,3 +1,4 @@
+import ast
 import functools
 import tracemalloc
 from math import comb, gcd
@@ -111,6 +112,11 @@ def listed_ego(A, N):
     return du.AlterEgo(A, tuple(core.enumerate_subuniverses(core.power_algebra(A, N))), N)
 
 
+def counted_twin(listed):
+    """The same alter ego counted, not listed: decided by interpolation, not lifted."""
+    return du.AlterEgo(listed.base, (), listed.arity, count=len(listed.relations))
+
+
 def every_subalgebra(A, k_max):
     for k in range(1, k_max + 1):
         P = A if k == 1 else core.power_algebra(A, k)
@@ -185,7 +191,7 @@ def test_budget_never_refuses_what_brute_force_finishes(z2, z3):
             budget = _needs(B, ego)
             slow = brute_double_dual(brute_dual_of(B, ego, budget), budget)
             assert du.double_dual(du.dual_of(B, ego, budget), budget) == slow
-            assert du.double_dual(du.hom_dual(B, ego, budget), budget) == slow
+            assert du.double_dual(du.dual_of(B, counted_twin(ego), budget), budget) == slow
 
 
 def test_budget_refuses_before_allocating(z3):
@@ -246,7 +252,8 @@ def outcome(call):
 def assert_interpolation_matches(B, ego):
     """The complete-mode double dual of B against the brute-force lifts; returns it."""
     slow = brute_dual_of(B, ego)
-    D = du.DualStructure(slow.algebra, slow.homs, ego)  # no lifts: interpolation
+    D = du.dual_of(B, counted_twin(ego))  # no lifts: interpolation
+    assert D.homs == slow.homs and D.lifted == ()
     fast = outcome(lambda: du.double_dual(D))
     assert fast == outcome(lambda: lifted_double_dual(slow)), B.carrier
     return fast
@@ -286,8 +293,8 @@ def test_interpolation_with_fewer_homs_than_n(z2, z3):
             SubalgebraWitness(A, tuple(range(A.size))),
             SubalgebraWitness(core.power_algebra(A, 2), (0,)),
         ):
-            D = du.hom_dual(B, ego)
-            assert len(D.homs) < 4 and D.lifted is None
+            D = du.dual_of(B, counted_twin(ego))
+            assert len(D.homs) < 4 and D.lifted == ()
             images = sorted(tuple(column) for column in D.values.T.tolist())
             assert du.double_dual(D) == assert_interpolation_matches(B, ego) == images
 
@@ -301,7 +308,7 @@ def test_informative_pair_z2_power_four(z2):
 
 def test_refused_interpolation_step_allocates_nothing(z3):
     B = SubalgebraWitness(core.power_algebra(z3, 3), tuple(range(27)))
-    D = du.hom_dual(B, du.build_alter_ego(z3, 4))
+    D = du.dual_of(B, du.build_alter_ego(z3, 4))
     j = 20
     count = comb(j, 3) * 27  # the projection codes of step j: 30,780
     with pytest.raises(core.BudgetExceededError) as info:
@@ -337,8 +344,9 @@ mode, corruption = sys.argv[1:]
 honest_double_dual, honest_homs, honest_dual_of = du.double_dual, du.enumerate_homs, du.dual_of
 lifts = []
 def dual_of(B, ego, budget):
-    lifts.append(B)
-    return honest_dual_of(B, ego, budget)
+    D = honest_dual_of(B, ego, budget)
+    lifts.append(sum(len(t) for t in D.lifted))
+    return D
 du.dual_of = dual_of
 if corruption == "escaped":  # drop the image of 0 from the double dual
     du.double_dual = lambda D, budget: honest_double_dual(D, budget)[1:]
@@ -354,7 +362,7 @@ try:
     du.evaluate_subalgebra(SubalgebraWitness(z2, (0, 1)), ego, 1)
 except core.VerificationError as e:
     print("VerificationError:", e)
-print("lifted", len(lifts))
+print("lifted", len(lifts), sum(lifts))
 """
 
 
@@ -370,8 +378,10 @@ def test_evaluation_checks_run_under_optimize(under_optimize, corruption, mode):
     out = under_optimize(_UNDER_OPTIMIZE, mode, corruption)
     error, lifted = out.splitlines()
     assert error.startswith("VerificationError:") and corruption in error, out
-    # the corruptions sit in the hom list and the engine that both modes share
-    assert lifted == f"lifted {int(mode == 'partial')}"
+    # the corruptions sit in the hom list and the engine that both modes share;
+    # both modes take one dual, and only the listed relations lift any tuple
+    label, calls, tuples = lifted.split()
+    assert (label, calls) == ("lifted", "1") and (int(tuples) > 0) == (mode == "partial"), out
 
 
 def test_arity_bound_values(z2, z4):
@@ -671,9 +681,30 @@ def test_affine_gcd_matches_the_oracle_on_affine_and_random_operations(A):
     assert_affine_gcd_matches_the_oracle(A)
 
 
-def test_dual_of_refuses_a_counted_ego(z2):
-    with pytest.raises(ValueError, match="lists 0 of its 67 relations"):
-        du.dual_of(SubalgebraWitness(z2, (0, 1)), du.build_alter_ego(z2, 4))
+def test_an_ego_listing_part_of_its_count_is_refused(z2):
+    relations = listed_ego(z2, 4).relations
+    for k in (1, 2, 66):
+        with pytest.raises(ValueError, match=f"lists {k} of its 67 relations"):
+            du.AlterEgo(z2, relations[:k], 4, count=67)
+    with pytest.raises(ValueError, match="lists 2 of its 1 relations"):
+        du.AlterEgo(z2, relations[:2], 4, count=1)
+
+
+def test_dual_of_a_counted_ego_lifts_nothing(z2):
+    ego = du.build_alter_ego(z2, 4)
+    D = du.dual_of(SubalgebraWitness(z2, (0, 1)), ego)
+    assert ego.complete and D.lifted == ()
+    assert du.double_dual(D) == [(0, 0), (0, 1)]
+
+
+def test_a_directly_built_subset_ego_is_lifted(z2):
+    # the diagonal alone, listed, is the same partial ego however it is built
+    diagonal = core.diagonal_relation(2, 4)
+    direct = du.verify_duality(z2, 1, ego=du.AlterEgo(z2, (diagonal,), 4))
+    built = du.verify_duality(z2, 1, ego=du.build_alter_ego(z2, 4, relations=[diagonal]))
+    assert direct == built
+    assert [r.missing for r in direct] == [((1,),), ((1, 0), (1, 1))]
+    assert not any(r.bijective for r in direct)
 
 
 def test_verify_duality_refuses_k_max_below_one(z2):
@@ -793,7 +824,7 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def failing_reports(name, capsys):
-    """Exit code and the (carrier, first extra map) of each NOT surjective B of
+    """Exit code and the (carrier, extra maps) of each NOT surjective B of
     `adual duality NAME --arity 2 --max-power 2`, read off its stdout."""
     from adual import cli
 
@@ -802,8 +833,12 @@ def failing_reports(name, capsys):
     for block in capsys.readouterr().out.split("\n\n"):  # one block per B
         if "evaluation map: NOT surjective" in block:
             carrier = block.split("carrier [")[1].split("]")[0]
-            phi = block.split("extra double-dual map not hit: (")[1].split(")")[0]
-            failing.append((tuple(map(int, carrier.split(", "))), tuple(map(int, phi.split(", ")))))
+            maps = [
+                ast.literal_eval(line.split("not hit: ")[1])
+                for line in block.splitlines()
+                if "extra double-dual map not hit: " in line
+            ]
+            failing.append((tuple(map(int, carrier.split(", "))), maps))
     return code, failing
 
 
@@ -838,10 +873,13 @@ def test_lower_arity_fails_are_pinned(name, failing_count, first_extra, capsys):
     code, failing = failing_reports(name, capsys)
     assert code == 1
     assert len(failing) == failing_count
-    carrier, phi = failing[0]
-    assert phi == first_extra
     A = textio.parse_document((DATA / f"{name}.alg").read_text()).algebras[name]
-    check_extra_map(A, carrier, phi)
+    for carrier, maps in failing:
+        assert maps, carrier
+        for phi in maps:
+            check_extra_map(A, carrier, phi)
+    carrier, (phi, *_) = failing[0]
+    assert phi == first_extra
     if any(o.arity == 0 for o in A.ops):  # every hom fixes the constant 0, which B holds
         with pytest.raises(AssertionError, match="is an evaluation"):
             check_extra_map(A, carrier, (0,) * len(phi))  # evaluation at the neutral element
